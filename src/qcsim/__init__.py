@@ -47,7 +47,6 @@ from .optim import (
     OptimizerResult,
     compute_gradient,
     gradient_executions,
-    optimize,
 )
 from .pauli import (
     PauliOperator,

@@ -5,12 +5,11 @@ itself here behind the same (kind, name) lookup used by the public API.
 """
 from __future__ import annotations
 
-from . import ansatz as _ansatz
 from . import optim as _optim
 from .algorithms import QCMX, QEOM, QITE, VQE, AdaptVQE
 from .backend import StatevectorAccelerator
 from .kernel import parse_kernel
-from .registry import ServiceKind, as_het_map, register_service
+from .registry import ServiceKind, register_service
 
 
 class XasmCompiler:
@@ -21,57 +20,6 @@ class XasmCompiler:
 
     def compile(self, source: str):
         return parse_kernel(source)
-
-
-class _GradientStrategy:
-    def __init__(self, strategy: str):
-        self._strategy = strategy
-
-    def name(self) -> str:
-        return self._strategy
-
-    def get_gradient_executions(self, circuit, x, obs, **kwargs):
-        return _optim.gradient_executions(self._strategy, circuit, x, obs, **kwargs)
-
-    def compute(self, request, expectations):
-        return _optim.compute_gradient(request, expectations)
-
-
-class _CircuitGenerator:
-    def __init__(self, generator_name: str):
-        self._name = generator_name
-
-    def name(self) -> str:
-        return self._name
-
-    def generate(self, options) -> object:
-        options = as_het_map(options)
-        ne = options.get_int("ne")
-        nq = options.get_int("nq")
-        if self._name == "uccsd":
-            return _ansatz.uccsd_circuit(_ansatz.UccsdSpec(ne, nq))
-        return _ansatz.hartree_fock_circuit(ne, nq)
-
-
-class JordanWignerTransform:
-    def name(self) -> str:
-        return "jordan-wigner"
-
-    def transform(self, fermion_operator, n_modes: int):
-        from .fermion import jordan_wigner
-
-        return jordan_wigner(fermion_operator, n_modes)
-
-
-class _PoolFactory:
-    def __init__(self, pool_name: str):
-        self._name = pool_name
-
-    def name(self) -> str:
-        return self._name
-
-    def build(self, n_electrons: int, n_qubits: int):
-        return _ansatz.build_pool(self._name, n_electrons, n_qubits)
 
 
 _done = False
@@ -91,21 +39,4 @@ def initialize() -> None:
     register_service(ServiceKind.ALGORITHM, "qcmx", QCMX)
     register_service(ServiceKind.ALGORITHM, "qeom", QEOM)
     register_service(ServiceKind.COMPILER, "xasm", XasmCompiler)
-    for strategy in _optim.GRADIENT_STRATEGIES:
-        register_service(
-            ServiceKind.GRADIENT_STRATEGY,
-            strategy,
-            lambda s=strategy: _GradientStrategy(s),
-        )
-    for generator in ("uccsd", "hartree-fock"):
-        register_service(
-            ServiceKind.CIRCUIT_GENERATOR,
-            generator,
-            lambda g=generator: _CircuitGenerator(g),
-        )
-    register_service(
-        ServiceKind.OBSERVABLE_TRANSFORM, "jordan-wigner", JordanWignerTransform
-    )
-    for pool in ("uccsd", "singlet-adapted-uccsd"):
-        register_service(ServiceKind.OPERATOR_POOL, pool, lambda p=pool: _PoolFactory(p))
     _done = True

@@ -67,14 +67,15 @@ def cmx_energy(connected: list[float], order: int) -> float:
 def knowles_energy(connected: list[float], order: int) -> float:
     """Generalized Pade estimate I_1 - b^T A^-1 b.
 
-    b = (I_2 .. I_K), A_ij = I_{i+j+1}; rank-deficient A is handled with
-    the minimum-norm solve.
+    b = (I_2 .. I_K), A_ij = I_{i+j+1} (1-based, so A_11 = I_3);
+    rank-deficient A is handled with the minimum-norm solve.  At order 2
+    this is I_1 - I_2^2 / I_3, the same as CMX(2).
     """
     if _is_eigenstate(connected):
         return connected[0]
     k = order
     b = np.array([connected[i] for i in range(1, k)])
-    a = np.array([[connected[i + j + 1] for j in range(k - 1)] for i in range(k - 1)])
+    a = np.array([[connected[i + j + 2] for j in range(k - 1)] for i in range(k - 1)])
     x = solve_regularized_lsq(a, b, 0.0)
     return float(connected[0] - np.real(np.dot(b, x)))
 

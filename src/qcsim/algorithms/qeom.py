@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..ansatz import excitation_label
 from ..backend import AcceleratorBuffer, expectation, operator_expectation
 from ..errors import AlgorithmError
 from ..fermion import (
@@ -30,7 +31,7 @@ from ..fermion import (
     single_excitations,
 )
 from ..linalg import indefinite_generalized_eig
-from ..pauli import PauliOperator, multiply
+from ..pauli import PauliOperator, commutator
 from .base import Algorithm
 
 _POSITIVE_ROOT_CUTOFF = 1e-8
@@ -44,13 +45,8 @@ def excitation_basis(n_electrons: int, n_qubits: int) -> list[tuple[str, PauliOp
     for occ, virt in pairs:
         image = jordan_wigner(excitation_term(occ, virt), n_qubits)
         if not image.is_zero():
-            label = f"({','.join(map(str, occ))})->({','.join(map(str, virt))})"
-            ops.append((label, image))
+            ops.append((excitation_label(occ, virt), image))
     return ops
-
-
-def _commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    return multiply(a, b) - multiply(b, a)
 
 
 def eom_pencil(
@@ -65,14 +61,14 @@ def eom_pencil(
     v = np.zeros((dim, dim), dtype=complex)
     w = np.zeros((dim, dim), dtype=complex)
     daggers = [op.dagger() for op in operators]
-    h_comms = [_commutator(observable, op) for op in operators]
-    h_comms_dag = [_commutator(observable, op) for op in daggers]
+    h_comms = [commutator(observable, op) for op in operators]
+    h_comms_dag = [commutator(observable, op) for op in daggers]
     for i in range(dim):
         for j in range(dim):
-            m[i, j] = state_expectation(_commutator(daggers[i], h_comms[j]))
-            q[i, j] = -state_expectation(_commutator(daggers[i], h_comms_dag[j]))
-            v[i, j] = state_expectation(_commutator(daggers[i], operators[j]))
-            w[i, j] = -state_expectation(_commutator(daggers[i], daggers[j]))
+            m[i, j] = state_expectation(commutator(daggers[i], h_comms[j]))
+            q[i, j] = -state_expectation(commutator(daggers[i], h_comms_dag[j]))
+            v[i, j] = state_expectation(commutator(daggers[i], operators[j]))
+            w[i, j] = -state_expectation(commutator(daggers[i], daggers[j]))
     a = np.block([[m, q], [q.conj(), m.conj()]])
     b = np.block([[v, w], [-w.conj(), -v.conj()]])
     a = 0.5 * (a + a.conj().T)

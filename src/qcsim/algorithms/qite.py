@@ -25,6 +25,7 @@ from ..backend import (
     expectation,
     operator_expectation,
     statevector,
+    statevector_expectation,
 )
 from ..ansatz import exp_pauli
 from ..errors import AlgorithmError
@@ -77,7 +78,7 @@ class QITE(Algorithm):
 
         if accelerator.exact_mode:
             state = statevector(circuit, n).reshape((2,) * n)
-            energies = [self._exact_energy(observable, state)]
+            energies = [statevector_expectation(observable, state.reshape(-1)).real]
         else:
             energies = [expectation(observable, circuit, accelerator)]
 
@@ -98,17 +99,14 @@ class QITE(Algorithm):
             circuit.add_all(block.children)
             if accelerator.exact_mode:
                 state = apply_instructions(state, block.instructions())
-                energies.append(self._exact_energy(observable, state))
+                energies.append(
+                    statevector_expectation(observable, state.reshape(-1)).real
+                )
             else:
                 energies.append(expectation(observable, circuit, accelerator))
 
         buffer.metadata.insert("energy-history", energies)
         buffer.metadata.insert("opt-val", energies[-1])
-
-    @staticmethod
-    def _exact_energy(observable: PauliOperator, state: np.ndarray) -> float:
-        flat = state.reshape(-1)
-        return float(np.real(np.vdot(flat, apply_pauli(observable, state).reshape(-1))))
 
     @staticmethod
     def _exact_system(observable, state, basis, db, energy):

@@ -164,7 +164,8 @@ def count_double_excitations(nq: int, ne: int) -> int:
     return comb(nq // 2, ne) ** 2
 
 
-def _excitation_label(occ: Iterable[int], virt: Iterable[int]) -> str:
+def excitation_label(occ: Iterable[int], virt: Iterable[int]) -> str:
+    """Label "(i,j)->(a,b)" of the excitation from occ into virt."""
     o = ",".join(str(i) for i in occ)
     v = ",".join(str(a) for a in virt)
     return f"({o})->({v})"
@@ -191,7 +192,7 @@ def build_pool(name: str, ne: int, nq: int) -> OperatorPool:
             generator = jordan_wigner(anti_hermitian_excitation(occ, virt), nq)
             if generator.is_zero():
                 continue
-            elements.append((_excitation_label(occ, virt), generator))
+            elements.append((excitation_label(occ, virt), generator))
         return OperatorPool(name, elements)
     if name == "singlet-adapted-uccsd":
         return _singlet_adapted_pool(ne, nq)
@@ -229,5 +230,5 @@ def _singlet_adapted_pool(ne: int, nq: int) -> OperatorPool:
             continue
         seen.append(combined)
         occ_sig, virt_sig = signature
-        elements.append((f"singlet_{_excitation_label(occ_sig, virt_sig)}", combined))
+        elements.append((f"singlet_{excitation_label(occ_sig, virt_sig)}", combined))
     return OperatorPool("singlet-adapted-uccsd", elements)

@@ -124,28 +124,8 @@ class StatevectorAccelerator:
     def _execute_one(
         self, buffer: AcceleratorBuffer, circuit: CompositeInstruction
     ) -> ExecutionResult:
-        if not circuit.is_concrete:
-            raise BackendError(
-                f"circuit '{circuit.name}' has free variables {circuit.variables}"
-            )
-        if circuit.max_qubit() >= buffer.size:
-            raise BackendError(
-                f"circuit '{circuit.name}' touches qubit {circuit.max_qubit()} "
-                f"but buffer has {buffer.size}"
-            )
         n = buffer.size
-        state = _zero_state(n)
-        measured: list[int] = []
-        for inst in circuit.instructions():
-            if inst.name == "Measure":
-                if inst.qubits[0] not in measured:
-                    measured.append(inst.qubits[0])
-                continue
-            if any(q in measured for q in inst.qubits):
-                raise BackendError(
-                    f"gate {inst.name} on {inst.qubits} after Measure"
-                )
-            state = _apply_gate(state, inst)
+        state, measured = _simulate(circuit, n)
         if not measured:
             measured = list(range(n))
         measured_sorted = tuple(sorted(measured))
@@ -176,12 +156,36 @@ class StatevectorAccelerator:
         )
 
 
-def _zero_state(n: int) -> np.ndarray:
+def _simulate(circuit: CompositeInstruction, n: int) -> tuple[np.ndarray, list[int]]:
+    """Evolve |0...0> on n qubits through a concrete circuit.
+
+    Returns the state tensor and the Measure targets in first-seen order;
+    a gate on an already measured qubit is rejected.  Private so that a
+    simulation is counted once, by whichever public entry point ran it.
+    """
+    if not circuit.is_concrete:
+        raise BackendError(
+            f"circuit '{circuit.name}' has free variables {circuit.variables}"
+        )
+    if circuit.max_qubit() >= n:
+        raise BackendError(
+            f"circuit '{circuit.name}' touches qubit {circuit.max_qubit()} "
+            f"but the register has {n}"
+        )
     if n > MAX_QUBITS:
         raise BackendError(f"statevector capped at {MAX_QUBITS} qubits, got {n}")
     state = np.zeros((2,) * n, dtype=complex)
     state[(0,) * n] = 1.0
-    return state
+    measured: list[int] = []
+    for inst in circuit.instructions():
+        if inst.name == "Measure":
+            if inst.qubits[0] not in measured:
+                measured.append(inst.qubits[0])
+            continue
+        if measured and any(q in measured for q in inst.qubits):
+            raise BackendError(f"gate {inst.name} on {inst.qubits} after Measure")
+        state = _apply_gate(state, inst)
+    return state, measured
 
 
 def _apply_gate(state: np.ndarray, inst) -> np.ndarray:
@@ -226,17 +230,9 @@ def _weights_to_bitstrings(
 
 def statevector(circuit: CompositeInstruction, n: int) -> np.ndarray:
     """Amplitudes of circuit|0...0>; index bit order puts qubit 0 first."""
-    if not circuit.is_concrete:
-        raise BackendError(f"circuit '{circuit.name}' has free variables")
-    if any(inst.name == "Measure" for inst in circuit.instructions()):
+    state, measured = _simulate(circuit, n)
+    if measured:
         raise BackendError("statevector of a measured circuit is undefined")
-    if circuit.max_qubit() >= n:
-        raise BackendError(
-            f"circuit touches qubit {circuit.max_qubit()} but n={n}"
-        )
-    state = _zero_state(n)
-    for inst in circuit.instructions():
-        state = _apply_gate(state, inst)
     return state.reshape(-1)
 
 

@@ -1,29 +1,36 @@
 """Batch command-line front end.
 
 Verbs:
-  run         execute one algorithm over a Hamiltonian file (or sweep)
-  spectrum    like run, but one column per reported energy level/order
+  spectrum    execute one algorithm over a Hamiltonian file (or sweep),
+              one column per reported energy level/order
+  run         the one-column spectrum: each algorithm's primary energy
+              as ``opt-val``
   bench-uccsd time UCCSD circuit construction over (nq, ne) pairs
   list        print the service registry contents
 
 Config files are INI-style ``key = value`` with ``[section]`` headers;
 results are CSV with a ``#``-prefixed provenance header (config hash,
-seed, version).  All energies are in Hartree.  Exit codes: 0 success,
-1 config parse error, 2 missing Hamiltonian file, 3 algorithm error.
+seed, version).  ``# seed=`` holds the sampling seed actually used: the
+given one, or a drawn 32-bit seed when a sampled run (shots > 0) names
+none; exact runs without a seed leave it blank.  Rerunning with
+``--seed`` set to the recorded value reproduces the CSV.  All energies
+are in Hartree.  Exit codes: 0 success, 1 config parse error, 2 missing
+Hamiltonian file, 3 algorithm error.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import hashlib
+import secrets
 import sys
 import time
 from pathlib import Path
 
 from . import __version__, get_accelerator, get_algorithm, get_optimizer
 from .ansatz import UccsdSpec, count_double_excitations, hartree_fock_circuit, uccsd_circuit
-from .backend import expectation, qalloc
-from .errors import QcsimError
+from .backend import qalloc
+from .errors import ConfigError, QcsimError
 from .ir import evaluate
 from .kernel import parse_kernel
 from .pauli import load_hamiltonian
@@ -33,10 +40,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MISSING_HAMILTONIAN = 2
 EXIT_ALGORITHM = 3
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _fmt(value: float) -> str:
@@ -75,7 +78,7 @@ def _hamiltonian_files(config) -> list[tuple[str, str]]:
     return list(zip(labels, files))
 
 
-def _build_ansatz(config, n_qubits_hint: int):
+def _build_ansatz(config):
     if not config.has_section("ansatz"):
         raise ConfigError("config needs an [ansatz] section")
     section = config["ansatz"]
@@ -159,7 +162,7 @@ def _execute_point(config, algorithm, observable, accelerator, verbose):
         options.setdefault("pool", "uccsd")
 
     if algorithm in ("vqe", "qite", "qcmx", "qeom"):
-        ansatz = _build_ansatz(config, n_qubits)
+        ansatz = _build_ansatz(config)
         if algorithm in ("qcmx", "qeom"):
             ansatz = _prepare_ground_state(
                 ansatz, observable, accelerator, config, algorithm
@@ -177,14 +180,6 @@ def _execute_point(config, algorithm, observable, accelerator, verbose):
     return buffer
 
 
-def _primary_energy(algorithm: str, buffer) -> float:
-    if algorithm == "qcmx":
-        return buffer.metadata.get_real_list("pds-energies")[-1]
-    if algorithm == "qeom":
-        return buffer.metadata.get_real("ground-energy")
-    return buffer.metadata.get_real("opt-val")
-
-
 def _provenance(config_path: str, seed, out_lines: list[str]) -> None:
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     out_lines.append(f"# qcsim-version={__version__}")
@@ -200,6 +195,8 @@ def _accelerator_from(config, args):
     seed = args.seed
     if seed is None and config.has_option("run", "seed"):
         seed = config.getint("run", "seed")
+    if seed is None and shots > 0:
+        seed = secrets.randbits(32)
     options = {"shots": shots}
     if seed is not None:
         options["seed"] = seed
@@ -210,43 +207,6 @@ def _out_path(config, args, default: str) -> Path:
     if args.out:
         return Path(args.out)
     return Path(config.get("run", "out", fallback=default))
-
-
-def cmd_run(args) -> int:
-    try:
-        config = _parse_config(args.config)
-        sweep = _hamiltonian_files(config)
-    except (ConfigError, configparser.Error, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    algorithm = config.get("run", "algorithm")
-    accelerator, seed = _accelerator_from(config, args)
-
-    rows = []
-    for label, path in sweep:
-        if not Path(path).is_file():
-            print(f"missing Hamiltonian file: {path}", file=sys.stderr)
-            return EXIT_MISSING_HAMILTONIAN
-        observable = load_hamiltonian(path)
-        try:
-            buffer = _execute_point(
-                config, algorithm, observable, accelerator, args.verbose
-            )
-            rows.append((label, _primary_energy(algorithm, buffer)))
-        except (QcsimError, ConfigError, ValueError, KeyError) as exc:
-            print(f"algorithm error at '{label}': {exc}", file=sys.stderr)
-            return EXIT_ALGORITHM
-
-    lines: list[str] = []
-    _provenance(args.config, seed, lines)
-    lines.append("label,opt-val")
-    for label, energy in rows:
-        lines.append(f"{label},{_fmt(energy)}")
-    out = _out_path(config, args, "results.csv")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if args.verbose:
-        print(f"wrote {out}", file=sys.stderr)
-    return EXIT_OK
 
 
 def _spectrum_columns(algorithm: str, config, buffer) -> dict[str, float]:
@@ -271,7 +231,23 @@ def _spectrum_columns(algorithm: str, config, buffer) -> dict[str, float]:
     return {"opt-val": buffer.metadata.get_real("opt-val")}
 
 
-def cmd_spectrum(args) -> int:
+def _run_columns(algorithm: str, _config, buffer) -> dict[str, float]:
+    if algorithm == "qcmx":
+        energy = buffer.metadata.get_real_list("pds-energies")[-1]
+    elif algorithm == "qeom":
+        energy = buffer.metadata.get_real("ground-energy")
+    else:
+        energy = buffer.metadata.get_real("opt-val")
+    return {"opt-val": energy}
+
+
+def _sweep(args, row_columns, default_out: str) -> int:
+    """Run the configured algorithm at every sweep point and write the CSV.
+
+    ``row_columns(algorithm, config, buffer)`` names the point's values;
+    the header lists every column in first-seen order and a row lacking
+    one leaves its cell blank.
+    """
     try:
         config = _parse_config(args.config)
         sweep = _hamiltonian_files(config)
@@ -291,8 +267,8 @@ def cmd_spectrum(args) -> int:
             buffer = _execute_point(
                 config, algorithm, observable, accelerator, args.verbose
             )
-            rows.append((label, _spectrum_columns(algorithm, config, buffer)))
-        except (QcsimError, ConfigError, ValueError, KeyError) as exc:
+            rows.append((label, row_columns(algorithm, config, buffer)))
+        except (QcsimError, ValueError, KeyError) as exc:
             print(f"algorithm error at '{label}': {exc}", file=sys.stderr)
             return EXIT_ALGORITHM
 
@@ -307,11 +283,19 @@ def cmd_spectrum(args) -> int:
     for label, row in rows:
         cells = [(_fmt(row[c]) if c in row else "") for c in columns]
         lines.append(label + "," + ",".join(cells))
-    out = _out_path(config, args, "spectrum.csv")
+    out = _out_path(config, args, default_out)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if args.verbose:
         print(f"wrote {out}", file=sys.stderr)
     return EXIT_OK
+
+
+def cmd_run(args) -> int:
+    return _sweep(args, _run_columns, "results.csv")
+
+
+def cmd_spectrum(args) -> int:
+    return _sweep(args, _spectrum_columns, "spectrum.csv")
 
 
 def cmd_bench_uccsd(args) -> int:

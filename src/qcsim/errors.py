@@ -40,3 +40,7 @@ class BackendError(QcsimError):
 
 class AlgorithmError(QcsimError):
     """Algorithm initialization or execution failure."""
+
+
+class ConfigError(QcsimError):
+    """Batch config file missing, incomplete or inconsistent."""

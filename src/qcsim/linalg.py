@@ -33,11 +33,6 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def ground_state(m: np.ndarray) -> tuple[float, np.ndarray]:
-    values, vectors = hermitian_eig(m)
-    return float(values[0]), vectors[:, 0]
-
-
 def solve_regularized_lsq(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     """Minimize ||a x - b||^2 + ridge ||x||^2.
 

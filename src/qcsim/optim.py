@@ -205,18 +205,6 @@ class GradientDescent:
         )
 
 
-def optimize(
-    optimizer_name: str,
-    options: "HeterogeneousMap | dict | None",
-    f: ObjectiveFunction,
-) -> OptimizerResult:
-    """Registry-backed entry point mirroring the service lookup pattern."""
-    from .registry import ServiceKind, get_service
-
-    optimizer = get_service(ServiceKind.OPTIMIZER, optimizer_name)
-    return optimizer.optimize(f, options)
-
-
 @dataclass(frozen=True)
 class GradientCircuit:
     """One executable entry of a GradientRequest.

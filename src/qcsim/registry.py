@@ -1,9 +1,10 @@
 """In-process service registry and the heterogeneous options map.
 
 Every pluggable piece of the framework (accelerators, optimizers,
-algorithms, ...) is registered under a (ServiceKind, name) key and
-retrieved by name.  Registration happens once at import time; lookups
-construct a fresh instance on every call.
+algorithms and the kernel compiler) is registered under a
+(ServiceKind, name) key and retrieved by name through a public getter.
+Registration happens once at import time; lookups construct a fresh
+instance on every call.
 """
 from __future__ import annotations
 
@@ -19,10 +20,6 @@ class ServiceKind(Enum):
     OPTIMIZER = "optimizer"
     ALGORITHM = "algorithm"
     COMPILER = "compiler"
-    CIRCUIT_GENERATOR = "circuit-generator"
-    OBSERVABLE_TRANSFORM = "observable-transform"
-    GRADIENT_STRATEGY = "gradient-strategy"
-    OPERATOR_POOL = "operator-pool"
 
 
 # Closed set of value kinds a HeterogeneousMap may hold.  Reference kinds
@@ -197,8 +194,3 @@ def get_service(kind: ServiceKind, name: str) -> Any:
 
 def list_services(kind: ServiceKind) -> list[str]:
     return sorted(name for (k, name) in _registry if k == kind)
-
-
-def _clear_registry_for_tests() -> None:
-    # test hook only; production code never unregisters
-    _registry.clear()

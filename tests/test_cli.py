@@ -1,0 +1,273 @@
+"""Batch CLI: `run` and `spectrum` on the shipped H2 Hamiltonian.
+
+Energies are checked against exact diagonalization of ``data/h2.ham``;
+the CSV layout and provenance header are checked line by line.
+"""
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qcsim import cli, pauli
+from qcsim.errors import QcsimError
+
+H2_PATH = Path(__file__).resolve().parents[1] / "data" / "h2.ham"
+
+# Ry(t) on q0, X on q1, CNOT: cos(t/2)|01> + sin(t/2)|10>, which spans the
+# one-excitation sector holding the H2 ground state.
+KERNEL = """__qpu__ void h2(qbit q, double t) {
+  Ry(q[0], t);
+  X(q[1]);
+  CNOT(q[0], q[1]);
+}"""
+
+SECTIONS = {
+    "vqe": "[vqe]\noptimizer = nelder-mead\ntolerance = 1e-12\n",
+    "qcmx": "[qcmx]\ncmx-order = 3\n",
+    "qeom": "[qeom]\nn-electrons = 1\n",
+}
+
+
+def _write_config(tmp_path, algorithm, files=None, labels=None):
+    kernel = tmp_path / "h2.kernel"
+    kernel.write_text(KERNEL, encoding="utf-8")
+    files = files or [str(H2_PATH)]
+    lines = [
+        "[run]",
+        f"algorithm = {algorithm}",
+        "[hamiltonian]",
+        f"files = {', '.join(files)}",
+    ]
+    if labels:
+        lines.append(f"labels = {', '.join(labels)}")
+    lines += ["[ansatz]", "kind = kernel", f"file = {kernel}"]
+    text = "\n".join(lines) + "\n" + SECTIONS[algorithm]
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _main(verb, config, out, *flags):
+    return cli.main([verb, "--config", str(config), "--out", str(out), *flags])
+
+
+def _read(out):
+    """(header lines, column names, rows as dicts of strings)."""
+    lines = Path(out).read_text(encoding="utf-8").splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    body = [line for line in lines if not line.startswith("#")]
+    columns = body[0].split(",")
+    rows = [dict(zip(columns, line.split(","))) for line in body[1:]]
+    return header, columns, rows
+
+
+@pytest.fixture(scope="module")
+def h2_spectrum():
+    matrix = pauli.to_matrix(pauli.load_hamiltonian(str(H2_PATH)), 2)
+    return np.linalg.eigvalsh(matrix)
+
+
+@pytest.fixture(scope="module")
+def h2_one_excitation_sector():
+    """Eigenvalues on span{|01>, |10>} (indices 1 and 2, qubit 0 first)."""
+    matrix = pauli.to_matrix(pauli.load_hamiltonian(str(H2_PATH)), 2)
+    return np.linalg.eigvalsh(matrix[np.ix_([1, 2], [1, 2])])
+
+
+class TestRun:
+    def test_vqe_matches_exact_diagonalization(self, tmp_path, h2_spectrum):
+        out = tmp_path / "out.csv"
+        assert _main("run", _write_config(tmp_path, "vqe"), out) == cli.EXIT_OK
+        _, columns, rows = _read(out)
+        assert columns == ["label", "opt-val"]
+        assert [row["label"] for row in rows] == ["h2"]
+        assert float(rows[0]["opt-val"]) == pytest.approx(h2_spectrum[0], abs=1e-6)
+
+    def test_provenance_header(self, tmp_path):
+        config = _write_config(tmp_path, "vqe")
+        out = tmp_path / "out.csv"
+        assert _main("run", config, out) == cli.EXIT_OK
+        lines = out.read_text(encoding="utf-8").splitlines()
+        digest = hashlib.sha256(config.read_bytes()).hexdigest()
+        assert lines[:5] == [
+            f"# qcsim-version={cli.__version__}",
+            f"# config-sha256={digest}",
+            "# seed=",
+            "# energies in Hartree",
+            "label,opt-val",
+        ]
+        assert len(lines) == 6
+
+    def test_sweep_rows_follow_labels(self, tmp_path):
+        config = _write_config(
+            tmp_path, "vqe", files=[str(H2_PATH), str(H2_PATH)], labels=["a", "b"]
+        )
+        out = tmp_path / "out.csv"
+        assert _main("run", config, out) == cli.EXIT_OK
+        _, _, rows = _read(out)
+        assert [row["label"] for row in rows] == ["a", "b"]
+        assert rows[0]["opt-val"] == rows[1]["opt-val"]
+
+    def test_qcmx_primary_energy_is_last_pds(self, tmp_path):
+        config = _write_config(tmp_path, "qcmx")
+        run_out, spectrum_out = tmp_path / "run.csv", tmp_path / "spectrum.csv"
+        assert _main("run", config, run_out) == cli.EXIT_OK
+        assert _main("spectrum", config, spectrum_out) == cli.EXIT_OK
+        assert _read(run_out)[2][0]["opt-val"] == _read(spectrum_out)[2][0]["pds3"]
+
+    def test_qeom_primary_energy_is_ground_energy(self, tmp_path, h2_spectrum):
+        config = _write_config(tmp_path, "qeom")
+        run_out, spectrum_out = tmp_path / "run.csv", tmp_path / "spectrum.csv"
+        assert _main("run", config, run_out) == cli.EXIT_OK
+        assert _main("spectrum", config, spectrum_out) == cli.EXIT_OK
+        energy = _read(run_out)[2][0]["opt-val"]
+        assert energy == _read(spectrum_out)[2][0]["E0"]
+        assert float(energy) == pytest.approx(h2_spectrum[0], abs=1e-6)
+
+
+class TestSpectrum:
+    def test_vqe_single_column_equals_run(self, tmp_path):
+        config = _write_config(tmp_path, "vqe")
+        run_out, spectrum_out = tmp_path / "run.csv", tmp_path / "spectrum.csv"
+        assert _main("run", config, run_out) == cli.EXIT_OK
+        assert _main("spectrum", config, spectrum_out) == cli.EXIT_OK
+        run_header, run_columns, run_rows = _read(run_out)
+        spectrum_header, spectrum_columns, spectrum_rows = _read(spectrum_out)
+        assert spectrum_columns == run_columns == ["label", "opt-val"]
+        assert spectrum_rows == run_rows
+        assert spectrum_header == run_header
+        assert spectrum_out.read_bytes() == run_out.read_bytes()
+
+    def test_qcmx_columns(self, tmp_path, h2_spectrum):
+        out = tmp_path / "out.csv"
+        assert _main("spectrum", _write_config(tmp_path, "qcmx"), out) == cli.EXIT_OK
+        _, columns, rows = _read(out)
+        assert columns == [
+            "label", "cmx2", "cmx3", "pds2", "pds3", "knowles2", "knowles3"
+        ]
+        # the ansatz is prepared to the exact ground state, where every
+        # family collapses to <H>
+        for column in columns[1:]:
+            assert float(rows[0][column]) == pytest.approx(h2_spectrum[0], abs=1e-6)
+
+    def test_qeom_columns(self, tmp_path, h2_spectrum, h2_one_excitation_sector):
+        out = tmp_path / "out.csv"
+        assert _main("spectrum", _write_config(tmp_path, "qeom"), out) == cli.EXIT_OK
+        _, columns, rows = _read(out)
+        assert columns == ["label", "E0", "ex1"]
+        assert float(rows[0]["E0"]) == pytest.approx(h2_spectrum[0], abs=1e-6)
+        gap = h2_one_excitation_sector[1] - h2_one_excitation_sector[0]
+        assert float(rows[0]["ex1"]) == pytest.approx(gap, abs=1e-6)
+
+    def test_bound_parameters_skip_preparation(self, tmp_path):
+        # t = pi binds the ansatz to |10>, the Hartree-Fock determinant, so
+        # QCMX works from a state that is not an eigenstate
+        config = _write_config(tmp_path, "qcmx")
+        config.write_text(
+            config.read_text(encoding="utf-8").replace(
+                "[qcmx]", f"params = {np.pi!r}\n[qcmx]"
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        assert _main("spectrum", config, out) == cli.EXIT_OK
+        _, _, rows = _read(out)
+        matrix = pauli.to_matrix(pauli.load_hamiltonian(str(H2_PATH)), 2).real
+        hf = np.zeros(4)
+        hf[2] = 1.0
+        m1, m2, m3 = (hf @ np.linalg.matrix_power(matrix, k) @ hf for k in (1, 2, 3))
+        i2, i3 = m2 - m1**2, m3 - 3 * m2 * m1 + 2 * m1**3
+        assert float(rows[0]["cmx2"]) == pytest.approx(m1 - i2**2 / i3, abs=1e-9)
+
+
+class TestExitCodes:
+    def test_missing_config_file(self, tmp_path):
+        assert _main("run", tmp_path / "absent.ini", tmp_path / "o.csv") == cli.EXIT_CONFIG
+
+    def test_config_without_run_section(self, tmp_path):
+        config = tmp_path / "bad.ini"
+        config.write_text("[hamiltonian]\nfiles = x.ham\n", encoding="utf-8")
+        for verb in ("run", "spectrum"):
+            assert _main(verb, config, tmp_path / "o.csv") == cli.EXIT_CONFIG
+
+    def test_mismatched_labels(self, tmp_path):
+        config = _write_config(tmp_path, "vqe", labels=["a", "b"])
+        assert _main("run", config, tmp_path / "o.csv") == cli.EXIT_CONFIG
+
+    def test_missing_hamiltonian(self, tmp_path):
+        config = _write_config(tmp_path, "vqe", files=[str(tmp_path / "absent.ham")])
+        out = tmp_path / "o.csv"
+        for verb in ("run", "spectrum"):
+            assert _main(verb, config, out) == cli.EXIT_MISSING_HAMILTONIAN
+        assert not out.exists()
+
+    def test_algorithm_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path, "qcmx")
+        config.write_text(
+            config.read_text(encoding="utf-8").replace("cmx-order = 3", "cmx-order = 1"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.csv"
+        for verb in ("run", "spectrum"):
+            assert _main(verb, config, out) == cli.EXIT_ALGORITHM
+        assert "algorithm error at 'h2'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_optimizer_is_an_algorithm_error(self, tmp_path):
+        config = _write_config(tmp_path, "vqe")
+        config.write_text(
+            config.read_text(encoding="utf-8").replace("nelder-mead", "no-such"),
+            encoding="utf-8",
+        )
+        assert _main("run", config, tmp_path / "o.csv") == cli.EXIT_ALGORITHM
+
+
+class TestSampledSeed:
+    SAMPLED = "[vqe]\noptimizer = nelder-mead\nmax-iterations = 15\n"
+
+    def _sampled_config(self, tmp_path):
+        config = _write_config(tmp_path, "vqe")
+        text = config.read_text(encoding="utf-8")
+        config.write_text(
+            text.replace(SECTIONS["vqe"], self.SAMPLED).replace(
+                "[hamiltonian]", "shots = 200\n[hamiltonian]"
+            ),
+            encoding="utf-8",
+        )
+        return config
+
+    def test_drawn_seed_is_recorded_and_reproduces(self, tmp_path):
+        config = self._sampled_config(tmp_path)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert _main("run", config, first) == cli.EXIT_OK
+        header, _, _ = _read(first)
+        seed_line = header[2]
+        assert seed_line.startswith("# seed=")
+        seed = int(seed_line[len("# seed="):])
+        assert 0 <= seed < 2**32
+        assert _main("run", config, second, "--seed", str(seed)) == cli.EXIT_OK
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_given_seed_is_recorded(self, tmp_path):
+        config = self._sampled_config(tmp_path)
+        out = tmp_path / "out.csv"
+        assert _main("spectrum", config, out, "--seed", "17") == cli.EXIT_OK
+        assert _read(out)[0][2] == "# seed=17"
+
+    def test_exact_run_leaves_seed_blank(self, tmp_path):
+        config = self._sampled_config(tmp_path)
+        out = tmp_path / "out.csv"
+        assert _main("run", config, out, "--shots", "0") == cli.EXIT_OK
+        assert _read(out)[0][2] == "# seed="
+
+
+def test_config_error_is_a_qcsim_error():
+    assert issubclass(cli.ConfigError, QcsimError)
+
+
+def test_list_prints_the_four_service_kinds(capsys):
+    assert cli.main(["list"]) == cli.EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    kinds = [line.split(":", 1)[0] for line in printed]
+    assert kinds == ["accelerator", "optimizer", "algorithm", "compiler"]

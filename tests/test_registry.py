@@ -120,3 +120,38 @@ class TestRegistry:
     def test_qcmx_lookup(self):
         algo = get_service(ServiceKind.ALGORITHM, "qcmx")
         assert algo.name() == "qcmx"
+
+
+# Each service kind and the public getter that looks it up by name.
+PUBLIC_GETTERS = {
+    ServiceKind.ACCELERATOR: qcsim.get_accelerator,
+    ServiceKind.OPTIMIZER: qcsim.get_optimizer,
+    ServiceKind.ALGORITHM: qcsim.get_algorithm,
+    ServiceKind.COMPILER: qcsim.get_compiler,
+}
+
+
+class TestReachability:
+    def test_every_kind_has_a_public_getter(self):
+        assert set(ServiceKind) == set(PUBLIC_GETTERS)
+        assert len(ServiceKind) == 4
+
+    def test_every_registered_service_is_reachable(self):
+        for kind, getter in PUBLIC_GETTERS.items():
+            for name in list_services(kind):
+                if name in ("dummy-compiler", "dup-svc", "only-once"):
+                    continue
+                assert getter(name).name() == name
+
+    def test_xasm_compiler_matches_parse_kernel(self):
+        source = (
+            "__qpu__ void ansatz(qbit q, double t) {\n"
+            "  X(q[0]);\n"
+            "  Ry(q[1], -0.5*t);\n"
+            "  CNOT(q[1], q[0]);\n"
+            "  Measure(q[0]);\n"
+            "}"
+        )
+        compiled = qcsim.get_compiler("xasm").compile(source)
+        assert compiled == qcsim.parse_kernel(source)
+        assert compiled.variables == ["t"]
