@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ansatz import build_pool, exp_pauli, reference_circuit
-from ..backend import AcceleratorBuffer, expectation, operator_expectation, qalloc
+from ..backend import AcceleratorBuffer, expectation, qalloc
 from ..errors import AlgorithmError
 from ..ir import CompositeInstruction, Parameter, create_composite, evaluate
 from ..pauli import commutator
@@ -67,13 +67,8 @@ class AdaptVQE(Algorithm):
 
         while True:
             ansatz = self._symbolic_ansatz(reference, chosen)
-            state = evaluate(ansatz, params)
-            gradients = np.array(
-                [
-                    operator_expectation(c, state, accelerator).real
-                    for c in commutators
-                ]
-            )
+            state = accelerator.prepare(evaluate(ansatz, params), n_qubits)
+            gradients = np.array([state.expect(c).real for c in commutators])
             norm = float(np.linalg.norm(gradients))
             gradient_norms.append(norm)
             if norm < threshold or len(chosen) >= max_iter:

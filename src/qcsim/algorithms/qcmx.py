@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from ..backend import AcceleratorBuffer, apply_pauli, operator_expectation, statevector
+from ..backend import AcceleratorBuffer, apply_pauli, statevector
 from ..errors import AlgorithmError
 from ..linalg import poly_roots, solve_regularized_lsq
 from ..pauli import PauliOperator, multiply
@@ -159,9 +159,10 @@ class QCMX(Algorithm):
                 current = apply_pauli(observable, current)
                 moments.append(float(np.real(np.vdot(reference, current.reshape(-1)))))
             return moments
+        state = accelerator.prepare(ansatz, n)
         power = PauliOperator.identity(1.0)
         moments = []
         for _ in range(highest):
             power = multiply(power, observable)
-            moments.append(operator_expectation(power, ansatz, accelerator).real)
+            moments.append(state.expect(power).real)
         return moments

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ansatz import excitation_label
-from ..backend import AcceleratorBuffer, expectation, operator_expectation
+from ..backend import AcceleratorBuffer
 from ..errors import AlgorithmError
 from ..fermion import (
     double_excitations,
@@ -90,6 +90,8 @@ class QEOM(Algorithm):
         ansatz = self.options.get_composite("ansatz")
         n_electrons = self.options.get_int("n-electrons")
         threshold = self.options.get_or("overlap-threshold", "real", 1e-10)
+        if not observable.is_hermitian():
+            raise AlgorithmError("qeom needs a Hermitian observable")
 
         n_qubits = max(observable.n_qubits(), ansatz.max_qubit() + 1, buffer.size)
         if n_qubits % 2:
@@ -101,17 +103,13 @@ class QEOM(Algorithm):
                 f"nq={n_qubits}"
             )
 
-        def state_expectation(op: PauliOperator) -> complex:
-            return operator_expectation(op, ansatz, accelerator)
-
-        a, b = eom_pencil(observable, [op for _, op in basis], state_expectation)
+        state = accelerator.prepare(ansatz, n_qubits)
+        a, b = eom_pencil(observable, [op for _, op in basis], state.expect)
         if np.abs(b).max(initial=0.0) < threshold:
             raise AlgorithmError("all-singular overlap matrix; basis is dead")
         values, rank = indefinite_generalized_eig(a, b, threshold)
         excitations = [float(e) for e in values if e > _POSITIVE_ROOT_CUTOFF]
 
-        buffer.metadata.insert(
-            "ground-energy", expectation(observable, ansatz, accelerator)
-        )
+        buffer.metadata.insert("ground-energy", state.expect(observable).real)
         buffer.metadata.insert("excitation-energies", excitations)
         buffer.metadata.insert("qeom-matrix-rank", rank)

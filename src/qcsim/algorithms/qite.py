@@ -23,7 +23,6 @@ from ..backend import (
     apply_pauli,
     apply_pauli_string,
     expectation,
-    operator_expectation,
     statevector,
     statevector_expectation,
 )
@@ -89,7 +88,7 @@ class QITE(Algorithm):
                 )
             else:
                 s_matrix, b_vector = self._sampled_system(
-                    observable, circuit, basis, db, energies[-1], accelerator
+                    observable, accelerator.prepare(circuit, n), basis, db, energies[-1]
                 )
             a = np.real(solve_regularized_lsq(s_matrix, b_vector, ridge))
             generator = PauliOperator.from_terms(
@@ -121,7 +120,7 @@ class QITE(Algorithm):
         return s_matrix, b_vector
 
     @staticmethod
-    def _sampled_system(observable, circuit, basis, db, energy, accelerator):
+    def _sampled_system(observable, state, basis, db, energy):
         dim = len(basis)
         s_matrix = np.zeros((dim, dim))
         b_vector = np.zeros(dim)
@@ -130,14 +129,7 @@ class QITE(Algorithm):
         for i, sigma_i in enumerate(strings):
             s_matrix[i, i] = 1.0
             for j in range(i + 1, dim):
-                value = operator_expectation(
-                    multiply(sigma_i, strings[j]), circuit, accelerator
-                ).real
+                value = state.expect(multiply(sigma_i, strings[j])).real
                 s_matrix[i, j] = s_matrix[j, i] = value
-            b_vector[i] = (
-                operator_expectation(
-                    multiply(sigma_i, observable), circuit, accelerator
-                ).imag
-                / norm
-            )
+            b_vector[i] = state.expect(multiply(sigma_i, observable)).imag / norm
         return s_matrix, b_vector

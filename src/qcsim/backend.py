@@ -4,6 +4,16 @@ Conventions (single source of truth for the whole framework):
 qubit 0 is the leftmost character of every bitstring, the most
 significant bit of a statevector amplitude index, and the leftmost
 Kronecker factor of ``pauli.to_matrix``.
+
+Prepare once, measure many: ``StatevectorAccelerator.prepare(circuit, n)``
+checks a measurement-free, concrete circuit against an n-qubit register
+and returns a ``PreparedState`` whose ``expect(op)`` gives <psi|op|psi>.
+In exact mode ``prepare`` simulates the circuit exactly once (through the
+public ``statevector``) and every ``expect`` is a ``vdot`` on that cached
+vector.  In sampled mode ``expect`` draws exactly as a per-call estimate
+does: one ``observe`` circuit and one ``execute_and_reduce`` per distinct
+non-identity string of the operator, in sorted order, so seeded draws do
+not depend on how many operators share one prepared state.
 """
 from __future__ import annotations
 
@@ -155,14 +165,59 @@ class StatevectorAccelerator:
             PauliTerm(term.ops, 1.0), result.outcomes
         )
 
+    def prepare(self, circuit: CompositeInstruction, n_qubits: int) -> "PreparedState":
+        """The state circuit|0...0> on n_qubits, ready for many ``expect`` calls.
 
-def _simulate(circuit: CompositeInstruction, n: int) -> tuple[np.ndarray, list[int]]:
-    """Evolve |0...0> on n qubits through a concrete circuit.
+        Rejects a symbolic or measured circuit, one wider than the register
+        and a register over MAX_QUBITS before anything is simulated or drawn.
+        """
+        _check_circuit(circuit, n_qubits)
+        if any(inst.name == "Measure" for inst in circuit.instructions()):
+            raise BackendError(f"circuit '{circuit.name}' already contains Measure")
+        amplitudes = statevector(circuit, n_qubits) if self.exact_mode else None
+        return PreparedState(self, circuit, n_qubits, amplitudes)
 
-    Returns the state tensor and the Measure targets in first-seen order;
-    a gate on an already measured qubit is rejected.  Private so that a
-    simulation is counted once, by whichever public entry point ran it.
-    """
+
+class PreparedState:
+    """A circuit's state on a fixed register (see the module docstring)."""
+
+    def __init__(
+        self,
+        accelerator: StatevectorAccelerator,
+        circuit: CompositeInstruction,
+        n_qubits: int,
+        amplitudes: "np.ndarray | None",
+    ):
+        self.accelerator = accelerator
+        self.circuit = circuit
+        self.n_qubits = n_qubits
+        self._amplitudes = amplitudes
+
+    def expect(self, op: PauliOperator) -> complex:
+        """<psi|op|psi> for a general (possibly non-Hermitian) Pauli sum."""
+        width = op.n_qubits()
+        if width > self.n_qubits:
+            raise BackendError(
+                f"operator touches qubit {width - 1} but the prepared "
+                f"register has {self.n_qubits}"
+            )
+        if self._amplitudes is not None:
+            return statevector_expectation(op, self._amplitudes)
+        # each string is measured on the register a per-call estimate would use
+        n = max(self.circuit.max_qubit() + 1, width, 1)
+        strings = PauliOperator.from_terms({term.ops: 1.0 for term in op.terms() if term.ops})
+        parities = {}
+        for term, measured in observe(strings, self.circuit):
+            parities[term.ops] = self.accelerator.execute_and_reduce(measured, term, n)
+        total = complex(op.identity_coefficient)
+        for term in op.terms():
+            if term.ops:
+                total += term.coefficient * parities[term.ops]
+        return total
+
+
+def _check_circuit(circuit: CompositeInstruction, n: int) -> None:
+    """Reject circuits the statevector cannot evolve on an n-qubit register."""
     if not circuit.is_concrete:
         raise BackendError(
             f"circuit '{circuit.name}' has free variables {circuit.variables}"
@@ -174,6 +229,16 @@ def _simulate(circuit: CompositeInstruction, n: int) -> tuple[np.ndarray, list[i
         )
     if n > MAX_QUBITS:
         raise BackendError(f"statevector capped at {MAX_QUBITS} qubits, got {n}")
+
+
+def _simulate(circuit: CompositeInstruction, n: int) -> tuple[np.ndarray, list[int]]:
+    """Evolve |0...0> on n qubits through a concrete circuit.
+
+    Returns the state tensor and the Measure targets in first-seen order;
+    a gate on an already measured qubit is rejected.  Private so that a
+    simulation is counted once, by whichever public entry point ran it.
+    """
+    _check_circuit(circuit, n)
     state = np.zeros((2,) * n, dtype=complex)
     state[(0,) * n] = 1.0
     measured: list[int] = []
@@ -286,11 +351,7 @@ def expectation(
     circuit: CompositeInstruction,
     accelerator: StatevectorAccelerator,
 ) -> float:
-    """<psi|obs|psi> through the observe/measure/reduce pipeline.
-
-    Exact mode combines exact outcome weights; sampled mode combines
-    sampled counts.  The identity term enters as a constant offset.
-    """
+    """Real <psi|obs|psi> of a Hermitian observable (see operator_expectation)."""
     if not obs.is_hermitian():
         raise ValueError("expectation requires a Hermitian observable")
     value = operator_expectation(obs, circuit, accelerator)
@@ -304,22 +365,9 @@ def operator_expectation(
 ) -> complex:
     """<psi|op|psi> for a general (possibly non-Hermitian) Pauli sum.
 
-    Exact mode evaluates directly on the statevector; sampled mode
-    measures each bare Pauli string separately and recombines with the
-    complex coefficients.
+    A one-off ``accelerator.prepare(circuit, n).expect(op)`` on the
+    smallest register holding both; callers measuring several operators
+    on one state prepare it once themselves.
     """
     n = max(circuit.max_qubit() + 1, op.n_qubits(), 1)
-    if accelerator.exact_mode:
-        state = statevector(circuit, n)
-        return statevector_expectation(op, state)
-    total = complex(op.identity_coefficient)
-    hermitian_strings = PauliOperator.from_terms(
-        {term.ops: 1.0 for term in op.terms() if term.ops}
-    )
-    parities = {}
-    for term, measured in observe(hermitian_strings, circuit):
-        parities[term.ops] = accelerator.execute_and_reduce(measured, term, n)
-    for term in op.terms():
-        if term.ops:
-            total += term.coefficient * parities[term.ops]
-    return total
+    return accelerator.prepare(circuit, n).expect(op)

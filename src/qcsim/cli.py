@@ -14,8 +14,9 @@ seed, version).  ``# seed=`` holds the sampling seed actually used: the
 given one, or a drawn 32-bit seed when a sampled run (shots > 0) names
 none; exact runs without a seed leave it blank.  Rerunning with
 ``--seed`` set to the recorded value reproduces the CSV.  All energies
-are in Hartree.  Exit codes: 0 success, 1 config parse error, 2 missing
-Hamiltonian file, 3 algorithm error.
+are in Hartree.  Exit codes: 0 success, 1 config error (the file, its
+ansatz or kernel file, or the shot count), 2 missing Hamiltonian file,
+3 algorithm error.
 """
 from __future__ import annotations
 
@@ -83,6 +84,10 @@ def _build_ansatz(config):
         raise ConfigError("config needs an [ansatz] section")
     section = config["ansatz"]
     kind = section.get("kind", "").strip()
+    if kind in ("uccsd", "hartree-fock"):
+        missing = [key for key in ("ne", "nq") if not section.get(key, "").strip()]
+        if missing:
+            raise ConfigError(f"[ansatz] kind={kind} needs {', '.join(missing)}")
     if kind == "uccsd":
         circuit = uccsd_circuit(
             UccsdSpec(section.getint("ne"), section.getint("nq"))
@@ -91,7 +96,11 @@ def _build_ansatz(config):
         circuit = hartree_fock_circuit(section.getint("ne"), section.getint("nq"))
     elif kind == "kernel":
         if section.get("file", "").strip():
-            source = Path(section["file"]).read_text(encoding="utf-8")
+            path = section["file"].strip()
+            try:
+                source = Path(path).read_text(encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"cannot read kernel file {path}: {exc.strerror}") from exc
         elif section.get("source", "").strip():
             source = section["source"]
         else:
@@ -147,8 +156,8 @@ def _prepare_ground_state(circuit, observable, accelerator, config, algorithm):
     return evaluate(circuit, scratch.metadata.get_real_list("opt-params"))
 
 
-def _execute_point(config, algorithm, observable, accelerator, verbose):
-    """Run one sweep point; returns the result buffer."""
+def _execute_point(config, algorithm, observable, accelerator, ansatz, verbose):
+    """Run one sweep point from the sweep's ansatz; returns the result buffer."""
     n_qubits = observable.n_qubits()
     options = _algorithm_options(config, algorithm)
     section = config[algorithm] if config.has_section(algorithm) else {}
@@ -161,8 +170,7 @@ def _execute_point(config, algorithm, observable, accelerator, verbose):
         options.setdefault("sub-algorithm", "vqe")
         options.setdefault("pool", "uccsd")
 
-    if algorithm in ("vqe", "qite", "qcmx", "qeom"):
-        ansatz = _build_ansatz(config)
+    if ansatz is not None:
         if algorithm in ("qcmx", "qeom"):
             ansatz = _prepare_ground_state(
                 ansatz, observable, accelerator, config, algorithm
@@ -251,11 +259,14 @@ def _sweep(args, row_columns, default_out: str) -> int:
     try:
         config = _parse_config(args.config)
         sweep = _hamiltonian_files(config)
-    except (ConfigError, configparser.Error, ValueError) as exc:
+        algorithm = config.get("run", "algorithm")
+        accelerator, seed = _accelerator_from(config, args)
+        ansatz = None
+        if algorithm in ("vqe", "qite", "qcmx", "qeom"):
+            ansatz = _build_ansatz(config)
+    except (QcsimError, configparser.Error, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    algorithm = config.get("run", "algorithm")
-    accelerator, seed = _accelerator_from(config, args)
 
     rows = []
     for label, path in sweep:
@@ -265,7 +276,7 @@ def _sweep(args, row_columns, default_out: str) -> int:
         observable = load_hamiltonian(path)
         try:
             buffer = _execute_point(
-                config, algorithm, observable, accelerator, args.verbose
+                config, algorithm, observable, accelerator, ansatz, args.verbose
             )
             rows.append((label, row_columns(algorithm, config, buffer)))
         except (QcsimError, ValueError, KeyError) as exc:

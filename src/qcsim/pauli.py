@@ -196,10 +196,6 @@ class PauliOperator:
     __repr__ = __str__
 
 
-def add(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    return a + b
-
-
 def scalar_multiply(a: PauliOperator, c: complex) -> PauliOperator:
     return PauliOperator.from_terms({k: v * c for k, v in a._terms.items()})
 

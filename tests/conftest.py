@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import qcsim
 from qcsim import pauli
+
+# Property tests draw the same examples on every run and are not timed out
+# by a slow or shared host.
+settings.register_profile("qcsim", derandomize=True, deadline=None)
+settings.load_profile("qcsim")
 
 H2_HAMILTONIAN_TEXT = """\
 # two-qubit H2 Hamiltonian, energies in Hartree

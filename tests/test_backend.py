@@ -1,0 +1,268 @@
+"""Prepare once, measure many: ``StatevectorAccelerator.prepare``.
+
+Exact ``expect`` is checked against ``pauli.to_matrix`` on a state built
+from dense gate matrices; simulation counts come from a counting wrapper
+around ``backend.statevector``; sampled ``expect`` is checked draw for
+draw against the per-string ``observe`` + ``execute_and_reduce`` loop.
+"""
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import qcsim
+from qcsim import backend, pauli
+from qcsim.algorithms import adapt as adapt_module
+from qcsim.errors import BackendError
+from qcsim.ir import create_composite, create_instruction, gate_matrix
+
+H2_PATH = Path(__file__).resolve().parents[1] / "data" / "h2.ham"
+
+_PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+
+def _kron(factors):
+    out = np.ones((1, 1))
+    for factor in factors:
+        out = np.kron(out, factor)
+    return out
+
+
+def _dense_state(circuit, n):
+    """circuit|0...0> from full 2^n x 2^n gate matrices (qubit 0 leftmost)."""
+    psi = np.zeros(2**n, dtype=complex)
+    psi[0] = 1.0
+    for inst in circuit.instructions():
+        if inst.name == "CNOT":
+            control, target = inst.qubits
+            x = gate_matrix(create_instruction("X", [0]))
+            unitary = sum(
+                _kron(
+                    [
+                        _PROJECTORS[bit] if q == control
+                        else (x if bit and q == target else np.eye(2))
+                        for q in range(n)
+                    ]
+                )
+                for bit in (0, 1)
+            )
+        else:
+            (q0,) = inst.qubits
+            unitary = _kron([gate_matrix(inst) if q == q0 else np.eye(2) for q in range(n)])
+        psi = unitary @ psi
+    return psi
+
+
+@st.composite
+def ry_cnot_circuits(draw, n_qubits):
+    circuit = create_composite("random")
+    for _ in range(draw(st.integers(0, 10))):
+        if n_qubits > 1 and draw(st.booleans()):
+            control, target = draw(st.permutations(range(n_qubits)))[:2]
+            circuit.add(create_instruction("CNOT", [control, target]))
+        else:
+            qubit = draw(st.integers(0, n_qubits - 1))
+            angle = draw(st.floats(-np.pi, np.pi))
+            circuit.add(create_instruction("Ry", [qubit], [angle]))
+    return circuit
+
+
+@st.composite
+def states_and_operators(draw):
+    n_qubits = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    op = pauli.random_operator(rng, n_qubits, draw(st.integers(1, 8)), complex_coeffs=True)
+    return n_qubits, draw(ry_cnot_circuits(n_qubits)), op
+
+
+def _dimer(u=4.0):
+    """Two-site Hubbard model, t = 1: alpha modes on qubits 0-1, beta on 2-3."""
+    ladder = qcsim.FermionOperator.ladder
+    model = qcsim.FermionOperator()
+    for a, b in ((0, 1), (2, 3)):
+        model = model + ladder([(a, True), (b, False)], -1.0)
+        model = model + ladder([(b, True), (a, False)], -1.0)
+    for up, down in ((0, 2), (1, 3)):
+        model = model + ladder([(up, True), (up, False), (down, True), (down, False)], u)
+    return qcsim.jordan_wigner(model, 4)
+
+
+@pytest.fixture()
+def simulations(monkeypatch):
+    """Counts calls of ``backend.statevector`` while ``counting[0]`` is true."""
+    calls, counting = [], [True]
+    original = backend.statevector
+
+    def statevector(circuit, n):
+        if counting[0]:
+            calls.append(circuit)
+        return original(circuit, n)
+
+    monkeypatch.setattr(backend, "statevector", statevector)
+    return calls, counting
+
+
+def _accelerator(seed, shots=300):
+    return qcsim.get_accelerator("statevector", {"shots": shots, "seed": seed})
+
+
+def _h2_state(t=0.7):
+    circuit = create_composite("h2")
+    circuit.add(create_instruction("Ry", [0], [t]))
+    circuit.add(create_instruction("X", [1]))
+    circuit.add(create_instruction("CNOT", [0, 1]))
+    return circuit
+
+
+class TestExactExpect:
+    @given(states_and_operators())
+    def test_matches_dense_matrix(self, case):
+        n, circuit, op = case
+        accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
+        psi = _dense_state(circuit, n)
+        reference = np.vdot(psi, pauli.to_matrix(op, n) @ psi)
+        value = accelerator.prepare(circuit, n).expect(op)
+        assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
+
+    def test_one_simulation_for_many_operators(self, simulations):
+        calls, _ = simulations
+        accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
+        state = accelerator.prepare(_h2_state(), 2)
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            state.expect(pauli.random_operator(rng, 2, 4, complex_coeffs=True))
+        assert len(calls) == 1
+
+
+class TestSimulationCounts:
+    def _qeom(self, observable, ansatz, n_electrons):
+        accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
+        algorithm = qcsim.get_algorithm(
+            "qeom",
+            {
+                "observable": observable,
+                "accelerator": accelerator,
+                "ansatz": ansatz,
+                "n-electrons": n_electrons,
+            },
+        )
+        buffer = qcsim.qalloc(observable.n_qubits())
+        algorithm.execute(buffer)
+        return buffer
+
+    def test_qeom_h2_simulates_once(self, simulations):
+        calls, _ = simulations
+        buffer = self._qeom(pauli.load_hamiltonian(str(H2_PATH)), _h2_state(), 1)
+        assert len(buffer["excitation-energies"]) >= 1
+        assert len(calls) == 1
+
+    def test_qeom_dimer_hf_simulates_once(self, simulations):
+        calls, _ = simulations
+        circuit = qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4))
+        hf = qcsim.evaluate(circuit, [0.0] * len(circuit.variables))
+        buffer = self._qeom(_dimer(), hf, 2)
+        assert len(buffer["excitation-energies"]) >= 1
+        assert len(calls) == 1
+
+    def test_adapt_simulates_once_per_iteration(self, simulations, monkeypatch):
+        calls, counting = simulations
+
+        class UncountedVQE(adapt_module.VQE):
+            def execute(self, buffer):
+                counting[0] = False
+                try:
+                    super().execute(buffer)
+                finally:
+                    counting[0] = True
+
+        monkeypatch.setattr(adapt_module, "VQE", UncountedVQE)
+        algorithm = qcsim.get_algorithm(
+            "adapt",
+            {
+                "observable": _dimer(),
+                "accelerator": qcsim.get_accelerator("statevector", {"shots": 0}),
+                "optimizer": qcsim.get_optimizer("nelder-mead"),
+                "n-electrons": 2,
+                "pool": "uccsd",
+                "sub-algorithm": "vqe",
+            },
+        )
+        buffer = qcsim.qalloc(4)
+        algorithm.execute(buffer)
+        iterations = len(buffer["adapt-gradient-norms"])
+        assert iterations >= 2
+        # the reference energy, then one prepared state per gradient sweep
+        assert len(calls) == 1 + iterations
+
+
+class TestSampledExpect:
+    @staticmethod
+    def _per_string_loop(op, circuit, accelerator):
+        """Each distinct non-identity string measured once, sorted."""
+        n = max(circuit.max_qubit() + 1, op.n_qubits(), 1)
+        strings = pauli.PauliOperator.from_terms(
+            {term.ops: 1.0 for term in op.terms() if term.ops}
+        )
+        parities = {
+            term.ops: accelerator.execute_and_reduce(measured, term, n)
+            for term, measured in pauli.observe(strings, circuit)
+        }
+        total = complex(op.identity_coefficient)
+        for term in op.terms():
+            if term.ops:
+                total += term.coefficient * parities[term.ops]
+        return total
+
+    def test_draws_match_per_string_loop(self):
+        rng = np.random.default_rng(3)
+        ops = [pauli.random_operator(rng, 3, 5, complex_coeffs=True) for _ in range(4)]
+        ops.append(pauli.random_operator(rng, 2, 3))
+        circuit = create_composite("three")
+        for q, angle in ((0, 0.4), (1, -1.1), (2, 2.0)):
+            circuit.add(create_instruction("Ry", [q], [angle]))
+        circuit.add(create_instruction("CNOT", [0, 2]))
+
+        state = _accelerator(seed=41).prepare(circuit, 3)
+        prepared = [state.expect(op) for op in ops]
+        reference_accelerator = _accelerator(seed=41)
+        reference = [self._per_string_loop(op, circuit, reference_accelerator) for op in ops]
+        assert prepared == reference
+
+
+@pytest.mark.parametrize("shots", [0, 100])
+class TestValidation:
+    @staticmethod
+    def _rejects_without_drawing(accelerator, circuit, n, match):
+        before = accelerator._rng.bit_generator.state
+        with pytest.raises(BackendError, match=match):
+            accelerator.prepare(circuit, n)
+        assert accelerator._rng.bit_generator.state == before
+
+    def test_free_variables(self, shots, pair_rotation_ansatz):
+        accelerator = _accelerator(seed=1, shots=shots)
+        self._rejects_without_drawing(accelerator, pair_rotation_ansatz, 2, "free variables")
+
+    def test_measured_circuit(self, shots):
+        circuit = _h2_state()
+        circuit.add(create_instruction("Measure", [0]))
+        accelerator = _accelerator(seed=1, shots=shots)
+        self._rejects_without_drawing(accelerator, circuit, 2, "Measure")
+
+    def test_register_over_cap(self, shots):
+        accelerator = _accelerator(seed=1, shots=shots)
+        n = backend.MAX_QUBITS + 1
+        self._rejects_without_drawing(accelerator, _h2_state(), n, "capped")
+
+    def test_circuit_wider_than_register(self, shots):
+        accelerator = _accelerator(seed=1, shots=shots)
+        self._rejects_without_drawing(accelerator, _h2_state(), 1, "touches qubit 1")
+
+    def test_operator_beyond_register(self, shots):
+        accelerator = _accelerator(seed=1, shots=shots)
+        state = accelerator.prepare(_h2_state(), 2)
+        before = accelerator._rng.bit_generator.state
+        with pytest.raises(BackendError, match="prepared register has 2"):
+            state.expect(pauli.PauliOperator({0: "Z"}) + 0.5 * pauli.PauliOperator({2: "X"}))
+        assert accelerator._rng.bit_generator.state == before

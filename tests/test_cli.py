@@ -109,6 +109,18 @@ class TestRun:
         assert [row["label"] for row in rows] == ["a", "b"]
         assert rows[0]["opt-val"] == rows[1]["opt-val"]
 
+    def test_kernel_is_parsed_once_per_sweep(self, tmp_path, monkeypatch):
+        parsed = []
+        parse_kernel = cli.parse_kernel
+        monkeypatch.setattr(
+            cli, "parse_kernel", lambda source: parsed.append(source) or parse_kernel(source)
+        )
+        config = _write_config(
+            tmp_path, "qeom", files=[str(H2_PATH)] * 3, labels=["a", "b", "c"]
+        )
+        assert _main("run", config, tmp_path / "out.csv") == cli.EXIT_OK
+        assert len(parsed) == 1
+
     def test_qcmx_primary_energy_is_last_pds(self, tmp_path):
         config = _write_config(tmp_path, "qcmx")
         run_out, spectrum_out = tmp_path / "run.csv", tmp_path / "spectrum.csv"
@@ -212,6 +224,43 @@ class TestExitCodes:
         for verb in ("run", "spectrum"):
             assert _main(verb, config, out) == cli.EXIT_ALGORITHM
         assert "algorithm error at 'h2'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_kernel_file_is_a_config_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path, "vqe")
+        (tmp_path / "h2.kernel").unlink()
+        for verb in ("run", "spectrum"):
+            assert _main(verb, config, tmp_path / "o.csv") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: cannot read kernel file" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section",
+        ["[ansatz]\nkind = nope\n", "", "[ansatz]\nkind = uccsd\nnq = 4\n"],
+        ids=["unknown-kind", "no-section", "uccsd-without-ne"],
+    )
+    def test_bad_ansatz_is_a_config_error(self, tmp_path, capsys, section):
+        config = _write_config(tmp_path, "qeom")
+        kernel = tmp_path / "h2.kernel"
+        text = config.read_text(encoding="utf-8")
+        config.write_text(
+            text.replace(f"[ansatz]\nkind = kernel\nfile = {kernel}\n", section),
+            encoding="utf-8",
+        )
+        for verb in ("run", "spectrum"):
+            assert _main(verb, config, tmp_path / "o.csv") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "Traceback" not in err
+
+    def test_negative_shots_is_a_config_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path, "vqe")
+        out = tmp_path / "o.csv"
+        assert _main("run", config, out, "--shots", "-1") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: shots must be >= 0" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_unknown_optimizer_is_an_algorithm_error(self, tmp_path):

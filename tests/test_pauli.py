@@ -5,7 +5,6 @@ import qcsim
 from qcsim.pauli import (
     PauliOperator,
     PauliTerm,
-    add,
     commutator,
     expectation_from_counts,
     multiply,
@@ -44,7 +43,7 @@ class TestFromString:
 class TestAlgebra:
     def test_add_same_term(self):
         z = PauliOperator({0: "Z"})
-        assert add(z, z).coefficient({0: "Z"}) == pytest.approx(2.0)
+        assert (z + z).coefficient({0: "Z"}) == pytest.approx(2.0)
 
     def test_add_cancellation(self):
         z = PauliOperator({0: "Z"})
