@@ -41,13 +41,7 @@ from .ir import (
     pretty_print,
 )
 from .kernel import parse_kernel
-from .optim import (
-    GradientRequest,
-    ObjectiveFunction,
-    OptimizerResult,
-    compute_gradient,
-    gradient_executions,
-)
+from .optim import ObjectiveFunction, OptimizerResult
 from .pauli import (
     PauliOperator,
     PauliTerm,

@@ -2,7 +2,7 @@
 
 Minimizes <psi(theta)|H|psi(theta)> over the ansatz parameters with the
 configured classical optimizer, optionally feeding it gradients from one
-of the registered gradient strategies.
+of the strategies in ``optim.GRADIENT_STRATEGIES``.
 """
 from __future__ import annotations
 

@@ -15,8 +15,8 @@ given one, or a drawn 32-bit seed when a sampled run (shots > 0) names
 none; exact runs without a seed leave it blank.  Rerunning with
 ``--seed`` set to the recorded value reproduces the CSV.  All energies
 are in Hartree.  Exit codes: 0 success, 1 config error (the file, its
-ansatz or kernel file, or the shot count), 2 missing Hamiltonian file,
-3 algorithm error.
+ansatz or kernel file, a typed algorithm key, or the shot count), 2
+missing Hamiltonian file, 3 algorithm error.
 """
 from __future__ import annotations
 
@@ -156,10 +156,10 @@ def _prepare_ground_state(circuit, observable, accelerator, config, algorithm):
     return evaluate(circuit, scratch.metadata.get_real_list("opt-params"))
 
 
-def _execute_point(config, algorithm, observable, accelerator, ansatz, verbose):
-    """Run one sweep point from the sweep's ansatz; returns the result buffer."""
+def _execute_point(config, algorithm, options, observable, accelerator, ansatz, verbose):
+    """Run one sweep point from the sweep's ansatz and options; returns the buffer."""
     n_qubits = observable.n_qubits()
-    options = _algorithm_options(config, algorithm)
+    options = dict(options)
     section = config[algorithm] if config.has_section(algorithm) else {}
 
     if algorithm in ("vqe", "adapt"):
@@ -260,6 +260,7 @@ def _sweep(args, row_columns, default_out: str) -> int:
         config = _parse_config(args.config)
         sweep = _hamiltonian_files(config)
         algorithm = config.get("run", "algorithm")
+        options = _algorithm_options(config, algorithm)
         accelerator, seed = _accelerator_from(config, args)
         ansatz = None
         if algorithm in ("vqe", "qite", "qcmx", "qeom"):
@@ -276,7 +277,7 @@ def _sweep(args, row_columns, default_out: str) -> int:
         observable = load_hamiltonian(path)
         try:
             buffer = _execute_point(
-                config, algorithm, observable, accelerator, ansatz, args.verbose
+                config, algorithm, options, observable, accelerator, ansatz, args.verbose
             )
             rows.append((label, row_columns(algorithm, config, buffer)))
         except (QcsimError, ValueError, KeyError) as exc:

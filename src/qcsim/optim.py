@@ -1,21 +1,21 @@
 """Classical optimizers and gradient strategies.
 
-Optimizers minimize F: R^n -> R given an ObjectiveFunction; gradient
-strategies turn a parameterized circuit + observable into the batch of
-circuit executions whose expectations combine into dF/dx.
+Optimizers minimize F: R^n -> R given an ObjectiveFunction.  Every
+gradient strategy is one branch of ``evaluate_gradient``, which measures
+each energy through ``backend.expectation`` on a bound circuit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .backend import StatevectorAccelerator, expectation
 from .errors import OptimizationError
-from .ir import CompositeInstruction, evaluate
-from .pauli import PauliOperator, PauliTerm, observe
+from .ir import CompositeInstruction, Instruction, Parameter, create_composite, evaluate
+from .pauli import PauliOperator
 from .registry import HeterogeneousMap, as_het_map
 
 FD_DEFAULT_STEP = 1e-4
@@ -205,47 +205,21 @@ class GradientDescent:
         )
 
 
-@dataclass(frozen=True)
-class GradientCircuit:
-    """One executable entry of a GradientRequest.
-
-    ``term`` is None for finite-difference entries (the circuit's full
-    observable expectation is requested); for parameter-shift entries the
-    circuit is already measured and the coefficient-weighted expectation
-    of ``term`` is requested.
-    """
-
-    circuit: CompositeInstruction
-    parameter_index: int
-    role: str  # "base", "plus", "minus"
-    term: PauliTerm | None = None
-
-
-@dataclass
-class GradientRequest:
-    strategy: str
-    step: float
-    dimension: int
-    entries: list[GradientCircuit] = field(default_factory=list)
-
-    @property
-    def circuits(self) -> list[CompositeInstruction]:
-        return [entry.circuit for entry in self.entries]
-
-
-def gradient_executions(
+def evaluate_gradient(
     strategy: str,
     circuit: CompositeInstruction,
     x: Sequence[float],
     obs: PauliOperator,
-    step: float = FD_DEFAULT_STEP,
-) -> GradientRequest:
-    """Circuits whose expectations combine into the gradient at x.
+    accelerator: StatevectorAccelerator,
+) -> np.ndarray:
+    """dE/dx of E(x) = <obs> on ``circuit`` bound to x.
 
-    Finite differences shift the variable vector by +-step; the
-    parameter-shift rule emits, per (parameter, non-identity term) pair,
-    two measured circuits at +-pi/2 (exact for the exp_pauli rotation
-    convention).
+    Every energy is one ``backend.expectation`` of a bound circuit.
+    Finite differences shift the variable vector by +-FD_DEFAULT_STEP.
+    Parameter-shift binds x once and shifts one rotation at a time by
+    +-pi/2, which is exact for R_P(theta) = exp(-i theta P / 2); a gate
+    whose angle is ``scale * var`` adds scale * (E+ - E-) / 2 to var's
+    entry (chain rule), so a variable driving several gates sums them.
     """
     if strategy not in GRADIENT_STRATEGIES:
         raise ValueError(
@@ -256,77 +230,46 @@ def gradient_executions(
         raise ValueError(
             f"circuit has {len(circuit.variables)} variables, got {x.size} values"
         )
-    request = GradientRequest(
-        strategy=strategy,
-        step=SHIFT if strategy == "parameter-shift" else step,
-        dimension=x.size,
-    )
 
-    def shifted(i: int, delta: float) -> CompositeInstruction:
+    def energy(bound: CompositeInstruction) -> float:
+        return expectation(obs, bound, accelerator)
+
+    grad = np.zeros(x.size)
+    if strategy == "parameter-shift":
+        index = {var: i for i, var in enumerate(circuit.variables)}
+        gates = list(evaluate(circuit, x).instructions())
+        for k, inst in enumerate(circuit.instructions()):
+            if inst.parameters and inst.parameters[0].is_symbolic:
+                param, angle = inst.parameters[0], gates[k].parameters[0].value
+                plus = energy(_with_angle(circuit.name, gates, k, angle + SHIFT))
+                minus = energy(_with_angle(circuit.name, gates, k, angle - SHIFT))
+                grad[index[param.var]] += param.scale * (plus - minus) / 2.0
+        return grad
+
+    h = FD_DEFAULT_STEP
+
+    def shifted_energy(i: int, delta: float) -> float:
         shifted_x = x.copy()
         shifted_x[i] += delta
-        return evaluate(circuit, shifted_x)
+        return energy(evaluate(circuit, shifted_x))
 
     if strategy in ("forward", "backward"):
-        request.entries.append(GradientCircuit(evaluate(circuit, x), -1, "base"))
+        base = energy(evaluate(circuit, x))
     for i in range(x.size):
         if strategy == "central":
-            request.entries.append(GradientCircuit(shifted(i, +step), i, "plus"))
-            request.entries.append(GradientCircuit(shifted(i, -step), i, "minus"))
+            plus = shifted_energy(i, +h)
+            minus = shifted_energy(i, -h)
+            grad[i] = plus / (2.0 * h) - minus / (2.0 * h)
         elif strategy == "forward":
-            request.entries.append(GradientCircuit(shifted(i, +step), i, "plus"))
-        elif strategy == "backward":
-            request.entries.append(GradientCircuit(shifted(i, -step), i, "minus"))
+            grad[i] = (shifted_energy(i, +h) - base) / h
         else:
-            for sign, role in ((+SHIFT, "plus"), (-SHIFT, "minus")):
-                for term, measured in observe(obs, shifted(i, sign)):
-                    request.entries.append(GradientCircuit(measured, i, role, term))
-    return request
-
-
-def compute_gradient(request: GradientRequest, expectations: Sequence[float]) -> np.ndarray:
-    """Combine per-circuit expectations into the gradient vector."""
-    if len(expectations) != len(request.entries):
-        raise ValueError(
-            f"{len(request.entries)} circuits but {len(expectations)} expectations"
-        )
-    grad = np.zeros(request.dimension)
-    h = request.step
-    base = 0.0
-    for entry, value in zip(request.entries, expectations):
-        if entry.role == "base":
-            base = value
-    for entry, value in zip(request.entries, expectations):
-        if entry.role == "base":
-            continue
-        sign = 1.0 if entry.role == "plus" else -1.0
-        if request.strategy == "central":
-            grad[entry.parameter_index] += sign * value / (2.0 * h)
-        elif request.strategy == "forward":
-            grad[entry.parameter_index] += (value - base) / h if sign > 0 else 0.0
-        elif request.strategy == "backward":
-            grad[entry.parameter_index] += (base - value) / h if sign < 0 else 0.0
-        else:
-            grad[entry.parameter_index] += sign * value / 2.0
+            grad[i] = (base - shifted_energy(i, -h)) / h
     return grad
 
 
-def evaluate_gradient(
-    strategy: str,
-    circuit: CompositeInstruction,
-    x: Sequence[float],
-    obs: PauliOperator,
-    accelerator: StatevectorAccelerator,
-    step: float = FD_DEFAULT_STEP,
-) -> np.ndarray:
-    """Build, execute, and combine a gradient request."""
-    request = gradient_executions(strategy, circuit, x, obs, step=step)
-    n = max(circuit.max_qubit() + 1, obs.n_qubits(), 1)
-    expectations = []
-    for entry in request.entries:
-        if entry.term is None:
-            expectations.append(expectation(obs, entry.circuit, accelerator))
-        else:
-            parity = accelerator.execute_and_reduce(entry.circuit, entry.term, n)
-            expectations.append(entry.term.coefficient.real * parity)
-    return compute_gradient(request, expectations)
+def _with_angle(
+    name: str, gates: list[Instruction], k: int, angle: float
+) -> CompositeInstruction:
+    """A flat circuit of ``gates`` with gate k's one angle replaced."""
+    shifted = Instruction(gates[k].name, gates[k].qubits, (Parameter.concrete(angle),))
+    return create_composite(name).add_all(gates[:k] + [shifted] + gates[k + 1 :])

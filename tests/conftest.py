@@ -58,3 +58,17 @@ def pair_rotation_ansatz(hf_circuit_2q):
     circuit.add_all(hf_circuit_2q.children)
     circuit.add_all(ansatz.exp_pauli(generator, "t0").children)
     return circuit
+
+
+@pytest.fixture(scope="session")
+def hubbard_dimer():
+    """Two-site Hubbard model, t = 1, U = 4: alpha modes on qubits 0-1,
+    beta on 2-3; its N=2, Sz=0 spectrum is -0.8284, 0, 4, 4.8284."""
+    ladder = qcsim.FermionOperator.ladder
+    model = qcsim.FermionOperator()
+    for a, b in ((0, 1), (2, 3)):
+        model = model + ladder([(a, True), (b, False)], -1.0)
+        model = model + ladder([(b, True), (a, False)], -1.0)
+    for up, down in ((0, 2), (1, 3)):
+        model = model + ladder([(up, True), (up, False), (down, True), (down, False)], 4.0)
+    return qcsim.jordan_wigner(model, 4)

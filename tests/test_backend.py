@@ -77,18 +77,6 @@ def states_and_operators(draw):
     return n_qubits, draw(ry_cnot_circuits(n_qubits)), op
 
 
-def _dimer(u=4.0):
-    """Two-site Hubbard model, t = 1: alpha modes on qubits 0-1, beta on 2-3."""
-    ladder = qcsim.FermionOperator.ladder
-    model = qcsim.FermionOperator()
-    for a, b in ((0, 1), (2, 3)):
-        model = model + ladder([(a, True), (b, False)], -1.0)
-        model = model + ladder([(b, True), (a, False)], -1.0)
-    for up, down in ((0, 2), (1, 3)):
-        model = model + ladder([(up, True), (up, False), (down, True), (down, False)], u)
-    return qcsim.jordan_wigner(model, 4)
-
-
 @pytest.fixture()
 def simulations(monkeypatch):
     """Counts calls of ``backend.statevector`` while ``counting[0]`` is true."""
@@ -158,15 +146,17 @@ class TestSimulationCounts:
         assert len(buffer["excitation-energies"]) >= 1
         assert len(calls) == 1
 
-    def test_qeom_dimer_hf_simulates_once(self, simulations):
+    def test_qeom_dimer_hf_simulates_once(self, simulations, hubbard_dimer):
         calls, _ = simulations
         circuit = qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4))
         hf = qcsim.evaluate(circuit, [0.0] * len(circuit.variables))
-        buffer = self._qeom(_dimer(), hf, 2)
+        buffer = self._qeom(hubbard_dimer, hf, 2)
         assert len(buffer["excitation-energies"]) >= 1
         assert len(calls) == 1
 
-    def test_adapt_simulates_once_per_iteration(self, simulations, monkeypatch):
+    def test_adapt_simulates_once_per_iteration(
+        self, simulations, monkeypatch, hubbard_dimer
+    ):
         calls, counting = simulations
 
         class UncountedVQE(adapt_module.VQE):
@@ -181,7 +171,7 @@ class TestSimulationCounts:
         algorithm = qcsim.get_algorithm(
             "adapt",
             {
-                "observable": _dimer(),
+                "observable": hubbard_dimer,
                 "accelerator": qcsim.get_accelerator("statevector", {"shots": 0}),
                 "optimizer": qcsim.get_optimizer("nelder-mead"),
                 "n-electrons": 2,

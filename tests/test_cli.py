@@ -263,6 +263,27 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section",
+        ["[qite]\nstep-size = 0.1\nsteps = two\n", "[qite]\nstep-size = big\nsteps = 2\n"],
+        ids=["int-key", "real-key"],
+    )
+    def test_malformed_typed_key_is_a_config_error(self, tmp_path, capsys, section):
+        config = _write_config(tmp_path, "vqe")
+        config.write_text(
+            config.read_text(encoding="utf-8")
+            .replace("algorithm = vqe", "algorithm = qite")
+            .replace(SECTIONS["vqe"], section),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.csv"
+        for verb in ("run", "spectrum"):
+            assert _main(verb, config, out) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "algorithm error" not in err
+        assert not out.exists()
+
     def test_unknown_optimizer_is_an_algorithm_error(self, tmp_path):
         config = _write_config(tmp_path, "vqe")
         config.write_text(

@@ -1,0 +1,184 @@
+"""Optimizers and gradient strategies.
+
+Every gradient strategy must agree with central differences: the
+parameter-shift rule exactly (to the finite-difference truncation error)
+and one-sided differences to O(step).  Optimizers are checked on a
+quadratic with a known minimum.
+"""
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import qcsim
+from qcsim import optim, pauli
+from qcsim.errors import OptimizationError
+from qcsim.ir import Parameter, create_composite, create_instruction
+
+H2_PATH = Path(__file__).resolve().parents[1] / "data" / "h2.ham"
+
+# Scales of one symbolic angle; each variable drives several gates.
+SCALES = (1.0, -1.0, 0.5)
+
+
+@st.composite
+def shared_variable_circuits(draw):
+    """(circuit, x, observable) on 1-3 qubits; ``t`` drives 2-3 rotations
+    and ``u`` 0-2, each at a scale from SCALES, among fixed gates.
+
+    Observable coefficients stay within [-0.5, 0.5] on at most 3 strings
+    and each variable's scales sum to at most 3 in magnitude, which keeps
+    |E''| <= 13.5 and so the one-sided difference error below 1e-3.
+    """
+    n = draw(st.integers(1, 3))
+    qubit = st.integers(0, n - 1)
+
+    def rotations(var, low, high):
+        gate = st.tuples(st.sampled_from(("Rx", "Ry", "Rz")), qubit, st.sampled_from(SCALES))
+
+        def build(drawn):
+            name, q, scale = drawn
+            return create_instruction(name, [q], [Parameter.symbolic(var, scale)])
+
+        return st.lists(gate.map(build), min_size=low, max_size=high)
+
+    fixed = [create_instruction(name, [q]) for name in ("H", "S", "X") for q in range(n)]
+    fixed += [
+        create_instruction("CNOT", [a, b]) for a in range(n) for b in range(n) if a != b
+    ]
+    gates = (
+        draw(rotations("t", 2, 3))
+        + draw(rotations("u", 0, 2))
+        + draw(st.lists(st.sampled_from(fixed), max_size=4))
+    )
+    circuit = create_composite("shared")
+    circuit.add_all(draw(st.permutations(gates)))
+    angle = st.floats(-np.pi, np.pi)
+    x = [draw(angle) for _ in circuit.variables]
+    letters = st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)
+    terms = {}
+    for word in draw(st.lists(letters, min_size=1, max_size=3)):
+        key = tuple((q, letter) for q, letter in enumerate(word) if letter != "I")
+        terms[key] = draw(st.floats(-0.5, 0.5))
+    return circuit, x, pauli.PauliOperator.from_terms(terms)
+
+
+class TestGradientAgreement:
+    @given(shared_variable_circuits())
+    def test_strategies_agree_with_central(self, case):
+        circuit, x, obs = case
+        acc = qcsim.get_accelerator("statevector", {"shots": 0})
+        central = optim.evaluate_gradient("central", circuit, x, obs, acc)
+        shift = optim.evaluate_gradient("parameter-shift", circuit, x, obs, acc)
+        np.testing.assert_allclose(shift, central, rtol=0, atol=1e-6)
+        for strategy in ("forward", "backward"):
+            one_sided = optim.evaluate_gradient(strategy, circuit, x, obs, acc)
+            np.testing.assert_allclose(one_sided, central, rtol=0, atol=1e-3)
+
+    def test_dimer_uccsd(self, hubbard_dimer, exact_accelerator):
+        circuit, obs = qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4)), hubbard_dimer
+        x = [0.1, -0.2, 0.3]
+        central = optim.evaluate_gradient("central", circuit, x, obs, exact_accelerator)
+        shift = optim.evaluate_gradient(
+            "parameter-shift", circuit, x, obs, exact_accelerator
+        )
+        np.testing.assert_allclose(central, [-3.1838, -0.8125, 0.1334], atol=1e-4)
+        np.testing.assert_allclose(shift, central, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, -1.2])
+    def test_pair_rotation(self, pair_rotation_ansatz, h2, exact_accelerator, t):
+        central, shift = (
+            optim.evaluate_gradient(s, pair_rotation_ansatz, [t], h2, exact_accelerator)
+            for s in ("central", "parameter-shift")
+        )
+        assert abs(central[0]) > 0.1
+        np.testing.assert_allclose(shift, central, rtol=0, atol=1e-6)
+
+    def test_gradient_descent_vqe_reaches_exact_energy(
+        self, pair_rotation_ansatz, exact_accelerator
+    ):
+        observable = pauli.load_hamiltonian(str(H2_PATH))
+        exact = np.linalg.eigvalsh(pauli.to_matrix(observable, 2))[0]
+        vqe = qcsim.get_algorithm(
+            "vqe",
+            {
+                "ansatz": pair_rotation_ansatz,
+                "optimizer": qcsim.get_optimizer("gradient-descent"),
+                "observable": observable,
+                "accelerator": exact_accelerator,
+                "gradient_strategy": "parameter-shift",
+            },
+        )
+        buffer = qcsim.qalloc(2)
+        vqe.execute(buffer)
+        assert exact == pytest.approx(-1.14496, abs=1e-5)
+        assert buffer["opt-val"] == pytest.approx(exact, abs=1e-6)
+
+    def test_unknown_strategy(self, pair_rotation_ansatz, h2, exact_accelerator):
+        with pytest.raises(ValueError, match="unknown gradient strategy"):
+            optim.evaluate_gradient(
+                "sideways", pair_rotation_ansatz, [0.0], h2, exact_accelerator
+            )
+
+
+def _quadratic(minimum, with_gradient=False):
+    """F(x) = sum (x - minimum)^2 + 1, filling grad_out when asked."""
+    minimum = np.asarray(minimum, dtype=float)
+
+    def function(x, grad_out):
+        if grad_out.size:
+            grad_out[:] = 2.0 * (x - minimum)
+        return float(np.sum((x - minimum) ** 2) + 1.0)
+
+    return optim.ObjectiveFunction(function, minimum.size, provides_gradient=with_gradient)
+
+
+OPTIMIZERS = {
+    "nelder-mead": lambda: (optim.NelderMead(), False),
+    "gradient-descent": lambda: (optim.GradientDescent(), True),
+    "gradient-descent-fd": lambda: (optim.GradientDescent(), False),
+}
+
+
+@pytest.fixture(params=sorted(OPTIMIZERS))
+def optimizer(request):
+    """(optimizer, whether the objective supplies its gradient)."""
+    return OPTIMIZERS[request.param]()
+
+
+class TestOptimizers:
+    def test_reaches_quadratic_minimum(self, optimizer):
+        opt, with_gradient = optimizer
+        result = opt.optimize(
+            _quadratic([0.7, -0.4], with_gradient), {"tolerance": 1e-14}
+        )
+        np.testing.assert_allclose(result.opt_params, [0.7, -0.4], atol=1e-5)
+        assert result.opt_val == pytest.approx(1.0, abs=1e-9)
+        assert result.converged
+
+    def test_bounds_clip_the_result(self, optimizer):
+        opt, with_gradient = optimizer
+        result = opt.optimize(
+            _quadratic([0.7, -0.4], with_gradient),
+            {"tolerance": 1e-14, "lower-bounds": [-1.0, 0.0], "upper-bounds": [0.5, 1.0]},
+        )
+        np.testing.assert_allclose(result.opt_params, [0.5, 0.0], atol=1e-5)
+        assert -1.0 <= result.opt_params[0] <= 0.5
+        assert 0.0 <= result.opt_params[1] <= 1.0
+
+    def test_wrong_length_initial_point(self, optimizer):
+        opt, with_gradient = optimizer
+        with pytest.raises(OptimizationError, match="initial-point has 3 entries"):
+            opt.optimize(
+                _quadratic([0.7, -0.4], with_gradient), {"initial-point": [0, 0, 0]}
+            )
+
+    def test_nan_objective(self, optimizer):
+        opt, with_gradient = optimizer
+        f = optim.ObjectiveFunction(
+            lambda x, grad_out: float("nan"), 2, provides_gradient=with_gradient
+        )
+        with pytest.raises(OptimizationError, match="NaN"):
+            opt.optimize(f)
