@@ -17,10 +17,9 @@ from math import comb
 
 import numpy as np
 
-from ..backend import AcceleratorBuffer, apply_pauli, statevector
+from ..backend import AcceleratorBuffer
 from ..errors import AlgorithmError
 from ..linalg import poly_roots, solve_regularized_lsq
-from ..pauli import PauliOperator, multiply
 from .base import Algorithm
 
 COLLAPSE_TOLERANCE = 1e-9
@@ -131,7 +130,8 @@ class QCMX(Algorithm):
         if not observable.is_hermitian():
             raise AlgorithmError("qcmx needs a Hermitian observable")
 
-        raw = self._raw_moments(observable, ansatz, accelerator, 2 * order - 1)
+        n = max(observable.n_qubits(), ansatz.max_qubit() + 1, 1)
+        raw = accelerator.prepare(ansatz, n).moments(observable, 2 * order - 1)
         connected = connected_moments(raw)
 
         cmx, pds, knowles = [], [], []
@@ -145,24 +145,3 @@ class QCMX(Algorithm):
         buffer.metadata.insert("cmx-energies", cmx)
         buffer.metadata.insert("pds-energies", pds)
         buffer.metadata.insert("knowles-energies", knowles)
-
-    @staticmethod
-    def _raw_moments(observable, ansatz, accelerator, highest: int) -> list[float]:
-        n = max(observable.n_qubits(), ansatz.max_qubit() + 1, 1)
-        if accelerator.exact_mode:
-            # repeated sparse application of H to the statevector
-            psi = statevector(ansatz, n).reshape((2,) * n)
-            moments = []
-            current = psi
-            reference = psi.reshape(-1)
-            for _ in range(highest):
-                current = apply_pauli(observable, current)
-                moments.append(float(np.real(np.vdot(reference, current.reshape(-1)))))
-            return moments
-        state = accelerator.prepare(ansatz, n)
-        power = PauliOperator.identity(1.0)
-        moments = []
-        for _ in range(highest):
-            power = multiply(power, observable)
-            moments.append(state.expect(power).real)
-        return moments

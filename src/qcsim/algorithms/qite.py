@@ -8,42 +8,69 @@ system S a = b with
     S_IJ = Re <psi| s_I s_J |psi>
     b_I  = Im <psi| s_I H |psi> / sqrt(1 - 2 db <H>)
 
-and the resulting rotation block is appended to the evolving circuit.
+Each product s_I s_J or s_I h (h a term of H) is a phase times one string
+s_K.  ``StepSystem`` tabulates index and phase once per run with
+``pauli.multiply``; each step takes one estimate <s_K> per basis string
+(4^n - 1 ``expect`` calls, exact or sampled alike), fills
+S_IJ = Re(phase <s_K>) and b_I = Im(sum_h c_h phase <s_K>) / norm by
+lookup, and advances the prepared state with ``evolve``.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from ..backend import (
-    AcceleratorBuffer,
-    apply_instructions,
-    apply_pauli,
-    apply_pauli_string,
-    expectation,
-    statevector,
-    statevector_expectation,
-)
 from ..ansatz import exp_pauli
+from ..backend import AcceleratorBuffer, PreparedState
 from ..errors import AlgorithmError
-from ..ir import create_composite
 from ..linalg import solve_regularized_lsq
-from ..pauli import PauliKey, PauliOperator, multiply
+from ..pauli import PauliOperator, multiply
 from .base import Algorithm
 
 MAX_EXPANSION_QUBITS = 4
 
 
-def pauli_basis(n_qubits: int) -> list[PauliKey]:
-    """All non-identity Pauli strings on n qubits, canonically ordered."""
-    keys = []
-    for letters in itertools.product("IXYZ", repeat=n_qubits):
-        key = tuple((q, letter) for q, letter in enumerate(letters) if letter != "I")
-        if key:
-            keys.append(key)
-    return sorted(keys)
+class StepSystem:
+    """S and b of one QITE step on n qubits from one estimate per basis string.
+
+    ``basis`` holds the 4^n - 1 non-identity strings in
+    ``itertools.product("IXYZ", repeat=n)`` order, qubit 0 outermost.
+    Strings on different qubits commute, so the product table of n qubits
+    is the Kronecker product of n one-qubit tables, each read from
+    ``pauli.multiply``.  The observable must be Hermitian, so every
+    estimate is real and Re/Im of phase * <s_K> reduce to the real and
+    imaginary parts of the phase.
+    """
+
+    def __init__(self, observable: PauliOperator, n_qubits: int):
+        keys = [()]
+        phase, index = np.ones((1, 1), dtype=complex), np.zeros((1, 1), dtype=int)
+        for q in range(n_qubits):
+            letters = [()] + [((q, letter),) for letter in "XYZ"]
+            ops = [PauliOperator.from_terms({key: 1.0}) for key in letters]
+            products = [[next(multiply(a, b).terms()) for b in ops] for a in ops]
+            keys = [key + letter for key in keys for letter in letters]
+            phase = np.kron(phase, [[p.coefficient for p in row] for row in products])
+            index = np.kron(4 * index, np.ones((4, 4), dtype=int)) + np.kron(
+                np.ones_like(index), [[letters.index(p.ops) for p in row] for row in products]
+            )
+        position = {key: k for k, key in enumerate(keys)}
+
+        self.basis = keys[1:]
+        self._strings = [PauliOperator.from_terms({key: 1.0}) for key in self.basis]
+        self._s_sign, self._s_index = phase[1:, 1:].real, index[1:, 1:]
+        terms = list(observable.terms())
+        columns = [position[term.ops] for term in terms]
+        coefficients = np.array([term.coefficient for term in terms])
+        self._b_weight = np.imag(phase[1:, columns] * coefficients)
+        self._b_index = index[1:, columns]
+
+    def assemble(self, state: PreparedState, norm: float) -> tuple[np.ndarray, np.ndarray]:
+        """(S, b) at ``state``, measuring each basis string once."""
+        values = np.array([1.0] + [state.expect(sigma).real for sigma in self._strings])
+        b_vector = (self._b_weight * values[self._b_index]).sum(axis=1) / norm
+        return self._s_sign * values[self._s_index], b_vector
 
 
 class QITE(Algorithm):
@@ -63,6 +90,8 @@ class QITE(Algorithm):
         db = self.options.get_real("step-size")
         steps = self.options.get_int("steps")
         ridge = self.options.get_or("ridge", "real", 1e-8)
+        if not observable.is_hermitian():
+            raise AlgorithmError("qite needs a Hermitian observable")
 
         n = max(observable.n_qubits(), ansatz.max_qubit() + 1, 1)
         if n > MAX_EXPANSION_QUBITS:
@@ -70,66 +99,19 @@ class QITE(Algorithm):
                 f"Pauli expansion basis capped at {MAX_EXPANSION_QUBITS} qubits, "
                 f"register has {n}"
             )
-        basis = pauli_basis(n)
+        system = StepSystem(observable, n)
 
-        circuit = create_composite("qite_state")
-        circuit.add_all(ansatz.children)
-
-        if accelerator.exact_mode:
-            state = statevector(circuit, n).reshape((2,) * n)
-            energies = [statevector_expectation(observable, state.reshape(-1)).real]
-        else:
-            energies = [expectation(observable, circuit, accelerator)]
-
+        state = accelerator.prepare(ansatz, n)
+        energies = [state.expect(observable).real]
         for _ in range(steps):
-            if accelerator.exact_mode:
-                s_matrix, b_vector = self._exact_system(
-                    observable, state, basis, db, energies[-1]
-                )
-            else:
-                s_matrix, b_vector = self._sampled_system(
-                    observable, accelerator.prepare(circuit, n), basis, db, energies[-1]
-                )
+            norm = math.sqrt(max(1.0 - 2.0 * db * energies[-1], 1e-12))
+            s_matrix, b_vector = system.assemble(state, norm)
             a = np.real(solve_regularized_lsq(s_matrix, b_vector, ridge))
             generator = PauliOperator.from_terms(
-                {key: -1j * a_i for key, a_i in zip(basis, a)}
+                {key: -1j * a_i for key, a_i in zip(system.basis, a)}
             )
-            block = exp_pauli(generator, db)
-            circuit.add_all(block.children)
-            if accelerator.exact_mode:
-                state = apply_instructions(state, block.instructions())
-                energies.append(
-                    statevector_expectation(observable, state.reshape(-1)).real
-                )
-            else:
-                energies.append(expectation(observable, circuit, accelerator))
+            state = state.evolve(exp_pauli(generator, db))
+            energies.append(state.expect(observable).real)
 
         buffer.metadata.insert("energy-history", energies)
         buffer.metadata.insert("opt-val", energies[-1])
-
-    @staticmethod
-    def _exact_system(observable, state, basis, db, energy):
-        flat = state.reshape(-1)
-        h_state = apply_pauli(observable, state).reshape(-1)
-        sigma_states = np.stack(
-            [apply_pauli_string(state, key).reshape(-1) for key in basis]
-        )
-        s_matrix = np.real(sigma_states.conj() @ sigma_states.T)
-        norm = math.sqrt(max(1.0 - 2.0 * db * energy, 1e-12))
-        b_vector = np.imag(sigma_states.conj() @ h_state) / norm
-        return s_matrix, b_vector
-
-    @staticmethod
-    def _sampled_system(observable, state, basis, db, energy):
-        dim = len(basis)
-        s_matrix = np.zeros((dim, dim))
-        b_vector = np.zeros(dim)
-        norm = math.sqrt(max(1.0 - 2.0 * db * energy, 1e-12))
-        strings = [PauliOperator.from_terms({key: 1.0}) for key in basis]
-        for i, sigma_i in enumerate(strings):
-            s_matrix[i, i] = 1.0
-            for j in range(i + 1, dim):
-                value = state.expect(multiply(sigma_i, strings[j])).real
-                s_matrix[i, j] = s_matrix[j, i] = value
-            b_vector[i] = state.expect(multiply(sigma_i, observable)).imag / norm
-        return s_matrix, b_vector

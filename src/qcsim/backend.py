@@ -7,13 +7,16 @@ Kronecker factor of ``pauli.to_matrix``.
 
 Prepare once, measure many: ``StatevectorAccelerator.prepare(circuit, n)``
 checks a measurement-free, concrete circuit against an n-qubit register
-and returns a ``PreparedState`` whose ``expect(op)`` gives <psi|op|psi>.
-In exact mode ``prepare`` simulates the circuit exactly once (through the
-public ``statevector``) and every ``expect`` is a ``vdot`` on that cached
-vector.  In sampled mode ``expect`` draws exactly as a per-call estimate
-does: one ``observe`` circuit and one ``execute_and_reduce`` per distinct
-non-identity string of the operator, in sorted order, so seeded draws do
-not depend on how many operators share one prepared state.
+and returns a ``PreparedState``, the only way an algorithm reads a state;
+exact mode (``shots == 0``) and sampled mode differ only inside it.
+``expect(op)`` gives <psi|op|psi>: exact mode simulates once (through the
+public ``statevector``) and takes a ``vdot`` on the cached vector per
+call; sampled mode draws as a per-call estimate does, one ``observe``
+circuit and one ``execute_and_reduce`` per distinct non-identity string,
+in sorted order.  ``evolve(block)`` applies a further block (checked as
+``prepare`` checks) to the cached vector, or extends the sampled circuit.
+``moments(op, k)`` gives <op>..<op^k>: repeated ``apply_pauli`` on the
+cached vector, or ``expect`` of each ``multiply``-ed power.
 """
 from __future__ import annotations
 
@@ -23,8 +26,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BackendError
-from .ir import CompositeInstruction, gate_matrix
-from .pauli import PauliKey, PauliOperator, PauliTerm, expectation_from_counts, observe
+from .ir import CompositeInstruction, create_composite, gate_matrix
+from .pauli import PauliKey, PauliOperator, PauliTerm, expectation_from_counts
+from .pauli import multiply, observe
 from .registry import HeterogeneousMap, as_het_map
 
 MAX_QUBITS = 20
@@ -114,10 +118,6 @@ class StatevectorAccelerator:
         self._rng = np.random.default_rng(config.seed)
         return self
 
-    @property
-    def exact_mode(self) -> bool:
-        return self.config.shots == 0
-
     def execute(
         self,
         buffer: AcceleratorBuffer,
@@ -141,7 +141,7 @@ class StatevectorAccelerator:
         measured_sorted = tuple(sorted(measured))
         marginal = _marginal_probabilities(state, measured_sorted)
         result = ExecutionResult(circuit.name, measured_qubits=measured_sorted)
-        if self.exact_mode:
+        if self.config.shots == 0:
             result.probabilities = _weights_to_bitstrings(marginal, measured_sorted, n)
         else:
             flat = marginal.reshape(-1)
@@ -171,10 +171,8 @@ class StatevectorAccelerator:
         Rejects a symbolic or measured circuit, one wider than the register
         and a register over MAX_QUBITS before anything is simulated or drawn.
         """
-        _check_circuit(circuit, n_qubits)
-        if any(inst.name == "Measure" for inst in circuit.instructions()):
-            raise BackendError(f"circuit '{circuit.name}' already contains Measure")
-        amplitudes = statevector(circuit, n_qubits) if self.exact_mode else None
+        _check_unmeasured(circuit, n_qubits)
+        amplitudes = statevector(circuit, n_qubits) if self.config.shots == 0 else None
         return PreparedState(self, circuit, n_qubits, amplitudes)
 
 
@@ -193,14 +191,18 @@ class PreparedState:
         self.n_qubits = n_qubits
         self._amplitudes = amplitudes
 
-    def expect(self, op: PauliOperator) -> complex:
-        """<psi|op|psi> for a general (possibly non-Hermitian) Pauli sum."""
+    def _check_operator(self, op: PauliOperator) -> int:
         width = op.n_qubits()
         if width > self.n_qubits:
             raise BackendError(
                 f"operator touches qubit {width - 1} but the prepared "
                 f"register has {self.n_qubits}"
             )
+        return width
+
+    def expect(self, op: PauliOperator) -> complex:
+        """<psi|op|psi> for a general (possibly non-Hermitian) Pauli sum."""
+        width = self._check_operator(op)
         if self._amplitudes is not None:
             return statevector_expectation(op, self._amplitudes)
         # each string is measured on the register a per-call estimate would use
@@ -214,6 +216,40 @@ class PreparedState:
             if term.ops:
                 total += term.coefficient * parities[term.ops]
         return total
+
+    def evolve(self, block: CompositeInstruction) -> "PreparedState":
+        """The state after ``block``, which ``prepare``'s checks must pass."""
+        _check_unmeasured(block, self.n_qubits)
+        # the block joins as one child, so nesting does not deepen per call
+        circuit = create_composite(self.circuit.name)
+        circuit.add_all(self.circuit.children).add(block)
+        amplitudes = None
+        if self._amplitudes is not None:
+            state = self._amplitudes.reshape((2,) * self.n_qubits)
+            for inst in block.instructions():
+                state = _apply_gate(state, inst)
+            amplitudes = state.reshape(-1)
+        return PreparedState(self.accelerator, circuit, self.n_qubits, amplitudes)
+
+    def moments(self, op: PauliOperator, highest: int) -> list[float]:
+        """Raw moments <op^k>, k = 1..highest, of a Hermitian Pauli sum."""
+        if not op.is_hermitian():
+            raise BackendError("moments need a Hermitian operator")
+        self._check_operator(op)
+        moments = []
+        if self._amplitudes is not None:
+            # repeated sparse application of op to the cached vector
+            reference = self._amplitudes
+            current = reference.reshape((2,) * self.n_qubits)
+            for _ in range(highest):
+                current = apply_pauli(op, current)
+                moments.append(float(np.real(np.vdot(reference, current.reshape(-1)))))
+            return moments
+        power = PauliOperator.identity(1.0)
+        for _ in range(highest):
+            power = multiply(power, op)
+            moments.append(self.expect(power).real)
+        return moments
 
 
 def _check_circuit(circuit: CompositeInstruction, n: int) -> None:
@@ -229,6 +265,13 @@ def _check_circuit(circuit: CompositeInstruction, n: int) -> None:
         )
     if n > MAX_QUBITS:
         raise BackendError(f"statevector capped at {MAX_QUBITS} qubits, got {n}")
+
+
+def _check_unmeasured(circuit: CompositeInstruction, n: int) -> None:
+    """``_check_circuit`` for a circuit that must also be free of Measure."""
+    _check_circuit(circuit, n)
+    if any(inst.name == "Measure" for inst in circuit.instructions()):
+        raise BackendError(f"circuit '{circuit.name}' already contains Measure")
 
 
 def _simulate(circuit: CompositeInstruction, n: int) -> tuple[np.ndarray, list[int]]:
@@ -299,15 +342,6 @@ def statevector(circuit: CompositeInstruction, n: int) -> np.ndarray:
     if measured:
         raise BackendError("statevector of a measured circuit is undefined")
     return state.reshape(-1)
-
-
-def apply_instructions(state: np.ndarray, instructions) -> np.ndarray:
-    """Evolve a state tensor through a sequence of concrete gates."""
-    for inst in instructions:
-        if inst.name == "Measure":
-            raise BackendError("apply_instructions cannot process Measure")
-        state = _apply_gate(state, inst)
-    return state
 
 
 def apply_pauli_string(state: np.ndarray, key: PauliKey) -> np.ndarray:

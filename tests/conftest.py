@@ -72,3 +72,29 @@ def hubbard_dimer():
     for up, down in ((0, 2), (1, 3)):
         model = model + ladder([(up, True), (up, False), (down, True), (down, False)], 4.0)
     return qcsim.jordan_wigner(model, 4)
+
+
+def _sector_eigh(op, n_qubits, n_electrons, sz=0.0):
+    """Exact diagonalization on the basis states holding ``n_electrons``
+    with spin projection ``sz`` (``None`` keeps every Sz).
+
+    Alpha spin-orbitals are the first half of the register; qubit 0 is the
+    most significant bit of a basis index, as in ``pauli.to_matrix``.
+    Returns (eigenvalues ascending, eigenvectors, basis indices).
+    """
+    half = n_qubits // 2
+    keep = []
+    for index in range(2**n_qubits):
+        occupied = [(index >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits)]
+        n_alpha, n_beta = sum(occupied[:half]), sum(occupied[half:])
+        if n_alpha + n_beta == n_electrons and (sz is None or n_alpha - n_beta == 2 * sz):
+            keep.append(index)
+    matrix = pauli.to_matrix(op, n_qubits)[np.ix_(keep, keep)]
+    values, vectors = np.linalg.eigh(matrix)
+    return values, vectors, keep
+
+
+@pytest.fixture(scope="session")
+def sector_eigh():
+    """The sector-restricted exact-diagonalization oracle (a function)."""
+    return _sector_eigh

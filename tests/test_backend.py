@@ -1,9 +1,11 @@
 """Prepare once, measure many: ``StatevectorAccelerator.prepare``.
 
-Exact ``expect`` is checked against ``pauli.to_matrix`` on a state built
-from dense gate matrices; simulation counts come from a counting wrapper
-around ``backend.statevector``; sampled ``expect`` is checked draw for
-draw against the per-string ``observe`` + ``execute_and_reduce`` loop.
+Exact ``expect``, ``evolve`` and ``moments`` are checked against
+``pauli.to_matrix`` on a state built from dense gate matrices; simulation
+counts come from a counting wrapper around ``backend.statevector``;
+sampled ``expect`` is checked draw for draw against the per-string
+``observe`` + ``execute_and_reduce`` loop, and sampled ``evolve`` and
+``moments`` against ``expect`` on the equivalent state and powers.
 """
 from pathlib import Path
 
@@ -77,6 +79,20 @@ def states_and_operators(draw):
     return n_qubits, draw(ry_cnot_circuits(n_qubits)), op
 
 
+@st.composite
+def two_blocks(draw):
+    """A register size and two random circuits on it."""
+    n_qubits = draw(st.integers(1, 4))
+    return n_qubits, draw(ry_cnot_circuits(n_qubits)), draw(ry_cnot_circuits(n_qubits))
+
+
+def _joined(first, second):
+    circuit = create_composite("joined")
+    circuit.add_all(first.children)
+    circuit.add_all(second.children)
+    return circuit
+
+
 @pytest.fixture()
 def simulations(monkeypatch):
     """Counts calls of ``backend.statevector`` while ``counting[0]`` is true."""
@@ -122,6 +138,86 @@ class TestExactExpect:
         for _ in range(6):
             state.expect(pauli.random_operator(rng, 2, 4, complex_coeffs=True))
         assert len(calls) == 1
+
+
+class TestEvolve:
+    @given(two_blocks())
+    def test_exact_amplitudes_match_joined_circuit(self, case):
+        n, first, second = case
+        accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
+        evolved = accelerator.prepare(first, n).evolve(second)
+        joined = _joined(first, second)
+        assert np.array_equal(evolved._amplitudes, backend.statevector(joined, n))
+        assert np.allclose(evolved._amplitudes, _dense_state(joined, n), atol=1e-12)
+
+    def test_sampled_draws_match_joined_circuit(self):
+        first, second = _h2_state(0.3), create_composite("second")
+        second.add(create_instruction("Ry", [2], [1.2]))
+        second.add(create_instruction("CNOT", [1, 2]))
+        second.add(create_instruction("Rx", [0], [-0.4]))
+        rng = np.random.default_rng(8)
+        ops = [pauli.random_operator(rng, 3, 5, complex_coeffs=True) for _ in range(4)]
+        evolved = _accelerator(seed=23).prepare(first, 3).evolve(second)
+        joined = _accelerator(seed=23).prepare(_joined(first, second), 3)
+        assert [evolved.expect(op) for op in ops] == [joined.expect(op) for op in ops]
+
+    def test_leaves_the_prepared_state_unchanged(self):
+        accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
+        state = accelerator.prepare(_h2_state(), 2)
+        before = state._amplitudes.copy()
+        block = create_composite("block")
+        block.add(create_instruction("H", [0]))
+        state.evolve(block)
+        assert np.array_equal(state._amplitudes, before)
+        assert state.circuit.n_instructions() == 3
+
+    @pytest.mark.parametrize("shots", [0, 10])
+    def test_many_evolves_keep_the_circuit_shallow(self, shots):
+        circuit = create_composite("x")
+        circuit.add(create_instruction("X", [0]))
+        state = _accelerator(seed=4, shots=shots).prepare(circuit, 1)
+        block = create_composite("h")
+        block.add(create_instruction("H", [0]))
+        for _ in range(3000):
+            state = state.evolve(block)
+        assert state.circuit.n_instructions() == 3001
+        assert state.expect(pauli.PauliOperator({0: "Z"})).real == pytest.approx(-1.0)
+
+
+class TestMoments:
+    @given(states_and_operators(), st.integers(1, 5))
+    def test_exact_matches_matrix_powers(self, case, highest):
+        n, circuit, op = case
+        op = 0.5 * (op + op.dagger())
+        accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
+        psi = _dense_state(circuit, n)
+        matrix = pauli.to_matrix(op, n)
+        scale = max(1.0, np.linalg.norm(matrix, 2)) ** highest
+        moments = accelerator.prepare(circuit, n).moments(op, highest)
+        assert len(moments) == highest
+        for k, moment in enumerate(moments, start=1):
+            reference = np.vdot(psi, np.linalg.matrix_power(matrix, k) @ psi).real
+            assert abs(moment - reference) <= 1e-12 * scale
+
+    def test_sampled_matches_per_power_expect(self):
+        observable = pauli.load_hamiltonian(str(H2_PATH))
+        moments = _accelerator(seed=11).prepare(_h2_state(), 2).moments(observable, 4)
+        state = _accelerator(seed=11).prepare(_h2_state(), 2)
+        power, reference = pauli.PauliOperator.identity(1.0), []
+        for _ in range(4):
+            power = pauli.multiply(power, observable)
+            reference.append(state.expect(power).real)
+        assert moments == reference
+
+    @pytest.mark.parametrize("shots", [0, 100])
+    def test_rejects_non_hermitian_operator(self, shots):
+        accelerator = _accelerator(seed=1, shots=shots)
+        state = accelerator.prepare(_h2_state(), 2)
+        before = accelerator._rng.bit_generator.state
+        op = pauli.PauliOperator({0: "Z"}) + pauli.PauliOperator({0: "X"}, 0.3j)
+        with pytest.raises(BackendError, match="Hermitian"):
+            state.moments(op, 3)
+        assert accelerator._rng.bit_generator.state == before
 
 
 class TestSimulationCounts:
@@ -248,6 +344,34 @@ class TestValidation:
     def test_circuit_wider_than_register(self, shots):
         accelerator = _accelerator(seed=1, shots=shots)
         self._rejects_without_drawing(accelerator, _h2_state(), 1, "touches qubit 1")
+
+    @staticmethod
+    def _evolve_rejects_without_drawing(accelerator, block, match):
+        state = accelerator.prepare(_h2_state(), 2)
+        before = accelerator._rng.bit_generator.state
+        with pytest.raises(BackendError, match=match):
+            state.evolve(block)
+        assert accelerator._rng.bit_generator.state == before
+
+    def test_evolve_measured_block(self, shots):
+        block = create_composite("block")
+        block.add(create_instruction("H", [1]))
+        block.add(create_instruction("Measure", [1]))
+        self._evolve_rejects_without_drawing(_accelerator(seed=1, shots=shots), block, "Measure")
+
+    def test_evolve_symbolic_block(self, shots):
+        block = create_composite("block")
+        block.add(create_instruction("Ry", [0], ["theta"]))
+        self._evolve_rejects_without_drawing(
+            _accelerator(seed=1, shots=shots), block, "free variables"
+        )
+
+    def test_evolve_block_beyond_register(self, shots):
+        block = create_composite("block")
+        block.add(create_instruction("CNOT", [1, 2]))
+        self._evolve_rejects_without_drawing(
+            _accelerator(seed=1, shots=shots), block, "touches qubit 2"
+        )
 
     def test_operator_beyond_register(self, shots):
         accelerator = _accelerator(seed=1, shots=shots)

@@ -13,6 +13,7 @@ from qcsim import cli, pauli
 from qcsim.errors import QcsimError
 
 H2_PATH = Path(__file__).resolve().parents[1] / "data" / "h2.ham"
+DIMER_PATH = H2_PATH.with_name("hubbard_dimer.ham")
 
 # Ry(t) on q0, X on q1, CNOT: cos(t/2)|01> + sin(t/2)|10>, which spans the
 # one-excitation sector holding the H2 ground state.
@@ -191,6 +192,60 @@ class TestSpectrum:
         m1, m2, m3 = (hf @ np.linalg.matrix_power(matrix, k) @ hf for k in (1, 2, 3))
         i2, i3 = m2 - m1**2, m3 - 3 * m2 * m1 + 2 * m1**3
         assert float(rows[0]["cmx2"]) == pytest.approx(m1 - i2**2 / i3, abs=1e-9)
+
+
+class TestShippedDimer:
+    """``spectrum`` on ``data/hubbard_dimer.ham`` from the UCCSD(2,4)
+    circuit bound to zero, the Hartree-Fock determinant |1010>."""
+
+    SECTIONS = {
+        "qite": "[qite]\nsteps = 15\nstep-size = 0.1\n",
+        "qcmx": "[qcmx]\ncmx-order = 3\n",
+        "qeom": "[qeom]\nn-electrons = 2\n",
+    }
+
+    def _spectrum(self, tmp_path, algorithm):
+        config = tmp_path / "dimer.ini"
+        config.write_text(
+            f"[run]\nalgorithm = {algorithm}\n"
+            f"[hamiltonian]\nfiles = {DIMER_PATH}\n"
+            "[ansatz]\nkind = uccsd\nne = 2\nnq = 4\nparams = 0, 0, 0\n"
+            + self.SECTIONS[algorithm],
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        assert _main("spectrum", config, out) == cli.EXIT_OK
+        _, _, rows = _read(out)
+        assert [row["label"] for row in rows] == ["hubbard_dimer"]
+        return {key: float(value) for key, value in rows[0].items() if key != "label"}
+
+    @staticmethod
+    def _dimer():
+        return pauli.load_hamiltonian(str(DIMER_PATH))
+
+    def test_qite_reaches_sector_ground(self, tmp_path, sector_eigh):
+        row = self._spectrum(tmp_path, "qite")
+        ground = sector_eigh(self._dimer(), 4, 2)[0][0]
+        assert row["E-final"] == pytest.approx(ground, abs=1e-3)
+        assert row["E-final"] < row["E-initial"]
+
+    def test_qcmx_runs(self, tmp_path):
+        row = self._spectrum(tmp_path, "qcmx")
+        assert sorted(row) == sorted(
+            f"{family}{m}" for family in ("cmx", "pds", "knowles") for m in (2, 3)
+        )
+        assert all(np.isfinite(value) for value in row.values())
+
+    def test_qeom_roots_lie_in_the_spectral_width(self, tmp_path, sector_eigh):
+        row = self._spectrum(tmp_path, "qeom")
+        hf = np.zeros(16)
+        hf[0b1010] = 1.0
+        energy = hf @ pauli.to_matrix(self._dimer(), 4).real @ hf
+        assert row["E0"] == pytest.approx(energy, abs=1e-12)
+        roots = [value for key, value in row.items() if key.startswith("ex")]
+        spectrum = sector_eigh(self._dimer(), 4, 2, sz=None)[0]
+        assert roots
+        assert all(0.0 < root <= spectrum[-1] - spectrum[0] for root in roots)
 
 
 class TestExitCodes:

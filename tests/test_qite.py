@@ -1,29 +1,40 @@
 """Quantum imaginary time evolution on the shipped H2 Hamiltonian,
-checked against exact diagonalization."""
+checked against exact diagonalization, and its step system checked
+against the Gram construction from explicit vectors s_I|psi>."""
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qcsim
-from qcsim import pauli
+from qcsim import backend, pauli
+from qcsim.algorithms.qite import StepSystem
+from qcsim.errors import AlgorithmError
+from qcsim.ir import create_composite, create_instruction
 
 H2_PATH = Path(__file__).resolve().parents[1] / "data" / "h2.ham"
+
+
+def _qite(accelerator, observable, ansatz, steps=20):
+    return qcsim.get_algorithm(
+        "qite",
+        {
+            "accelerator": accelerator,
+            "observable": observable,
+            "ansatz": ansatz,
+            "step-size": 0.1,
+            "steps": steps,
+        },
+    )
 
 
 def test_exact_qite_descends_to_ground_state(exact_accelerator, hf_circuit_2q):
     observable = pauli.load_hamiltonian(str(H2_PATH))
     exact = np.linalg.eigvalsh(pauli.to_matrix(observable, 2))[0]
-    qite = qcsim.get_algorithm(
-        "qite",
-        {
-            "accelerator": exact_accelerator,
-            "observable": observable,
-            "ansatz": hf_circuit_2q,
-            "step-size": 0.1,
-            "steps": 20,
-        },
-    )
+    qite = _qite(exact_accelerator, observable, hf_circuit_2q)
     buffer = qcsim.qalloc(2)
     qite.execute(buffer)
     history = np.array(buffer["energy-history"])
@@ -31,3 +42,80 @@ def test_exact_qite_descends_to_ground_state(exact_accelerator, hf_circuit_2q):
     assert np.all(np.diff(history) <= 0.0)
     assert history[-1] == pytest.approx(exact, abs=1e-4)
     assert buffer["opt-val"] == history[-1]
+
+
+@pytest.mark.parametrize("shots", [0, 100])
+def test_non_hermitian_observable_is_rejected(shots, hf_circuit_2q):
+    accelerator = qcsim.get_accelerator("statevector", {"shots": shots, "seed": 5})
+    observable = pauli.PauliOperator({0: "Z"}) + pauli.PauliOperator({0: "X"}, 0.3j)
+    qite = _qite(accelerator, observable, hf_circuit_2q, steps=2)
+    before = accelerator._rng.bit_generator.state
+    with pytest.raises(AlgorithmError, match="Hermitian"):
+        qite.execute(qcsim.qalloc(1))
+    assert accelerator._rng.bit_generator.state == before
+
+
+def _gram_system(observable, psi, n, norm):
+    """S = Re(Sigma* Sigma^T) and b = Im(Sigma* H psi) / norm, where the
+    rows of Sigma are s_I|psi> over the non-identity basis."""
+    sigma = np.stack(
+        [
+            pauli.to_matrix(pauli.PauliOperator.from_terms({key: 1.0}), n) @ psi
+            for key in StepSystem(observable, n).basis
+        ]
+    )
+    h_psi = pauli.to_matrix(observable, n) @ psi
+    return np.real(sigma.conj() @ sigma.T), np.imag(sigma.conj() @ h_psi) / norm
+
+
+@st.composite
+def states_and_observables(draw):
+    """A random 2-3 qubit circuit with complex amplitudes and a Hermitian sum."""
+    n_qubits = draw(st.integers(2, 3))
+    circuit = create_composite("random")
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            control, target = draw(st.permutations(range(n_qubits)))[:2]
+            circuit.add(create_instruction("CNOT", [control, target]))
+        else:
+            gate = draw(st.sampled_from(["Rx", "Ry", "Rz"]))
+            qubit = draw(st.integers(0, n_qubits - 1))
+            circuit.add(create_instruction(gate, [qubit], [draw(st.floats(-np.pi, np.pi))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    observable = pauli.random_operator(rng, n_qubits, draw(st.integers(1, 8)))
+    return n_qubits, circuit, observable
+
+
+@given(states_and_observables())
+def test_exact_system_matches_gram_construction(case):
+    n, circuit, observable = case
+    accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
+    state = accelerator.prepare(circuit, n)
+    norm = 1.3
+    s_matrix, b_vector = StepSystem(observable, n).assemble(state, norm)
+    s_gram, b_gram = _gram_system(observable, backend.statevector(circuit, n), n, norm)
+    assert np.abs(s_matrix - s_gram).max() <= 1e-12
+    assert np.abs(b_vector - b_gram).max() <= 1e-12
+
+
+def test_sampled_system_within_shot_noise():
+    shots = 20_000
+    observable = pauli.load_hamiltonian(str(H2_PATH))
+    circuit = create_composite("h2")
+    circuit.add(create_instruction("Ry", [0], [0.7]))
+    circuit.add(create_instruction("X", [1]))
+    circuit.add(create_instruction("CNOT", [0, 1]))
+    circuit.add(create_instruction("Rx", [1], [0.4]))
+    system = StepSystem(observable, 2)
+    exact_state = qcsim.get_accelerator("statevector", {"shots": 0}).prepare(circuit, 2)
+    norm = math.sqrt(1.0 - 2.0 * 0.1 * exact_state.expect(observable).real)
+    s_exact, b_exact = system.assemble(exact_state, norm)
+    sampled = qcsim.get_accelerator("statevector", {"shots": shots, "seed": 2024})
+    s_matrix, b_vector = system.assemble(sampled.prepare(circuit, 2), norm)
+
+    assert np.array_equal(s_matrix, s_matrix.T)
+    assert np.all(np.diag(s_matrix) == 1.0)
+    bound = 5.0 / math.sqrt(shots)
+    assert np.abs(s_matrix - s_exact).max() <= bound
+    weight = sum(abs(term.coefficient) for term in observable.terms() if term.ops)
+    assert np.abs(b_vector - b_exact).max() <= bound * weight
