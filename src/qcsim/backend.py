@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BackendError
 from .ir import CompositeInstruction, create_composite, gate_matrix
-from .pauli import PauliKey, PauliOperator, PauliTerm, expectation_from_counts
+from .pauli import PauliOperator, PauliTerm, expectation_from_counts
 from .pauli import multiply, observe
 from .registry import HeterogeneousMap, as_het_map
 
@@ -207,14 +207,14 @@ class PreparedState:
             return statevector_expectation(op, self._amplitudes)
         # each string is measured on the register a per-call estimate would use
         n = max(self.circuit.max_qubit() + 1, width, 1)
-        strings = PauliOperator.from_terms({term.ops: 1.0 for term in op.terms() if term.ops})
+        terms = [term for term in op.terms() if term.ops]
+        strings = PauliOperator.from_terms({term.ops: 1.0 for term in terms})
         parities = {}
         for term, measured in observe(strings, self.circuit):
             parities[term.ops] = self.accelerator.execute_and_reduce(measured, term, n)
         total = complex(op.identity_coefficient)
-        for term in op.terms():
-            if term.ops:
-                total += term.coefficient * parities[term.ops]
+        for term in terms:
+            total += term.coefficient * parities[term.ops]
         return total
 
     def evolve(self, block: CompositeInstruction) -> "PreparedState":
@@ -239,11 +239,10 @@ class PreparedState:
         moments = []
         if self._amplitudes is not None:
             # repeated sparse application of op to the cached vector
-            reference = self._amplitudes
-            current = reference.reshape((2,) * self.n_qubits)
+            current = self._amplitudes
             for _ in range(highest):
                 current = apply_pauli(op, current)
-                moments.append(float(np.real(np.vdot(reference, current.reshape(-1)))))
+                moments.append(float(np.real(np.vdot(self._amplitudes, current))))
             return moments
         power = PauliOperator.identity(1.0)
         for _ in range(highest):
@@ -344,40 +343,31 @@ def statevector(circuit: CompositeInstruction, n: int) -> np.ndarray:
     return state.reshape(-1)
 
 
-def apply_pauli_string(state: np.ndarray, key: PauliKey) -> np.ndarray:
-    """Apply one Pauli string to a state tensor of shape (2,)*n."""
-    n = state.ndim
-    out = state.copy()
-    for q, letter in key:
-        if letter in ("X", "Y"):
-            out = np.flip(out, axis=q)
-        index1 = tuple(1 if i == q else slice(None) for i in range(n))
-        if letter == "Y":
-            index0 = tuple(0 if i == q else slice(None) for i in range(n))
-            out[index0] *= -1j
-            out[index1] *= 1j
-        elif letter == "Z":
-            out[index1] *= -1.0
-    return out
-
-
 def apply_pauli(op: PauliOperator, state: np.ndarray) -> np.ndarray:
-    """Apply a PauliOperator term-by-term to a state tensor or flat vector."""
-    flat_input = state.ndim == 1
-    if flat_input:
-        n = int(round(np.log2(state.size)))
-        state = state.reshape((2,) * n)
-    out = np.zeros_like(state)
-    for term in op.terms():
-        out = out + term.coefficient * apply_pauli_string(state, term.ops)
-    return out.reshape(-1) if flat_input else out
+    """op|psi> for 2^n amplitudes, flat or of shape (2,)*n; keeps the shape.
+
+    Each string (x, z) of ``op.masks()``, coefficient c, adds
+    c i^|x&z| (-1)^popcount(i & Z) psi[i] to amplitude i ^ X, where X and Z
+    are x and z bit-reversed (qubit q is index bit n-1-q).
+    """
+    flat = state.reshape(-1)
+    n = flat.size.bit_length() - 1
+    if op.n_qubits() > n:
+        raise BackendError(f"operator touches qubit {op.n_qubits() - 1} but the state has {n}")
+    index = np.arange(flat.size)
+    out = np.zeros(flat.size, dtype=complex)
+    for (x, z), coefficient in op.masks():
+        # out[j] gathers from source i = j ^ X
+        source = index ^ int(format(x, f"0{n}b")[::-1], 2)
+        odd = np.bitwise_count(source & int(format(z, f"0{n}b")[::-1], 2)) & 1
+        phase = coefficient * 1j ** ((x & z).bit_count() & 3)
+        out += np.where(odd, -phase, phase) * flat[source]
+    return out.reshape(state.shape)
 
 
 def statevector_expectation(op: PauliOperator, state: np.ndarray) -> complex:
     """<psi|op|psi> for a flat amplitude vector (op need not be Hermitian)."""
-    n = int(round(np.log2(state.size)))
-    tensor = state.reshape((2,) * n)
-    return complex(np.vdot(state, apply_pauli(op, tensor).reshape(-1)))
+    return complex(np.vdot(state, apply_pauli(op, state)))
 
 
 def expectation(

@@ -15,8 +15,9 @@ given one, or a drawn 32-bit seed when a sampled run (shots > 0) names
 none; exact runs without a seed leave it blank.  Rerunning with
 ``--seed`` set to the recorded value reproduces the CSV.  All energies
 are in Hartree.  Exit codes: 0 success, 1 config error (the file, its
-ansatz or kernel file, a typed algorithm key, or the shot count), 2
-missing Hamiltonian file, 3 algorithm error.
+ansatz or kernel file, a typed algorithm key, the shot count, or qite
+from an ansatz with free variables), 2 missing Hamiltonian file, 3
+algorithm error.
 """
 from __future__ import annotations
 
@@ -265,6 +266,8 @@ def _sweep(args, row_columns, default_out: str) -> int:
         ansatz = None
         if algorithm in ("vqe", "qite", "qcmx", "qeom"):
             ansatz = _build_ansatz(config)
+        if algorithm == "qite" and not ansatz.is_concrete:
+            raise ConfigError(f"qite needs a concrete ansatz; bind {ansatz.variables} by params")
     except (QcsimError, configparser.Error, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

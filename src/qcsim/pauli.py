@@ -4,10 +4,19 @@ A PauliOperator is a canonicalized sum of weighted Pauli strings; it is
 the universal observable/Hamiltonian representation.  "Observing" an
 unmeasured circuit produces one measured circuit per non-identity term
 (basis changes + Measure on the term's support).
+
+Each string is stored as a pair of ints ``(x, z)`` (the symplectic
+encoding of Aaronson & Gottesman 2004): bit q of x is set for X or Y on
+qubit q, bit q of z for Z or Y, so the string is i^|x&z| X^x Z^z.  Every
+constructor validates strings in ``_encode``.  A product is the XOR of
+the masks times i^(|xa&za| + |xb&zb| - |x&z| + 2|za&xb|), |m| a popcount.
+``masks()`` exposes the encoding; ``terms()`` decodes it to sorted
+(qubit, letter) tuples.  ``to_matrix`` builds the dense matrix from the
+letters by Kronecker products, independently of the encoding: it is the
+reference the tests check the encoding against.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -19,21 +28,14 @@ from .ir import CompositeInstruction, create_composite, create_instruction
 PRUNE_THRESHOLD = 1e-14
 HERMITIAN_TOLERANCE = 1e-12
 
-# key type: tuple of (qubit, letter) sorted by qubit; () is the identity
+# decoded view: tuple of (qubit, letter) sorted by qubit; () is the identity
 PauliKey = tuple[tuple[int, str], ...]
+# encoded string: (x mask, z mask)
+Masks = tuple[int, int]
 
-# single-qubit products: (a, b) -> (phase, result letter or "" for identity)
-_PRODUCTS = {
-    ("X", "X"): (1.0, ""),
-    ("Y", "Y"): (1.0, ""),
-    ("Z", "Z"): (1.0, ""),
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("X", "Z"): (-1j, "Y"),
-}
+_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_LETTERS = "IXZY"  # indexed by x_bit + 2 * z_bit
+_PHASES = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 
 _MATRICES = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -59,20 +61,40 @@ class PauliTerm:
         return " ".join(f"{letter}{q}" for q, letter in self.ops)
 
     def __str__(self) -> str:
-        return f"({self.coefficient}) {self.pauli_string()}"
+        """The term as one line of the Hamiltonian file format."""
+        c = complex(self.coefficient)
+        coef = repr(c.real) if c.imag == 0 else f"({c.real!r},{c.imag!r})"
+        return f"{coef} {self.pauli_string()}" if self.ops else coef
 
 
-def _canonical_key(ops: Mapping[int, str] | Iterable[tuple[int, str]]) -> PauliKey:
+def _encode(ops: "Mapping[int, str] | Iterable[tuple[int, str]]") -> Masks:
+    """(x, z) of {qubit: letter} or (qubit, letter) pairs, ``I`` dropped; an unknown
+    letter, a qubit that is not a non-negative int or a repeated qubit raise ValueError."""
     items = ops.items() if isinstance(ops, Mapping) else ops
+    x = z = seen = 0
+    for q, letter in items:
+        bits = _BITS.get(letter) if isinstance(letter, str) else None
+        if bits is None:
+            raise ValueError(f"invalid Pauli letter {letter!r}")
+        if not isinstance(q, (int, np.integer)) or q < 0:
+            raise ValueError(f"invalid qubit index {q!r}")
+        bit = 1 << int(q)
+        if seen & bit:
+            raise ValueError(f"qubit {q} repeated in Pauli string")
+        seen |= bit
+        x |= bit * bits[0]
+        z |= bit * bits[1]
+    return x, z
+
+
+def _decode(masks: Masks) -> PauliKey:
+    x, z = masks
     out = []
-    for q, letter in sorted(items):
-        if letter == "I":
-            continue
-        if letter not in ("X", "Y", "Z"):
-            raise ValueError(f"invalid Pauli letter '{letter}'")
-        if q < 0:
-            raise ValueError(f"negative qubit index {q}")
-        out.append((int(q), letter))
+    support = x | z
+    while support:
+        q = (support & -support).bit_length() - 1
+        out.append((q, _LETTERS[(x >> q & 1) + 2 * (z >> q & 1)]))
+        support &= support - 1
     return tuple(out)
 
 
@@ -84,13 +106,10 @@ class PauliOperator:
         ops: "Mapping[int, str] | Iterable[tuple[int, str]] | complex | None" = None,
         coefficient: complex = 1.0,
     ):
-        self._terms: dict[PauliKey, complex] = {}
         if isinstance(ops, (int, float, complex)):
             # identity-term shorthand: PauliOperator(0.2976)
-            self._terms[()] = complex(ops) * complex(coefficient)
-        elif ops is not None:
-            key = _canonical_key(ops)
-            self._terms[key] = complex(coefficient)
+            ops, coefficient = {}, complex(ops) * complex(coefficient)
+        self._terms = {} if ops is None else {_encode(ops): complex(coefficient)}
         self._prune()
 
     @staticmethod
@@ -103,10 +122,12 @@ class PauliOperator:
 
     @staticmethod
     def from_terms(terms: Mapping[PauliKey, complex]) -> "PauliOperator":
-        op = PauliOperator()
-        op._terms = {k: complex(c) for k, c in terms.items()}
-        op._prune()
-        return op
+        """Sum of ``{ops: coefficient}``; keys are validated and canonicalized."""
+        encoded: dict[Masks, complex] = {}
+        for ops, c in terms.items():
+            key = _encode(ops)
+            encoded[key] = encoded[key] + c if key in encoded else complex(c)
+        return _from_masks(encoded)
 
     def _prune(self) -> None:
         self._terms = {
@@ -115,9 +136,13 @@ class PauliOperator:
 
     # ---- inspection ----
 
+    def masks(self) -> list[tuple[Masks, complex]]:
+        """Each encoded string as ((x, z), coefficient), in ``terms()`` order."""
+        return sorted(self._terms.items(), key=lambda item: _decode(item[0]))
+
     def terms(self) -> Iterator[PauliTerm]:
-        for key in sorted(self._terms):
-            yield PauliTerm(key, self._terms[key])
+        for ops, c in sorted((_decode(k), c) for k, c in self._terms.items()):
+            yield PauliTerm(ops, c)
 
     def n_terms(self) -> int:
         return len(self._terms)
@@ -126,14 +151,14 @@ class PauliOperator:
         return len(self._terms)
 
     def coefficient(self, ops: Mapping[int, str] | PauliKey) -> complex:
-        return self._terms.get(_canonical_key(ops), 0.0)
+        return self._terms.get(_encode(ops), 0.0)
 
     @property
     def identity_coefficient(self) -> complex:
-        return self._terms.get((), 0.0)
+        return self._terms.get((0, 0), 0.0)
 
     def max_qubit(self) -> int:
-        return max((q for key in self._terms for q, _ in key), default=-1)
+        return max(((x | z).bit_length() for x, z in self._terms), default=0) - 1
 
     def n_qubits(self) -> int:
         return self.max_qubit() + 1
@@ -142,9 +167,7 @@ class PauliOperator:
         return all(abs(c.imag) <= tolerance for c in self._terms.values())
 
     def dagger(self) -> "PauliOperator":
-        return PauliOperator.from_terms(
-            {k: c.conjugate() for k, c in self._terms.items()}
-        )
+        return _from_masks({k: c.conjugate() for k, c in self._terms.items()})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -157,10 +180,7 @@ class PauliOperator:
         terms = dict(self._terms)
         for k, c in other._terms.items():
             terms[k] = terms.get(k, 0.0) + c
-        return PauliOperator.from_terms(terms)
-
-    def __iadd__(self, other: "PauliOperator") -> "PauliOperator":
-        return self.__add__(other)
+        return _from_masks(terms)
 
     def __sub__(self, other: "PauliOperator") -> "PauliOperator":
         return self + (other * -1.0)
@@ -189,43 +209,38 @@ class PauliOperator:
         )
 
     def __str__(self) -> str:
+        """One term per line, as ``parse_hamiltonian`` reads it."""
         if not self._terms:
             return "0"
-        return " + ".join(str(t) for t in self.terms())
+        return "\n".join(str(t) for t in self.terms())
 
     __repr__ = __str__
 
 
+def _from_masks(terms: dict[Masks, complex]) -> PauliOperator:
+    """Operator over already-encoded strings, dropping negligible terms."""
+    op = PauliOperator()
+    op._terms = terms
+    op._prune()
+    return op
+
+
 def scalar_multiply(a: PauliOperator, c: complex) -> PauliOperator:
-    return PauliOperator.from_terms({k: v * c for k, v in a._terms.items()})
-
-
-def _multiply_keys(ka: PauliKey, kb: PauliKey) -> tuple[complex, PauliKey]:
-    ops_a = dict(ka)
-    phase = 1.0 + 0.0j
-    merged = dict(ka)
-    for q, letter_b in kb:
-        letter_a = ops_a.get(q)
-        if letter_a is None:
-            merged[q] = letter_b
-            continue
-        p, result = _PRODUCTS[(letter_a, letter_b)]
-        phase *= p
-        if result:
-            merged[q] = result
-        else:
-            del merged[q]
-    return phase, _canonical_key(merged)
+    return _from_masks({k: v * c for k, v in a._terms.items()})
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """Distributive product using the single-qubit Pauli relations."""
-    terms: dict[PauliKey, complex] = {}
-    for ka, ca in a._terms.items():
-        for kb, cb in b._terms.items():
-            phase, key = _multiply_keys(ka, kb)
-            terms[key] = terms.get(key, 0.0) + ca * cb * phase
-    return PauliOperator.from_terms(terms)
+    """Distributive product: XOR of the masks times the popcount phase."""
+    right = [(xb, zb, (xb & zb).bit_count(), cb) for (xb, zb), cb in b._terms.items()]
+    terms: dict[Masks, complex] = {}
+    for (xa, za), ca in a._terms.items():
+        ya = (xa & za).bit_count()
+        for xb, zb, yb, cb in right:
+            x, z = xa ^ xb, za ^ zb
+            power = ya + yb - (x & z).bit_count() + 2 * (za & xb).bit_count()
+            key = (x, z)
+            terms[key] = terms.get(key, 0.0) + ca * cb * _PHASES[power & 3]
+    return _from_masks(terms)
 
 
 def commutator(a: PauliOperator, b: PauliOperator) -> PauliOperator:
@@ -255,12 +270,7 @@ def pauli_from_string(s: str) -> PauliOperator:
             coef = complex(float(coef_text))
     except ValueError:
         raise ValueError(f"malformed coefficient in Pauli term: {s!r}") from None
-    ops: dict[int, str] = {}
-    for token in m.group("rest").split():
-        letter, qubit = token[0], int(token[1:])
-        if qubit in ops:
-            raise ValueError(f"qubit {qubit} repeated in Pauli term: {s!r}")
-        ops[qubit] = letter
+    ops = [(int(token[1:]), token[0]) for token in m.group("rest").split()]
     return PauliOperator(ops, coef)
 
 
@@ -364,16 +374,12 @@ def random_operator(
     rng: np.random.Generator, n_qubits: int, n_terms: int, complex_coeffs: bool = False
 ) -> PauliOperator:
     """Random operator for property tests (uniform letters/supports)."""
-    terms: dict[PauliKey, complex] = {}
+    terms: dict[Masks, complex] = {}
     for _ in range(n_terms):
-        ops = {}
-        for q in range(n_qubits):
-            letter = rng.choice(["I", "X", "Y", "Z"])
-            if letter != "I":
-                ops[q] = str(letter)
+        ops = [(q, str(rng.choice(["I", "X", "Y", "Z"]))) for q in range(n_qubits)]
         coef = rng.normal()
         if complex_coeffs:
             coef = coef + 1j * rng.normal()
-        key = _canonical_key(ops)
+        key = _encode(ops)
         terms[key] = terms.get(key, 0.0) + coef
-    return PauliOperator.from_terms(terms)
+    return _from_masks({k: complex(c) for k, c in terms.items()})

@@ -72,8 +72,8 @@ def ry_cnot_circuits(draw, n_qubits):
 
 
 @st.composite
-def states_and_operators(draw):
-    n_qubits = draw(st.integers(1, 4))
+def states_and_operators(draw, max_qubits=4):
+    n_qubits = draw(st.integers(1, max_qubits))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     op = pauli.random_operator(rng, n_qubits, draw(st.integers(1, 8)), complex_coeffs=True)
     return n_qubits, draw(ry_cnot_circuits(n_qubits)), op
@@ -121,14 +121,24 @@ def _h2_state(t=0.7):
 
 
 class TestExactExpect:
-    @given(states_and_operators())
+    @given(states_and_operators(max_qubits=6))
     def test_matches_dense_matrix(self, case):
         n, circuit, op = case
         accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
         psi = _dense_state(circuit, n)
-        reference = np.vdot(psi, pauli.to_matrix(op, n) @ psi)
+        applied = pauli.to_matrix(op, n) @ psi
+        reference = np.vdot(psi, applied)
         value = accelerator.prepare(circuit, n).expect(op)
         assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
+        tolerance = 1e-12 * max(1.0, np.abs(applied).max())
+        assert np.abs(backend.apply_pauli(op, psi) - applied).max() <= tolerance
+        tensor = backend.apply_pauli(op, psi.reshape((2,) * n))
+        assert tensor.shape == (2,) * n
+        assert np.abs(tensor.reshape(-1) - applied).max() <= tolerance
+
+    def test_apply_pauli_rejects_an_operator_wider_than_the_state(self):
+        with pytest.raises(BackendError, match="qubit 2"):
+            backend.apply_pauli(pauli.PauliOperator({2: "Z"}), np.ones(4, dtype=complex))
 
     def test_one_simulation_for_many_operators(self, simulations):
         calls, _ = simulations

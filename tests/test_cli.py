@@ -339,6 +339,23 @@ class TestExitCodes:
         assert "algorithm error" not in err
         assert not out.exists()
 
+    def test_qite_from_a_symbolic_kernel_is_a_config_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path, "vqe")
+        config.write_text(
+            config.read_text(encoding="utf-8")
+            .replace("algorithm = vqe", "algorithm = qite")
+            .replace(SECTIONS["vqe"], "[qite]\nstep-size = 0.1\nsteps = 2\n"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.csv"
+        for verb in ("run", "spectrum"):
+            assert _main(verb, config, out) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: qite needs a concrete ansatz" in err
+        assert "['t']" in err
+        assert "algorithm error" not in err
+        assert not out.exists()
+
     def test_unknown_optimizer_is_an_algorithm_error(self, tmp_path):
         config = _write_config(tmp_path, "vqe")
         config.write_text(

@@ -1,15 +1,18 @@
-"""Algorithms read states only through ``PreparedState``.
+"""Algorithms read states only through ``PreparedState``, and only
+``pauli`` reads the string encoding.
 
 Each module under ``src/qcsim/algorithms`` is parsed with ``ast``: none
 may read ``exact_mode`` or reach the simulator's raw-state functions,
-whether imported from ``backend`` or called as attributes.
+whether imported from ``backend`` or called as attributes.  Every module
+under ``src/qcsim`` is parsed too: only ``pauli.py`` may read ``._terms``.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-ALGORITHMS = Path(__file__).resolve().parents[1] / "src" / "qcsim" / "algorithms"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qcsim"
+ALGORITHMS = PACKAGE / "algorithms"
 RAW_STATE = {"statevector", "statevector_expectation", "apply_pauli", "apply_pauli_string"}
 
 
@@ -37,3 +40,27 @@ def test_algorithm_modules_exist():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_reads_states_only_through_prepared_state(path):
     assert _violations(path) == []
+
+
+def _terms_reads(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+    ]
+
+
+ENCODING_OWNER = PACKAGE / "pauli.py"
+OTHER_MODULES = [path for path in sorted(PACKAGE.rglob("*.py")) if path != ENCODING_OWNER]
+
+
+def test_the_encoding_lives_in_pauli():
+    assert _terms_reads(ENCODING_OWNER)
+
+
+@pytest.mark.parametrize(
+    "path", OTHER_MODULES, ids=lambda path: str(path.relative_to(PACKAGE))
+)
+def test_only_pauli_reads_the_string_encoding(path):
+    assert _terms_reads(path) == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qcsim
 from qcsim.pauli import (
@@ -38,6 +40,49 @@ class TestFromString:
     def test_repeated_qubit_rejected(self):
         with pytest.raises(ValueError):
             pauli_from_string("1.0 X0 Z0")
+
+
+class TestEncoding:
+    """Every constructor validates and canonicalizes its strings alike."""
+
+    def test_from_terms_canonicalizes_qubit_order(self):
+        unordered = PauliOperator.from_terms({((1, "X"), (0, "Z")): 1})
+        ordered = PauliOperator({0: "Z", 1: "X"})
+        assert unordered == ordered
+        assert (unordered - ordered).is_zero()
+        assert [t.ops for t in unordered.terms()] == [((0, "Z"), (1, "X"))]
+
+    def test_from_terms_merges_keys_that_canonicalize_alike(self):
+        op = PauliOperator.from_terms(
+            {((1, "X"), (0, "Z")): 1.0, ((0, "Z"), (1, "X")): 2.0, ((0, "I"), (1, "X")): 3.0}
+        )
+        assert op == PauliOperator({0: "Z", 1: "X"}, 3.0) + PauliOperator({1: "X"}, 3.0)
+
+    def test_numpy_qubit_index_is_accepted(self):
+        x3 = PauliOperator({np.int64(3): "X"})
+        assert x3 == PauliOperator({3: "X"})
+        assert multiply(x3, PauliOperator({3: "Z"})).coefficient({3: "Y"}) == pytest.approx(-1j)
+
+    @pytest.mark.parametrize(
+        "key", [((0, "Q"),), ((-1, "X"),), ((0.5, "X"),)], ids=["letter", "negative", "float"]
+    )
+    def test_from_terms_rejects_a_malformed_key(self, key):
+        with pytest.raises(ValueError):
+            PauliOperator.from_terms({key: 1})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PauliOperator([(0, "X"), (0, "Z")]),
+            lambda: PauliOperator([(2, "Y"), (0, "Z"), (2, "Y")]),
+            lambda: PauliOperator.from_terms({((0, "X"), (0, "X")): 1}),
+            lambda: PauliOperator({0: "X"}).coefficient([(1, "X"), (1, "Z")]),
+        ],
+        ids=["constructor", "constructor-gapped", "from_terms", "coefficient"],
+    )
+    def test_repeated_qubit_rejected(self, build):
+        with pytest.raises(ValueError, match="repeated"):
+            build()
 
 
 class TestAlgebra:
@@ -132,16 +177,29 @@ class TestToMatrix:
             to_matrix(PauliOperator({3: "Z"}), 2)
 
 
+def _skewed_operator(rng, n_qubits, n_terms):
+    """Random operator whose strings are Y-heavy with gapped supports."""
+    terms = {}
+    for _ in range(n_terms):
+        letters = rng.choice(list("IXYZ"), size=n_qubits, p=[0.4, 0.1, 0.4, 0.1])
+        key = tuple((q, str(letter)) for q, letter in enumerate(letters) if letter != "I")
+        terms[key] = complex(rng.normal(), rng.normal())
+    return PauliOperator.from_terms(terms)
+
+
 class TestHomomorphismProperties:
     N_CHECKS = 1000
 
     def test_product_sum_commutator_homomorphism(self):
         rng = np.random.default_rng(2024)
         worst = 0.0
-        for _ in range(self.N_CHECKS):
-            n = int(rng.integers(1, 4))
-            a = random_operator(rng, n, 3, complex_coeffs=True)
-            b = random_operator(rng, n, 3, complex_coeffs=True)
+        for check in range(self.N_CHECKS):
+            n = int(rng.integers(1, 7))
+            if check % 2:
+                a, b = _skewed_operator(rng, n, 3), _skewed_operator(rng, n, 3)
+            else:
+                a = random_operator(rng, n, 3, complex_coeffs=True)
+                b = random_operator(rng, n, 3, complex_coeffs=True)
             ma, mb = to_matrix(a, n), to_matrix(b, n)
             worst = max(worst, np.abs(to_matrix(multiply(a, b), n) - ma @ mb).max())
             worst = max(worst, np.abs(to_matrix(a + b, n) - (ma + mb)).max())
@@ -150,6 +208,29 @@ class TestHomomorphismProperties:
                 np.abs(to_matrix(commutator(a, b), n) - (ma @ mb - mb @ ma)).max(),
             )
         assert worst < 1e-10
+
+
+@st.composite
+def pauli_operators(draw):
+    """Sums of up to 6 strings on qubits 0..7, with complex coefficients."""
+    letters = st.sampled_from("IXYZ")
+    coefficients = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        key = tuple((q, letter) for q in range(8) if (letter := draw(letters)) != "I")
+        terms[key] = complex(draw(coefficients), draw(coefficients))
+    return PauliOperator.from_terms(terms)
+
+
+class TestTermsView:
+    @given(pauli_operators())
+    def test_terms_are_sorted_and_str_round_trips(self, op):
+        keys = [t.ops for t in op.terms()]
+        assert keys == sorted(keys)
+        assert parse_hamiltonian(str(op)) == op
+        for term in op.terms():
+            single = PauliOperator.from_terms({term.ops: term.coefficient})
+            assert pauli_from_string(str(term)) == single
 
 
 class TestObserve:
