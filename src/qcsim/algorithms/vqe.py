@@ -69,7 +69,9 @@ class VQE(Algorithm):
         )
         result = optimizer.optimize(f, optimizer_options(self.options, optimizer))
 
-        buffer.metadata.insert("opt-val", result.opt_val)
+        # sampled opt_val is the lowest noisy sample seen, so measure afresh
+        opt_val = expectation(observable, evaluate(ansatz, result.opt_params), accelerator)
+        buffer.metadata.insert("opt-val", opt_val)
         buffer.metadata.insert("opt-params", result.opt_params)
         buffer.metadata.insert("energy-history", energy_history)
         buffer.metadata.insert("converged", result.converged)

@@ -6,29 +6,28 @@ significant bit of a statevector amplitude index, and the leftmost
 Kronecker factor of ``pauli.to_matrix``.
 
 Prepare once, measure many: ``StatevectorAccelerator.prepare(circuit, n)``
-checks a measurement-free, concrete circuit against an n-qubit register
-and returns a ``PreparedState``, the only way an algorithm reads a state;
-exact mode (``shots == 0``) and sampled mode differ only inside it.
-``expect(op)`` gives <psi|op|psi>: exact mode simulates once (through the
-public ``statevector``) and takes a ``vdot`` on the cached vector per
-call; sampled mode draws as a per-call estimate does, one ``observe``
-circuit and one ``execute_and_reduce`` per distinct non-identity string,
-in sorted order.  ``evolve(block)`` applies a further block (checked as
-``prepare`` checks) to the cached vector, or extends the sampled circuit.
-``moments(op, k)`` gives <op>..<op^k>: repeated ``apply_pauli`` on the
-cached vector, or ``expect`` of each ``multiply``-ed power.
+checks a measurement-free, concrete circuit against an n-qubit register,
+simulates it once through the public ``statevector`` in both modes, and
+returns a ``PreparedState``, the only way an algorithm reads a state.
+Exact mode (``shots == 0``) and sampled mode differ only inside it, and
+none of its methods simulates again: ``evolve`` applies a block to the
+cached vector, and ``moments`` repeats ``apply_pauli`` (exact) or takes
+``expect`` of each power (sampled).  Sampled ``expect`` gives each
+distinct non-identity string P, in ``op.masks()`` order, ``shots`` shots:
+the ``pauli.observe`` circuit sees parity +1 with probability
+(1 + <P>)/2, so k ~ Binomial(shots, (1 + <P>)/2) is drawn with <P> read
+from the cached vector, and the string's estimate is (2k - shots)/shots.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BackendError
-from .ir import CompositeInstruction, create_composite, gate_matrix
-from .pauli import PauliOperator, PauliTerm, expectation_from_counts
-from .pauli import multiply, observe
+from .ir import CompositeInstruction, gate_matrix
+from .pauli import PauliOperator, PauliTerm, expectation_from_counts, multiply
 from .registry import HeterogeneousMap, as_het_map
 
 MAX_QUBITS = 20
@@ -168,76 +167,57 @@ class StatevectorAccelerator:
     def prepare(self, circuit: CompositeInstruction, n_qubits: int) -> "PreparedState":
         """The state circuit|0...0> on n_qubits, ready for many ``expect`` calls.
 
-        Rejects a symbolic or measured circuit, one wider than the register
-        and a register over MAX_QUBITS before anything is simulated or drawn.
+        Rejects a symbolic or measured circuit, one wider than the register and
+        a register under 1 or over MAX_QUBITS qubits before simulating or drawing.
         """
         _check_unmeasured(circuit, n_qubits)
-        amplitudes = statevector(circuit, n_qubits) if self.config.shots == 0 else None
-        return PreparedState(self, circuit, n_qubits, amplitudes)
+        return PreparedState(self, statevector(circuit, n_qubits))
 
 
 class PreparedState:
-    """A circuit's state on a fixed register (see the module docstring)."""
+    """Amplitudes of one state, simulated once in either mode, and the
+    accelerator that measures them: exactly, or by drawing each string's
+    parity count from Binomial(shots, (1 + <P>)/2), as ``observe`` would."""
 
-    def __init__(
-        self,
-        accelerator: StatevectorAccelerator,
-        circuit: CompositeInstruction,
-        n_qubits: int,
-        amplitudes: "np.ndarray | None",
-    ):
+    def __init__(self, accelerator: StatevectorAccelerator, amplitudes: np.ndarray):
         self.accelerator = accelerator
-        self.circuit = circuit
-        self.n_qubits = n_qubits
         self._amplitudes = amplitudes
 
-    def _check_operator(self, op: PauliOperator) -> int:
-        width = op.n_qubits()
-        if width > self.n_qubits:
-            raise BackendError(
-                f"operator touches qubit {width - 1} but the prepared "
-                f"register has {self.n_qubits}"
-            )
-        return width
+    @property
+    def n_qubits(self) -> int:
+        return self._amplitudes.size.bit_length() - 1
 
     def expect(self, op: PauliOperator) -> complex:
         """<psi|op|psi> for a general (possibly non-Hermitian) Pauli sum."""
-        width = self._check_operator(op)
-        if self._amplitudes is not None:
-            return statevector_expectation(op, self._amplitudes)
-        # each string is measured on the register a per-call estimate would use
-        n = max(self.circuit.max_qubit() + 1, width, 1)
-        terms = [term for term in op.terms() if term.ops]
-        strings = PauliOperator.from_terms({term.ops: 1.0 for term in terms})
-        parities = {}
-        for term, measured in observe(strings, self.circuit):
-            parities[term.ops] = self.accelerator.execute_and_reduce(measured, term, n)
+        psi = self._amplitudes
+        shots = self.accelerator.config.shots
+        if shots == 0:
+            return complex(np.vdot(psi, apply_pauli(op, psi)))
         total = complex(op.identity_coefficient)
-        for term in terms:
-            total += term.coefficient * parities[term.ops]
+        for masks, coefficient, source, odd, phase in _strings(op, self.n_qubits):
+            if masks == (0, 0):
+                continue
+            mean = np.vdot(psi, np.where(odd, -phase, phase) * psi[source]).real
+            hits = self.accelerator._rng.binomial(shots, np.clip((1 + mean) / 2, 0, 1))
+            total += coefficient * (2 * hits - shots) / shots
         return total
 
     def evolve(self, block: CompositeInstruction) -> "PreparedState":
         """The state after ``block``, which ``prepare``'s checks must pass."""
         _check_unmeasured(block, self.n_qubits)
-        # the block joins as one child, so nesting does not deepen per call
-        circuit = create_composite(self.circuit.name)
-        circuit.add_all(self.circuit.children).add(block)
-        amplitudes = None
-        if self._amplitudes is not None:
-            state = self._amplitudes.reshape((2,) * self.n_qubits)
-            for inst in block.instructions():
-                state = _apply_gate(state, inst)
-            amplitudes = state.reshape(-1)
-        return PreparedState(self.accelerator, circuit, self.n_qubits, amplitudes)
+        state = self._amplitudes.reshape((2,) * self.n_qubits)
+        for inst in block.instructions():
+            state = _apply_gate(state, inst)
+        return PreparedState(self.accelerator, state.reshape(-1))
 
     def moments(self, op: PauliOperator, highest: int) -> list[float]:
         """Raw moments <op^k>, k = 1..highest, of a Hermitian Pauli sum."""
         if not op.is_hermitian():
             raise BackendError("moments need a Hermitian operator")
-        self._check_operator(op)
+        if highest < 1:
+            raise BackendError(f"moments need highest >= 1, got {highest}")
         moments = []
-        if self._amplitudes is not None:
+        if self.accelerator.config.shots == 0:
             # repeated sparse application of op to the cached vector
             current = self._amplitudes
             for _ in range(highest):
@@ -253,6 +233,8 @@ class PreparedState:
 
 def _check_circuit(circuit: CompositeInstruction, n: int) -> None:
     """Reject circuits the statevector cannot evolve on an n-qubit register."""
+    if n < 1:
+        raise BackendError(f"register size must be >= 1, got {n}")
     if not circuit.is_concrete:
         raise BackendError(
             f"circuit '{circuit.name}' has free variables {circuit.variables}"
@@ -343,31 +325,31 @@ def statevector(circuit: CompositeInstruction, n: int) -> np.ndarray:
     return state.reshape(-1)
 
 
-def apply_pauli(op: PauliOperator, state: np.ndarray) -> np.ndarray:
-    """op|psi> for 2^n amplitudes, flat or of shape (2,)*n; keeps the shape.
-
-    Each string (x, z) of ``op.masks()``, coefficient c, adds
-    c i^|x&z| (-1)^popcount(i & Z) psi[i] to amplitude i ^ X, where X and Z
-    are x and z bit-reversed (qubit q is index bit n-1-q).
-    """
-    flat = state.reshape(-1)
-    n = flat.size.bit_length() - 1
+def _strings(op: PauliOperator, n: int):
+    """Each ((x, z), c) of ``op.masks()`` as ((x, z), c, source, odd, phase):
+    the unit string adds phase (-1)^odd[j] psi[source[j]] to amplitude j, with
+    source = j ^ X, odd = popcount(source & Z) & 1 and phase = i^|x&z| (X, Z:
+    x, z bit-reversed; qubit q is index bit n-1-q).  A too-wide op raises first."""
     if op.n_qubits() > n:
-        raise BackendError(f"operator touches qubit {op.n_qubits() - 1} but the state has {n}")
-    index = np.arange(flat.size)
-    out = np.zeros(flat.size, dtype=complex)
+        raise BackendError(
+            f"operator touches qubit {op.n_qubits() - 1} but the prepared register has {n}"
+        )
+    index = np.arange(1 << n)
     for (x, z), coefficient in op.masks():
-        # out[j] gathers from source i = j ^ X
         source = index ^ int(format(x, f"0{n}b")[::-1], 2)
         odd = np.bitwise_count(source & int(format(z, f"0{n}b")[::-1], 2)) & 1
-        phase = coefficient * 1j ** ((x & z).bit_count() & 3)
+        yield (x, z), coefficient, source, odd, 1j ** ((x & z).bit_count() & 3)
+
+
+def apply_pauli(op: PauliOperator, state: np.ndarray) -> np.ndarray:
+    """op|psi> for 2^n amplitudes, flat or of shape (2,)*n; keeps the shape."""
+    flat = state.reshape(-1)
+    n = flat.size.bit_length() - 1
+    out = np.zeros(flat.size, dtype=complex)
+    for _, coefficient, source, odd, phase in _strings(op, n):
+        phase = coefficient * phase
         out += np.where(odd, -phase, phase) * flat[source]
     return out.reshape(state.shape)
-
-
-def statevector_expectation(op: PauliOperator, state: np.ndarray) -> complex:
-    """<psi|op|psi> for a flat amplitude vector (op need not be Hermitian)."""
-    return complex(np.vdot(state, apply_pauli(op, state)))
 
 
 def expectation(
@@ -377,9 +359,8 @@ def expectation(
 ) -> float:
     """Real <psi|obs|psi> of a Hermitian observable (see operator_expectation)."""
     if not obs.is_hermitian():
-        raise ValueError("expectation requires a Hermitian observable")
-    value = operator_expectation(obs, circuit, accelerator)
-    return value.real
+        raise BackendError("expectation requires a Hermitian observable")
+    return operator_expectation(obs, circuit, accelerator).real
 
 
 def operator_expectation(

@@ -3,9 +3,10 @@
 Exact ``expect``, ``evolve`` and ``moments`` are checked against
 ``pauli.to_matrix`` on a state built from dense gate matrices; simulation
 counts come from a counting wrapper around ``backend.statevector``;
-sampled ``expect`` is checked draw for draw against the per-string
-``observe`` + ``execute_and_reduce`` loop, and sampled ``evolve`` and
-``moments`` against ``expect`` on the equivalent state and powers.
+sampled ``expect`` is checked in law against the per-string ``observe`` +
+``execute_and_reduce`` loop over many seeds and against the exact value
+within a Hoeffding bound, and sampled ``evolve`` and ``moments`` against
+``expect`` on the equivalent state and powers.
 """
 from pathlib import Path
 
@@ -140,14 +141,29 @@ class TestExactExpect:
         with pytest.raises(BackendError, match="qubit 2"):
             backend.apply_pauli(pauli.PauliOperator({2: "Z"}), np.ones(4, dtype=complex))
 
-    def test_one_simulation_for_many_operators(self, simulations):
+    @pytest.mark.parametrize("shots", [0, 300])
+    def test_one_simulation_for_many_operators(self, simulations, monkeypatch, shots):
         calls, _ = simulations
-        accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
+        simulated, simulate = [], backend._simulate
+
+        def counted(circuit, n):
+            simulated.append(circuit)
+            return simulate(circuit, n)
+
+        # also catches a re-simulation that bypasses ``statevector``
+        monkeypatch.setattr(backend, "_simulate", counted)
+        accelerator = _accelerator(seed=5, shots=shots)
         state = accelerator.prepare(_h2_state(), 2)
         rng = np.random.default_rng(5)
         for _ in range(6):
             state.expect(pauli.random_operator(rng, 2, 4, complex_coeffs=True))
+        block = create_composite("block")
+        block.add(create_instruction("H", [0]))
+        evolved = state.evolve(block)
+        evolved.expect(pauli.random_operator(rng, 2, 4, complex_coeffs=True))
+        evolved.moments(pauli.load_hamiltonian(str(H2_PATH)), 3)
         assert len(calls) == 1
+        assert len(simulated) == 1
 
 
 class TestEvolve:
@@ -179,7 +195,6 @@ class TestEvolve:
         block.add(create_instruction("H", [0]))
         state.evolve(block)
         assert np.array_equal(state._amplitudes, before)
-        assert state.circuit.n_instructions() == 3
 
     @pytest.mark.parametrize("shots", [0, 10])
     def test_many_evolves_keep_the_circuit_shallow(self, shots):
@@ -190,7 +205,6 @@ class TestEvolve:
         block.add(create_instruction("H", [0]))
         for _ in range(3000):
             state = state.evolve(block)
-        assert state.circuit.n_instructions() == 3001
         assert state.expect(pauli.PauliOperator({0: "Z"})).real == pytest.approx(-1.0)
 
 
@@ -311,20 +325,45 @@ class TestSampledExpect:
                 total += term.coefficient * parities[term.ops]
         return total
 
-    def test_draws_match_per_string_loop(self):
-        rng = np.random.default_rng(3)
-        ops = [pauli.random_operator(rng, 3, 5, complex_coeffs=True) for _ in range(4)]
-        ops.append(pauli.random_operator(rng, 2, 3))
+    def test_law_matches_per_string_loop(self):
+        """Over 1,000 seeds both estimators centre on the exact value with
+        the standard deviation of independent binomial parities."""
+        shots, seeds = 200, range(1000)
+        op = pauli.random_operator(np.random.default_rng(3), 3, 6)
         circuit = create_composite("three")
         for q, angle in ((0, 0.4), (1, -1.1), (2, 2.0)):
             circuit.add(create_instruction("Ry", [q], [angle]))
         circuit.add(create_instruction("CNOT", [0, 2]))
+        exact_state = _accelerator(seed=0, shots=0).prepare(circuit, 3)
+        exact = exact_state.expect(op).real
+        variance = sum(
+            term.coefficient.real**2
+            * (1 - exact_state.expect(pauli.PauliOperator(term.ops)).real ** 2)
+            for term in op.terms()
+            if term.ops
+        ) / shots
+        prepared = np.array(
+            [_accelerator(seed, shots).prepare(circuit, 3).expect(op).real for seed in seeds]
+        )
+        reference = np.array(
+            [self._per_string_loop(op, circuit, _accelerator(seed, shots)).real for seed in seeds]
+        )
+        sd = np.sqrt(variance)
+        for estimates in (prepared, reference):
+            assert abs(estimates.mean() - exact) <= 4 * sd / np.sqrt(len(seeds))
+            assert estimates.std(ddof=1) == pytest.approx(sd, rel=0.15)
+        assert prepared.std(ddof=1) == pytest.approx(reference.std(ddof=1), rel=0.15)
 
-        state = _accelerator(seed=41).prepare(circuit, 3)
-        prepared = [state.expect(op) for op in ops]
-        reference_accelerator = _accelerator(seed=41)
-        reference = [self._per_string_loop(op, circuit, reference_accelerator) for op in ops]
-        assert prepared == reference
+    @given(states_and_operators(), st.integers(1, 5000), st.integers(0, 2**32 - 1))
+    def test_within_hoeffding_bound_of_exact(self, case, shots, seed):
+        """Each real and imaginary part is off by more than 8 sqrt(sum |c|^2 / shots)
+        with probability below 2 exp(-32)."""
+        n, circuit, op = case
+        exact = _accelerator(seed, shots=0).prepare(circuit, n).expect(op)
+        sampled = _accelerator(seed, shots).prepare(circuit, n).expect(op)
+        bound = 8 * np.sqrt(sum(abs(t.coefficient) ** 2 for t in op.terms() if t.ops) / shots)
+        assert abs((sampled - exact).real) <= bound
+        assert abs((sampled - exact).imag) <= bound
 
 
 @pytest.mark.parametrize("shots", [0, 100])
@@ -350,6 +389,21 @@ class TestValidation:
         accelerator = _accelerator(seed=1, shots=shots)
         n = backend.MAX_QUBITS + 1
         self._rejects_without_drawing(accelerator, _h2_state(), n, "capped")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_register_under_one_qubit(self, shots, n):
+        accelerator = _accelerator(seed=1, shots=shots)
+        self._rejects_without_drawing(accelerator, create_composite("empty"), n, "size must be")
+        self._rejects_without_drawing(accelerator, _h2_state(), n, "size must be")
+
+    @pytest.mark.parametrize("highest", [0, -1])
+    def test_moments_below_first(self, shots, highest):
+        accelerator = _accelerator(seed=1, shots=shots)
+        state = accelerator.prepare(_h2_state(), 2)
+        before = accelerator._rng.bit_generator.state
+        with pytest.raises(BackendError, match="highest >= 1"):
+            state.moments(pauli.load_hamiltonian(str(H2_PATH)), highest)
+        assert accelerator._rng.bit_generator.state == before
 
     def test_circuit_wider_than_register(self, shots):
         accelerator = _accelerator(seed=1, shots=shots)

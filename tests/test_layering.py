@@ -1,10 +1,12 @@
-"""Algorithms read states only through ``PreparedState``, and only
-``pauli`` reads the string encoding.
+"""Algorithms read states only through ``PreparedState``, only
+``backend`` reads the exact/sampled mode, and only ``pauli`` reads the
+string encoding.
 
 Each module under ``src/qcsim/algorithms`` is parsed with ``ast``: none
 may read ``exact_mode`` or reach the simulator's raw-state functions,
-whether imported from ``backend`` or called as attributes.  Every module
-under ``src/qcsim`` is parsed too: only ``pauli.py`` may read ``._terms``.
+whether imported from ``backend`` or called as attributes.  Neither they
+nor ``optim.py`` may read ``.config`` or ``.shots``.  Every module under
+``src/qcsim`` is parsed too: only ``pauli.py`` may read ``._terms``.
 """
 import ast
 from pathlib import Path
@@ -42,13 +44,20 @@ def test_reads_states_only_through_prepared_state(path):
     assert _violations(path) == []
 
 
-def _terms_reads(path):
+def _reads(path, attributes):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+        if isinstance(node, ast.Attribute) and node.attr in attributes
     ]
+
+
+@pytest.mark.parametrize(
+    "path", MODULES + [PACKAGE / "optim.py"], ids=lambda path: path.name
+)
+def test_algorithms_and_optim_never_read_the_mode(path):
+    assert _reads(path, {"config", "shots"}) == []
 
 
 ENCODING_OWNER = PACKAGE / "pauli.py"
@@ -56,11 +65,11 @@ OTHER_MODULES = [path for path in sorted(PACKAGE.rglob("*.py")) if path != ENCOD
 
 
 def test_the_encoding_lives_in_pauli():
-    assert _terms_reads(ENCODING_OWNER)
+    assert _reads(ENCODING_OWNER, {"_terms"})
 
 
 @pytest.mark.parametrize(
     "path", OTHER_MODULES, ids=lambda path: str(path.relative_to(PACKAGE))
 )
 def test_only_pauli_reads_the_string_encoding(path):
-    assert _terms_reads(path) == []
+    assert _reads(path, {"_terms"}) == []

@@ -1,0 +1,62 @@
+"""VQE's reported energy on the shipped H2 Hamiltonian.
+
+A sampled run must report an unbiased estimate at the parameters it
+returns, not the lowest noisy sample the optimizer saw: over seeded runs
+the mean of ``opt-val`` minus the exact energy at ``opt-params`` lies
+within four standard errors of zero.
+"""
+from pathlib import Path
+
+import numpy as np
+
+import qcsim
+from qcsim import pauli
+from qcsim.ir import Parameter, create_composite, create_instruction, evaluate
+
+H2_PATH = Path(__file__).resolve().parents[1] / "data" / "h2.ham"
+
+
+def _ansatz():
+    circuit = create_composite("h2")
+    circuit.add(create_instruction("Ry", [0], [Parameter.symbolic("t")]))
+    circuit.add(create_instruction("X", [1]))
+    circuit.add(create_instruction("CNOT", [0, 1]))
+    return circuit
+
+
+def _run(observable, accelerator):
+    vqe = qcsim.get_algorithm(
+        "vqe",
+        {
+            "ansatz": _ansatz(),
+            "observable": observable,
+            "accelerator": accelerator,
+            "optimizer": qcsim.get_optimizer("nelder-mead"),
+            "max-iterations": 20,
+        },
+    )
+    buffer = qcsim.qalloc(2)
+    vqe.execute(buffer)
+    return buffer
+
+
+def test_sampled_opt_val_is_unbiased_at_opt_params():
+    observable = pauli.load_hamiltonian(str(H2_PATH))
+    exact = qcsim.get_accelerator("statevector", {"shots": 0})
+    errors = []
+    for seed in range(30):
+        accelerator = qcsim.get_accelerator("statevector", {"shots": 1000, "seed": seed})
+        buffer = _run(observable, accelerator)
+        state = evaluate(_ansatz(), buffer["opt-params"])
+        errors.append(buffer["opt-val"] - qcsim.expectation(observable, state, exact))
+    errors = np.array(errors)
+    assert abs(errors.mean()) <= 4 * errors.std(ddof=1) / np.sqrt(len(errors))
+
+
+def test_exact_opt_val_is_the_energy_at_opt_params():
+    observable = pauli.load_hamiltonian(str(H2_PATH))
+    exact = qcsim.get_accelerator("statevector", {"shots": 0})
+    buffer = _run(observable, exact)
+    state = evaluate(_ansatz(), buffer["opt-params"])
+    assert buffer["opt-val"] == qcsim.expectation(observable, state, exact)
+    assert buffer["opt-val"] == min(buffer["energy-history"])
