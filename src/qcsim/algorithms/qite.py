@@ -11,9 +11,11 @@ system S a = b with
 Each product s_I s_J or s_I h (h a term of H) is a phase times one string
 s_K.  ``StepSystem`` tabulates index and phase once per run with
 ``pauli.multiply``; each step takes one estimate <s_K> per basis string
-(4^n - 1 ``expect`` calls, exact or sampled alike), fills
-S_IJ = Re(phase <s_K>) and b_I = Im(sum_h c_h phase <s_K>) / norm by
-lookup, and advances the prepared state with ``evolve``.
+(4^n - 1 ``expect`` calls, exact or sampled alike), sums <H> from the
+same estimates, fills S_IJ = Re(phase <s_K>) and
+b_I = Im(sum_h c_h phase <s_K>) / norm by lookup, and advances the
+prepared state with ``evolve``.  Only the final state's <H> is measured
+with ``expect(observable)``.
 """
 from __future__ import annotations
 
@@ -61,14 +63,22 @@ class StepSystem:
         self._strings = [PauliOperator.from_terms({key: 1.0}) for key in self.basis]
         self._s_sign, self._s_index = phase[1:, 1:].real, index[1:, 1:]
         terms = list(observable.terms())
-        columns = [position[term.ops] for term in terms]
+        self._columns = [position[term.ops] for term in terms]
         coefficients = np.array([term.coefficient for term in terms])
-        self._b_weight = np.imag(phase[1:, columns] * coefficients)
-        self._b_index = index[1:, columns]
+        self._energy_weight = coefficients.real
+        self._b_weight = np.imag(phase[1:, self._columns] * coefficients)
+        self._b_index = index[1:, self._columns]
 
-    def assemble(self, state: PreparedState, norm: float) -> tuple[np.ndarray, np.ndarray]:
-        """(S, b) at ``state``, measuring each basis string once."""
-        values = np.array([1.0] + [state.expect(sigma).real for sigma in self._strings])
+    def measure(self, state: PreparedState) -> np.ndarray:
+        """<s_K> for the identity, then each basis string, measured once each."""
+        return np.array([1.0] + [state.expect(sigma).real for sigma in self._strings])
+
+    def energy(self, values: np.ndarray) -> float:
+        """<H> summed from the estimates of ``measure``."""
+        return float(self._energy_weight @ values[self._columns])
+
+    def assemble(self, values: np.ndarray, norm: float) -> tuple[np.ndarray, np.ndarray]:
+        """(S, b) from the estimates of ``measure``."""
         b_vector = (self._b_weight * values[self._b_index]).sum(axis=1) / norm
         return self._s_sign * values[self._s_index], b_vector
 
@@ -102,16 +112,18 @@ class QITE(Algorithm):
         system = StepSystem(observable, n)
 
         state = accelerator.prepare(ansatz, n)
-        energies = [state.expect(observable).real]
+        energies = []
         for _ in range(steps):
+            values = system.measure(state)
+            energies.append(system.energy(values))
             norm = math.sqrt(max(1.0 - 2.0 * db * energies[-1], 1e-12))
-            s_matrix, b_vector = system.assemble(state, norm)
+            s_matrix, b_vector = system.assemble(values, norm)
             a = np.real(solve_regularized_lsq(s_matrix, b_vector, ridge))
             generator = PauliOperator.from_terms(
                 {key: -1j * a_i for key, a_i in zip(system.basis, a)}
             )
             state = state.evolve(exp_pauli(generator, db))
-            energies.append(state.expect(observable).real)
+        energies.append(state.expect(observable).real)
 
         buffer.metadata.insert("energy-history", energies)
         buffer.metadata.insert("opt-val", energies[-1])

@@ -1,8 +1,13 @@
 """Circuit generators: Hartree-Fock prep, Pauli-string exponentials,
 first-order Trotterized UCCSD, and operator pools for adaptive ansatze.
 
-All generators emit flat composites (leaf instructions only) so circuits
-round-trip through the kernel serializer unchanged.
+``exp_pauli`` emits one ``ir.PauliRotation`` node per generator term,
+whose leaves are that term's gate sequence (basis changes, CNOT ladder,
+Rz, mirror); the node also carries the term's unit Pauli string, so the
+simulator can apply it in one pass.  Every other generator emits leaf
+instructions only.  UCCSD and adaptive ansatze splice those rotation
+nodes into one composite, so their leaves, and hence their kernel text,
+are the gate sequences and round-trip through the kernel serializer.
 """
 from __future__ import annotations
 
@@ -18,7 +23,14 @@ from .fermion import (
     occupied_spin_orbitals,
     single_excitations,
 )
-from .ir import CompositeInstruction, Parameter, as_parameter, create_composite, create_instruction
+from .ir import (
+    CompositeInstruction,
+    Parameter,
+    PauliRotation,
+    as_parameter,
+    create_composite,
+    create_instruction,
+)
 from .pauli import PauliOperator
 
 ANTI_HERMITIAN_TOLERANCE = 1e-12
@@ -92,9 +104,10 @@ def exp_pauli(
     """First-order product circuit for exp(angle * generator).
 
     The generator must be anti-Hermitian, written as sum_k i c_k P_k with
-    real c_k.  Each term contributes basis changes into Z, a CNOT parity
-    ladder onto its highest support qubit, and Rz(-2 c_k angle).  Terms
-    are laid down in canonical (sorted Pauli string) order; identity
+    real c_k.  Each term becomes one ``PauliRotation`` child about P_k,
+    R_{P_k}(-2 c_k angle), lowered to basis changes into Z, a CNOT parity
+    ladder onto its highest support qubit, Rz(-2 c_k angle) and the mirror.
+    Terms are laid down in canonical (sorted Pauli string) order; identity
     terms only shift global phase and emit nothing.
     """
     angle = as_parameter(angle)
@@ -107,23 +120,25 @@ def exp_pauli(
             rz_param = Parameter.symbolic(angle.var, angle.scale * (-2.0 * c))
         else:
             rz_param = Parameter.concrete(-2.0 * c * angle.value)
+        gates = []
         for q, letter in ops:
             if letter == "X":
-                circuit.add(create_instruction("H", [q]))
+                gates.append(create_instruction("H", [q]))
             elif letter == "Y":
-                circuit.add(create_instruction("Sdg", [q]))
-                circuit.add(create_instruction("H", [q]))
+                gates.append(create_instruction("Sdg", [q]))
+                gates.append(create_instruction("H", [q]))
         for lo, hi in zip(qubits, qubits[1:]):
-            circuit.add(create_instruction("CNOT", [lo, hi]))
-        circuit.add(create_instruction("Rz", [qubits[-1]], [rz_param]))
+            gates.append(create_instruction("CNOT", [lo, hi]))
+        gates.append(create_instruction("Rz", [qubits[-1]], [rz_param]))
         for lo, hi in reversed(list(zip(qubits, qubits[1:]))):
-            circuit.add(create_instruction("CNOT", [lo, hi]))
+            gates.append(create_instruction("CNOT", [lo, hi]))
         for q, letter in reversed(ops):
             if letter == "X":
-                circuit.add(create_instruction("H", [q]))
+                gates.append(create_instruction("H", [q]))
             elif letter == "Y":
-                circuit.add(create_instruction("H", [q]))
-                circuit.add(create_instruction("S", [q]))
+                gates.append(create_instruction("H", [q]))
+                gates.append(create_instruction("S", [q]))
+        circuit.add(PauliRotation(PauliOperator.from_terms({ops: 1.0}), gates))
     return circuit
 
 

@@ -17,16 +17,24 @@ distinct non-identity string P, in ``op.masks()`` order, ``shots`` shots:
 the ``pauli.observe`` circuit sees parity +1 with probability
 (1 + <P>)/2, so k ~ Binomial(shots, (1 + <P>)/2) is drawn with <P> read
 from the cached vector, and the string's estimate is (2k - shots)/shots.
+
+One pass per Pauli rotation: a simulation walks the circuit tree once,
+checking it whole before touching an amplitude, and stops at each
+``ir.PauliRotation`` node.  It applies that node as
+psi <- cos(theta/2) psi - i sin(theta/2) P psi, with P the node's unit
+string (through the same XOR/sign generator as ``apply_pauli``) and theta
+read from the node's Rz child; every other leaf is one ``_apply_gate``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BackendError
-from .ir import CompositeInstruction, gate_matrix
+from .ir import CompositeInstruction, Instruction, PauliRotation, gate_matrix
 from .pauli import PauliOperator, PauliTerm, expectation_from_counts, multiply
 from .registry import HeterogeneousMap, as_het_map
 
@@ -134,7 +142,7 @@ class StatevectorAccelerator:
         self, buffer: AcceleratorBuffer, circuit: CompositeInstruction
     ) -> ExecutionResult:
         n = buffer.size
-        state, measured = _simulate(circuit, n)
+        state, measured = _simulate(circuit, n, measure=True)
         if not measured:
             measured = list(range(n))
         measured_sorted = tuple(sorted(measured))
@@ -170,7 +178,6 @@ class StatevectorAccelerator:
         Rejects a symbolic or measured circuit, one wider than the register and
         a register under 1 or over MAX_QUBITS qubits before simulating or drawing.
         """
-        _check_unmeasured(circuit, n_qubits)
         return PreparedState(self, statevector(circuit, n_qubits))
 
 
@@ -204,10 +211,8 @@ class PreparedState:
 
     def evolve(self, block: CompositeInstruction) -> "PreparedState":
         """The state after ``block``, which ``prepare``'s checks must pass."""
-        _check_unmeasured(block, self.n_qubits)
-        state = self._amplitudes.reshape((2,) * self.n_qubits)
-        for inst in block.instructions():
-            state = _apply_gate(state, inst)
+        steps, _ = _plan(block, self.n_qubits)
+        state = _run(self._amplitudes.reshape((2,) * self.n_qubits), steps)
         return PreparedState(self.accelerator, state.reshape(-1))
 
     def moments(self, op: PauliOperator, highest: int) -> list[float]:
@@ -231,55 +236,90 @@ class PreparedState:
         return moments
 
 
-def _check_circuit(circuit: CompositeInstruction, n: int) -> None:
-    """Reject circuits the statevector cannot evolve on an n-qubit register."""
+def _steps(circuit: CompositeInstruction):
+    """Leaves of the tree in source order, each PauliRotation as one step."""
+    for child in circuit.children:
+        if isinstance(child, (Instruction, PauliRotation)):
+            yield child
+        else:
+            yield from _steps(child)
+
+
+def _plan(
+    circuit: CompositeInstruction, n: int, measure: bool = False
+) -> tuple[list, list[int]]:
+    """The gates and rotations to apply, and the Measure targets in
+    first-seen order, of a circuit checked whole on an n-qubit register.
+
+    One walk of the tree, before anything is simulated or drawn, checks the
+    register size, free variables, width and Measure: rejected unless
+    ``measure``, and then no gate may follow one on its qubit.
+    """
     if n < 1:
         raise BackendError(f"register size must be >= 1, got {n}")
     if not circuit.is_concrete:
         raise BackendError(
             f"circuit '{circuit.name}' has free variables {circuit.variables}"
         )
-    if circuit.max_qubit() >= n:
-        raise BackendError(
-            f"circuit '{circuit.name}' touches qubit {circuit.max_qubit()} "
-            f"but the register has {n}"
-        )
     if n > MAX_QUBITS:
         raise BackendError(f"statevector capped at {MAX_QUBITS} qubits, got {n}")
+    steps: list = []
+    measured: list[int] = []
+    for step in _steps(circuit):
+        if max(step.qubits) >= n:
+            raise BackendError(
+                f"circuit '{circuit.name}' touches qubit {max(step.qubits)} "
+                f"but the register has {n}"
+            )
+        if step.name == "Measure":
+            if not measure:
+                raise BackendError(f"circuit '{circuit.name}' already contains Measure")
+            if step.qubits[0] not in measured:
+                measured.append(step.qubits[0])
+        elif any(q in measured for q in step.qubits):
+            raise BackendError(f"gate {step.name} on {step.qubits} after Measure")
+        else:
+            steps.append(step)
+    return steps, measured
 
 
-def _check_unmeasured(circuit: CompositeInstruction, n: int) -> None:
-    """``_check_circuit`` for a circuit that must also be free of Measure."""
-    _check_circuit(circuit, n)
-    if any(inst.name == "Measure" for inst in circuit.instructions()):
-        raise BackendError(f"circuit '{circuit.name}' already contains Measure")
+def _simulate(
+    circuit: CompositeInstruction, n: int, measure: bool = False
+) -> tuple[np.ndarray, list[int]]:
+    """Evolve |0...0> on n qubits through a circuit ``_plan`` accepts.
 
-
-def _simulate(circuit: CompositeInstruction, n: int) -> tuple[np.ndarray, list[int]]:
-    """Evolve |0...0> on n qubits through a concrete circuit.
-
-    Returns the state tensor and the Measure targets in first-seen order;
-    a gate on an already measured qubit is rejected.  Private so that a
-    simulation is counted once, by whichever public entry point ran it.
+    Returns the state tensor and the Measure targets in first-seen order.
+    Private so that a simulation is counted once, by whichever public entry
+    point ran it.
     """
-    _check_circuit(circuit, n)
+    steps, measured = _plan(circuit, n, measure)
     state = np.zeros((2,) * n, dtype=complex)
     state[(0,) * n] = 1.0
-    measured: list[int] = []
-    for inst in circuit.instructions():
-        if inst.name == "Measure":
-            if inst.qubits[0] not in measured:
-                measured.append(inst.qubits[0])
-            continue
-        if measured and any(q in measured for q in inst.qubits):
-            raise BackendError(f"gate {inst.name} on {inst.qubits} after Measure")
-        state = _apply_gate(state, inst)
-    return state, measured
+    return _run(state, steps), measured
+
+
+def _run(state: np.ndarray, steps: list) -> np.ndarray:
+    """Apply planned steps to a state tensor of shape (2,)*n."""
+    for step in steps:
+        if isinstance(step, PauliRotation):
+            state = _rotate(state, step)
+        else:
+            state = _apply_gate(state, step)
+    return state
+
+
+def _rotate(state: np.ndarray, rotation: PauliRotation) -> np.ndarray:
+    """exp(-i theta P / 2)|psi> = cos(theta/2)|psi> - i sin(theta/2) P|psi>."""
+    half = rotation.angle.value / 2.0
+    flat = state.reshape(-1)
+    ((_, _, source, odd, phase),) = _strings(rotation.pauli, state.ndim)
+    factor = -1j * math.sin(half) * phase
+    out = math.cos(half) * flat + np.where(odd, -factor, factor) * flat[source]
+    return out.reshape(state.shape)
 
 
 def _apply_gate(state: np.ndarray, inst) -> np.ndarray:
     matrix = gate_matrix(inst)
-    n = state.ndim
     if len(inst.qubits) == 1:
         q = inst.qubits[0]
         out = np.tensordot(matrix, state, axes=([1], [q]))
@@ -319,9 +359,7 @@ def _weights_to_bitstrings(
 
 def statevector(circuit: CompositeInstruction, n: int) -> np.ndarray:
     """Amplitudes of circuit|0...0>; index bit order puts qubit 0 first."""
-    state, measured = _simulate(circuit, n)
-    if measured:
-        raise BackendError("statevector of a measured circuit is undefined")
+    state, _ = _simulate(circuit, n)
     return state.reshape(-1)
 
 

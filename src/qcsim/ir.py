@@ -1,13 +1,15 @@
 """Polymorphic circuit intermediate representation.
 
 Instructions are concrete gates; CompositeInstruction is an n-ary tree
-whose leaves are instructions.  Rotation parameters are either concrete
-reals (radians) or symbolic linear forms ``scale * var``.
+whose leaves are instructions.  A PauliRotation is a composite that also
+names the Pauli string its gates rotate about.  Rotation parameters are
+either concrete reals (radians) or symbolic linear forms ``scale * var``.
 
 Rotation convention: R_P(theta) = exp(-i * theta * P / 2).
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
@@ -160,7 +162,13 @@ class CompositeInstruction:
         return sum(1 for _ in self.instructions())
 
     def max_qubit(self) -> int:
-        return max((q for inst in self.instructions() for q in inst.qubits), default=-1)
+        return max(
+            (
+                max(child.qubits) if isinstance(child, Instruction) else child.max_qubit()
+                for child in self.children
+            ),
+            default=-1,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompositeInstruction):
@@ -176,6 +184,34 @@ class CompositeInstruction:
             f"CompositeInstruction({self.name!r}, {self.n_instructions()} instructions, "
             f"variables={self.variables})"
         )
+
+
+class PauliRotation(CompositeInstruction):
+    """R_P(theta) = exp(-i theta P / 2) for one unit Pauli string P.
+
+    The children are the gates ``ansatz.exp_pauli`` lowers one term to:
+    basis changes into Z, a CNOT ladder onto the highest support qubit,
+    Rz(theta) there, and the mirror image.  Every reader of the leaves
+    (``instructions``, ``pretty_print``, ``depth``, the kernel text) sees
+    those gates.  ``pauli`` holds P as a one-term operator; ir treats it as
+    opaque (``pauli`` imports ir), and only the simulator reads it, to apply
+    the node in one pass with theta read from the Rz child.  ``qubits`` is
+    the support of P in ascending order.
+    """
+
+    def __init__(self, pauli, gates: Iterable[Instruction]):
+        super().__init__("pauli_rotation")
+        self.pauli = pauli
+        self.add_all(gates)
+        self.qubits = tuple(sorted({q for gate in self.children for q in gate.qubits}))
+
+    @property
+    def angle(self) -> Parameter:
+        """theta, the parameter of the Rz child."""
+        return next(gate for gate in self.children if gate.name == "Rz").parameters[0]
+
+    def max_qubit(self) -> int:
+        return self.qubits[-1]
 
 
 def _node_variables(node: Instruction | CompositeInstruction) -> list[str]:
@@ -201,7 +237,9 @@ def evaluate(circuit: CompositeInstruction, values: Iterable[float]) -> Composit
 
 
 def _bind(circuit: CompositeInstruction, binding: dict[str, float]) -> CompositeInstruction:
-    out = CompositeInstruction(circuit.name)
+    # a shallow copy keeps the node's type and attributes (a PauliRotation's P)
+    out = copy.copy(circuit)
+    out.children, out.variables = [], []
     for child in circuit.children:
         if isinstance(child, Instruction):
             if child.is_concrete:

@@ -6,6 +6,7 @@ each energy through ``backend.expectation`` on a bound circuit.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -14,7 +15,7 @@ import numpy as np
 
 from .backend import StatevectorAccelerator, expectation
 from .errors import OptimizationError
-from .ir import CompositeInstruction, Instruction, Parameter, create_composite, evaluate
+from .ir import CompositeInstruction, Instruction, Parameter, evaluate
 from .pauli import PauliOperator
 from .registry import HeterogeneousMap, as_het_map
 
@@ -220,6 +221,8 @@ def evaluate_gradient(
     +-pi/2, which is exact for R_P(theta) = exp(-i theta P / 2); a gate
     whose angle is ``scale * var`` adds scale * (E+ - E-) / 2 to var's
     entry (chain rule), so a variable driving several gates sums them.
+    The shifted gate is replaced inside the bound tree, so every node
+    keeps its type and a Pauli rotation is still simulated in one pass.
     """
     if strategy not in GRADIENT_STRATEGIES:
         raise ValueError(
@@ -237,13 +240,12 @@ def evaluate_gradient(
     grad = np.zeros(x.size)
     if strategy == "parameter-shift":
         index = {var: i for i, var in enumerate(circuit.variables)}
-        gates = list(evaluate(circuit, x).instructions())
-        for k, inst in enumerate(circuit.instructions()):
-            if inst.parameters and inst.parameters[0].is_symbolic:
-                param, angle = inst.parameters[0], gates[k].parameters[0].value
-                plus = energy(_with_angle(circuit.name, gates, k, angle + SHIFT))
-                minus = energy(_with_angle(circuit.name, gates, k, angle - SHIFT))
-                grad[index[param.var]] += param.scale * (plus - minus) / 2.0
+        bound = evaluate(circuit, x)
+        for path, param, gate in _symbolic_gates(circuit, bound):
+            angle = gate.parameters[0].value
+            plus = energy(_with_angle(bound, path, angle + SHIFT))
+            minus = energy(_with_angle(bound, path, angle - SHIFT))
+            grad[index[param.var]] += param.scale * (plus - minus) / 2.0
         return grad
 
     h = FD_DEFAULT_STEP
@@ -267,9 +269,27 @@ def evaluate_gradient(
     return grad
 
 
-def _with_angle(
-    name: str, gates: list[Instruction], k: int, angle: float
-) -> CompositeInstruction:
-    """A flat circuit of ``gates`` with gate k's one angle replaced."""
-    shifted = Instruction(gates[k].name, gates[k].qubits, (Parameter.concrete(angle),))
-    return create_composite(name).add_all(gates[:k] + [shifted] + gates[k + 1 :])
+def _symbolic_gates(symbolic: CompositeInstruction, bound: CompositeInstruction, path=()):
+    """(path, parameter, bound gate) for each symbolic gate in source order;
+    ``path`` is the child indices that lead to the gate in both trees."""
+    for i, (child, bound_child) in enumerate(zip(symbolic.children, bound.children)):
+        if isinstance(child, CompositeInstruction):
+            yield from _symbolic_gates(child, bound_child, path + (i,))
+        elif child.parameters and child.parameters[0].is_symbolic:
+            yield path + (i,), child.parameters[0], bound_child
+
+
+def _with_angle(node: CompositeInstruction, path: tuple, angle: float) -> CompositeInstruction:
+    """``node`` with the one angle of the gate at ``path`` replaced.
+
+    The nodes on the path are copied, keeping their types (a PauliRotation
+    stays one); every other subtree is shared.
+    """
+    i, child = path[0], node.children[path[0]]
+    if len(path) > 1:
+        child = _with_angle(child, path[1:], angle)
+    else:
+        child = Instruction(child.name, child.qubits, (Parameter.concrete(angle),))
+    out = copy.copy(node)
+    out.children = node.children[:i] + [child] + node.children[i + 1 :]
+    return out

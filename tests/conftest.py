@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -71,6 +73,24 @@ def hubbard_dimer():
         model = model + ladder([(b, True), (a, False)], -1.0)
     for up, down in ((0, 2), (1, 3)):
         model = model + ladder([(up, True), (up, False), (down, True), (down, False)], 4.0)
+    return qcsim.jordan_wigner(model, 4)
+
+
+@pytest.fixture(scope="session")
+def hubbard_dimer_mo():
+    """The same dimer in its bonding (b) and antibonding (a) orbitals,
+    c_0 = (b + a)/sqrt2 and c_1 = (b - a)/sqrt2: b on qubits 0 (alpha) and
+    2 (beta), a on 1 and 3.  Hopping becomes -t n_b + t n_a per spin, and
+    U n_0up n_0dn + U n_1up n_1dn keeps the (U/2) p+ q r+ s terms with an
+    even number of antibonding indices.  |1010> is then the Hartree-Fock
+    determinant, with <H> = 0."""
+    ladder = qcsim.FermionOperator.ladder
+    model = qcsim.FermionOperator()
+    for b, a in ((0, 1), (2, 3)):
+        model = model + ladder([(b, True), (b, False)], -1.0) + ladder([(a, True), (a, False)], 1.0)
+    for p, q, r, s in itertools.product((0, 1), repeat=4):
+        if (p + q + r + s) % 2 == 0:
+            model = model + ladder([(p, True), (q, False), (2 + r, True), (2 + s, False)], 2.0)
     return qcsim.jordan_wigner(model, 4)
 
 

@@ -9,6 +9,7 @@ within a Hoeffding bound, and sampled ``evolve`` and ``moments`` against
 ``expect`` on the equivalent state and powers.
 """
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -364,6 +365,32 @@ class TestSampledExpect:
         bound = 8 * np.sqrt(sum(abs(t.coefficient) ** 2 for t in op.terms() if t.ops) / shots)
         assert abs((sampled - exact).real) <= bound
         assert abs((sampled - exact).imag) <= bound
+
+
+@pytest.mark.parametrize(
+    "entry, tail, match",
+    [
+        ("statevector", [("Measure", [1])], "already contains Measure"),
+        ("statevector", [("X", [4])], "touches qubit 4"),
+        ("execute", [("Measure", [0]), ("X", [4])], "touches qubit 4"),
+        ("execute", [("Measure", [0]), ("X", [0])], "after Measure"),
+    ],
+)
+def test_the_whole_circuit_is_checked_before_any_gate(entry, tail, match):
+    """A fault at the end of a UCCSD circuit, whose rotations are applied
+    in one pass, is raised before any gate or rotation runs."""
+    circuit = qcsim.evaluate(qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4)), [0.1, -0.2, 0.3])
+    for name, qubits in tail:
+        circuit.add(create_instruction(name, qubits))
+    with mock.patch.object(backend, "_apply_gate") as gates, mock.patch.object(
+        backend, "_rotate"
+    ) as rotations:
+        with pytest.raises(BackendError, match=match):
+            if entry == "statevector":
+                backend.statevector(circuit, 4)
+            else:
+                _accelerator(seed=1, shots=0).execute(qcsim.qalloc(4), circuit)
+    assert gates.call_count == rotations.call_count == 0
 
 
 @pytest.mark.parametrize("shots", [0, 100])

@@ -1,12 +1,15 @@
 """Algorithms read states only through ``PreparedState``, only
-``backend`` reads the exact/sampled mode, and only ``pauli`` reads the
-string encoding.
+``backend`` reads the exact/sampled mode, only ``pauli`` reads the
+string encoding, and only ``backend`` reads a rotation node's string.
 
 Each module under ``src/qcsim/algorithms`` is parsed with ``ast``: none
 may read ``exact_mode`` or reach the simulator's raw-state functions,
 whether imported from ``backend`` or called as attributes.  Neither they
 nor ``optim.py`` may read ``.config`` or ``.shots``.  Every module under
-``src/qcsim`` is parsed too: only ``pauli.py`` may read ``._terms``.
+``src/qcsim`` is parsed too: only ``pauli.py`` may read ``._terms``, and
+only ``backend.py`` may read ``.pauli`` (``ir.PauliRotation`` stores it),
+so the one-pass rotation stays the simulator's one path.  ``ir.py`` must
+not import ``pauli``, which imports ``ir``.
 """
 import ast
 from pathlib import Path
@@ -73,3 +76,41 @@ def test_the_encoding_lives_in_pauli():
 )
 def test_only_pauli_reads_the_string_encoding(path):
     assert _reads(path, {"_terms"}) == []
+
+
+ROTATION_READER = PACKAGE / "backend.py"
+
+
+def _loads(path, attribute):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == attribute
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_the_simulator_reads_the_rotation_string():
+    assert _loads(ROTATION_READER, "pauli")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(PACKAGE.rglob("*.py")) if path != ROTATION_READER],
+    ids=lambda path: str(path.relative_to(PACKAGE)),
+)
+def test_only_the_simulator_reads_the_rotation_string(path):
+    assert _loads(path, "pauli") == []
+
+
+def test_ir_does_not_import_pauli():
+    tree = ast.parse((PACKAGE / "ir.py").read_text(encoding="utf-8"))
+    imported = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+    ]
+    assert not any(name.split(".")[-1] == "pauli" for name in imported)

@@ -1,0 +1,167 @@
+"""Native Pauli rotations: each ``ir.PauliRotation`` node that ``exp_pauli``
+emits is simulated in one pass, psi <- cos(theta/2) psi - i sin(theta/2) P psi.
+
+The reference is the node's own gate sequence applied leaf by leaf with
+``_apply_gate``, which is what the simulator does for a circuit without
+rotation nodes (a parsed kernel, or ``node.instructions()`` copied into a
+plain composite).  The leaves themselves, and so the kernel text, are
+pinned against a golden file.
+"""
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import qcsim
+from qcsim import backend, optim, pauli
+from qcsim.ansatz import UccsdSpec, exp_pauli, uccsd_circuit
+from qcsim.ir import PauliRotation, create_composite, create_instruction, evaluate, pretty_print
+from qcsim.kernel import parse_kernel
+
+GOLDEN = Path(__file__).resolve().parent / "uccsd_2_4.kernel"
+
+
+def _flat(circuit):
+    """The same leaves in a plain composite: simulated gate by gate."""
+    return create_composite(circuit.name).add_all(list(circuit.instructions()))
+
+
+@st.composite
+def prefixes(draw, n_qubits):
+    """A random circuit of H, S, Rx, Ry and CNOT: a complex, entangled state."""
+    circuit = create_composite("prefix")
+    for _ in range(draw(st.integers(0, 8))):
+        gate = draw(st.sampled_from(["H", "S", "Rx", "Ry", "CNOT"]))
+        if gate == "CNOT":
+            if n_qubits > 1:
+                circuit.add(create_instruction("CNOT", draw(st.permutations(range(n_qubits)))[:2]))
+        elif gate in ("H", "S"):
+            circuit.add(create_instruction(gate, [draw(st.integers(0, n_qubits - 1))]))
+        else:
+            qubit = draw(st.integers(0, n_qubits - 1))
+            circuit.add(create_instruction(gate, [qubit], [draw(st.floats(-np.pi, np.pi))]))
+    return circuit
+
+
+ANGLES = st.one_of(st.sampled_from([0.0, np.pi, -np.pi]), st.floats(-2 * np.pi, 2 * np.pi))
+
+
+@st.composite
+def rotation_blocks(draw, n_qubits):
+    """1-3 rotations R_P(theta), each about a string over X, Y, Z of weight 1..n."""
+    block = create_composite("block")
+    for _ in range(draw(st.integers(1, 3))):
+        support = sorted(draw(st.permutations(range(n_qubits)))[: draw(st.integers(1, n_qubits))])
+        letters = draw(st.lists(st.sampled_from("XYZ"), min_size=len(support), max_size=len(support)))
+        # exp(angle * i c P) with c = -1/2 is R_P(angle)
+        generator = pauli.PauliOperator(dict(zip(support, letters)), -0.5j)
+        block.add_all(exp_pauli(generator, draw(ANGLES)).children)
+    return block
+
+
+@st.composite
+def cases(draw):
+    n_qubits = draw(st.integers(1, 5))
+    return n_qubits, draw(prefixes(n_qubits)), draw(rotation_blocks(n_qubits))
+
+
+def _counted():
+    return (
+        mock.patch.object(backend, "_rotate", wraps=backend._rotate),
+        mock.patch.object(backend, "_apply_gate", wraps=backend._apply_gate),
+    )
+
+
+@given(cases())
+def test_one_pass_equals_the_gate_sequence_in_prepare(case):
+    n, prefix, block = case
+    circuit = create_composite("circuit").add_all(prefix.children).add_all(block.children)
+    assert circuit.max_qubit() == max(q for inst in circuit.instructions() for q in inst.qubits)
+    rotate, apply_gate = _counted()
+    with rotate as rotations, apply_gate as gates:
+        tagged = backend.statevector(circuit, n)
+    assert rotations.call_count == len(block.children)
+    assert gates.call_count == len(prefix.children)
+    reference = backend.statevector(_flat(circuit), n)
+    assert np.abs(tagged - reference).max() <= 1e-12
+
+
+@given(cases())
+def test_one_pass_equals_the_gate_sequence_in_evolve(case):
+    n, prefix, block = case
+    accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
+    state = accelerator.prepare(prefix, n)
+    rotate, apply_gate = _counted()
+    with rotate as rotations, apply_gate as gates:
+        tagged = state.evolve(block)._amplitudes
+    assert rotations.call_count == len(block.children)
+    assert gates.call_count == 0
+    reference = state.evolve(_flat(block))._amplitudes
+    assert np.abs(tagged - reference).max() <= 1e-12
+
+
+def test_exp_pauli_tags_each_term_with_its_unit_string():
+    # i(0.5 X0 Y2 + 0.25 Z1 - 0.75 Y0): one node per term, in sorted order
+    generator = (
+        pauli.PauliOperator({2: "Y", 0: "X"}, 0.5j)
+        + pauli.PauliOperator({1: "Z"}, 0.25j)
+        + pauli.PauliOperator({0: "Y"}, -0.75j)
+    )
+    circuit = exp_pauli(generator, 0.4)
+    assert all(isinstance(node, PauliRotation) for node in circuit.children)
+    assert [node.pauli for node in circuit.children] == [
+        pauli.PauliOperator({0: "X", 2: "Y"}),
+        pauli.PauliOperator({0: "Y"}),
+        pauli.PauliOperator({1: "Z"}),
+    ]
+    assert [node.qubits for node in circuit.children] == [(0, 2), (0,), (1,)]
+    assert [node.angle.value for node in circuit.children] == pytest.approx([-0.4, 0.6, -0.2])
+
+
+def test_evaluate_keeps_the_node_types_and_strings():
+    circuit = uccsd_circuit(UccsdSpec(2, 4))
+    bound = evaluate(circuit, [0.1, -0.2, 0.3])
+    assert [type(node) for node in bound.children] == [type(node) for node in circuit.children]
+    pairs = [
+        (node, bound_node)
+        for node, bound_node in zip(circuit.children, bound.children)
+        if isinstance(node, PauliRotation)
+    ]
+    assert len(pairs) == 12
+    binding = dict(zip(circuit.variables, [0.1, -0.2, 0.3]))
+    for node, bound_node in pairs:
+        assert bound_node.pauli is node.pauli
+        assert bound_node.qubits == node.qubits
+        assert bound_node.angle.value == node.angle.evaluate(binding)
+        values = [binding[var] for var in node.variables]
+        assert list(bound_node.instructions()) == list(evaluate(_flat(node), values).instructions())
+
+
+def test_uccsd_12_qubits_matches_its_parsed_kernel():
+    circuit = uccsd_circuit(UccsdSpec(4, 12))
+    x = np.random.default_rng(12).uniform(-0.2, 0.2, len(circuit.variables))
+    bound = evaluate(circuit, x)
+    parsed = parse_kernel(pretty_print(bound))
+    assert not any(isinstance(node, PauliRotation) for node in parsed.children)
+    assert np.abs(backend.statevector(bound, 12) - backend.statevector(parsed, 12)).max() <= 1e-12
+
+
+def test_uccsd_kernel_text_is_unchanged():
+    assert pretty_print(uccsd_circuit(UccsdSpec(2, 4))) == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_parameter_shift_runs_every_rotation_in_one_pass(hubbard_dimer, exact_accelerator):
+    circuit = uccsd_circuit(UccsdSpec(2, 4))
+    rotate, apply_gate = _counted()
+    with rotate as rotations, apply_gate as gates:
+        optim.evaluate_gradient(
+            "parameter-shift", circuit, [0.1, -0.2, 0.3], hubbard_dimer, exact_accelerator
+        )
+    # 12 rotations, each shifted both ways; every simulation applies 12
+    # rotations and the two X gates of the reference
+    simulations = 2 * 12
+    assert rotations.call_count == 12 * simulations
+    assert gates.call_count == 2 * simulations

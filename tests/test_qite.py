@@ -92,10 +92,15 @@ def test_exact_system_matches_gram_construction(case):
     accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
     state = accelerator.prepare(circuit, n)
     norm = 1.3
-    s_matrix, b_vector = StepSystem(observable, n).assemble(state, norm)
-    s_gram, b_gram = _gram_system(observable, backend.statevector(circuit, n), n, norm)
+    system = StepSystem(observable, n)
+    values = system.measure(state)
+    s_matrix, b_vector = system.assemble(values, norm)
+    psi = backend.statevector(circuit, n)
+    s_gram, b_gram = _gram_system(observable, psi, n, norm)
     assert np.abs(s_matrix - s_gram).max() <= 1e-12
     assert np.abs(b_vector - b_gram).max() <= 1e-12
+    energy = np.vdot(psi, pauli.to_matrix(observable, n) @ psi).real
+    assert abs(system.energy(values) - energy) <= 1e-12 * max(1.0, abs(energy))
 
 
 def test_sampled_system_within_shot_noise():
@@ -109,9 +114,9 @@ def test_sampled_system_within_shot_noise():
     system = StepSystem(observable, 2)
     exact_state = qcsim.get_accelerator("statevector", {"shots": 0}).prepare(circuit, 2)
     norm = math.sqrt(1.0 - 2.0 * 0.1 * exact_state.expect(observable).real)
-    s_exact, b_exact = system.assemble(exact_state, norm)
+    s_exact, b_exact = system.assemble(system.measure(exact_state), norm)
     sampled = qcsim.get_accelerator("statevector", {"shots": shots, "seed": 2024})
-    s_matrix, b_vector = system.assemble(sampled.prepare(circuit, 2), norm)
+    s_matrix, b_vector = system.assemble(system.measure(sampled.prepare(circuit, 2)), norm)
 
     assert np.array_equal(s_matrix, s_matrix.T)
     assert np.all(np.diag(s_matrix) == 1.0)
