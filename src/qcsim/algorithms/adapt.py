@@ -1,6 +1,8 @@
 """Adaptive ansatz growth driven by pool gradients.
 
-Each iteration measures g_i = <psi|[H, A_i]|psi> for every pool operator;
+Each iteration measures g_i = <psi|[H, A_i]|psi> for every pool operator
+in one ``PreparedState.expect_commutators([H], pool)`` call (two inner
+products each in exact mode, the built commutator in sampled mode);
 if ||g|| clears the threshold, the operator with the largest |g_i| is
 appended (new parameter at zero) and the whole parameter vector is
 re-optimized with the VQE sub-algorithm.
@@ -13,7 +15,6 @@ from ..ansatz import build_pool, exp_pauli, reference_circuit
 from ..backend import AcceleratorBuffer, expectation, qalloc
 from ..errors import AlgorithmError
 from ..ir import CompositeInstruction, Parameter, create_composite, evaluate
-from ..pauli import commutator
 from .base import Algorithm
 from .vqe import VQE
 
@@ -57,7 +58,7 @@ class AdaptVQE(Algorithm):
             raise AlgorithmError(f"pool '{pool_name}' is empty for this system")
         max_iter = self.options.get_or("max-iter", "int", len(pool))
 
-        commutators = [commutator(observable, op) for _, op in pool.elements]
+        generators = [op for _, op in pool.elements]
         reference = reference_circuit(n_electrons, n_qubits)
 
         chosen: list[tuple[str, object]] = []
@@ -68,7 +69,7 @@ class AdaptVQE(Algorithm):
         while True:
             ansatz = self._symbolic_ansatz(reference, chosen)
             state = accelerator.prepare(evaluate(ansatz, params), n_qubits)
-            gradients = np.array([state.expect(c).real for c in commutators])
+            gradients = state.expect_commutators([observable], generators)[0].real
             norm = float(np.linalg.norm(gradients))
             gradient_norms.append(norm)
             if norm < threshold or len(chosen) >= max_iter:

@@ -7,8 +7,13 @@ excitation/de-excitation manifold.  The commutator matrix elements
     M_uv = <[O_u†, [H, O_v ]]>      Q_uv = -<[O_u†, [H, O_v†]]>
     V_uv = <[O_u†, O_v ]>           W_uv = -<[O_u†, O_v†]>
 
-are each measured as Pauli expectations and assembled into the response
-pencil
+are read in one ``PreparedState.expect_commutators`` call, with the
+adjoints O_u† as lefts and, per v, the rights [H, O_v], [H, O_v†], O_v
+and O_v† interleaved (columns 0::4 to 3::4).  Exact mode takes each
+element as two inner products of vectors applied to the cached state and
+builds only the 2 dim commutators with H; sampled mode measures every
+double commutator in the order of the (u, v) loop.  They are assembled
+into the response pencil
 
     [[M, Q], [Q*, M*]] x = E [[V, W], [-W*, -V*]] x
 
@@ -16,13 +21,20 @@ whose positive roots are the excitation energies.  De-excitation blocks
 are kept because dropping them biases the energies whenever O_u†|psi>
 does not annihilate (the single-block double-commutator pencil is
 measurably off even at the exact ground state).
+
+The metric B is solved only on eigen-directions with |lambda| above the
+overlap threshold; the rest (excitations that annihilate the state both
+ways) are counted in ``qeom-dropped-directions``.  If the kept |lambda|
+span more than ``MAX_METRIC_CONDITION`` (``qeom-metric-condition``), the
+state leaves some excitations nearly dependent and QEOM raises
+``AlgorithmError`` instead of returning roots.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..ansatz import excitation_label
-from ..backend import AcceleratorBuffer
+from ..backend import AcceleratorBuffer, PreparedState
 from ..errors import AlgorithmError
 from ..fermion import (
     double_excitations,
@@ -35,6 +47,9 @@ from ..pauli import PauliOperator, commutator
 from .base import Algorithm
 
 _POSITIVE_ROOT_CUTOFF = 1e-8
+# Largest max/min ratio of the kept metric eigenvalues |lambda| that QEOM
+# solves: a root moves by about this ratio times the elements' error.
+MAX_METRIC_CONDITION = 1e6
 
 
 def excitation_basis(n_electrons: int, n_qubits: int) -> list[tuple[str, PauliOperator]]:
@@ -52,23 +67,15 @@ def excitation_basis(n_electrons: int, n_qubits: int) -> list[tuple[str, PauliOp
 def eom_pencil(
     observable: PauliOperator,
     operators: list[PauliOperator],
-    state_expectation,
+    state: PreparedState,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the (Hermitized) doubled response pencil (A, B)."""
-    dim = len(operators)
-    m = np.zeros((dim, dim), dtype=complex)
-    q = np.zeros((dim, dim), dtype=complex)
-    v = np.zeros((dim, dim), dtype=complex)
-    w = np.zeros((dim, dim), dtype=complex)
     daggers = [op.dagger() for op in operators]
-    h_comms = [commutator(observable, op) for op in operators]
-    h_comms_dag = [commutator(observable, op) for op in daggers]
-    for i in range(dim):
-        for j in range(dim):
-            m[i, j] = state_expectation(commutator(daggers[i], h_comms[j]))
-            q[i, j] = -state_expectation(commutator(daggers[i], h_comms_dag[j]))
-            v[i, j] = state_expectation(commutator(daggers[i], operators[j]))
-            w[i, j] = -state_expectation(commutator(daggers[i], daggers[j]))
+    rights = []
+    for op, dagger in zip(operators, daggers):
+        rights += [commutator(observable, op), commutator(observable, dagger), op, dagger]
+    values = state.expect_commutators(daggers, rights)
+    m, q, v, w = values[:, 0::4], -values[:, 1::4], values[:, 2::4], -values[:, 3::4]
     a = np.block([[m, q], [q.conj(), m.conj()]])
     b = np.block([[v, w], [-w.conj(), -v.conj()]])
     a = 0.5 * (a + a.conj().T)
@@ -104,9 +111,20 @@ class QEOM(Algorithm):
             )
 
         state = accelerator.prepare(ansatz, n_qubits)
-        a, b = eom_pencil(observable, [op for _, op in basis], state.expect)
-        if np.abs(b).max(initial=0.0) < threshold:
+        a, b = eom_pencil(observable, [op for _, op in basis], state)
+        metric = np.abs(np.linalg.eigvalsh(b))
+        kept = metric[metric > threshold]
+        if not kept.size:
             raise AlgorithmError("all-singular overlap matrix; basis is dead")
+        condition = float(kept.max() / kept.min())
+        buffer.metadata.insert("qeom-metric-condition", condition)
+        buffer.metadata.insert("qeom-dropped-directions", int(metric.size - kept.size))
+        if condition > MAX_METRIC_CONDITION:
+            raise AlgorithmError(
+                f"ill-conditioned metric: kept |eigenvalues| span {condition:.3g} "
+                f"(limit {MAX_METRIC_CONDITION:.0e}); the state leaves some "
+                "excitations nearly dependent, so the roots would be noise"
+            )
         values, rank = indefinite_generalized_eig(a, b, threshold)
         excitations = [float(e) for e in values if e > _POSITIVE_ROOT_CUTOFF]
 

@@ -18,6 +18,15 @@ the ``pauli.observe`` circuit sees parity +1 with probability
 (1 + <P>)/2, so k ~ Binomial(shots, (1 + <P>)/2) is drawn with <P> read
 from the cached vector, and the string's estimate is (2k - shots)/shots.
 
+Commutators without products: ``expect_commutators(lefts, rights)`` is
+the matrix of <[L_i, R_j]>.  It checks every operator's width before
+building a vector or drawing.  Exact mode builds no product operator: it
+applies each L and L^dag to the cached vector once, streams the rights
+one at a time, and takes <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi>,
+so memory grows with the number of lefts times 2^n.  Sampled mode takes
+``expect(commutator(L_i, R_j))`` in row-major order, drawing exactly as
+that nested loop would.
+
 One pass per Pauli rotation: a simulation walks the circuit tree once,
 checking it whole before touching an amplitude, and stops at each
 ``ir.PauliRotation`` node.  It applies that node as
@@ -35,7 +44,13 @@ import numpy as np
 
 from .errors import BackendError
 from .ir import CompositeInstruction, Instruction, PauliRotation, gate_matrix
-from .pauli import PauliOperator, PauliTerm, expectation_from_counts, multiply
+from .pauli import (
+    PauliOperator,
+    PauliTerm,
+    commutator,
+    expectation_from_counts,
+    multiply,
+)
 from .registry import HeterogeneousMap, as_het_map
 
 MAX_QUBITS = 20
@@ -209,6 +224,30 @@ class PreparedState:
             total += coefficient * (2 * hits - shots) / shots
         return total
 
+    def expect_commutators(
+        self, lefts: Sequence[PauliOperator], rights: Sequence[PauliOperator]
+    ) -> np.ndarray:
+        """The matrix of <psi|[L_i, R_j]|psi>, every operator's width checked first."""
+        n = self.n_qubits
+        for op in (*lefts, *rights):
+            _check_width(op, n)
+        out = np.empty((len(lefts), len(rights)), dtype=complex)
+        if self.accelerator.config.shots:
+            for i, a in enumerate(lefts):
+                for j, b in enumerate(rights):
+                    out[i, j] = self.expect(commutator(a, b))
+            return out
+        # <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi>
+        psi = self._amplitudes
+        bras = np.empty((len(lefts), psi.size), dtype=complex)
+        kets = np.empty_like(bras)
+        for i, a in enumerate(lefts):
+            bras[i] = apply_pauli(a.dagger(), psi).conj()
+            kets[i] = apply_pauli(a, psi)
+        for j, b in enumerate(rights):
+            out[:, j] = bras @ apply_pauli(b, psi) - kets @ apply_pauli(b.dagger(), psi).conj()
+        return out
+
     def evolve(self, block: CompositeInstruction) -> "PreparedState":
         """The state after ``block``, which ``prepare``'s checks must pass."""
         steps, _ = _plan(block, self.n_qubits)
@@ -363,15 +402,19 @@ def statevector(circuit: CompositeInstruction, n: int) -> np.ndarray:
     return state.reshape(-1)
 
 
+def _check_width(op: PauliOperator, n: int) -> None:
+    if op.n_qubits() > n:
+        raise BackendError(
+            f"operator touches qubit {op.n_qubits() - 1} but the prepared register has {n}"
+        )
+
+
 def _strings(op: PauliOperator, n: int):
     """Each ((x, z), c) of ``op.masks()`` as ((x, z), c, source, odd, phase):
     the unit string adds phase (-1)^odd[j] psi[source[j]] to amplitude j, with
     source = j ^ X, odd = popcount(source & Z) & 1 and phase = i^|x&z| (X, Z:
     x, z bit-reversed; qubit q is index bit n-1-q).  A too-wide op raises first."""
-    if op.n_qubits() > n:
-        raise BackendError(
-            f"operator touches qubit {op.n_qubits() - 1} but the prepared register has {n}"
-        )
+    _check_width(op, n)
     index = np.arange(1 << n)
     for (x, z), coefficient in op.masks():
         source = index ^ int(format(x, f"0{n}b")[::-1], 2)

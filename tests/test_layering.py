@@ -9,7 +9,10 @@ nor ``optim.py`` may read ``.config`` or ``.shots``.  Every module under
 ``src/qcsim`` is parsed too: only ``pauli.py`` may read ``._terms``, and
 only ``backend.py`` may read ``.pauli`` (``ir.PauliRotation`` stores it),
 so the one-pass rotation stays the simulator's one path.  ``ir.py`` must
-not import ``pauli``, which imports ``ir``.
+not import ``pauli``, which imports ``ir``.  No call in an algorithm module
+takes a ``commutator(...)`` call as an argument, and ``adapt.py`` does not
+import ``commutator``: commutator expectations are read through
+``PreparedState.expect_commutators``, which in exact mode builds no product.
 """
 import ast
 from pathlib import Path
@@ -114,3 +117,35 @@ def test_ir_does_not_import_pauli():
         for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
     ]
     assert not any(name.split(".")[-1] == "pauli" for name in imported)
+
+
+def _calls_named(node, name):
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_commutator_is_built_to_be_measured(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and any(
+            _calls_named(argument, "commutator")
+            for argument in [*node.args, *(keyword.value for keyword in node.keywords)]
+        )
+    ] == []
+
+
+def test_adapt_does_not_import_commutator():
+    tree = ast.parse((ALGORITHMS / "adapt.py").read_text(encoding="utf-8"))
+    assert [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.split(".")[-1] == "commutator"
+    ] == []

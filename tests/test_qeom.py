@@ -1,0 +1,239 @@
+"""QEOM and the commutator expectations it reads.
+
+``PreparedState.expect_commutators`` is checked against ``expect`` of the
+built commutator and against dense ``to_matrix`` commutators (exact), and
+against the nested ``expect(commutator)`` loop value for value (sampled).
+QEOM itself is checked on the Hubbard dimer against sector exact
+diagonalization in the orbital basis, must refuse the site-basis state
+whose metric is ill-conditioned, and builds only the H commutators in
+exact mode.
+"""
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import qcsim
+from qcsim import backend, pauli
+from qcsim.algorithms import qeom
+from qcsim.errors import AlgorithmError, BackendError
+from qcsim.ir import create_composite, create_instruction
+
+DIMER_PATH = Path(__file__).resolve().parents[1] / "data" / "hubbard_dimer.ham"
+
+
+def _accelerator(shots=0, seed=0):
+    return qcsim.get_accelerator("statevector", {"shots": shots, "seed": seed})
+
+
+@st.composite
+def commutator_cases(draw):
+    """A random Rx/Ry/CNOT state on 1-4 qubits and 1-3 random complex
+    operators on each side of the commutator."""
+    n_qubits = draw(st.integers(1, 4))
+    circuit = create_composite("random")
+    for _ in range(draw(st.integers(0, 10))):
+        gate = draw(st.sampled_from(["Rx", "Ry", "CNOT"]))
+        if gate == "CNOT":
+            if n_qubits > 1:
+                circuit.add(create_instruction("CNOT", draw(st.permutations(range(n_qubits)))[:2]))
+        else:
+            qubit = draw(st.integers(0, n_qubits - 1))
+            circuit.add(create_instruction(gate, [qubit], [draw(st.floats(-np.pi, np.pi))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operators():
+        return [
+            pauli.random_operator(rng, n_qubits, draw(st.integers(1, 6)), complex_coeffs=True)
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+
+    return n_qubits, circuit, operators(), operators()
+
+
+@given(commutator_cases())
+def test_exact_matches_built_commutators_and_dense_matrices(case):
+    n, circuit, lefts, rights = case
+    state = _accelerator().prepare(circuit, n)
+    got = state.expect_commutators(lefts, rights)
+    assert got.shape == (len(lefts), len(rights))
+    psi = backend.statevector(circuit, n)
+    for i, left in enumerate(lefts):
+        a = pauli.to_matrix(left, n)
+        for j, right in enumerate(rights):
+            b = pauli.to_matrix(right, n)
+            dense = np.vdot(psi, (a @ b - b @ a) @ psi)
+            assert abs(got[i, j] - state.expect(pauli.commutator(left, right))) <= 1e-12
+            assert abs(got[i, j] - dense) <= 1e-12
+
+
+def _operators(n_qubits, count, seed):
+    rng = np.random.default_rng(seed)
+    return [pauli.random_operator(rng, n_qubits, 4, complex_coeffs=True) for _ in range(count)]
+
+
+def _entangled(n_qubits):
+    circuit = create_composite("entangled")
+    for q in range(n_qubits):
+        circuit.add(create_instruction("Ry", [q], [0.3 + 0.4 * q]))
+    for q in range(n_qubits - 1):
+        circuit.add(create_instruction("CNOT", [q, q + 1]))
+    return circuit
+
+
+def test_sampled_values_follow_the_nested_expect_loop():
+    lefts, rights = _operators(3, 3, seed=1), _operators(3, 4, seed=2)
+    got = _accelerator(500, seed=11).prepare(_entangled(3), 3).expect_commutators(lefts, rights)
+    reference = _accelerator(500, seed=11).prepare(_entangled(3), 3)
+    want = [[reference.expect(pauli.commutator(a, b)) for b in rights] for a in lefts]
+    assert got.tolist() == want
+
+
+def _basis(n_electrons, n_qubits):
+    return [op for _, op in qeom.excitation_basis(n_electrons, n_qubits)]
+
+
+def test_sampled_pencil_draws_in_the_nested_loop_order(hubbard_dimer):
+    """Seeded sampled QEOM measures every element exactly as the loop
+    over (i, j) and then M, Q, V, W did, with the same draws."""
+    operators = _basis(2, 4)
+    daggers = [op.dagger() for op in operators]
+    got = qeom.eom_pencil(
+        hubbard_dimer, operators, _accelerator(500, seed=5).prepare(_entangled(4), 4)
+    )
+    state = _accelerator(500, seed=5).prepare(_entangled(4), 4)
+    dim = len(operators)
+    m, q, v, w = (np.zeros((dim, dim), dtype=complex) for _ in range(4))
+    for i in range(dim):
+        for j in range(dim):
+            h_op = pauli.commutator(hubbard_dimer, operators[j])
+            h_dagger = pauli.commutator(hubbard_dimer, daggers[j])
+            m[i, j] = state.expect(pauli.commutator(daggers[i], h_op))
+            q[i, j] = -state.expect(pauli.commutator(daggers[i], h_dagger))
+            v[i, j] = state.expect(pauli.commutator(daggers[i], operators[j]))
+            w[i, j] = -state.expect(pauli.commutator(daggers[i], daggers[j]))
+    a = np.block([[m, q], [q.conj(), m.conj()]])
+    b = np.block([[v, w], [-w.conj(), -v.conj()]])
+    assert np.array_equal(got[0], 0.5 * (a + a.conj().T))
+    assert np.array_equal(got[1], 0.5 * (b + b.conj().T))
+
+
+@pytest.mark.parametrize("shots", [0, 100])
+def test_a_too_wide_operator_raises_before_any_vector_or_draw(shots):
+    accelerator = _accelerator(shots, seed=3)
+    state = accelerator.prepare(_entangled(2), 2)
+    before = accelerator._rng.bit_generator.state
+    lefts = [pauli.PauliOperator({0: "Z"}), pauli.PauliOperator({1: "X"})]
+    rights = [pauli.PauliOperator({0: "X"}), pauli.PauliOperator({2: "Y"})]
+    with mock.patch.object(backend, "apply_pauli") as vectors:
+        with pytest.raises(BackendError, match="touches qubit 2"):
+            state.expect_commutators(lefts, rights)
+    assert vectors.call_count == 0
+    assert accelerator._rng.bit_generator.state == before
+
+
+def _qeom(observable, ansatz, n_electrons=2):
+    algorithm = qcsim.get_algorithm(
+        "qeom",
+        {
+            "observable": observable,
+            "accelerator": _accelerator(),
+            "ansatz": ansatz,
+            "n-electrons": n_electrons,
+        },
+    )
+    buffer = qcsim.qalloc(observable.n_qubits())
+    return algorithm, buffer
+
+
+def _vqe_state(observable):
+    """The Nelder-Mead UCCSD(2,4)-VQE state from all-zero parameters."""
+    circuit = qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4))
+    vqe = qcsim.get_algorithm(
+        "vqe",
+        {
+            "ansatz": circuit,
+            "optimizer": qcsim.get_optimizer(
+                "nelder-mead", {"tolerance": 1e-14, "max-iterations": 2000}
+            ),
+            "observable": observable,
+            "accelerator": _accelerator(),
+        },
+    )
+    buffer = qcsim.qalloc(4)
+    vqe.execute(buffer)
+    return qcsim.evaluate(circuit, list(buffer["opt-params"])), buffer["opt-val"]
+
+
+def test_orbital_basis_dimer_roots_match_the_spectrum(hubbard_dimer_mo, sector_eigh):
+    state, energy = _vqe_state(hubbard_dimer_mo)
+    spectrum = sector_eigh(hubbard_dimer_mo, 4, 2, sz=None)[0]
+    assert energy == pytest.approx(spectrum[0], abs=1e-6)
+    algorithm, buffer = _qeom(hubbard_dimer_mo, state)
+    algorithm.execute(buffer)
+    # the triplet three times, then the two singlets
+    expected = [0.828427, 0.828427, 0.828427, 4.828427, 5.656854]
+    assert np.allclose(spectrum[1:] - spectrum[0], expected, atol=1e-6)
+    assert buffer["excitation-energies"] == pytest.approx(spectrum[1:] - spectrum[0], abs=1e-6)
+    assert buffer["qeom-metric-condition"] == pytest.approx(1.0, abs=1e-6)
+    assert buffer["qeom-dropped-directions"] == 0
+
+
+def test_site_basis_dimer_state_has_an_ill_conditioned_metric():
+    """UCCSD-VQE in the site basis stops at -0.5 Ha, where some excitations
+    are nearly dependent: the kept metric eigenvalues span ~7e8 and the
+    roots the pencil gives (215 and 430 Ha) are noise."""
+    site = pauli.load_hamiltonian(str(DIMER_PATH))
+    state, energy = _vqe_state(site)
+    assert energy == pytest.approx(-0.5, abs=1e-6)
+    algorithm, buffer = _qeom(site, state)
+    with pytest.raises(AlgorithmError, match="ill-conditioned metric"):
+        algorithm.execute(buffer)
+    assert buffer["qeom-metric-condition"] > qeom.MAX_METRIC_CONDITION
+    assert "excitation-energies" not in buffer
+
+
+def test_excitations_that_annihilate_the_state_are_dropped_and_counted(hubbard_dimer_mo):
+    """From |1000> only the two singles out of qubit 0 act on the state;
+    the other three excitations vanish in both directions, which drops
+    six of the ten doubled directions, and the rest are a clean +/-1."""
+    reference = create_composite("one_electron")
+    reference.add(create_instruction("X", [0]))
+    algorithm, buffer = _qeom(hubbard_dimer_mo, reference)
+    algorithm.execute(buffer)
+    assert buffer["qeom-dropped-directions"] == 6
+    assert buffer["qeom-matrix-rank"] == 4
+    assert buffer["qeom-metric-condition"] == pytest.approx(1.0)
+
+
+def _hubbard_chain(sites, onsite_u=4.0):
+    ladder = qcsim.FermionOperator.ladder
+    model = qcsim.FermionOperator()
+    for spin in range(2):
+        for i in range(sites - 1):
+            a, b = spin * sites + i, spin * sites + i + 1
+            model = model + ladder([(a, True), (b, False)], -1.0)
+            model = model + ladder([(b, True), (a, False)], -1.0)
+    for i in range(sites):
+        model = model + ladder([(i, True), (i, False), (sites + i, True), (sites + i, False)], onsite_u)
+    return qcsim.jordan_wigner(model, 2 * sites)
+
+
+def test_exact_pencil_builds_only_the_h_commutators(monkeypatch):
+    """On a 3-site chain the exact pencil multiplies Pauli sums only for
+    [H, O_v] and [H, O_v^dag]: 2 products each, 4 dim in all."""
+    chain = _hubbard_chain(3)
+    operators = _basis(2, 6)
+    reference = create_composite("reference")
+    for q in (0, 3):
+        reference.add(create_instruction("X", [q]))
+    state = _accelerator().prepare(reference, 6)
+    calls = []
+    multiply = pauli.multiply
+    monkeypatch.setattr(pauli, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    qeom.eom_pencil(chain, operators, state)
+    assert len(operators) == 14
+    assert len(calls) <= 2 * (2 * len(operators))
