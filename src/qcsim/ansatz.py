@@ -1,13 +1,13 @@
 """Circuit generators: Hartree-Fock prep, Pauli-string exponentials,
 first-order Trotterized UCCSD, and operator pools for adaptive ansatze.
 
-``exp_pauli`` emits one ``ir.PauliRotation`` node per generator term,
-whose leaves are that term's gate sequence (basis changes, CNOT ladder,
-Rz, mirror); the node also carries the term's unit Pauli string, so the
-simulator can apply it in one pass.  Every other generator emits leaf
-instructions only.  UCCSD and adaptive ansatze splice those rotation
-nodes into one composite, so their leaves, and hence their kernel text,
-are the gate sequences and round-trip through the kernel serializer.
+``exp_pauli`` emits one ``ir.PauliRotation`` value per generator term,
+its unit Pauli string and angle; the simulator applies it in one pass,
+and every reader of gates gets the term's gate sequence (basis changes,
+CNOT ladder, Rz, mirror), which the node derives on each read.  Every
+other generator emits gates only.  UCCSD and adaptive ansatze splice
+those rotation nodes into one composite, so their instructions, and
+hence their kernel text, round-trip through the kernel serializer.
 """
 from __future__ import annotations
 
@@ -104,41 +104,22 @@ def exp_pauli(
     """First-order product circuit for exp(angle * generator).
 
     The generator must be anti-Hermitian, written as sum_k i c_k P_k with
-    real c_k.  Each term becomes one ``PauliRotation`` child about P_k,
-    R_{P_k}(-2 c_k angle), lowered to basis changes into Z, a CNOT parity
-    ladder onto its highest support qubit, Rz(-2 c_k angle) and the mirror.
-    Terms are laid down in canonical (sorted Pauli string) order; identity
-    terms only shift global phase and emit nothing.
+    real c_k.  Each term becomes one ``PauliRotation`` child, the value
+    (P_k, -2 c_k angle) for R_{P_k}(-2 c_k angle); no gate is built here,
+    the node lowers itself when its instructions are read.  Terms are laid
+    down in canonical (sorted Pauli string) order; identity terms only
+    shift global phase and emit nothing.
     """
     angle = as_parameter(angle)
     circuit = create_composite("exp_pauli")
     for ops, c in _validate_anti_hermitian(generator):
         if not ops:
             continue
-        qubits = [q for q, _ in ops]
         if angle.is_symbolic:
-            rz_param = Parameter.symbolic(angle.var, angle.scale * (-2.0 * c))
+            theta = Parameter.symbolic(angle.var, angle.scale * (-2.0 * c))
         else:
-            rz_param = Parameter.concrete(-2.0 * c * angle.value)
-        gates = []
-        for q, letter in ops:
-            if letter == "X":
-                gates.append(create_instruction("H", [q]))
-            elif letter == "Y":
-                gates.append(create_instruction("Sdg", [q]))
-                gates.append(create_instruction("H", [q]))
-        for lo, hi in zip(qubits, qubits[1:]):
-            gates.append(create_instruction("CNOT", [lo, hi]))
-        gates.append(create_instruction("Rz", [qubits[-1]], [rz_param]))
-        for lo, hi in reversed(list(zip(qubits, qubits[1:]))):
-            gates.append(create_instruction("CNOT", [lo, hi]))
-        for q, letter in reversed(ops):
-            if letter == "X":
-                gates.append(create_instruction("H", [q]))
-            elif letter == "Y":
-                gates.append(create_instruction("H", [q]))
-                gates.append(create_instruction("S", [q]))
-        circuit.add(PauliRotation(PauliOperator.from_terms({ops: 1.0}), gates))
+            theta = Parameter.concrete(-2.0 * c * angle.value)
+        circuit.add(PauliRotation(ops, PauliOperator.from_terms({ops: 1.0}), (theta,)))
     return circuit
 
 

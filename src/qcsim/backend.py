@@ -27,12 +27,13 @@ so memory grows with the number of lefts times 2^n.  Sampled mode takes
 ``expect(commutator(L_i, R_j))`` in row-major order, drawing exactly as
 that nested loop would.
 
-One pass per Pauli rotation: a simulation walks the circuit tree once,
-checking it whole before touching an amplitude, and stops at each
-``ir.PauliRotation`` node.  It applies that node as
+One pass per Pauli rotation: a simulation walks the circuit's leaves
+once, checking them whole before touching an amplitude.  Each
+``ir.PauliRotation`` leaf is applied as
 psi <- cos(theta/2) psi - i sin(theta/2) P psi, with P the node's unit
 string (through the same XOR/sign generator as ``apply_pauli``) and theta
-read from the node's Rz child; every other leaf is one ``_apply_gate``.
+its one parameter, a field of the node; its gate lowering is never built.
+Every other leaf is one gate, one ``_apply_gate``.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BackendError
-from .ir import CompositeInstruction, Instruction, PauliRotation, gate_matrix
+from .ir import CompositeInstruction, PauliRotation, gate_matrix
 from .pauli import (
     PauliOperator,
     PauliTerm,
@@ -275,15 +276,6 @@ class PreparedState:
         return moments
 
 
-def _steps(circuit: CompositeInstruction):
-    """Leaves of the tree in source order, each PauliRotation as one step."""
-    for child in circuit.children:
-        if isinstance(child, (Instruction, PauliRotation)):
-            yield child
-        else:
-            yield from _steps(child)
-
-
 def _plan(
     circuit: CompositeInstruction, n: int, measure: bool = False
 ) -> tuple[list, list[int]]:
@@ -304,7 +296,7 @@ def _plan(
         raise BackendError(f"statevector capped at {MAX_QUBITS} qubits, got {n}")
     steps: list = []
     measured: list[int] = []
-    for step in _steps(circuit):
+    for step in circuit.leaves():
         if max(step.qubits) >= n:
             raise BackendError(
                 f"circuit '{circuit.name}' touches qubit {max(step.qubits)} "

@@ -1,17 +1,19 @@
 """Polymorphic circuit intermediate representation.
 
-Instructions are concrete gates; CompositeInstruction is an n-ary tree
-whose leaves are instructions.  A PauliRotation is a composite that also
-names the Pauli string its gates rotate about.  Rotation parameters are
-either concrete reals (radians) or symbolic linear forms ``scale * var``.
+A circuit is a tree of three node kinds: ``Instruction`` (one gate) and
+``PauliRotation`` (R_P(theta), stored as P and theta) are immutable leaves,
+and ``CompositeInstruction`` is a named n-ary tree over them.  Every node
+answers ``instructions()``, its gates in source order; a rotation derives
+its lowering (basis changes, CNOT ladder, Rz, mirror) on each read.
+``leaves()`` yields the stored nodes, one simulator step each.  Parameters
+are concrete reals (radians) or symbolic linear forms ``scale * var``.
 
 Rotation convention: R_P(theta) = exp(-i * theta * P / 2).
 """
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -36,6 +38,11 @@ GATE_TABLE: dict[str, tuple[int, int]] = {
     "Swap": (2, 0),
     "Measure": (1, 0),
 }
+
+# Pauli letter -> the one-qubit gates that rotate its eigenbasis into Z's,
+# and back out of it
+INTO_Z = {"X": ("H",), "Y": ("Sdg", "H")}
+OUT_OF_Z = {"X": ("H",), "Y": ("H", "S")}
 
 
 @dataclass(frozen=True)
@@ -85,17 +92,34 @@ def as_parameter(p: "Parameter | float | int | str") -> Parameter:
     return Parameter.concrete(float(p))
 
 
+class _Leaf:
+    """What a gate and a rotation share: ``qubits`` and ``parameters``."""
+
+    @property
+    def is_concrete(self) -> bool:
+        return all(not p.is_symbolic for p in self.parameters)
+
+    @property
+    def variables(self) -> list[str]:
+        return [p.var for p in self.parameters if p.is_symbolic]
+
+    def leaves(self) -> Iterator["_Leaf"]:
+        yield self
+
+    def max_qubit(self) -> int:
+        return max(self.qubits)
+
+
 @dataclass(frozen=True)
-class Instruction:
+class Instruction(_Leaf):
     """A single gate acting on an ordered list of qubits."""
 
     name: str
     qubits: tuple[int, ...]
     parameters: tuple[Parameter, ...] = ()
 
-    @property
-    def is_concrete(self) -> bool:
-        return all(not p.is_symbolic for p in self.parameters)
+    def instructions(self) -> Iterator["Instruction"]:
+        yield self
 
     def __str__(self) -> str:
         args = ", ".join(f"q[{q}]" for q in self.qubits)
@@ -131,28 +155,30 @@ class CompositeInstruction:
 
     def __init__(self, name: str):
         self.name = name
-        self.children: list[Instruction | CompositeInstruction] = []
+        self.children: list[Node] = []
         self.variables: list[str] = []
 
-    def add(self, node: "Instruction | CompositeInstruction") -> "CompositeInstruction":
+    def add(self, node: Node) -> CompositeInstruction:
         self.children.append(node)
-        for var in _node_variables(node):
+        for var in node.variables:
             if var not in self.variables:
                 self.variables.append(var)
         return self
 
-    def add_all(self, nodes: Iterable["Instruction | CompositeInstruction"]) -> "CompositeInstruction":
+    def add_all(self, nodes: Iterable[Node]) -> CompositeInstruction:
         for node in nodes:
             self.add(node)
         return self
 
     def instructions(self) -> Iterator[Instruction]:
-        """Leaves of the tree in depth-first (source) order."""
+        """Gates of the tree in depth-first (source) order."""
         for child in self.children:
-            if isinstance(child, Instruction):
-                yield child
-            else:
-                yield from child.instructions()
+            yield from child.instructions()
+
+    def leaves(self) -> Iterator[Instruction | PauliRotation]:
+        """Stored gates and rotations in depth-first (source) order."""
+        for child in self.children:
+            yield from child.leaves()
 
     @property
     def is_concrete(self) -> bool:
@@ -162,13 +188,7 @@ class CompositeInstruction:
         return sum(1 for _ in self.instructions())
 
     def max_qubit(self) -> int:
-        return max(
-            (
-                max(child.qubits) if isinstance(child, Instruction) else child.max_qubit()
-                for child in self.children
-            ),
-            default=-1,
-        )
+        return max((child.max_qubit() for child in self.children), default=-1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompositeInstruction):
@@ -186,38 +206,51 @@ class CompositeInstruction:
         )
 
 
-class PauliRotation(CompositeInstruction):
+@dataclass(frozen=True)
+class PauliRotation(_Leaf):
     """R_P(theta) = exp(-i theta P / 2) for one unit Pauli string P.
 
-    The children are the gates ``ansatz.exp_pauli`` lowers one term to:
-    basis changes into Z, a CNOT ladder onto the highest support qubit,
-    Rz(theta) there, and the mirror image.  Every reader of the leaves
-    (``instructions``, ``pretty_print``, ``depth``, the kernel text) sees
-    those gates.  ``pauli`` holds P as a one-term operator; ir treats it as
-    opaque (``pauli`` imports ir), and only the simulator reads it, to apply
-    the node in one pass with theta read from the Rz child.  ``qubits`` is
-    the support of P in ascending order.
+    ``ops`` is P's (qubit, letter) pairs in ascending qubit order, ``pauli``
+    is P as a one-term operator and ``parameters`` is (theta,).  ir treats
+    ``pauli`` as opaque (``pauli`` imports ir); only the simulator reads
+    it, to apply the node in one pass.  ``instructions()`` lowers the node
+    on each read: basis changes into Z, a CNOT ladder onto the highest
+    support qubit, Rz(theta) there, and the mirror image.  Every reader of
+    gates (``pretty_print``, ``depth``, ``count_gates``, the kernel text)
+    sees that sequence.
     """
 
-    def __init__(self, pauli, gates: Iterable[Instruction]):
-        super().__init__("pauli_rotation")
-        self.pauli = pauli
-        self.add_all(gates)
-        self.qubits = tuple(sorted({q for gate in self.children for q in gate.qubits}))
+    ops: tuple[tuple[int, str], ...]
+    pauli: object
+    parameters: tuple[Parameter]
+
+    name = "pauli_rotation"
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return tuple(q for q, _ in self.ops)
 
     @property
     def angle(self) -> Parameter:
-        """theta, the parameter of the Rz child."""
-        return next(gate for gate in self.children if gate.name == "Rz").parameters[0]
+        return self.parameters[0]
 
-    def max_qubit(self) -> int:
-        return self.qubits[-1]
+    def instructions(self) -> Iterator[Instruction]:
+        qubits = self.qubits
+        ladder = list(zip(qubits, qubits[1:]))
+        for q, letter in self.ops:
+            for gate in INTO_Z.get(letter, ()):
+                yield Instruction(gate, (q,))
+        for pair in ladder:
+            yield Instruction("CNOT", pair)
+        yield Instruction("Rz", (qubits[-1],), self.parameters)
+        for pair in reversed(ladder):
+            yield Instruction("CNOT", pair)
+        for q, letter in reversed(self.ops):
+            for gate in OUT_OF_Z.get(letter, ()):
+                yield Instruction(gate, (q,))
 
 
-def _node_variables(node: Instruction | CompositeInstruction) -> list[str]:
-    if isinstance(node, Instruction):
-        return [p.var for p in node.parameters if p.is_symbolic]
-    return list(node.variables)
+Node = Union[Instruction, PauliRotation, CompositeInstruction]
 
 
 def create_composite(name: str) -> CompositeInstruction:
@@ -225,7 +258,8 @@ def create_composite(name: str) -> CompositeInstruction:
 
 
 def evaluate(circuit: CompositeInstruction, values: Iterable[float]) -> CompositeInstruction:
-    """Deep copy with every symbolic parameter bound to its numeric value."""
+    """Copy of the tree with every symbolic parameter bound to its numeric
+    value; concrete leaves are immutable and shared with ``circuit``."""
     values = [float(v) for v in values]
     if len(values) != len(circuit.variables):
         raise IRError(
@@ -236,23 +270,17 @@ def evaluate(circuit: CompositeInstruction, values: Iterable[float]) -> Composit
     return _bind(circuit, binding)
 
 
-def _bind(circuit: CompositeInstruction, binding: dict[str, float]) -> CompositeInstruction:
-    # a shallow copy keeps the node's type and attributes (a PauliRotation's P)
-    out = copy.copy(circuit)
-    out.children, out.variables = [], []
-    for child in circuit.children:
-        if isinstance(child, Instruction):
-            if child.is_concrete:
-                out.add(child)
-            else:
-                params = tuple(
-                    p if not p.is_symbolic else Parameter.concrete(p.evaluate(binding))
-                    for p in child.parameters
-                )
-                out.add(Instruction(child.name, child.qubits, params))
-        else:
-            out.add(_bind(child, binding))
-    return out
+def _bind(node: Node, binding: dict[str, float]) -> Node:
+    if isinstance(node, CompositeInstruction):
+        out = CompositeInstruction(node.name)
+        out.children = [_bind(child, binding) for child in node.children]
+        return out
+    if node.is_concrete:
+        return node
+    return replace(
+        node,
+        parameters=tuple(Parameter.concrete(p.evaluate(binding)) for p in node.parameters),
+    )
 
 
 def depth(circuit: CompositeInstruction) -> int:

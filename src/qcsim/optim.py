@@ -6,16 +6,15 @@ each energy through ``backend.expectation`` on a bound circuit.
 """
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .backend import StatevectorAccelerator, expectation
 from .errors import OptimizationError
-from .ir import CompositeInstruction, Instruction, Parameter, evaluate
+from .ir import CompositeInstruction, Parameter, evaluate
 from .pauli import PauliOperator
 from .registry import HeterogeneousMap, as_het_map
 
@@ -221,8 +220,8 @@ def evaluate_gradient(
     +-pi/2, which is exact for R_P(theta) = exp(-i theta P / 2); a gate
     whose angle is ``scale * var`` adds scale * (E+ - E-) / 2 to var's
     entry (chain rule), so a variable driving several gates sums them.
-    The shifted gate is replaced inside the bound tree, so every node
-    keeps its type and a Pauli rotation is still simulated in one pass.
+    The shifted leaf is replaced inside the bound tree, so a Pauli
+    rotation shifts its own theta and is still simulated in one pass.
     """
     if strategy not in GRADIENT_STRATEGIES:
         raise ValueError(
@@ -270,8 +269,8 @@ def evaluate_gradient(
 
 
 def _symbolic_gates(symbolic: CompositeInstruction, bound: CompositeInstruction, path=()):
-    """(path, parameter, bound gate) for each symbolic gate in source order;
-    ``path`` is the child indices that lead to the gate in both trees."""
+    """(path, parameter, bound leaf) for each symbolic gate or rotation in
+    source order; ``path`` is the child indices that lead to it in both trees."""
     for i, (child, bound_child) in enumerate(zip(symbolic.children, bound.children)):
         if isinstance(child, CompositeInstruction):
             yield from _symbolic_gates(child, bound_child, path + (i,))
@@ -280,16 +279,16 @@ def _symbolic_gates(symbolic: CompositeInstruction, bound: CompositeInstruction,
 
 
 def _with_angle(node: CompositeInstruction, path: tuple, angle: float) -> CompositeInstruction:
-    """``node`` with the one angle of the gate at ``path`` replaced.
+    """``node`` with the one angle of the leaf at ``path`` replaced.
 
-    The nodes on the path are copied, keeping their types (a PauliRotation
-    stays one); every other subtree is shared.
+    The composites on the path are rebuilt and the leaf is ``replace``d, so
+    a PauliRotation stays one; every other subtree is shared.
     """
     i, child = path[0], node.children[path[0]]
     if len(path) > 1:
         child = _with_angle(child, path[1:], angle)
     else:
-        child = Instruction(child.name, child.qubits, (Parameter.concrete(angle),))
-    out = copy.copy(node)
+        child = replace(child, parameters=(Parameter.concrete(angle),))
+    out = CompositeInstruction(node.name)
     out.children = node.children[:i] + [child] + node.children[i + 1 :]
     return out

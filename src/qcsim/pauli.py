@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .ir import CompositeInstruction, create_composite, create_instruction
+from .ir import INTO_Z, CompositeInstruction, create_composite, create_instruction
 
 PRUNE_THRESHOLD = 1e-14
 HERMITIAN_TOLERANCE = 1e-12
@@ -336,11 +336,8 @@ def observe(
         measured = create_composite(f"{circuit.name}:{term.pauli_string()}")
         measured.add_all(circuit.children)
         for q, letter in term.ops:
-            if letter == "X":
-                measured.add(create_instruction("H", [q]))
-            elif letter == "Y":
-                measured.add(create_instruction("Sdg", [q]))
-                measured.add(create_instruction("H", [q]))
+            for gate in INTO_Z.get(letter, ()):
+                measured.add(create_instruction(gate, [q]))
         for q, _ in term.ops:
             measured.add(create_instruction("Measure", [q]))
         out.append((term, measured))

@@ -339,6 +339,28 @@ class TestExitCodes:
         assert "algorithm error" not in err
         assert not out.exists()
 
+    def test_initial_point_from_the_section(self, tmp_path, h2_spectrum):
+        config = _write_config(tmp_path, "vqe")
+        config.write_text(
+            config.read_text(encoding="utf-8") + "initial-point = 0.3\n", encoding="utf-8"
+        )
+        out = tmp_path / "o.csv"
+        assert _main("run", config, out) == cli.EXIT_OK
+        _, _, rows = _read(out)
+        assert float(rows[0]["opt-val"]) == pytest.approx(h2_spectrum[0], abs=1e-6)
+
+    def test_malformed_initial_point_is_a_config_error(self, tmp_path, capsys):
+        config = _write_config(tmp_path, "vqe")
+        config.write_text(
+            config.read_text(encoding="utf-8") + "initial-point = a\n", encoding="utf-8"
+        )
+        out = tmp_path / "o.csv"
+        assert _main("run", config, out) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_qite_from_a_symbolic_kernel_is_a_config_error(self, tmp_path, capsys):
         config = _write_config(tmp_path, "vqe")
         config.write_text(

@@ -13,6 +13,8 @@ not import ``pauli``, which imports ``ir``.  No call in an algorithm module
 takes a ``commutator(...)`` call as an argument, and ``adapt.py`` does not
 import ``commutator``: commutator expectations are read through
 ``PreparedState.expect_commutators``, which in exact mode builds no product.
+A Pauli rotation is a leaf, not a composite, and ``ansatz.exp_pauli``
+builds no gate: the rotation derives its gates when they are read.
 """
 import ast
 from pathlib import Path
@@ -148,4 +150,23 @@ def test_adapt_does_not_import_commutator():
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
         if alias.name.split(".")[-1] == "commutator"
+    ] == []
+
+
+def test_a_rotation_is_a_leaf():
+    from qcsim.ir import CompositeInstruction, PauliRotation
+
+    assert not issubclass(PauliRotation, CompositeInstruction)
+
+
+def test_exp_pauli_builds_no_gate():
+    tree = ast.parse((PACKAGE / "ansatz.py").read_text(encoding="utf-8"))
+    (function,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "exp_pauli"
+    ]
+    assert [
+        node.lineno
+        for node in ast.walk(function)
+        if _calls_named(node, "create_instruction") or _calls_named(node, "Instruction")
     ] == []

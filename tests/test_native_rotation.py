@@ -1,12 +1,15 @@
 """Native Pauli rotations: each ``ir.PauliRotation`` node that ``exp_pauli``
 emits is simulated in one pass, psi <- cos(theta/2) psi - i sin(theta/2) P psi.
 
-The reference is the node's own gate sequence applied leaf by leaf with
+The reference is the node's own gate sequence applied gate by gate with
 ``_apply_gate``, which is what the simulator does for a circuit without
 rotation nodes (a parsed kernel, or ``node.instructions()`` copied into a
-plain composite).  The leaves themselves, and so the kernel text, are
-pinned against a golden file.
+plain composite).  The gates a node lowers to, and so the kernel text,
+are pinned against a golden file for UCCSD(2,4) and by count, depth and
+digest for UCCSD(4,12).
 """
+import dataclasses
+import hashlib
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +21,17 @@ from hypothesis import strategies as st
 import qcsim
 from qcsim import backend, optim, pauli
 from qcsim.ansatz import UccsdSpec, exp_pauli, uccsd_circuit
-from qcsim.ir import PauliRotation, create_composite, create_instruction, evaluate, pretty_print
+from qcsim.ir import (
+    Instruction,
+    Parameter,
+    PauliRotation,
+    count_gates,
+    create_composite,
+    create_instruction,
+    depth,
+    evaluate,
+    pretty_print,
+)
 from qcsim.kernel import parse_kernel
 
 GOLDEN = Path(__file__).resolve().parent / "uccsd_2_4.kernel"
@@ -165,3 +178,43 @@ def test_parameter_shift_runs_every_rotation_in_one_pass(hubbard_dimer, exact_ac
     simulations = 2 * 12
     assert rotations.call_count == 12 * simulations
     assert gates.call_count == 2 * simulations
+
+
+def test_uccsd_12_qubits_keeps_its_gate_counts_and_kernel_text():
+    # every value below was computed from the circuit before rotations
+    # stopped storing their gates, when each node held its lowering as leaves
+    circuit = uccsd_circuit(UccsdSpec(4, 12))
+    assert circuit.n_instructions() == 16196
+    assert count_gates(circuit) == {
+        "X": 4, "H": 4992, "Sdg": 1248, "CNOT": 8064, "Rz": 640, "S": 1248
+    }
+    assert depth(evaluate(circuit, [0.0] * len(circuit.variables))) == 10517
+    assert hashlib.sha256(pretty_print(circuit).encode("utf-8")).hexdigest() == (
+        "74df859966266e40c69d02dafb439e297954f058e1b47e9efb58d1d66cd96e12"
+    )
+
+
+def test_a_rotation_is_its_string_and_angle():
+    assert [field.name for field in dataclasses.fields(PauliRotation)] == [
+        "ops", "pauli", "parameters"
+    ]
+    (node,) = exp_pauli(pauli.PauliOperator({0: "X", 2: "Y"}, 0.5j), "t").children
+    assert node.ops == ((0, "X"), (2, "Y"))
+    assert node.parameters == (Parameter.symbolic("t", -1.0),)
+    assert node.variables == ["t"] and not node.is_concrete
+    assert node.max_qubit() == 2
+
+
+def test_no_gate_is_built_for_a_rotation_by_build_or_bind():
+    built = mock.patch.object(
+        Instruction, "__init__", autospec=True, side_effect=Instruction.__init__
+    )
+    with built as constructed:
+        circuit = uccsd_circuit(UccsdSpec(2, 4))
+    # the two X gates of the Hartree-Fock reference
+    assert constructed.call_count == 2
+    with built as constructed:
+        bound = evaluate(circuit, [0.1, -0.2, 0.3])
+    assert constructed.call_count == 0
+    assert [type(node) for node in bound.leaves()] == [Instruction] * 2 + [PauliRotation] * 12
+    assert bound.variables == [] and bound.is_concrete
