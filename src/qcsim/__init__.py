@@ -27,7 +27,7 @@ from .backend import (
     qalloc,
     statevector,
 )
-from .fermion import FermionOperator, FermionTerm, anti_hermitian_excitation, jordan_wigner
+from .fermion import FermionOperator, FermionTerm, jordan_wigner
 from .ir import (
     CompositeInstruction,
     Instruction,

@@ -1,8 +1,9 @@
 """Excitation spectra from the quantum equation-of-motion method.
 
 Over a prepared (approximate) ground state |psi>, the particle-conserving
-single/double excitation operators O_u and their adjoints span the
-excitation/de-excitation manifold.  The commutator matrix elements
+single/double excitation operators O_u (the JW images T of every
+``fermion.excitations`` entry, spin flips included) and their adjoints
+span the excitation/de-excitation manifold.  The commutator matrix elements
 
     M_uv = <[O_u†, [H, O_v ]]>      Q_uv = -<[O_u†, [H, O_v†]]>
     V_uv = <[O_u†, O_v ]>           W_uv = -<[O_u†, O_v†]>
@@ -33,15 +34,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ansatz import excitation_label
 from ..backend import AcceleratorBuffer, PreparedState
 from ..errors import AlgorithmError
-from ..fermion import (
-    double_excitations,
-    excitation_term,
-    jordan_wigner,
-    single_excitations,
-)
+from ..fermion import excitations
 from ..linalg import indefinite_generalized_eig
 from ..pauli import PauliOperator, commutator
 from .base import Algorithm
@@ -50,18 +45,6 @@ _POSITIVE_ROOT_CUTOFF = 1e-8
 # Largest max/min ratio of the kept metric eigenvalues |lambda| that QEOM
 # solves: a root moves by about this ratio times the elements' error.
 MAX_METRIC_CONDITION = 1e6
-
-
-def excitation_basis(n_electrons: int, n_qubits: int) -> list[tuple[str, PauliOperator]]:
-    """JW images of all particle-conserving single and double excitations."""
-    ops = []
-    pairs = sorted(single_excitations(n_electrons, n_qubits, spin_preserving=False))
-    pairs += sorted(double_excitations(n_electrons, n_qubits, sz_preserving=False))
-    for occ, virt in pairs:
-        image = jordan_wigner(excitation_term(occ, virt), n_qubits)
-        if not image.is_zero():
-            ops.append((excitation_label(occ, virt), image))
-    return ops
 
 
 def eom_pencil(
@@ -103,7 +86,9 @@ class QEOM(Algorithm):
         n_qubits = max(observable.n_qubits(), ansatz.max_qubit() + 1, buffer.size)
         if n_qubits % 2:
             n_qubits += 1
-        basis = excitation_basis(n_electrons, n_qubits)
+        basis = [
+            image for _, _, image in excitations(n_electrons, n_qubits, spin_preserving=False)
+        ]
         if not basis:
             raise AlgorithmError(
                 f"no particle-conserving excitations for ne={n_electrons}, "
@@ -111,7 +96,7 @@ class QEOM(Algorithm):
             )
 
         state = accelerator.prepare(ansatz, n_qubits)
-        a, b = eom_pencil(observable, [op for _, op in basis], state)
+        a, b = eom_pencil(observable, basis, state)
         metric = np.abs(np.linalg.eigvalsh(b))
         kept = metric[metric > threshold]
         if not kept.size:
@@ -126,8 +111,8 @@ class QEOM(Algorithm):
                 "excitations nearly dependent, so the roots would be noise"
             )
         values, rank = indefinite_generalized_eig(a, b, threshold)
-        excitations = [float(e) for e in values if e > _POSITIVE_ROOT_CUTOFF]
+        energies = [float(e) for e in values if e > _POSITIVE_ROOT_CUTOFF]
 
         buffer.metadata.insert("ground-energy", state.expect(observable).real)
-        buffer.metadata.insert("excitation-energies", excitations)
+        buffer.metadata.insert("excitation-energies", energies)
         buffer.metadata.insert("qeom-matrix-rank", rank)

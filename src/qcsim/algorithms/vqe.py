@@ -17,6 +17,8 @@ from .base import Algorithm
 
 _FORWARDED_OPTIMIZER_KEYS = (
     ("initial-point", "real-list"),
+    ("lower-bounds", "real-list"),
+    ("upper-bounds", "real-list"),
     ("max-iterations", "int"),
     ("tolerance", "real"),
 )

@@ -8,6 +8,10 @@ CNOT ladder, Rz, mirror), which the node derives on each read.  Every
 other generator emits gates only.  UCCSD and adaptive ansatze splice
 those rotation nodes into one composite, so their instructions, and
 hence their kernel text, round-trip through the kernel serializer.
+
+UCCSD and both operator pools take their excitations, and each one's JW
+image T, from ``fermion.excitations`` alone and exponentiate T - T†; no
+generator here maps a fermion operator itself.
 """
 from __future__ import annotations
 
@@ -16,13 +20,7 @@ from math import comb
 from typing import Iterable
 
 from .errors import IRError
-from .fermion import (
-    anti_hermitian_excitation,
-    double_excitations,
-    jordan_wigner,
-    occupied_spin_orbitals,
-    single_excitations,
-)
+from .fermion import excitations, occupied_spin_orbitals
 from .ir import (
     CompositeInstruction,
     Parameter,
@@ -123,26 +121,17 @@ def exp_pauli(
     return circuit
 
 
-def uccsd_excitations(ne: int, nq: int) -> list[tuple[list[int], list[int]]]:
-    """Excitation index pairs in canonical singles-then-doubles order."""
-    singles = sorted(single_excitations(ne, nq, spin_preserving=True))
-    doubles = sorted(double_excitations(ne, nq, sz_preserving=True))
-    return singles + doubles
-
-
 def uccsd_circuit(spec: UccsdSpec) -> CompositeInstruction:
     """Hartree-Fock prep + first-order Trotterized UCCSD rotations.
 
-    One symbolic variable t<k> per excitation amplitude: spin-resolved
-    spin-preserving singles followed by spin-projection-conserving
-    doubles, index-lexicographic within each group.
+    One symbolic variable t<k> per excitation amplitude, in
+    ``fermion.excitations`` order: spin-preserving singles, then
+    spin-preserving doubles, index-lexicographic within each group.
     """
     circuit = create_composite("uccsd")
     circuit.add_all(hartree_fock_circuit(spec.ne, spec.nq).children)
-    for k, (occ, virt) in enumerate(uccsd_excitations(spec.ne, spec.nq)):
-        generator = jordan_wigner(
-            anti_hermitian_excitation(occ, virt, f"t{k}"), spec.nq
-        )
+    for k, (_, _, image) in enumerate(excitations(spec.ne, spec.nq)):
+        generator = image - image.dagger()
         circuit.add_all(exp_pauli(generator, Parameter.symbolic(f"t{k}")).children)
     return circuit
 
@@ -170,25 +159,16 @@ def excitation_label(occ: Iterable[int], virt: Iterable[int]) -> str:
 def build_pool(name: str, ne: int, nq: int) -> OperatorPool:
     """Construct an operator pool for adaptive ansatz growth.
 
-    "uccsd": every particle-conserving single and double excitation
-    generator (JW image).  "singlet-adapted-uccsd": spin-summed linear
-    combinations of the spin-preserving generators, normalized and
-    deduplicated.
+    "uccsd": the generator T - T† of every particle-conserving single and
+    double excitation, spin flips included.  "singlet-adapted-uccsd":
+    spin-summed linear combinations of the spin-preserving generators,
+    normalized and deduplicated.
     """
-    if nq % 2 != 0:
-        raise ValueError(f"nq must be even, got {nq}")
-    if not 0 < ne <= nq:
-        raise ValueError(f"need 0 < ne <= nq, got ne={ne}")
     if name == "uccsd":
-        elements = []
-        pairs = sorted(single_excitations(ne, nq, spin_preserving=False)) + sorted(
-            double_excitations(ne, nq, sz_preserving=False)
-        )
-        for occ, virt in pairs:
-            generator = jordan_wigner(anti_hermitian_excitation(occ, virt), nq)
-            if generator.is_zero():
-                continue
-            elements.append((excitation_label(occ, virt), generator))
+        elements = [
+            (excitation_label(occ, virt), image - image.dagger())
+            for occ, virt, image in excitations(ne, nq, spin_preserving=False)
+        ]
         return OperatorPool(name, elements)
     if name == "singlet-adapted-uccsd":
         return _singlet_adapted_pool(ne, nq)
@@ -209,14 +189,12 @@ def _spatial_signature(indices: Iterable[int], n_spatial: int) -> tuple[int, ...
 def _singlet_adapted_pool(ne: int, nq: int) -> OperatorPool:
     n_spatial = nq // 2
     groups: dict[tuple, PauliOperator] = {}
-    for occ, virt in single_excitations(ne, nq, spin_preserving=True) + double_excitations(
-        ne, nq, sz_preserving=True
-    ):
+    for occ, virt, image in excitations(ne, nq):
         signature = (
             _spatial_signature(occ, n_spatial),
             _spatial_signature(virt, n_spatial),
         )
-        generator = jordan_wigner(anti_hermitian_excitation(occ, virt), nq)
+        generator = image - image.dagger()
         groups[signature] = groups.get(signature, PauliOperator.zero()) + generator
     elements = []
     seen: list[PauliOperator] = []

@@ -243,8 +243,10 @@ class PreparedState:
         bras = np.empty((len(lefts), psi.size), dtype=complex)
         kets = np.empty_like(bras)
         for i, a in enumerate(lefts):
-            bras[i] = apply_pauli(a.dagger(), psi).conj()
             kets[i] = apply_pauli(a, psi)
+            dagger = a.dagger()
+            # a Hermitian L (ADAPT's H) is applied once
+            bras[i] = (kets[i] if dagger == a else apply_pauli(dagger, psi)).conj()
         for j, b in enumerate(rights):
             out[:, j] = bras @ apply_pauli(b, psi) - kets @ apply_pauli(b.dagger(), psi).conj()
         return out

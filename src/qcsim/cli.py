@@ -129,7 +129,7 @@ def _algorithm_options(config, algorithm: str) -> dict:
             out[key] = int(raw)
         elif key in real_keys:
             out[key] = float(raw)
-        elif key == "initial-point":
+        elif key in ("initial-point", "lower-bounds", "upper-bounds"):
             out[key] = [float(v) for v in _split_list(raw)]
         else:
             out[key] = raw

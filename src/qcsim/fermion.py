@@ -3,10 +3,15 @@
 Spin-orbital layout: alpha spin-orbitals occupy qubits 0..nq/2-1, beta
 spin-orbitals the second half.  The Jordan-Wigner string places Z on all
 modes strictly below the ladder operator's mode.
+
+``excitations`` is the one source of the singles/doubles manifold off the
+reference determinant: UCCSD, both ADAPT pools and the QEOM basis read
+each excitation's (occ, virt) indices and JW image from it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .pauli import PauliOperator
 
@@ -96,32 +101,6 @@ def jordan_wigner(f: FermionOperator, n_modes: int) -> PauliOperator:
     return total
 
 
-def excitation_term(occ: list[int], virt: list[int]) -> FermionOperator:
-    """T = a†_virt... a_occ... for a single or double excitation."""
-    ops = [(v, True) for v in virt] + [(o, False) for o in reversed(occ)]
-    return FermionOperator.ladder(ops)
-
-
-def anti_hermitian_excitation(
-    occ: list[int], virt: list[int], coeff_symbol: str = "t"
-) -> FermionOperator:
-    """Anti-Hermitian generator T - T† of a single or double excitation.
-
-    The amplitude stays symbolic (unit magnitude here); ``coeff_symbol``
-    is carried on the result for circuit-variable naming.
-    """
-    if len(occ) not in (1, 2) or len(virt) not in (1, 2) or len(occ) != len(virt):
-        raise ValueError(f"excitation needs 1 or 2 index pairs, got {occ} -> {virt}")
-    if set(occ) & set(virt):
-        raise ValueError(f"occupied and virtual indices overlap: {occ} vs {virt}")
-    if len(set(occ)) != len(occ) or len(set(virt)) != len(virt):
-        raise ValueError(f"repeated index in excitation {occ} -> {virt}")
-    t = excitation_term(occ, virt)
-    generator = t - t.dagger()
-    generator.symbol = coeff_symbol  # type: ignore[attr-defined]
-    return generator
-
-
 def occupied_spin_orbitals(n_electrons: int, n_qubits: int) -> list[int]:
     """Reference-determinant occupation under the alpha-then-beta layout.
 
@@ -140,46 +119,32 @@ def occupied_spin_orbitals(n_electrons: int, n_qubits: int) -> list[int]:
     return list(range(n_alpha)) + [n_spatial + i for i in range(n_beta)]
 
 
-def _spin(mode: int, n_spatial: int) -> int:
-    return 0 if mode < n_spatial else 1
-
-
-def single_excitations(
+def excitations(
     n_electrons: int, n_qubits: int, spin_preserving: bool = True
-) -> list[tuple[list[int], list[int]]]:
-    """(occ, virt) index pairs for single excitations off the reference."""
-    occupied = occupied_spin_orbitals(n_electrons, n_qubits)
-    virtual = [q for q in range(n_qubits) if q not in occupied]
-    n_spatial = n_qubits // 2
-    pairs = []
-    for i in occupied:
-        for a in virtual:
-            if spin_preserving and _spin(i, n_spatial) != _spin(a, n_spatial):
-                continue
-            pairs.append(([i], [a]))
-    return pairs
+) -> list[tuple[tuple[int, ...], tuple[int, ...], PauliOperator]]:
+    """Every single, then every double, excitation off the reference.
 
-
-def double_excitations(
-    n_electrons: int, n_qubits: int, sz_preserving: bool = True
-) -> list[tuple[list[int], list[int]]]:
-    """(occ, virt) index pairs for double excitations off the reference.
-
-    Enumerates unordered occupied pairs against unordered virtual pairs;
-    ``sz_preserving`` keeps only spin-projection-conserving excitations.
+    Each entry is (occ, virt, image): the occupied modes emptied, the
+    virtual modes filled and the Jordan-Wigner image of
+    T = a†_virt... a_occ... (occ in reverse), whose anti-Hermitian
+    generator is ``image - image.dagger()``.  Each group is
+    index-lexicographic.  ``spin_preserving`` keeps the excitations that
+    conserve Sz: as many beta modes in occ as in virt.  Each mode's ladder
+    image is built once per call.
     """
     occupied = occupied_spin_orbitals(n_electrons, n_qubits)
     virtual = [q for q in range(n_qubits) if q not in occupied]
-    n_spatial = n_qubits // 2
-    pairs = []
-    for idx_i, i in enumerate(occupied):
-        for j in occupied[idx_i + 1 :]:
-            for idx_a, a in enumerate(virtual):
-                for b in virtual[idx_a + 1 :]:
-                    if sz_preserving:
-                        sz_occ = _spin(i, n_spatial) + _spin(j, n_spatial)
-                        sz_virt = _spin(a, n_spatial) + _spin(b, n_spatial)
-                        if sz_occ != sz_virt:
-                            continue
-                    pairs.append(([i, j], [a, b]))
-    return pairs
+    # an excitation only annihilates occupied modes and creates virtual ones
+    ladder = {q: _jw_ladder(q, q in virtual) for q in range(n_qubits)}
+    beta = set(range(n_qubits // 2, n_qubits))
+    found = []
+    for rank in (1, 2):
+        for occ in combinations(occupied, rank):
+            for virt in combinations(virtual, rank):
+                if spin_preserving and len(beta.intersection(occ)) != len(beta.intersection(virt)):
+                    continue
+                image = PauliOperator.identity()
+                for q in virt + occ[::-1]:
+                    image = image * ladder[q]
+                found.append((occ, virt, image))
+    return found

@@ -1,9 +1,9 @@
 """Small dense complex linear-algebra kernel.
 
 Backed by numpy's LAPACK bindings behind the contracts the rest of the
-framework relies on: Hermitian eigensolver, ridge-regularized least
-squares, generalized eigenproblem via canonical orthogonalization, and
-polynomial root finding.
+framework relies on: ridge-regularized least squares (QITE, QCMX), the
+indefinite generalized eigenproblem of a response pencil (QEOM), and
+polynomial root finding (QCMX).
 """
 from __future__ import annotations
 
@@ -25,14 +25,6 @@ def _require_hermitian(m: np.ndarray, label: str) -> None:
         raise ValueError(f"{label} is not Hermitian within tolerance")
 
 
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns."""
-    m = _as_matrix(m)
-    _require_hermitian(m, "matrix")
-    values, vectors = np.linalg.eigh(m)
-    return values, vectors
-
-
 def solve_regularized_lsq(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     """Minimize ||a x - b||^2 + ridge ||x||^2.
 
@@ -51,35 +43,6 @@ def solve_regularized_lsq(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> n
         return x
     ata = a.conj().T @ a + ridge * np.eye(a.shape[1])
     return np.linalg.solve(ata, a.conj().T @ b)
-
-
-def generalized_eig(m: np.ndarray, s: np.ndarray, threshold: float = 1e-10) -> np.ndarray:
-    """Eigenvalues of M v = E S v via projection onto S's significant span.
-
-    S is eigendecomposed; components with eigenvalue > threshold survive
-    (canonical orthogonalization), the pencil is projected and solved with
-    the Hermitian eigensolver.  Returned count equals the numerical rank
-    of S.
-    """
-    m = _as_matrix(m)
-    s = _as_matrix(s)
-    if m.shape != s.shape:
-        raise ValueError(f"shape mismatch: {m.shape} vs {s.shape}")
-    _require_hermitian(m, "pencil matrix")
-    _require_hermitian(s, "overlap matrix")
-    s_values, s_vectors = np.linalg.eigh(s)
-    if s_values.min(initial=0.0) < -threshold:
-        raise ValueError(
-            f"overlap matrix has negative eigenvalue {s_values.min():.3e}"
-        )
-    keep = s_values > threshold
-    if not np.any(keep):
-        return np.array([])
-    basis = s_vectors[:, keep] / np.sqrt(s_values[keep])
-    projected = basis.conj().T @ m @ basis
-    projected = 0.5 * (projected + projected.conj().T)
-    values, _ = np.linalg.eigh(projected)
-    return values
 
 
 def indefinite_generalized_eig(

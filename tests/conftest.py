@@ -53,9 +53,8 @@ def pair_rotation_ansatz(hf_circuit_2q):
     """X(q0) followed by the one-parameter pair-rotation generator."""
     from qcsim import ansatz, fermion
 
-    generator = fermion.jordan_wigner(
-        fermion.anti_hermitian_excitation([0], [1]), 2
-    )
+    ((_, _, image),) = fermion.excitations(1, 2, spin_preserving=False)
+    generator = image - image.dagger()
     circuit = qcsim.create_composite("pair")
     circuit.add_all(hf_circuit_2q.children)
     circuit.add_all(ansatz.exp_pauli(generator, "t0").children)

@@ -1,5 +1,6 @@
-"""Circuit generators: the gate sequence of ``exp_pauli`` and the size of
-``uccsd_circuit``, directly and through ``qcsim bench-uccsd``.
+"""Circuit generators: the gate sequence of ``exp_pauli``, the size of
+``uccsd_circuit``, directly and through ``qcsim bench-uccsd``, and the
+``singlet-adapted-uccsd`` pool, alone and driving ADAPT to sector ED.
 
 These pin the term order and gate layout that the Pauli encoding must
 reproduce: terms in sorted Pauli-string order, each as basis changes, a
@@ -7,8 +8,11 @@ CNOT ladder onto its highest support qubit, Rz(-2 c t) and the mirror.
 """
 from pathlib import Path
 
+import pytest
+
+import qcsim
 from qcsim import cli
-from qcsim.ansatz import UccsdSpec, exp_pauli, uccsd_circuit
+from qcsim.ansatz import UccsdSpec, build_pool, exp_pauli, uccsd_circuit
 from qcsim.ir import Parameter
 from qcsim.pauli import PauliOperator
 
@@ -69,3 +73,32 @@ def test_bench_uccsd_columns(tmp_path, capsys):
         "12,4,225,92,16196",
     ]
     assert "skipping nq=8, ne=4" in capsys.readouterr().err
+
+
+class TestSingletAdaptedPool:
+    def test_dimer_pool_holds_the_spin_summed_single_and_double(self):
+        pool = build_pool("singlet-adapted-uccsd", 2, 4)
+        assert pool.labels() == ["singlet_(0)->(1)", "singlet_(0,0)->(1,1)"]
+        for _, generator in pool.elements:
+            assert generator.dagger().isclose(-generator, tolerance=1e-15)
+            norm = sum(abs(c) ** 2 for _, c in generator.masks())
+            assert norm == pytest.approx(1.0, abs=1e-14)
+
+    def test_adapt_reaches_the_sector_ground_state(self, hubbard_dimer_mo, sector_eigh):
+        adapt = qcsim.get_algorithm(
+            "adapt",
+            {
+                "optimizer": qcsim.get_optimizer("nelder-mead", {"tolerance": 1e-12}),
+                "observable": hubbard_dimer_mo,
+                "sub-algorithm": "vqe",
+                "n-electrons": 2,
+                "pool": "singlet-adapted-uccsd",
+                "accelerator": qcsim.get_accelerator("statevector", {"shots": 0}),
+            },
+        )
+        buffer = qcsim.qalloc(4)
+        adapt.execute(buffer)
+        ground = sector_eigh(hubbard_dimer_mo, 4, 2)[0][0]
+        assert ground == pytest.approx(-0.8284271247, abs=1e-9)
+        assert buffer["opt-val"] == pytest.approx(ground, abs=1e-6)
+        assert buffer["adapt-ops"] == ["singlet_(0,0)->(1,1)"]

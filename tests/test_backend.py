@@ -166,6 +166,38 @@ class TestExactExpect:
         assert len(calls) == 1
         assert len(simulated) == 1
 
+    def test_a_hermitian_left_is_applied_once(self, monkeypatch):
+        """L^dag psi is L psi when L^dag == L, so one Hermitian left costs one
+        application, each right two, and every value is unchanged."""
+        rng = np.random.default_rng(8)
+        hermitian = pauli.load_hamiltonian(str(H2_PATH))
+        rights = [pauli.random_operator(rng, 2, 3, complex_coeffs=True) for _ in range(4)]
+        state = _accelerator(seed=0, shots=0).prepare(_h2_state(), 2)
+        psi = state._amplitudes
+        bras = backend.apply_pauli(hermitian.dagger(), psi).conj()[None, :]
+        kets = backend.apply_pauli(hermitian, psi)[None, :]
+        want = [
+            (
+                bras @ backend.apply_pauli(b, psi)
+                - kets @ backend.apply_pauli(b.dagger(), psi).conj()
+            )[0]
+            for b in rights
+        ]
+        applied = []
+        original = backend.apply_pauli
+
+        def counted(op, amplitudes):
+            applied.append(op)
+            return original(op, amplitudes)
+
+        monkeypatch.setattr(backend, "apply_pauli", counted)
+        got = state.expect_commutators([hermitian], rights)
+        assert len(applied) == 1 + 2 * len(rights)
+        assert got[0].tolist() == want
+        applied.clear()
+        state.expect_commutators([rights[0]], rights)
+        assert len(applied) == 2 + 2 * len(rights)
+
 
 class TestEvolve:
     @given(two_blocks())

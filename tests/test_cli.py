@@ -361,6 +361,33 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_bounds_from_the_section_confine_the_run(self, tmp_path, h2_spectrum):
+        """The unbounded optimum is the ground state at t = -2.93; with
+        t >= 0.5 the run stops at the bound, E(0.5) = 0.540550."""
+        config = _write_config(tmp_path, "vqe")
+        config.write_text(
+            config.read_text(encoding="utf-8") + "lower-bounds = 0.5\nupper-bounds = 1.0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.csv"
+        assert _main("run", config, out) == cli.EXIT_OK
+        _, _, rows = _read(out)
+        assert float(rows[0]["opt-val"]) == pytest.approx(0.540550, abs=1e-6)
+        assert float(rows[0]["opt-val"]) > h2_spectrum[0] + 1.0
+
+    @pytest.mark.parametrize("key", ["lower-bounds", "upper-bounds"])
+    def test_malformed_bounds_are_a_config_error(self, tmp_path, capsys, key):
+        config = _write_config(tmp_path, "vqe")
+        config.write_text(
+            config.read_text(encoding="utf-8") + f"{key} = a\n", encoding="utf-8"
+        )
+        out = tmp_path / "o.csv"
+        assert _main("run", config, out) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_qite_from_a_symbolic_kernel_is_a_config_error(self, tmp_path, capsys):
         config = _write_config(tmp_path, "vqe")
         config.write_text(

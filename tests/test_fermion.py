@@ -4,12 +4,9 @@ import pytest
 from qcsim.fermion import (
     FermionOperator,
     FermionTerm,
-    anti_hermitian_excitation,
-    double_excitations,
-    excitation_term,
+    excitations,
     jordan_wigner,
     occupied_spin_orbitals,
-    single_excitations,
 )
 from qcsim.pauli import PauliOperator, to_matrix
 
@@ -96,40 +93,55 @@ class TestJordanWigner:
                 assert np.abs(anti - expected).max() < 1e-10
 
 
+def excitation_operator(occ, virt) -> FermionOperator:
+    """T = a†_virt... a_occ... (occ in reverse), built from ladders."""
+    ops = [(v, True) for v in virt] + [(o, False) for o in reversed(occ)]
+    return FermionOperator.ladder(ops)
+
+
+def index_pairs(n_electrons, n_qubits, rank, spin_preserving=True):
+    return [
+        (occ, virt)
+        for occ, virt, _ in excitations(n_electrons, n_qubits, spin_preserving)
+        if len(occ) == rank
+    ]
+
+
 class TestAntiHermitianExcitation:
     def test_single_structure(self):
-        gen = anti_hermitian_excitation([0], [1], "t")
-        assert gen.symbol == "t"
-        assert len(gen.terms) == 2
-        assert gen.terms[0].ladder_ops == ((1, True), (0, False))
-        assert gen.terms[1].ladder_ops == ((0, True), (1, False))
-        assert gen.terms[1].coefficient == pytest.approx(-1.0)
+        ((occ, virt, image),) = excitations(1, 2, spin_preserving=False)
+        assert (occ, virt) == ((0,), (1,))
+        assert image == jordan_wigner(excitation_operator(occ, virt), 2)
+        assert len(image - image.dagger()) == 2
 
     def test_single_jw_image(self):
         # matrix oracle fixes the sign: a†1 a0 - a†0 a1 -> (i/2)(Y0 X1 - X0 Y1)
-        gen = jordan_wigner(anti_hermitian_excitation([0], [1]), 2)
+        ((_, _, image),) = excitations(1, 2, spin_preserving=False)
+        gen = image - image.dagger()
         assert gen.coefficient({0: "Y", 1: "X"}) == pytest.approx(0.5j)
         assert gen.coefficient({0: "X", 1: "Y"}) == pytest.approx(-0.5j)
         matrix = to_matrix(gen, 2)
-        t = excitation_term([0], [1])
+        t = FermionOperator.ladder([(1, True), (0, False)])
         oracle = fermion_matrix(t - t.dagger(), 2)
         assert np.abs(matrix - oracle).max() < 1e-12
 
     def test_anti_hermitian_matrix_image(self):
-        cases = [(([0], [1]), 2), (([0, 1], [2, 3]), 4), (([0, 2], [1, 3]), 4)]
-        for (occ, virt), n in cases:
-            matrix = to_matrix(jordan_wigner(anti_hermitian_excitation(occ, virt), n), n)
-            assert np.abs(matrix + matrix.conj().T).max() < 1e-10
+        for n_electrons, n_qubits in ((1, 2), (2, 4), (3, 6)):
+            for occ, virt, image in excitations(n_electrons, n_qubits, spin_preserving=False):
+                matrix = to_matrix(image - image.dagger(), n_qubits)
+                t = excitation_operator(occ, virt)
+                oracle = fermion_matrix(t - t.dagger(), n_qubits)
+                assert np.abs(matrix - oracle).max() < 1e-12
+                assert np.abs(matrix + matrix.conj().T).max() < 1e-12
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            anti_hermitian_excitation([0], [0])
-
-    def test_bad_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            anti_hermitian_excitation([0, 1, 2], [3, 4, 5])
-        with pytest.raises(ValueError):
-            anti_hermitian_excitation([0], [1, 2])
+    @pytest.mark.parametrize("spin_preserving", [True, False])
+    @pytest.mark.parametrize("n_electrons, n_qubits", [(2, 4), (2, 8), (4, 8), (3, 8)])
+    def test_generator_is_jordan_wigner_of_t_minus_t_dagger(
+        self, n_electrons, n_qubits, spin_preserving
+    ):
+        for occ, virt, image in excitations(n_electrons, n_qubits, spin_preserving):
+            t = excitation_operator(occ, virt)
+            assert image - image.dagger() == jordan_wigner(t - t.dagger(), n_qubits)
 
 
 class TestEnumeration:
@@ -145,17 +157,33 @@ class TestEnumeration:
             occupied_spin_orbitals(3, 2)
 
     def test_spin_preserving_singles(self):
-        assert single_excitations(2, 4) == [([0], [1]), ([2], [3])]
+        assert index_pairs(2, 4, 1) == [((0,), (1,)), ((2,), (3,))]
 
     def test_all_singles_include_spin_flips(self):
-        got = single_excitations(2, 4, spin_preserving=False)
-        assert ([0], [3]) in got and len(got) == 4
+        got = index_pairs(2, 4, 1, spin_preserving=False)
+        assert ((0,), (3,)) in got and len(got) == 4
 
     def test_doubles_h2(self):
-        assert double_excitations(2, 4) == [([0, 2], [1, 3])]
+        assert index_pairs(2, 4, 2) == [((0, 2), (1, 3))]
 
     def test_doubles_sz_filter(self):
-        with_filter = double_excitations(2, 8)
-        without = double_excitations(2, 8, sz_preserving=False)
+        with_filter = index_pairs(2, 8, 2)
+        without = index_pairs(2, 8, 2, spin_preserving=False)
         assert len(with_filter) == 9
         assert len(without) == 15  # C(6, 2) virtual pairs, one occupied pair
+
+    @pytest.mark.parametrize("n_electrons, n_qubits", [(2, 4), (3, 8), (4, 12)])
+    def test_singles_then_doubles_in_index_order(self, n_electrons, n_qubits):
+        every = [(occ, virt) for occ, virt, _ in excitations(n_electrons, n_qubits, False)]
+        assert every == sorted(every, key=lambda pair: (len(pair[0]), pair))
+
+    @pytest.mark.parametrize("n_electrons, n_qubits", [(2, 4), (3, 8), (4, 12)])
+    def test_spin_preserving_keeps_the_sz_conserving_subset(self, n_electrons, n_qubits):
+        half = n_qubits // 2
+        every = [(occ, virt) for occ, virt, _ in excitations(n_electrons, n_qubits, False)]
+        kept = [(occ, virt) for occ, virt, _ in excitations(n_electrons, n_qubits)]
+        assert kept == [
+            (occ, virt)
+            for occ, virt in every
+            if sum(q >= half for q in occ) == sum(q >= half for q in virt)
+        ]

@@ -15,6 +15,8 @@ import ``commutator``: commutator expectations are read through
 ``PreparedState.expect_commutators``, which in exact mode builds no product.
 A Pauli rotation is a leaf, not a composite, and ``ansatz.exp_pauli``
 builds no gate: the rotation derives its gates when they are read.
+Neither ``ansatz.py`` nor an algorithm module calls ``jordan_wigner``:
+excitation images come only from ``fermion.excitations``.
 """
 import ast
 from pathlib import Path
@@ -170,3 +172,11 @@ def test_exp_pauli_builds_no_gate():
         for node in ast.walk(function)
         if _calls_named(node, "create_instruction") or _calls_named(node, "Instruction")
     ] == []
+
+
+@pytest.mark.parametrize(
+    "path", [PACKAGE / "ansatz.py", *MODULES], ids=lambda path: str(path.relative_to(PACKAGE))
+)
+def test_excitation_images_come_only_from_fermion_excitations(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if _calls_named(node, "jordan_wigner")] == []

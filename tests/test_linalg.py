@@ -1,52 +1,7 @@
 import numpy as np
 import pytest
 
-from qcsim.linalg import (
-    generalized_eig,
-    hermitian_eig,
-    indefinite_generalized_eig,
-    poly_roots,
-    solve_regularized_lsq,
-)
-
-
-class TestHermitianEig:
-    def test_diagonal(self):
-        values, _ = hermitian_eig(np.diag([1.0, -1.0]))
-        assert np.allclose(values, [-1.0, 1.0])
-
-    def test_pauli_x(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        values, vectors = hermitian_eig(x)
-        assert np.allclose(values, [-1.0, 1.0])
-        minus = np.array([1, -1]) / np.sqrt(2)
-        overlap = abs(np.vdot(vectors[:, 0], minus))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-
-    def test_h2_spectrum_reconstruction(self, h2):
-        from qcsim.pauli import to_matrix
-
-        matrix = to_matrix(h2, 2)
-        values, vectors = hermitian_eig(matrix)
-        assert len(values) == 4
-        rebuilt = vectors @ np.diag(values) @ vectors.conj().T
-        scale = np.abs(matrix).max()
-        assert np.abs(rebuilt - matrix).max() < 1e-8 * scale
-        # cross-check the minimum against the even/odd parity block structure
-        odd_block = np.array([[matrix[2, 2], matrix[2, 1]], [matrix[1, 2], matrix[1, 1]]])
-        block_min = np.linalg.eigvalsh(odd_block)[0]
-        assert values[0] == pytest.approx(block_min, abs=1e-12)
-
-    def test_orthonormal_vectors(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        m = a + a.conj().T
-        _, vectors = hermitian_eig(m)
-        assert np.abs(vectors.conj().T @ vectors - np.eye(6)).max() < 1e-10
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+from qcsim.linalg import indefinite_generalized_eig, poly_roots, solve_regularized_lsq
 
 
 class TestRegularizedLsq:
@@ -82,33 +37,6 @@ class TestRegularizedLsq:
             solve_regularized_lsq(np.eye(2), np.ones(2), -1.0)
 
 
-class TestGeneralizedEig:
-    def test_identity_overlap_reduces_to_hermitian_eig(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=(5, 5))
-        m = a + a.T
-        direct, _ = hermitian_eig(m)
-        general = generalized_eig(m, np.eye(5))
-        assert np.allclose(direct, general, atol=1e-10)
-
-    def test_proportional_pencil(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(4, 4))
-        s = a @ a.T + np.eye(4)  # positive definite
-        values = generalized_eig(2.0 * s, s)
-        assert np.allclose(values, 2.0, atol=1e-10)
-
-    def test_rank_deficient_overlap(self):
-        s = np.diag([1.0, 1.0, 0.0])
-        m = np.diag([1.0, 2.0, 3.0])
-        values = generalized_eig(m, s, threshold=1e-10)
-        assert len(values) == 2  # survivor count equals numerical rank
-
-    def test_negative_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            generalized_eig(np.eye(2), np.diag([1.0, -0.5]))
-
-
 class TestIndefiniteGeneralizedEig:
     def test_sign_metric(self):
         a = np.diag([3.0, 5.0])
@@ -122,6 +50,23 @@ class TestIndefiniteGeneralizedEig:
         b = np.diag([1.0, -1.0, 0.0])
         values, rank = indefinite_generalized_eig(a, b)
         assert rank == 2 and len(values) == 2
+
+    def test_positive_definite_metric_gives_the_hermitian_spectrum(self):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(5, 5))
+        m = a + a.T
+        values, rank = indefinite_generalized_eig(m, np.eye(5))
+        assert rank == 5
+        assert np.allclose(values, np.linalg.eigvalsh(m), atol=1e-10)
+        s = a @ a.T + np.eye(5)
+        values, _ = indefinite_generalized_eig(2.0 * s, s)
+        assert np.allclose(values, 2.0, atol=1e-10)
+
+    def test_non_hermitian_input_rejected(self):
+        with pytest.raises(ValueError):
+            indefinite_generalized_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+        with pytest.raises(ValueError):
+            indefinite_generalized_eig(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestPolyRoots:

@@ -20,6 +20,7 @@ import qcsim
 from qcsim import backend, pauli
 from qcsim.algorithms import qeom
 from qcsim.errors import AlgorithmError, BackendError
+from qcsim.fermion import excitations
 from qcsim.ir import create_composite, create_instruction
 
 DIMER_PATH = Path(__file__).resolve().parents[1] / "data" / "hubbard_dimer.ham"
@@ -93,7 +94,7 @@ def test_sampled_values_follow_the_nested_expect_loop():
 
 
 def _basis(n_electrons, n_qubits):
-    return [op for _, op in qeom.excitation_basis(n_electrons, n_qubits)]
+    return [image for _, _, image in excitations(n_electrons, n_qubits, spin_preserving=False)]
 
 
 def test_sampled_pencil_draws_in_the_nested_loop_order(hubbard_dimer):

@@ -8,6 +8,7 @@ within four standard errors of zero.
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qcsim
 from qcsim import pauli
@@ -60,3 +61,35 @@ def test_exact_opt_val_is_the_energy_at_opt_params():
     state = evaluate(_ansatz(), buffer["opt-params"])
     assert buffer["opt-val"] == qcsim.expectation(observable, state, exact)
     assert buffer["opt-val"] == min(buffer["energy-history"])
+
+
+def _bounded(algorithm_options, optimizer_options=None):
+    vqe = qcsim.get_algorithm(
+        "vqe",
+        {
+            "ansatz": _ansatz(),
+            "observable": pauli.load_hamiltonian(str(H2_PATH)),
+            "accelerator": qcsim.get_accelerator("statevector", {"shots": 0}),
+            "optimizer": qcsim.get_optimizer("nelder-mead", optimizer_options),
+            **algorithm_options,
+        },
+    )
+    buffer = qcsim.qalloc(2)
+    vqe.execute(buffer)
+    return buffer
+
+
+def test_bounds_given_to_the_algorithm_reach_the_optimizer():
+    """The unbounded minimum lies at t = -2.93 (E = -1.14496); bounds set on
+    the algorithm must confine t as the optimizer's own options do."""
+    lower = _bounded({"lower-bounds": [0.5]})
+    assert lower["opt-params"][0] >= 0.5
+    reference = _bounded({}, {"lower-bounds": [0.5]})
+    assert (lower["opt-val"], lower["opt-params"]) == (
+        reference["opt-val"],
+        reference["opt-params"],
+    )
+    assert lower["opt-val"] == pytest.approx(0.540550, abs=1e-6)
+    upper = _bounded({"upper-bounds": [-3.0]})
+    assert upper["opt-params"][0] <= -3.0
+    assert upper["opt-val"] > -1.1449
