@@ -28,7 +28,12 @@ overlap threshold; the rest (excitations that annihilate the state both
 ways) are counted in ``qeom-dropped-directions``.  If the kept |lambda|
 span more than ``MAX_METRIC_CONDITION`` (``qeom-metric-condition``), the
 state leaves some excitations nearly dependent and QEOM raises
-``AlgorithmError`` instead of returning roots.
+``AlgorithmError`` instead of returning roots.  It raises too when the
+metric is dead as a whole: when even the largest kept |lambda| lies more
+than ``MAX_METRIC_CONDITION`` below the basis operators' scale
+max_u (sum of |coefficients| of O_u)^2, which bounds every |B_uv| up to a
+factor 2 and is 1 for JW excitations, however evenly the kept |lambda|
+spread.
 """
 from __future__ import annotations
 
@@ -109,6 +114,13 @@ class QEOM(Algorithm):
                 f"ill-conditioned metric: kept |eigenvalues| span {condition:.3g} "
                 f"(limit {MAX_METRIC_CONDITION:.0e}); the state leaves some "
                 "excitations nearly dependent, so the roots would be noise"
+            )
+        scale = max(sum(abs(c) for _, c in op.masks()) for op in basis) ** 2
+        if kept.max() * MAX_METRIC_CONDITION < scale:
+            raise AlgorithmError(
+                f"dead metric: the largest kept |eigenvalue| {kept.max():.3g} is "
+                f"more than {MAX_METRIC_CONDITION:.0e} below the basis scale "
+                f"{scale:.3g}, so the roots would be noise"
             )
         values, rank = indefinite_generalized_eig(a, b, threshold)
         energies = [float(e) for e in values if e > _POSITIVE_ROOT_CUTOFF]

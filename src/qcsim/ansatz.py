@@ -2,16 +2,19 @@
 first-order Trotterized UCCSD, and operator pools for adaptive ansatze.
 
 ``exp_pauli`` emits one ``ir.PauliRotation`` value per generator term,
-its unit Pauli string and angle; the simulator applies it in one pass,
-and every reader of gates gets the term's gate sequence (basis changes,
-CNOT ladder, Rz, mirror), which the node derives on each read.  Every
-other generator emits gates only.  UCCSD and adaptive ansatze splice
-those rotation nodes into one composite, so their instructions, and
-hence their kernel text, round-trip through the kernel serializer.
+its unit Pauli string and angle; ``uccsd_circuit`` emits one
+``ir.ExcitationRotation`` value per excitation, its (occ, virt) modes
+and angle.  The simulator applies either in one pass (a Pauli rotation
+over the whole vector, an excitation as a Givens rotation of amplitude
+pairs), and every reader of gates gets the gate sequence (basis changes,
+CNOT ladder, Rz, mirror per Pauli string), which the node derives on
+each read.  Every other generator emits gates only.  UCCSD and adaptive
+ansatze splice those nodes into one composite, so their instructions,
+and hence their kernel text, round-trip through the kernel serializer.
 
-UCCSD and both operator pools take their excitations, and each one's JW
-image T, from ``fermion.excitations`` alone and exponentiate T - T†; no
-generator here maps a fermion operator itself.
+UCCSD and both operator pools take their excitations, and the pools
+each one's JW image T, from ``fermion.excitations`` alone and
+exponentiate T - T†; no generator here maps a fermion operator itself.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from .errors import IRError
 from .fermion import excitations, occupied_spin_orbitals
 from .ir import (
     CompositeInstruction,
+    ExcitationRotation,
     Parameter,
     PauliRotation,
     as_parameter,
@@ -111,28 +115,30 @@ def exp_pauli(
     angle = as_parameter(angle)
     circuit = create_composite("exp_pauli")
     for ops, c in _validate_anti_hermitian(generator):
-        if not ops:
-            continue
-        if angle.is_symbolic:
-            theta = Parameter.symbolic(angle.var, angle.scale * (-2.0 * c))
-        else:
-            theta = Parameter.concrete(-2.0 * c * angle.value)
-        circuit.add(PauliRotation(ops, PauliOperator.from_terms({ops: 1.0}), (theta,)))
+        if ops:
+            theta = angle.scaled(-2.0 * c)
+            circuit.add(PauliRotation(ops, PauliOperator.from_terms({ops: 1.0}), (theta,)))
     return circuit
 
 
 def uccsd_circuit(spec: UccsdSpec) -> CompositeInstruction:
     """Hartree-Fock prep + first-order Trotterized UCCSD rotations.
 
-    One symbolic variable t<k> per excitation amplitude, in
-    ``fermion.excitations`` order: spin-preserving singles, then
-    spin-preserving doubles, index-lexicographic within each group.
+    One ``ExcitationRotation`` exp(t<k> (T - T†)), with one symbolic
+    variable t<k>, per excitation, in ``fermion.excitations`` order:
+    spin-preserving singles, then spin-preserving doubles,
+    index-lexicographic within each group.  Its gates are those of
+    ``exp_pauli(T - T†, t<k>)``.
+
+    The ordering limits the ansatz: on the site-basis Hubbard dimer
+    (``data/hubbard_dimer.ham``) the lowest energy UCCSD(2,4) reaches is
+    -0.5, not the ground state 2 - 2 sqrt 2; in the bonding/antibonding
+    basis (``data/hubbard_dimer_mo.ham``) it reaches the ground state.
     """
     circuit = create_composite("uccsd")
     circuit.add_all(hartree_fock_circuit(spec.ne, spec.nq).children)
-    for k, (_, _, image) in enumerate(excitations(spec.ne, spec.nq)):
-        generator = image - image.dagger()
-        circuit.add_all(exp_pauli(generator, Parameter.symbolic(f"t{k}")).children)
+    for k, (occ, virt, _) in enumerate(excitations(spec.ne, spec.nq)):
+        circuit.add(ExcitationRotation(occ, virt, (Parameter.symbolic(f"t{k}"),)))
     return circuit
 
 

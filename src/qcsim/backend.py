@@ -27,13 +27,19 @@ so memory grows with the number of lefts times 2^n.  Sampled mode takes
 ``expect(commutator(L_i, R_j))`` in row-major order, drawing exactly as
 that nested loop would.
 
-One pass per Pauli rotation: a simulation walks the circuit's leaves
-once, checking them whole before touching an amplitude.  Each
+One pass per rotation: a simulation walks the circuit's leaves once,
+checking them whole before touching an amplitude.  Each
 ``ir.PauliRotation`` leaf is applied as
 psi <- cos(theta/2) psi - i sin(theta/2) P psi, with P the node's unit
 string (through the same XOR/sign generator as ``apply_pauli``) and theta
-its one parameter, a field of the node; its gate lowering is never built.
-Every other leaf is one gate, one ``_apply_gate``.
+its one parameter, a field of the node.  Each ``ir.ExcitationRotation``
+exp(theta (T - T†)) touches only the 2^(n-1) (single) or 2^(n-3)
+(double) amplitudes whose determinants T or T† map to each other, and is
+applied in place as one Givens rotation of those pairs, with the JW sign
+of each pair read from the node's (sign, parity).  Neither rotation's
+gate lowering is built.  Every other leaf is one gate, one
+``_apply_gate``.  Every qubit mask becomes an amplitude-index mask
+through one helper, ``_index_bits``.
 """
 from __future__ import annotations
 
@@ -44,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BackendError
-from .ir import CompositeInstruction, PauliRotation, gate_matrix
+from .ir import CompositeInstruction, ExcitationRotation, PauliRotation, gate_matrix
 from .pauli import (
     PauliOperator,
     PauliTerm,
@@ -254,7 +260,7 @@ class PreparedState:
     def evolve(self, block: CompositeInstruction) -> "PreparedState":
         """The state after ``block``, which ``prepare``'s checks must pass."""
         steps, _ = _plan(block, self.n_qubits)
-        state = _run(self._amplitudes.reshape((2,) * self.n_qubits), steps)
+        state = _run(self._amplitudes.reshape((2,) * self.n_qubits).copy(), steps)
         return PreparedState(self.accelerator, state.reshape(-1))
 
     def moments(self, op: PauliOperator, highest: int) -> list[float]:
@@ -299,9 +305,9 @@ def _plan(
     steps: list = []
     measured: list[int] = []
     for step in circuit.leaves():
-        if max(step.qubits) >= n:
+        if step.max_qubit() >= n:
             raise BackendError(
-                f"circuit '{circuit.name}' touches qubit {max(step.qubits)} "
+                f"circuit '{circuit.name}' touches qubit {step.max_qubit()} "
                 f"but the register has {n}"
             )
         if step.name == "Measure":
@@ -309,7 +315,7 @@ def _plan(
                 raise BackendError(f"circuit '{circuit.name}' already contains Measure")
             if step.qubits[0] not in measured:
                 measured.append(step.qubits[0])
-        elif any(q in measured for q in step.qubits):
+        elif measured and any(q in measured for q in step.qubits):
             raise BackendError(f"gate {step.name} on {step.qubits} after Measure")
         else:
             steps.append(step)
@@ -332,9 +338,12 @@ def _simulate(
 
 
 def _run(state: np.ndarray, steps: list) -> np.ndarray:
-    """Apply planned steps to a state tensor of shape (2,)*n."""
+    """Apply planned steps to a state tensor of shape (2,)*n, which the
+    caller gives up: an excitation updates it in place."""
     for step in steps:
-        if isinstance(step, PauliRotation):
+        if isinstance(step, ExcitationRotation):
+            state = _excite(state, step)
+        elif isinstance(step, PauliRotation):
             state = _rotate(state, step)
         else:
             state = _apply_gate(state, step)
@@ -349,6 +358,38 @@ def _rotate(state: np.ndarray, rotation: PauliRotation) -> np.ndarray:
     factor = -1j * math.sin(half) * phase
     out = math.cos(half) * flat + np.where(odd, -factor, factor) * flat[source]
     return out.reshape(state.shape)
+
+
+def _excite(state: np.ndarray, rotation: ExcitationRotation) -> np.ndarray:
+    """exp(theta (T - T†))|psi>, in place, as a Givens rotation of each pair
+    (a, b) of amplitudes whose occ modes are full and virt modes empty (a)
+    and the reverse (b): T maps a's determinant to sigma times b's, so
+    a' = c a - s sigma b and b' = c b + s sigma a, with c, s = cos, sin theta
+    and sigma the JW sign; every other amplitude is left as it is."""
+    theta = rotation.angle.value
+    n = state.ndim
+    flat = state.reshape(-1)
+    sign, parity = rotation.jw_parity()
+    occ = _index_bits(sum(1 << q for q in rotation.occ), n)
+    virt = _index_bits(sum(1 << q for q in rotation.virt), n)
+    # every index with the index modes empty: a 0 is inserted at each of
+    # their bits, lowest first, by adding the bits at and above it once more
+    rest = np.arange(1 << (n - len(rotation.occ) - len(rotation.virt)))
+    fixed = occ | virt
+    while fixed:
+        low = fixed & -fixed
+        rest += rest & -low
+        fixed ^= low
+    a_index = rest | occ
+    b_index = rest | virt
+    odd = np.bitwise_count(a_index & _index_bits(parity, n)) & 1
+    # s sigma for each pair
+    s = np.where(odd, -sign, sign) * math.sin(theta)
+    c = math.cos(theta)
+    a, b = flat[a_index], flat[b_index]
+    flat[a_index] = c * a - s * b
+    flat[b_index] = c * b + s * a
+    return flat.reshape(state.shape)
 
 
 def _apply_gate(state: np.ndarray, inst) -> np.ndarray:
@@ -403,16 +444,27 @@ def _check_width(op: PauliOperator, n: int) -> None:
         )
 
 
+def _index_bits(qubits: int, n: int) -> int:
+    """The amplitude-index mask of a qubit mask on n qubits (bit q set for
+    qubit q): qubit q is index bit n-1-q."""
+    out = 0
+    while qubits:
+        low = qubits & -qubits
+        out |= 1 << (n - low.bit_length())
+        qubits ^= low
+    return out
+
+
 def _strings(op: PauliOperator, n: int):
     """Each ((x, z), c) of ``op.masks()`` as ((x, z), c, source, odd, phase):
     the unit string adds phase (-1)^odd[j] psi[source[j]] to amplitude j, with
     source = j ^ X, odd = popcount(source & Z) & 1 and phase = i^|x&z| (X, Z:
-    x, z bit-reversed; qubit q is index bit n-1-q).  A too-wide op raises first."""
+    the index masks of x and z).  A too-wide op raises first."""
     _check_width(op, n)
     index = np.arange(1 << n)
     for (x, z), coefficient in op.masks():
-        source = index ^ int(format(x, f"0{n}b")[::-1], 2)
-        odd = np.bitwise_count(source & int(format(z, f"0{n}b")[::-1], 2)) & 1
+        source = index ^ _index_bits(x, n)
+        odd = np.bitwise_count(source & _index_bits(z, n)) & 1
         yield (x, z), coefficient, source, odd, 1j ** ((x & z).bit_count() & 3)
 
 

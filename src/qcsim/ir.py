@@ -1,12 +1,15 @@
 """Polymorphic circuit intermediate representation.
 
-A circuit is a tree of three node kinds: ``Instruction`` (one gate) and
-``PauliRotation`` (R_P(theta), stored as P and theta) are immutable leaves,
-and ``CompositeInstruction`` is a named n-ary tree over them.  Every node
+A circuit is a tree of four node kinds.  ``Instruction`` (one gate),
+``PauliRotation`` (R_P(theta), stored as P and theta) and
+``ExcitationRotation`` (exp(theta (T - T†)) for a fermionic excitation T,
+stored as its occ and virt modes and theta) are immutable leaves, and
+``CompositeInstruction`` is a named n-ary tree over them.  Every node
 answers ``instructions()``, its gates in source order; a rotation derives
-its lowering (basis changes, CNOT ladder, Rz, mirror) on each read.
-``leaves()`` yields the stored nodes, one simulator step each.  Parameters
-are concrete reals (radians) or symbolic linear forms ``scale * var``.
+its lowering (basis changes, CNOT ladder, Rz, mirror per Pauli string) on
+each read.  ``leaves()`` yields the stored nodes, one simulator step
+each.  Parameters are concrete reals (radians) or symbolic linear forms
+``scale * var``.
 
 Rotation convention: R_P(theta) = exp(-i * theta * P / 2).
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -67,6 +71,12 @@ class Parameter:
     def is_symbolic(self) -> bool:
         return self.var is not None
 
+    def scaled(self, factor: float) -> "Parameter":
+        """``factor`` times this angle, concrete or symbolic alike."""
+        if self.var is None:
+            return Parameter.concrete(factor * self.value)
+        return Parameter.symbolic(self.var, self.scale * factor)
+
     def evaluate(self, binding: dict[str, float]) -> float:
         if self.var is None:
             return self.value  # type: ignore[return-value]
@@ -93,7 +103,7 @@ def as_parameter(p: "Parameter | float | int | str") -> Parameter:
 
 
 class _Leaf:
-    """What a gate and a rotation share: ``qubits`` and ``parameters``."""
+    """What a gate and the rotations share: ``qubits`` and ``parameters``."""
 
     @property
     def is_concrete(self) -> bool:
@@ -175,7 +185,7 @@ class CompositeInstruction:
         for child in self.children:
             yield from child.instructions()
 
-    def leaves(self) -> Iterator[Instruction | PauliRotation]:
+    def leaves(self) -> Iterator[Instruction | PauliRotation | ExcitationRotation]:
         """Stored gates and rotations in depth-first (source) order."""
         for child in self.children:
             yield from child.leaves()
@@ -235,22 +245,105 @@ class PauliRotation(_Leaf):
         return self.parameters[0]
 
     def instructions(self) -> Iterator[Instruction]:
-        qubits = self.qubits
-        ladder = list(zip(qubits, qubits[1:]))
-        for q, letter in self.ops:
-            for gate in INTO_Z.get(letter, ()):
-                yield Instruction(gate, (q,))
-        for pair in ladder:
-            yield Instruction("CNOT", pair)
-        yield Instruction("Rz", (qubits[-1],), self.parameters)
-        for pair in reversed(ladder):
-            yield Instruction("CNOT", pair)
-        for q, letter in reversed(self.ops):
-            for gate in OUT_OF_Z.get(letter, ()):
-                yield Instruction(gate, (q,))
+        return _lowering(self.ops, self.angle)
 
 
-Node = Union[Instruction, PauliRotation, CompositeInstruction]
+def _lowering(ops: tuple[tuple[int, str], ...], angle: Parameter) -> Iterator[Instruction]:
+    """The gates of R_P(angle) for P given by ``ops``."""
+    qubits = [q for q, _ in ops]
+    ladder = list(zip(qubits, qubits[1:]))
+    for q, letter in ops:
+        for gate in INTO_Z.get(letter, ()):
+            yield Instruction(gate, (q,))
+    for pair in ladder:
+        yield Instruction("CNOT", pair)
+    yield Instruction("Rz", (qubits[-1],), (angle,))
+    for pair in reversed(ladder):
+        yield Instruction("CNOT", pair)
+    for q, letter in reversed(ops):
+        for gate in OUT_OF_Z.get(letter, ()):
+            yield Instruction(gate, (q,))
+
+
+@dataclass(frozen=True)
+class ExcitationRotation(_Leaf):
+    """exp(theta (T - T†)) for one fermionic excitation T = a†_virt... a_occ...
+
+    ``occ`` and ``virt`` are the modes T empties and fills, as
+    ``fermion.excitations`` lists them (T = a†_virt[0] a†_virt[1]
+    a_occ[1] a_occ[0] for a double), and ``parameters`` is (theta,).
+    Under Jordan-Wigner (mode q on qubit q, Z on every mode below a ladder
+    operator's), T is sign * Z^parity * (one ladder letter per index
+    mode); ``jw_parity`` derives (sign, parity) from (occ, virt) with
+    integer bit arithmetic.
+    T - T† is then a sum of 2 (single) or 8 (double) commuting strings,
+    X or Y on the index modes with an odd number of Y and Z on the parity
+    modes between them, so the node is the product of their rotations.
+    ``rotations()`` lists them in sorted string order with angles
+    +-theta (single) or +-theta/4 (double): the order and angles
+    ``exp_pauli`` gives the terms of T - T†.  ``instructions()`` lowers
+    each in turn; the simulator applies the node as one Givens rotation.
+    """
+
+    occ: tuple[int, ...]
+    virt: tuple[int, ...]
+    parameters: tuple[Parameter]
+
+    name = "excitation_rotation"
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        """The support of its strings: the index modes and the parity modes."""
+        support = self.jw_parity()[1] | sum(1 << q for q in self.occ + self.virt)
+        return tuple(q for q in range(support.bit_length()) if support >> q & 1)
+
+    @property
+    def angle(self) -> Parameter:
+        return self.parameters[0]
+
+    def max_qubit(self) -> int:
+        return max(self.occ + self.virt)
+
+    def jw_parity(self) -> tuple[int, int]:
+        """(sign, parity): T|x> = sign * (-1)^|x & parity| |x'> for every
+        occupation x with occ full and virt empty (x' has occ empty, virt
+        full), with bit q of x and of the parity mask for mode q."""
+        index = sum(1 << q for q in self.occ + self.virt)
+        occupied = sum(1 << q for q in self.occ)
+        sign, parity = 1, 0
+        for mode in (*self.occ, *self.virt[::-1]):
+            below = (1 << mode) - 1
+            # the ladder operator's JW string, on the index modes it finds occupied
+            sign *= (-1) ** (occupied & below).bit_count()
+            parity ^= below
+            occupied ^= 1 << mode
+        return sign, parity & ~index
+
+    def rotations(self) -> list[tuple[tuple[tuple[int, str], ...], Parameter]]:
+        """(ops, angle) of each Pauli rotation in the node, in sorted string order."""
+        sign, parity = self.jw_parity()
+        modes = sorted(self.occ + self.virt)
+        between = [(q, "Z") for q in range(modes[-1]) if parity >> q & 1]
+        out = []
+        for letters in product("XY", repeat=len(modes)):
+            # coefficient of the string in T: a† is (X - iY)/2, a is (X + iY)/2
+            c = sign * math.prod(
+                ((-0.5j if q in self.virt else 0.5j) if letter == "Y" else 0.5)
+                for q, letter in zip(modes, letters)
+            )
+            if c.imag == 0:
+                continue
+            # T - T† holds it as 2i Im(c) P, the rotation R_P(-4 Im(c) theta)
+            ops = tuple(sorted([*zip(modes, letters), *between]))
+            out.append((ops, self.angle.scaled(-4.0 * c.imag)))
+        return sorted(out, key=lambda rotation: rotation[0])
+
+    def instructions(self) -> Iterator[Instruction]:
+        for ops, angle in self.rotations():
+            yield from _lowering(ops, angle)
+
+
+Node = Union[Instruction, PauliRotation, ExcitationRotation, CompositeInstruction]
 
 
 def create_composite(name: str) -> CompositeInstruction:

@@ -14,7 +14,13 @@ import numpy as np
 
 from .backend import StatevectorAccelerator, expectation
 from .errors import OptimizationError
-from .ir import CompositeInstruction, Parameter, evaluate
+from .ir import (
+    CompositeInstruction,
+    ExcitationRotation,
+    Parameter,
+    PauliRotation,
+    evaluate,
+)
 from .pauli import PauliOperator
 from .registry import HeterogeneousMap, as_het_map
 
@@ -222,6 +228,9 @@ def evaluate_gradient(
     entry (chain rule), so a variable driving several gates sums them.
     The shifted leaf is replaced inside the bound tree, so a Pauli
     rotation shifts its own theta and is still simulated in one pass.
+    An excitation rotation exp(theta G) has G^3 = -G, so one shift of
+    theta is not exact: each Pauli rotation of its lowering is shifted
+    instead (``_shifted_leaves``), as if the node were lowered.
     """
     if strategy not in GRADIENT_STRATEGIES:
         raise ValueError(
@@ -240,11 +249,9 @@ def evaluate_gradient(
     if strategy == "parameter-shift":
         index = {var: i for i, var in enumerate(circuit.variables)}
         bound = evaluate(circuit, x)
-        for path, param, gate in _symbolic_gates(circuit, bound):
-            angle = gate.parameters[0].value
-            plus = energy(_with_angle(bound, path, angle + SHIFT))
-            minus = energy(_with_angle(bound, path, angle - SHIFT))
-            grad[index[param.var]] += param.scale * (plus - minus) / 2.0
+        for path, param, plus, minus in _shifted_leaves(circuit, bound):
+            shift = energy(_with_leaves(bound, path, plus)) - energy(_with_leaves(bound, path, minus))
+            grad[index[param.var]] += param.scale * shift / 2.0
         return grad
 
     h = FD_DEFAULT_STEP
@@ -268,27 +275,46 @@ def evaluate_gradient(
     return grad
 
 
-def _symbolic_gates(symbolic: CompositeInstruction, bound: CompositeInstruction, path=()):
-    """(path, parameter, bound leaf) for each symbolic gate or rotation in
-    source order; ``path`` is the child indices that lead to it in both trees."""
+def _shifted_leaves(symbolic: CompositeInstruction, bound: CompositeInstruction, path=()):
+    """(path, parameter, plus, minus) for each rotation angle ``scale * var``
+    in source order: ``path`` is the child indices that lead to its leaf in
+    both trees, and ``plus``/``minus`` are the leaves that replace the bound
+    leaf to shift that one angle by +-pi/2.
+
+    An ``ExcitationRotation`` is the product of its commuting Pauli
+    rotations R_{P_k}(s_k theta), so shifting one of them is the bound node
+    followed by a fixed R_{P_k}(+-pi/2); every other leaf has one angle and
+    is replaced by a copy with that angle shifted.
+    """
     for i, (child, bound_child) in enumerate(zip(symbolic.children, bound.children)):
         if isinstance(child, CompositeInstruction):
-            yield from _symbolic_gates(child, bound_child, path + (i,))
+            yield from _shifted_leaves(child, bound_child, path + (i,))
+        elif isinstance(child, ExcitationRotation):
+            for ops, angle in child.rotations():
+                if angle.is_symbolic:
+                    string = PauliOperator.from_terms({ops: 1.0})
+                    plus, minus = (
+                        [bound_child, PauliRotation(ops, string, (Parameter.concrete(delta),))]
+                        for delta in (SHIFT, -SHIFT)
+                    )
+                    yield path + (i,), angle, plus, minus
         elif child.parameters and child.parameters[0].is_symbolic:
-            yield path + (i,), child.parameters[0], bound_child
+            angle = bound_child.parameters[0].value
+            plus, minus = (
+                [replace(bound_child, parameters=(Parameter.concrete(angle + delta),))]
+                for delta in (SHIFT, -SHIFT)
+            )
+            yield path + (i,), child.parameters[0], plus, minus
 
 
-def _with_angle(node: CompositeInstruction, path: tuple, angle: float) -> CompositeInstruction:
-    """``node`` with the one angle of the leaf at ``path`` replaced.
+def _with_leaves(node: CompositeInstruction, path: tuple, leaves: list) -> CompositeInstruction:
+    """``node`` with the leaf at ``path`` replaced by ``leaves``.
 
-    The composites on the path are rebuilt and the leaf is ``replace``d, so
-    a PauliRotation stays one; every other subtree is shared.
+    The composites on the path are rebuilt; every other subtree is shared.
     """
-    i, child = path[0], node.children[path[0]]
+    i = path[0]
     if len(path) > 1:
-        child = _with_angle(child, path[1:], angle)
-    else:
-        child = replace(child, parameters=(Parameter.concrete(angle),))
+        leaves = [_with_leaves(node.children[i], path[1:], leaves)]
     out = CompositeInstruction(node.name)
-    out.children = node.children[:i] + [child] + node.children[i + 1 :]
+    out.children = node.children[:i] + leaves + node.children[i + 1 :]
     return out

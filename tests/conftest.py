@@ -93,6 +93,27 @@ def hubbard_dimer_mo():
     return qcsim.jordan_wigner(model, 4)
 
 
+def _hubbard_chain(sites, onsite_u=4.0):
+    """Open Hubbard chain, t = 1: alpha modes on qubits 0..sites-1, beta
+    on the second half."""
+    ladder = qcsim.FermionOperator.ladder
+    model = qcsim.FermionOperator()
+    for spin in range(2):
+        for i in range(sites - 1):
+            a, b = spin * sites + i, spin * sites + i + 1
+            model = model + ladder([(a, True), (b, False)], -1.0)
+            model = model + ladder([(b, True), (a, False)], -1.0)
+    for i in range(sites):
+        model = model + ladder([(i, True), (i, False), (sites + i, True), (sites + i, False)], onsite_u)
+    return qcsim.jordan_wigner(model, 2 * sites)
+
+
+@pytest.fixture(scope="session")
+def hubbard_chain():
+    """The Hubbard chain builder (a function of the number of sites)."""
+    return _hubbard_chain
+
+
 def _sector_eigh(op, n_qubits, n_electrons, sz=0.0):
     """Exact diagonalization on the basis states holding ``n_electrons``
     with spin projection ``sz`` (``None`` keeps every Sz).

@@ -138,6 +138,29 @@ class TestExactExpect:
         assert tensor.shape == (2,) * n
         assert np.abs(tensor.reshape(-1) - applied).max() <= tolerance
 
+    @pytest.mark.parametrize("sites", [6, 8])
+    def test_apply_pauli_on_a_chain_is_bit_identical_to_reversed_strings(self, sites, hubbard_chain):
+        """Index masks come from ``_index_bits``; on the 12- and 16-qubit
+        chains op|psi> equals, bit for bit, the sum over the same strings
+        with each mask read as a reversed binary string."""
+        n = 2 * sites
+        op = hubbard_chain(sites)
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        index = np.arange(1 << n)
+        reference = np.zeros(1 << n, dtype=complex)
+        for (x, z), coefficient in op.masks():
+            source = index ^ int(format(x, f"0{n}b")[::-1], 2)
+            odd = np.bitwise_count(source & int(format(z, f"0{n}b")[::-1], 2)) & 1
+            phase = coefficient * 1j ** ((x & z).bit_count() & 3)
+            reference += np.where(odd, -phase, phase) * psi[source]
+        assert np.array_equal(backend.apply_pauli(op, psi), reference)
+
+    def test_index_bits_reverse_the_qubit_mask(self):
+        for n in range(1, 7):
+            for mask in range(1 << n):
+                assert backend._index_bits(mask, n) == int(format(mask, f"0{n}b")[::-1], 2)
+
     def test_apply_pauli_rejects_an_operator_wider_than_the_state(self):
         with pytest.raises(BackendError, match="qubit 2"):
             backend.apply_pauli(pauli.PauliOperator({2: "Z"}), np.ones(4, dtype=complex))
@@ -409,20 +432,20 @@ class TestSampledExpect:
     ],
 )
 def test_the_whole_circuit_is_checked_before_any_gate(entry, tail, match):
-    """A fault at the end of a UCCSD circuit, whose rotations are applied
-    in one pass, is raised before any gate or rotation runs."""
+    """A fault at the end of a UCCSD circuit, whose excitations are applied
+    in one pass each, is raised before any gate or rotation runs."""
     circuit = qcsim.evaluate(qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4)), [0.1, -0.2, 0.3])
     for name, qubits in tail:
         circuit.add(create_instruction(name, qubits))
     with mock.patch.object(backend, "_apply_gate") as gates, mock.patch.object(
         backend, "_rotate"
-    ) as rotations:
+    ) as rotations, mock.patch.object(backend, "_excite") as excitations:
         with pytest.raises(BackendError, match=match):
             if entry == "statevector":
                 backend.statevector(circuit, 4)
             else:
                 _accelerator(seed=1, shots=0).execute(qcsim.qalloc(4), circuit)
-    assert gates.call_count == rotations.call_count == 0
+    assert gates.call_count == rotations.call_count == excitations.call_count == 0
 
 
 @pytest.mark.parametrize("shots", [0, 100])

@@ -13,10 +13,13 @@ not import ``pauli``, which imports ``ir``.  No call in an algorithm module
 takes a ``commutator(...)`` call as an argument, and ``adapt.py`` does not
 import ``commutator``: commutator expectations are read through
 ``PreparedState.expect_commutators``, which in exact mode builds no product.
-A Pauli rotation is a leaf, not a composite, and ``ansatz.exp_pauli``
-builds no gate: the rotation derives its gates when they are read.
-Neither ``ansatz.py`` nor an algorithm module calls ``jordan_wigner``:
-excitation images come only from ``fermion.excitations``.
+A Pauli rotation and an excitation rotation are leaves, not composites,
+and ``ansatz.exp_pauli`` builds no gate: a rotation derives its gates
+when they are read.  Neither ``ansatz.py`` nor an algorithm module calls
+``jordan_wigner``: excitation images come only from
+``fermion.excitations``.  ``ir.py`` does not import ``fermion`` either,
+and ``backend.py`` never calls ``jordan_wigner``: an excitation node's
+strings and signs come from its modes by bit arithmetic.
 """
 import ast
 from pathlib import Path
@@ -112,15 +115,22 @@ def test_only_the_simulator_reads_the_rotation_string(path):
     assert _loads(path, "pauli") == []
 
 
-def test_ir_does_not_import_pauli():
+def _imported_by_ir():
     tree = ast.parse((PACKAGE / "ir.py").read_text(encoding="utf-8"))
-    imported = [
-        name
+    return [
+        name.split(".")[-1]
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
     ]
-    assert not any(name.split(".")[-1] == "pauli" for name in imported)
+
+
+def test_ir_does_not_import_pauli():
+    assert "pauli" not in _imported_by_ir()
+
+
+def test_ir_does_not_import_fermion():
+    assert "fermion" not in _imported_by_ir()
 
 
 def _calls_named(node, name):
@@ -161,6 +171,12 @@ def test_a_rotation_is_a_leaf():
     assert not issubclass(PauliRotation, CompositeInstruction)
 
 
+def test_an_excitation_is_a_leaf():
+    from qcsim.ir import CompositeInstruction, ExcitationRotation
+
+    assert not issubclass(ExcitationRotation, CompositeInstruction)
+
+
 def test_exp_pauli_builds_no_gate():
     tree = ast.parse((PACKAGE / "ansatz.py").read_text(encoding="utf-8"))
     (function,) = [
@@ -179,4 +195,9 @@ def test_exp_pauli_builds_no_gate():
 )
 def test_excitation_images_come_only_from_fermion_excitations(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if _calls_named(node, "jordan_wigner")] == []
+
+
+def test_the_simulator_never_maps_a_fermion_operator():
+    tree = ast.parse((PACKAGE / "backend.py").read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if _calls_named(node, "jordan_wigner")] == []

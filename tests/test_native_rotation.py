@@ -1,12 +1,15 @@
-"""Native Pauli rotations: each ``ir.PauliRotation`` node that ``exp_pauli``
-emits is simulated in one pass, psi <- cos(theta/2) psi - i sin(theta/2) P psi.
+"""Native rotations: each ``ir.PauliRotation`` node that ``exp_pauli``
+emits is simulated in one pass, psi <- cos(theta/2) psi - i sin(theta/2) P psi,
+and each ``ir.ExcitationRotation`` node that ``uccsd_circuit`` emits as one
+Givens rotation of the amplitude pairs its excitation connects.
 
 The reference is the node's own gate sequence applied gate by gate with
 ``_apply_gate``, which is what the simulator does for a circuit without
 rotation nodes (a parsed kernel, or ``node.instructions()`` copied into a
 plain composite).  The gates a node lowers to, and so the kernel text,
 are pinned against a golden file for UCCSD(2,4) and by count, depth and
-digest for UCCSD(4,12).
+digest for UCCSD(4,12); an excitation node's strings and angles are those
+``exp_pauli`` gives its generator T - T†.
 """
 import dataclasses
 import hashlib
@@ -15,13 +18,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcsim
-from qcsim import backend, optim, pauli
-from qcsim.ansatz import UccsdSpec, exp_pauli, uccsd_circuit
+from qcsim import backend, fermion, optim, pauli
+from qcsim.ansatz import UccsdSpec, exp_pauli, hartree_fock_circuit, uccsd_circuit
 from qcsim.ir import (
+    ExcitationRotation,
     Instruction,
     Parameter,
     PauliRotation,
@@ -40,6 +44,15 @@ GOLDEN = Path(__file__).resolve().parent / "uccsd_2_4.kernel"
 def _flat(circuit):
     """The same leaves in a plain composite: simulated gate by gate."""
     return create_composite(circuit.name).add_all(list(circuit.instructions()))
+
+
+def _pauli_uccsd(ne, nq):
+    """UCCSD of Pauli rotations: one ``exp_pauli`` of T - T† per excitation."""
+    circuit = create_composite("uccsd")
+    circuit.add_all(hartree_fock_circuit(ne, nq).children)
+    for k, (_, _, image) in enumerate(fermion.excitations(ne, nq)):
+        circuit.add_all(exp_pauli(image - image.dagger(), f"t{k}").children)
+    return circuit
 
 
 @st.composite
@@ -86,6 +99,10 @@ def _counted():
         mock.patch.object(backend, "_rotate", wraps=backend._rotate),
         mock.patch.object(backend, "_apply_gate", wraps=backend._apply_gate),
     )
+
+
+def _counted_excitations():
+    return mock.patch.object(backend, "_excite", wraps=backend._excite)
 
 
 @given(cases())
@@ -135,7 +152,7 @@ def test_exp_pauli_tags_each_term_with_its_unit_string():
 
 
 def test_evaluate_keeps_the_node_types_and_strings():
-    circuit = uccsd_circuit(UccsdSpec(2, 4))
+    circuit = _pauli_uccsd(2, 4)
     bound = evaluate(circuit, [0.1, -0.2, 0.3])
     assert [type(node) for node in bound.children] == [type(node) for node in circuit.children]
     pairs = [
@@ -167,7 +184,7 @@ def test_uccsd_kernel_text_is_unchanged():
 
 
 def test_parameter_shift_runs_every_rotation_in_one_pass(hubbard_dimer, exact_accelerator):
-    circuit = uccsd_circuit(UccsdSpec(2, 4))
+    circuit = _pauli_uccsd(2, 4)
     rotate, apply_gate = _counted()
     with rotate as rotations, apply_gate as gates:
         optim.evaluate_gradient(
@@ -210,7 +227,7 @@ def test_no_gate_is_built_for_a_rotation_by_build_or_bind():
         Instruction, "__init__", autospec=True, side_effect=Instruction.__init__
     )
     with built as constructed:
-        circuit = uccsd_circuit(UccsdSpec(2, 4))
+        circuit = _pauli_uccsd(2, 4)
     # the two X gates of the Hartree-Fock reference
     assert constructed.call_count == 2
     with built as constructed:
@@ -218,3 +235,119 @@ def test_no_gate_is_built_for_a_rotation_by_build_or_bind():
     assert constructed.call_count == 0
     assert [type(node) for node in bound.leaves()] == [Instruction] * 2 + [PauliRotation] * 12
     assert bound.variables == [] and bound.is_concrete
+
+
+UCCSD_SPECS = [(2, 4), (2, 8), (4, 12)]
+
+
+@pytest.mark.parametrize("ne, nq", UCCSD_SPECS)
+@settings(max_examples=3)
+@given(data=st.data())
+def test_an_excitation_pass_equals_the_gate_sequence(ne, nq, data):
+    circuit = uccsd_circuit(UccsdSpec(ne, nq))
+    x = data.draw(st.lists(ANGLES, min_size=len(circuit.variables), max_size=len(circuit.variables)))
+    bound = evaluate(circuit, x)
+    reference = _flat(bound)
+    rotate, apply_gate = _counted()
+    with rotate as rotations, apply_gate as gates, _counted_excitations() as excitations:
+        tagged = backend.statevector(bound, nq)
+    assert (excitations.call_count, rotations.call_count, gates.call_count) == (
+        len(circuit.variables), 0, ne
+    )
+    assert np.abs(tagged - backend.statevector(reference, nq)).max() <= 1e-12
+    # from an entangled state, where no pair starts empty
+    accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
+    state = accelerator.prepare(data.draw(prefixes(nq)), nq)
+    evolved = state.evolve(bound)._amplitudes
+    assert np.abs(evolved - state.evolve(reference)._amplitudes).max() <= 1e-12
+
+
+@pytest.mark.parametrize("ne, nq", [(1, 2), (2, 4), (3, 8), (4, 8), (4, 12)])
+@pytest.mark.parametrize("spin_preserving", [True, False])
+def test_an_excitation_holds_the_strings_exp_pauli_gives_its_generator(ne, nq, spin_preserving):
+    for occ, virt, image in fermion.excitations(ne, nq, spin_preserving):
+        node = ExcitationRotation(occ, virt, (Parameter.symbolic("t"),))
+        pauli_rotations = exp_pauli(image - image.dagger(), "t").children
+        assert node.rotations() == [(r.ops, r.angle) for r in pauli_rotations]
+        assert node.qubits == tuple(sorted({q for r in pauli_rotations for q in r.qubits}))
+        assert node.max_qubit() == max(node.qubits)
+
+
+def test_an_excitation_is_its_modes_and_angle():
+    assert [field.name for field in dataclasses.fields(ExcitationRotation)] == [
+        "occ", "virt", "parameters"
+    ]
+    node = ExcitationRotation((0, 4), (2, 6), (Parameter.symbolic("t", 0.5),))
+    assert node.variables == ["t"] and not node.is_concrete
+    # a double's 8 strings: X/Y on 0, 2, 4 and 6, Z on 1 and 5
+    assert {ops for ops, _ in node.rotations()} >= {
+        ((0, "X"), (1, "Z"), (2, "X"), (4, "X"), (5, "Z"), (6, "Y"))
+    }
+    assert {abs(angle.scale) for _, angle in node.rotations()} == {0.125}
+    assert node.qubits == (0, 1, 2, 4, 5, 6)
+
+
+def test_uccsd_is_one_node_per_excitation():
+    circuit = uccsd_circuit(UccsdSpec(4, 12))
+    leaves = list(circuit.leaves())
+    assert len(leaves) == 96
+    assert [type(node) for node in leaves] == [Instruction] * 4 + [ExcitationRotation] * 92
+    assert [(node.occ, node.virt) for node in leaves[4:]] == [
+        (occ, virt) for occ, virt, _ in fermion.excitations(4, 12)
+    ]
+
+
+def test_evaluate_keeps_the_excitation_nodes():
+    circuit = uccsd_circuit(UccsdSpec(2, 4))
+    values = [0.1, -0.2, 0.3]
+    bound = evaluate(circuit, values)
+    assert [type(node) for node in bound.children] == [type(node) for node in circuit.children]
+    for node, bound_node, value in zip(circuit.children[2:], bound.children[2:], values):
+        assert (bound_node.occ, bound_node.virt) == (node.occ, node.virt)
+        assert bound_node.angle == Parameter.concrete(value)
+        assert list(bound_node.instructions()) == list(evaluate(_flat(node), [value]).instructions())
+
+
+def test_no_gate_is_built_for_an_excitation_by_build_or_bind():
+    built = mock.patch.object(
+        Instruction, "__init__", autospec=True, side_effect=Instruction.__init__
+    )
+    with built as constructed:
+        circuit = uccsd_circuit(UccsdSpec(2, 4))
+    # the two X gates of the Hartree-Fock reference
+    assert constructed.call_count == 2
+    with built as constructed:
+        bound = evaluate(circuit, [0.1, -0.2, 0.3])
+    assert constructed.call_count == 0
+    assert [type(node) for node in bound.leaves()] == [Instruction] * 2 + [ExcitationRotation] * 3
+
+
+def test_parameter_shift_shifts_each_string_of_an_excitation(hubbard_dimer, exact_accelerator):
+    circuit = uccsd_circuit(UccsdSpec(2, 4))
+    rotate, apply_gate = _counted()
+    with rotate as rotations, apply_gate as gates, _counted_excitations() as excitations:
+        optim.evaluate_gradient(
+            "parameter-shift", circuit, [0.1, -0.2, 0.3], hubbard_dimer, exact_accelerator
+        )
+    # 2 + 2 + 8 strings, each shifted both ways by one extra fixed rotation
+    # after its (unshifted) node; every simulation applies the 3 nodes
+    simulations = 2 * 12
+    assert excitations.call_count == 3 * simulations
+    assert rotations.call_count == simulations
+    assert gates.call_count == 2 * simulations
+
+
+@pytest.mark.parametrize("ne, nq", [(2, 4), (2, 8)])
+def test_parameter_shift_through_excitations_is_exact(ne, nq, hubbard_chain, exact_accelerator):
+    observable = hubbard_chain(nq // 2)
+    circuit = uccsd_circuit(UccsdSpec(ne, nq))
+    rng = np.random.default_rng(nq)
+    for _ in range(2):
+        x = rng.uniform(-np.pi, np.pi, len(circuit.variables))
+        shift = optim.evaluate_gradient("parameter-shift", circuit, x, observable, exact_accelerator)
+        central = optim.evaluate_gradient("central", circuit, x, observable, exact_accelerator)
+        lowered = optim.evaluate_gradient(
+            "parameter-shift", _pauli_uccsd(ne, nq), x, observable, exact_accelerator
+        )
+        assert np.abs(shift - central).max() <= 1e-7
+        assert np.abs(shift - lowered).max() <= 1e-12

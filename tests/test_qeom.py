@@ -210,23 +210,24 @@ def test_excitations_that_annihilate_the_state_are_dropped_and_counted(hubbard_d
     assert buffer["qeom-metric-condition"] == pytest.approx(1.0)
 
 
-def _hubbard_chain(sites, onsite_u=4.0):
-    ladder = qcsim.FermionOperator.ladder
-    model = qcsim.FermionOperator()
-    for spin in range(2):
-        for i in range(sites - 1):
-            a, b = spin * sites + i, spin * sites + i + 1
-            model = model + ladder([(a, True), (b, False)], -1.0)
-            model = model + ladder([(b, True), (a, False)], -1.0)
-    for i in range(sites):
-        model = model + ladder([(i, True), (i, False), (sites + i, True), (sites + i, False)], onsite_u)
-    return qcsim.jordan_wigner(model, 2 * sites)
+def test_a_metric_dead_as_a_whole_raises(monkeypatch, hubbard_dimer_mo):
+    """Every |lambda| of B is 1e-9: above the 1e-10 cutoff and spanning 1,
+    but 1e-9 of the basis scale (1 for JW excitations)."""
+    size = 2 * len(_basis(2, 4))
+    metric = 1e-9 * np.diag([1.0, -1.0] * (size // 2))
+    monkeypatch.setattr(qeom, "eom_pencil", lambda *_: (np.eye(size), metric))
+    hartree_fock = qcsim.evaluate(qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4)), [0.0] * 3)
+    algorithm, buffer = _qeom(hubbard_dimer_mo, hartree_fock)
+    with pytest.raises(AlgorithmError, match="dead metric"):
+        algorithm.execute(buffer)
+    assert buffer["qeom-metric-condition"] == pytest.approx(1.0)
+    assert "excitation-energies" not in buffer
 
 
-def test_exact_pencil_builds_only_the_h_commutators(monkeypatch):
+def test_exact_pencil_builds_only_the_h_commutators(monkeypatch, hubbard_chain):
     """On a 3-site chain the exact pencil multiplies Pauli sums only for
     [H, O_v] and [H, O_v^dag]: 2 products each, 4 dim in all."""
-    chain = _hubbard_chain(3)
+    chain = hubbard_chain(3)
     operators = _basis(2, 6)
     reference = create_composite("reference")
     for q in (0, 3):

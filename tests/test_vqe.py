@@ -93,3 +93,31 @@ def test_bounds_given_to_the_algorithm_reach_the_optimizer():
     upper = _bounded({"upper-bounds": [-3.0]})
     assert upper["opt-params"][0] <= -3.0
     assert upper["opt-val"] > -1.1449
+
+
+DIMER_PATHS = {
+    "hubbard_dimer.ham": -0.5,
+    "hubbard_dimer_mo.ham": 2 - 2 * np.sqrt(2),
+}
+
+
+@pytest.mark.parametrize("name, energy", DIMER_PATHS.items())
+def test_uccsd_dimer_minimum_depends_on_the_orbital_basis(name, energy):
+    """Singles-then-doubles UCCSD(2,4) from the reference determinant
+    bottoms out at -0.5 in the site basis, a limit of that ordering, and
+    reaches the sector ground state -0.828427 in the orbital basis."""
+    observable = pauli.load_hamiltonian(str(H2_PATH.parent / name))
+    vqe = qcsim.get_algorithm(
+        "vqe",
+        {
+            "ansatz": qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4)),
+            "observable": observable,
+            "accelerator": qcsim.get_accelerator("statevector", {"shots": 0}),
+            "optimizer": qcsim.get_optimizer(
+                "nelder-mead", {"tolerance": 1e-14, "max-iterations": 2000}
+            ),
+        },
+    )
+    buffer = qcsim.qalloc(4)
+    vqe.execute(buffer)
+    assert buffer["opt-val"] == pytest.approx(energy, abs=1e-6)
