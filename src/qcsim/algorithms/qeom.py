@@ -10,11 +10,14 @@ span the excitation/de-excitation manifold.  The commutator matrix elements
 
 are read in one ``PreparedState.expect_commutators`` call, with the
 adjoints O_u† as lefts and, per v, the rights [H, O_v], [H, O_v†], O_v
-and O_v† interleaved (columns 0::4 to 3::4).  Exact mode takes each
-element as two inner products of vectors applied to the cached state and
-builds only the 2 dim commutators with H; sampled mode measures every
-double commutator in the order of the (u, v) loop.  They are assembled
-into the response pencil
+and O_v† interleaved (columns 0::4 to 3::4).  Only the dim commutators
+[H, O_v] are built: for the Hermitian H that QEOM requires,
+[H, O_v†] = -[H, O_v]†, formed from it exactly, so every right is, up
+to sign, a left, a left's adjoint or another right's adjoint.  Exact mode
+takes each element as two inner products of vectors applied to the
+cached state, applying each of O_u, O_u†, [H, O_v] and [H, O_v]† once;
+sampled mode measures every double commutator in the order of the
+(u, v) loop.  They are assembled into the response pencil
 
     [[M, Q], [Q*, M*]] x = E [[V, W], [-W*, -V*]] x
 
@@ -61,7 +64,10 @@ def eom_pencil(
     daggers = [op.dagger() for op in operators]
     rights = []
     for op, dagger in zip(operators, daggers):
-        rights += [commutator(observable, op), commutator(observable, dagger), op, dagger]
+        # [H, O^dag] = -[H, O]^dag for a Hermitian H; formed so, it is minus
+        # the adjoint bit for bit, and its vectors are reused
+        response = commutator(observable, op)
+        rights += [response, -response.dagger(), op, dagger]
     values = state.expect_commutators(daggers, rights)
     m, q, v, w = values[:, 0::4], -values[:, 1::4], values[:, 2::4], -values[:, 3::4]
     a = np.block([[m, q], [q.conj(), m.conj()]])

@@ -12,8 +12,9 @@ each read.  Every other generator emits gates only.  UCCSD and adaptive
 ansatze splice those nodes into one composite, so their instructions,
 and hence their kernel text, round-trip through the kernel serializer.
 
-UCCSD and both operator pools take their excitations, and the pools
-each one's JW image T, from ``fermion.excitations`` alone and
+UCCSD takes its excitations' (occ, virt) modes from
+``fermion.excitation_modes`` alone, and both operator pools each
+excitation's JW image T from ``fermion.excitations`` alone, and
 exponentiate T - T†; no generator here maps a fermion operator itself.
 """
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import comb
 from typing import Iterable
 
 from .errors import IRError
-from .fermion import excitations, occupied_spin_orbitals
+from .fermion import excitation_modes, excitations, occupied_spin_orbitals
 from .ir import (
     CompositeInstruction,
     ExcitationRotation,
@@ -125,7 +126,7 @@ def uccsd_circuit(spec: UccsdSpec) -> CompositeInstruction:
     """Hartree-Fock prep + first-order Trotterized UCCSD rotations.
 
     One ``ExcitationRotation`` exp(t<k> (T - T†)), with one symbolic
-    variable t<k>, per excitation, in ``fermion.excitations`` order:
+    variable t<k>, per excitation, in ``fermion.excitation_modes`` order:
     spin-preserving singles, then spin-preserving doubles,
     index-lexicographic within each group.  Its gates are those of
     ``exp_pauli(T - T†, t<k>)``.
@@ -137,7 +138,7 @@ def uccsd_circuit(spec: UccsdSpec) -> CompositeInstruction:
     """
     circuit = create_composite("uccsd")
     circuit.add_all(hartree_fock_circuit(spec.ne, spec.nq).children)
-    for k, (occ, virt, _) in enumerate(excitations(spec.ne, spec.nq)):
+    for k, (occ, virt) in enumerate(excitation_modes(spec.ne, spec.nq)):
         circuit.add(ExcitationRotation(occ, virt, (Parameter.symbolic(f"t{k}"),)))
     return circuit
 

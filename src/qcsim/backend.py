@@ -18,21 +18,35 @@ the ``pauli.observe`` circuit sees parity +1 with probability
 (1 + <P>)/2, so k ~ Binomial(shots, (1 + <P>)/2) is drawn with <P> read
 from the cached vector, and the string's estimate is (2k - shots)/shots.
 
+Exact Pauli sums: ``apply_pauli`` is the one exact application of a
+Pauli sum.  It makes one gather per distinct X mask: the strings sharing
+an X mask fold into one diagonal, and the Z-only strings need no gather
+(its docstring states the summation order).  Exact ``expect``,
+``moments`` and ``expect_commutators`` go through it.  Only sampled
+``expect`` and a rotation's one string walk strings one by one
+(``_strings``).
+
 Commutators without products: ``expect_commutators(lefts, rights)`` is
 the matrix of <[L_i, R_j]>.  It checks every operator's width before
 building a vector or drawing.  Exact mode builds no product operator: it
-applies each L and L^dag to the cached vector once, streams the rights
-one at a time, and takes <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi>,
-so memory grows with the number of lefts times 2^n.  Sampled mode takes
-``expect(commutator(L_i, R_j))`` in row-major order, drawing exactly as
-that nested loop would.
+takes <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi> and applies each
+distinct operator once, up to sign.  An operator equal to one applied
+before, or to minus it (``PauliOperator`` values are hashable), reads
+that one's vector: a Hermitian L or anti-Hermitian R costs one
+application, and so does every right that is, up to sign, a left, a
+left's adjoint or another right's.  The lefts' vectors live through the
+call; the rights are streamed in order, and each right's vectors are
+dropped after their last use, so memory stays at the lefts' vectors
+plus a few of 2^n.  Sampled mode takes ``expect(commutator(L_i, R_j))`` in
+row-major order, drawing exactly as that nested loop would.
 
 One pass per rotation: a simulation walks the circuit's leaves once,
 checking them whole before touching an amplitude.  Each
 ``ir.PauliRotation`` leaf is applied as
 psi <- cos(theta/2) psi - i sin(theta/2) P psi, with P the node's unit
-string (through the same XOR/sign generator as ``apply_pauli``) and theta
-its one parameter, a field of the node.  Each ``ir.ExcitationRotation``
+string (through the per-string generator ``_strings``, as one string
+costs less there than through ``apply_pauli``'s grouping) and theta its
+one parameter, a field of the node.  Each ``ir.ExcitationRotation``
 exp(theta (T - T†)) touches only the 2^(n-1) (single) or 2^(n-3)
 (double) amplitudes whose determinants T or T† map to each other, and is
 applied in place as one Givens rotation of those pairs, with the JW sign
@@ -244,17 +258,55 @@ class PreparedState:
                 for j, b in enumerate(rights):
                     out[i, j] = self.expect(commutator(a, b))
             return out
-        # <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi>
+        # <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi>; every operator
+        # equal, up to sign, to one already met reads that one's vector
+        owners: list[PauliOperator] = []
+        slots: dict[PauliOperator, int] = {}
+
+        def slot(op: PauliOperator) -> tuple[int, float]:
+            """(s, sign): op psi is sign times owners[s] psi."""
+            if op in slots:
+                return slots[op], 1.0
+            negated = -op
+            if negated in slots:
+                return slots[negated], -1.0
+            slots[op] = len(owners)
+            owners.append(op)
+            return slots[op], 1.0
+
+        kets = [slot(a) for a in lefts]
+        bras = [slot(a.dagger()) for a in lefts]
+        ket_rows, bra_rows = [s for s, _ in kets], [s for s, _ in bras]
+        ket_signs = np.array([sign for _, sign in kets])
+        bra_signs = np.array([sign for _, sign in bras])
         psi = self._amplitudes
-        bras = np.empty((len(lefts), psi.size), dtype=complex)
-        kets = np.empty_like(bras)
-        for i, a in enumerate(lefts):
-            kets[i] = apply_pauli(a, psi)
-            dagger = a.dagger()
-            # a Hermitian L (ADAPT's H) is applied once
-            bras[i] = (kets[i] if dagger == a else apply_pauli(dagger, psi)).conj()
-        for j, b in enumerate(rights):
-            out[:, j] = bras @ apply_pauli(b, psi) - kets @ apply_pauli(b.dagger(), psi).conj()
+        # the lefts' vectors, slots 0..len(kept)-1, live through the call
+        kept = np.empty((len(owners), psi.size), dtype=complex)
+        for s, op in enumerate(owners):
+            kept[s] = apply_pauli(op, psi)
+        pairs = [(slot(b), slot(b.dagger())) for b in rights]
+        last = {s: j for j, pair in enumerate(pairs) for s, _ in pair}
+        held: dict[int, np.ndarray] = {}
+
+        def overlaps(s: int) -> np.ndarray:
+            """<kept row|owners[s] psi> for every kept row."""
+            if s < len(kept):
+                vector = kept[s]
+            else:
+                if s not in held:
+                    held[s] = apply_pauli(owners[s], psi)
+                vector = held[s]
+            return (kept @ vector.conj()).conj()
+
+        for j, ((r, r_sign), (d, d_sign)) in enumerate(pairs):
+            with_r = overlaps(r)
+            with_d = with_r if d == r else overlaps(d)
+            out[:, j] = bra_signs * r_sign * with_r[bra_rows] - (
+                ket_signs * d_sign * with_d[ket_rows].conj()
+            )
+            for s in (r, d):
+                if last[s] == j:
+                    held.pop(s, None)
         return out
 
     def evolve(self, block: CompositeInstruction) -> "PreparedState":
@@ -469,13 +521,48 @@ def _strings(op: PauliOperator, n: int):
 
 
 def apply_pauli(op: PauliOperator, state: np.ndarray) -> np.ndarray:
-    """op|psi> for 2^n amplitudes, flat or of shape (2,)*n; keeps the shape."""
+    """op|psi> for 2^n amplitudes, flat or of shape (2,)*n; keeps the shape.
+
+    One gather per distinct X mask.  A string (x, z) with coefficient c
+    adds c i^|x&z| (-1)^popcount((j ^ X) & Z) psi[j ^ X] to amplitude j (X,
+    Z: the index masks of x and z), so the strings sharing X fold into one
+    diagonal D_X[j] = sum c i^|x&z| (-1)^|X&Z| (-1)^popcount(j & Z), and
+    op|psi> = sum_X D_X * psi[j ^ X]; the Z-only strings (X = 0) need no
+    gather.  Summation order: the groups in the order their X first occurs
+    in ``op.masks()``, each D_X summed from zero over its strings in
+    ``masks()`` order, each D_X * psi[j ^ X] added to a zero vector.  The
+    order depends only on op's value, so equal operators give the same
+    vector and -op gives exactly its negation, which lets
+    ``PreparedState.expect_commutators`` reuse a vector up to sign.  One
+    group at a time: besides the result, the index, its parity table, one
+    diagonal and one gathered vector of 2^n are live, never one vector per
+    string.  A too-wide op raises first.
+    """
     flat = state.reshape(-1)
     n = flat.size.bit_length() - 1
+    _check_width(op, n)
+    groups: dict[int, list[tuple[int, complex]]] = {}
+    for (x, z), coefficient in op.masks():
+        # i^|x&z| (-1)^|X&Z| = i^(3|x&z|): X, Z reorder the bits of x, z
+        phase = 1j ** (3 * (x & z).bit_count() & 3)
+        groups.setdefault(x, []).append((_index_bits(z, n), coefficient * phase))
+    index = np.arange(flat.size)
+    odd = np.bitwise_count(index) & 1 == 1
     out = np.zeros(flat.size, dtype=complex)
-    for _, coefficient, source, odd, phase in _strings(op, n):
-        phase = coefficient * phase
-        out += np.where(odd, -phase, phase) * flat[source]
+    for x, strings in groups.items():
+        diagonal = np.zeros(flat.size, dtype=complex)
+        for parity, weight in strings:
+            # (-1)^popcount(j & Z) read from the parity of every index
+            diagonal += np.where(odd[index & parity], -weight, weight)
+        source = _index_bits(x, n)
+        if source:
+            # XOR the index in place and back: no second index is allocated
+            index ^= source
+            diagonal *= flat[index]
+            index ^= source
+        else:
+            diagonal *= flat
+        out += diagonal
     return out.reshape(state.shape)
 
 

@@ -4,9 +4,10 @@ Spin-orbital layout: alpha spin-orbitals occupy qubits 0..nq/2-1, beta
 spin-orbitals the second half.  The Jordan-Wigner string places Z on all
 modes strictly below the ladder operator's mode.
 
-``excitations`` is the one source of the singles/doubles manifold off the
-reference determinant: UCCSD, both ADAPT pools and the QEOM basis read
-each excitation's (occ, virt) indices and JW image from it.
+``excitation_modes`` is the one enumeration of the singles/doubles
+manifold off the reference determinant, as (occ, virt) indices: UCCSD
+reads it alone.  ``excitations`` adds each entry's JW image, which both
+ADAPT pools and the QEOM basis read.
 """
 from __future__ import annotations
 
@@ -119,32 +120,43 @@ def occupied_spin_orbitals(n_electrons: int, n_qubits: int) -> list[int]:
     return list(range(n_alpha)) + [n_spatial + i for i in range(n_beta)]
 
 
-def excitations(
+def excitation_modes(
     n_electrons: int, n_qubits: int, spin_preserving: bool = True
-) -> list[tuple[tuple[int, ...], tuple[int, ...], PauliOperator]]:
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every single, then every double, excitation off the reference.
 
-    Each entry is (occ, virt, image): the occupied modes emptied, the
-    virtual modes filled and the Jordan-Wigner image of
-    T = a†_virt... a_occ... (occ in reverse), whose anti-Hermitian
-    generator is ``image - image.dagger()``.  Each group is
-    index-lexicographic.  ``spin_preserving`` keeps the excitations that
-    conserve Sz: as many beta modes in occ as in virt.  Each mode's ladder
-    image is built once per call.
+    Each entry is (occ, virt): the occupied modes emptied and the virtual
+    modes filled.  Each group is index-lexicographic.  ``spin_preserving``
+    keeps the excitations that conserve Sz: as many beta modes in occ as in
+    virt.
     """
     occupied = occupied_spin_orbitals(n_electrons, n_qubits)
     virtual = [q for q in range(n_qubits) if q not in occupied]
-    # an excitation only annihilates occupied modes and creates virtual ones
-    ladder = {q: _jw_ladder(q, q in virtual) for q in range(n_qubits)}
     beta = set(range(n_qubits // 2, n_qubits))
+    return [
+        (occ, virt)
+        for rank in (1, 2)
+        for occ in combinations(occupied, rank)
+        for virt in combinations(virtual, rank)
+        if not spin_preserving or len(beta.intersection(occ)) == len(beta.intersection(virt))
+    ]
+
+
+def excitations(
+    n_electrons: int, n_qubits: int, spin_preserving: bool = True
+) -> list[tuple[tuple[int, ...], tuple[int, ...], PauliOperator]]:
+    """Each ``excitation_modes`` entry (occ, virt) with its image: the
+    Jordan-Wigner image of T = a†_virt... a_occ... (occ in reverse), whose
+    anti-Hermitian generator is ``image - image.dagger()``.  Each mode's
+    ladder image is built once per call.
+    """
+    occupied = occupied_spin_orbitals(n_electrons, n_qubits)
+    # an excitation only annihilates occupied modes and creates virtual ones
+    ladder = {q: _jw_ladder(q, q not in occupied) for q in range(n_qubits)}
     found = []
-    for rank in (1, 2):
-        for occ in combinations(occupied, rank):
-            for virt in combinations(virtual, rank):
-                if spin_preserving and len(beta.intersection(occ)) != len(beta.intersection(virt)):
-                    continue
-                image = PauliOperator.identity()
-                for q in virt + occ[::-1]:
-                    image = image * ladder[q]
-                found.append((occ, virt, image))
+    for occ, virt in excitation_modes(n_electrons, n_qubits, spin_preserving):
+        image = PauliOperator.identity()
+        for q in virt + occ[::-1]:
+            image = image * ladder[q]
+        found.append((occ, virt, image))
     return found

@@ -270,7 +270,7 @@ class ExcitationRotation(_Leaf):
     """exp(theta (T - T†)) for one fermionic excitation T = a†_virt... a_occ...
 
     ``occ`` and ``virt`` are the modes T empties and fills, as
-    ``fermion.excitations`` lists them (T = a†_virt[0] a†_virt[1]
+    ``fermion.excitation_modes`` lists them (T = a†_virt[0] a†_virt[1]
     a_occ[1] a_occ[0] for a double), and ``parameters`` is (theta,).
     Under Jordan-Wigner (mode q on qubit q, Z on every mode below a ladder
     operator's), T is sign * Z^parity * (one ladder letter per index

@@ -201,6 +201,10 @@ class PauliOperator:
             return NotImplemented
         return self._terms == other._terms
 
+    def __hash__(self) -> int:
+        """Equal operators hash alike, whatever order their terms were added in."""
+        return hash(frozenset(self._terms.items()))
+
     def isclose(self, other: "PauliOperator", tolerance: float = 1e-10) -> bool:
         keys = set(self._terms) | set(other._terms)
         return all(

@@ -6,8 +6,12 @@ counts come from a counting wrapper around ``backend.statevector``;
 sampled ``expect`` is checked in law against the per-string ``observe`` +
 ``execute_and_reduce`` loop over many seeds and against the exact value
 within a Hoeffding bound, and sampled ``evolve`` and ``moments`` against
-``expect`` on the equivalent state and powers.
+``expect`` on the equivalent state and powers.  Exact ``expect_commutators``
+is checked to apply each distinct operator once, up to sign, counted
+through a wrapper around ``backend.apply_pauli``, and its peak memory with
+``tracemalloc``.
 """
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -141,20 +145,59 @@ class TestExactExpect:
     @pytest.mark.parametrize("sites", [6, 8])
     def test_apply_pauli_on_a_chain_is_bit_identical_to_reversed_strings(self, sites, hubbard_chain):
         """Index masks come from ``_index_bits``; on the 12- and 16-qubit
-        chains op|psi> equals, bit for bit, the sum over the same strings
-        with each mask read as a reversed binary string."""
+        chains op|psi> equals, bit for bit, the sum in the documented order
+        (X groups in first-seen ``masks()`` order, strings in ``masks()``
+        order within a group) with each mask read as a reversed binary
+        string and each sign read from the gathered index."""
         n = 2 * sites
         op = hubbard_chain(sites)
         rng = np.random.default_rng(n)
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         index = np.arange(1 << n)
-        reference = np.zeros(1 << n, dtype=complex)
+        groups = {}
         for (x, z), coefficient in op.masks():
-            source = index ^ int(format(x, f"0{n}b")[::-1], 2)
-            odd = np.bitwise_count(source & int(format(z, f"0{n}b")[::-1], 2)) & 1
-            phase = coefficient * 1j ** ((x & z).bit_count() & 3)
-            reference += np.where(odd, -phase, phase) * psi[source]
+            flip = int(format(x, f"0{n}b")[::-1], 2)
+            parity = int(format(z, f"0{n}b")[::-1], 2)
+            groups.setdefault(flip, []).append((parity, coefficient * 1j ** ((x & z).bit_count() & 3)))
+        reference = np.zeros(1 << n, dtype=complex)
+        for flip, strings in groups.items():
+            source = index ^ flip
+            diagonal = np.zeros(1 << n, dtype=complex)
+            for parity, phase in strings:
+                odd = np.bitwise_count(source & parity) & 1
+                diagonal += np.where(odd, -phase, phase)
+            reference += diagonal * psi[source]
+        assert len(groups) < op.n_terms()
         assert np.array_equal(backend.apply_pauli(op, psi), reference)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize(
+        "kind", ["hubbard", "commutator", "z-only", "identity-only", "zero"]
+    )
+    def test_apply_pauli_matches_dense_matrix_when_strings_share_x_masks(
+        self, n, kind, hubbard_chain
+    ):
+        rng = np.random.default_rng(100 * n + len(kind))
+        if kind in ("hubbard", "commutator"):
+            # an open chain on the even register, padded by one idle qubit when n is odd
+            op = hubbard_chain(n // 2) if n > 1 else pauli.PauliOperator({0: "Z"}, 0.7)
+            if kind == "commutator":
+                other = pauli.random_operator(rng, n, 6, complex_coeffs=True)
+                op = pauli.commutator(op, other)
+        elif kind == "z-only":
+            op = pauli.PauliOperator.zero()
+            for _ in range(6):
+                ops = {q: "Z" for q in range(n) if rng.random() < 0.5}
+                op = op + pauli.PauliOperator(ops, complex(rng.normal(), rng.normal()))
+        elif kind == "identity-only":
+            op = pauli.PauliOperator.identity(complex(rng.normal(), rng.normal()))
+        else:
+            op = pauli.PauliOperator.zero()
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        applied = pauli.to_matrix(op, n) @ psi
+        got = backend.apply_pauli(op, psi)
+        assert got.shape == psi.shape
+        assert np.abs(got - applied).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(applied).max())
 
     def test_index_bits_reverse_the_qubit_mask(self):
         for n in range(1, 7):
@@ -189,37 +232,104 @@ class TestExactExpect:
         assert len(calls) == 1
         assert len(simulated) == 1
 
-    def test_a_hermitian_left_is_applied_once(self, monkeypatch):
-        """L^dag psi is L psi when L^dag == L, so one Hermitian left costs one
-        application, each right two, and every value is unchanged."""
-        rng = np.random.default_rng(8)
-        hermitian = pauli.load_hamiltonian(str(H2_PATH))
-        rights = [pauli.random_operator(rng, 2, 3, complex_coeffs=True) for _ in range(4)]
-        state = _accelerator(seed=0, shots=0).prepare(_h2_state(), 2)
-        psi = state._amplitudes
-        bras = backend.apply_pauli(hermitian.dagger(), psi).conj()[None, :]
-        kets = backend.apply_pauli(hermitian, psi)[None, :]
-        want = [
-            (
-                bras @ backend.apply_pauli(b, psi)
-                - kets @ backend.apply_pauli(b.dagger(), psi).conj()
-            )[0]
-            for b in rights
-        ]
-        applied = []
-        original = backend.apply_pauli
 
-        def counted(op, amplitudes):
-            applied.append(op)
-            return original(op, amplitudes)
+def _counted_applications(monkeypatch):
+    """The operators ``backend.apply_pauli`` is called with, in call order."""
+    applied, original = [], backend.apply_pauli
 
-        monkeypatch.setattr(backend, "apply_pauli", counted)
-        got = state.expect_commutators([hermitian], rights)
-        assert len(applied) == 1 + 2 * len(rights)
-        assert got[0].tolist() == want
-        applied.clear()
-        state.expect_commutators([rights[0]], rights)
-        assert len(applied) == 2 + 2 * len(rights)
+    def counted(op, amplitudes):
+        applied.append(op)
+        return original(op, amplitudes)
+
+    monkeypatch.setattr(backend, "apply_pauli", counted)
+    return applied
+
+
+def _perturbed_reference(n_qubits, occupied):
+    """X on the occupied qubits, then an Ry layer and a CNOT chain."""
+    circuit = create_composite("perturbed")
+    for q in occupied:
+        circuit.add(create_instruction("X", [q]))
+    for q in range(n_qubits):
+        circuit.add(create_instruction("Ry", [q], [0.2 + 0.1 * q]))
+    for q in range(n_qubits - 1):
+        circuit.add(create_instruction("CNOT", [q, q + 1]))
+    return circuit
+
+
+class TestCommutatorReuse:
+    """Exact ``expect_commutators`` applies each distinct operator once, up
+    to sign: the lefts' L psi and L^dag psi, and every right's R psi and
+    R^dag psi, are read from a vector already at hand when the operator is
+    equal to, or minus, one applied before."""
+
+    def test_adapt_shape_costs_one_application_per_generator(self, monkeypatch, hubbard_dimer_mo):
+        """A Hermitian left is applied once and every anti-Hermitian right
+        (R^dag = -R) once: 1 + g applications for g generators."""
+        generators = [op for _, op in qcsim.build_pool("uccsd", 2, 4).elements]
+        state = _accelerator(seed=0, shots=0).prepare(_perturbed_reference(4, (0, 2)), 4)
+        applied = _counted_applications(monkeypatch)
+        got = state.expect_commutators([hubbard_dimer_mo], generators)
+        assert len(applied) == 1 + len(generators)
+        want = [state.expect(pauli.commutator(hubbard_dimer_mo, g)) for g in generators]
+        assert np.abs(got[0] - want).max() <= 1e-12
+
+    def test_qeom_on_the_six_qubit_chain_applies_57_operators(self, monkeypatch, hubbard_chain):
+        """14 excitations O_u: the lefts O_u^dag and their adjoints, and
+        [H, O_v] with its adjoint, are 56 distinct operators up to sign;
+        the ground energy is the 57th.  The rights [H, O_v^dag], O_v and
+        O_v^dag are all at hand (141 applications before the reuse)."""
+        reference = create_composite("reference")
+        for q in (0, 3):
+            reference.add(create_instruction("X", [q]))
+        algorithm = qcsim.get_algorithm(
+            "qeom",
+            {
+                "observable": hubbard_chain(3),
+                "accelerator": _accelerator(seed=0, shots=0),
+                "ansatz": reference,
+                "n-electrons": 2,
+            },
+        )
+        applied = _counted_applications(monkeypatch)
+        algorithm.execute(qcsim.qalloc(6))
+        assert len(applied) == 57
+
+    def test_values_match_nested_commutator_expectations(self, monkeypatch):
+        """Rights equal to a left, its adjoint, minus either, or to each
+        other up to sign reuse one vector, and every value stays within
+        1e-12 of ``expect(commutator(L, R))``."""
+        rng = np.random.default_rng(21)
+        a, b, c, d = (pauli.random_operator(rng, 3, 5, complex_coeffs=True) for _ in range(4))
+        hermitian = c + c.dagger()
+        lefts = [a, hermitian, b]
+        rights = [a, -a.dagger(), hermitian, -hermitian, d, -d, d.dagger(), b.dagger(), c]
+        state = _accelerator(seed=0, shots=0).prepare(_perturbed_reference(3, (0,)), 3)
+        applied = _counted_applications(monkeypatch)
+        got = state.expect_commutators(lefts, rights)
+        # a, a^dag, hermitian, b, b^dag, d, d^dag, c, c^dag
+        assert len(applied) == 9
+        want = np.array(
+            [[state.expect(pauli.commutator(left, right)) for right in rights] for left in lefts]
+        )
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_memory_stays_at_the_lefts_plus_a_few_vectors(self, hubbard_chain):
+        """One 12-qubit call with 1 left and 60 anti-Hermitian rights holds
+        at most 2 * lefts + 4 vectors of 2^n at once."""
+        n = 12
+        rng = np.random.default_rng(12)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = backend.PreparedState(_accelerator(seed=0, shots=0), psi / np.linalg.norm(psi))
+        lefts = [hubbard_chain(6)]
+        rights = [1j * pauli.random_operator(rng, n, 8) for _ in range(60)]
+        tracemalloc.start()
+        try:
+            state.expect_commutators(lefts, rights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 * len(lefts) + 4) * psi.nbytes
 
 
 class TestEvolve:

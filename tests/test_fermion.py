@@ -4,6 +4,7 @@ import pytest
 from qcsim.fermion import (
     FermionOperator,
     FermionTerm,
+    excitation_modes,
     excitations,
     jordan_wigner,
     occupied_spin_orbitals,
@@ -176,6 +177,23 @@ class TestEnumeration:
     def test_singles_then_doubles_in_index_order(self, n_electrons, n_qubits):
         every = [(occ, virt) for occ, virt, _ in excitations(n_electrons, n_qubits, False)]
         assert every == sorted(every, key=lambda pair: (len(pair[0]), pair))
+
+    @pytest.mark.parametrize("spin_preserving", [True, False])
+    @pytest.mark.parametrize("n_electrons, n_qubits", [(1, 2), (2, 4), (3, 8), (4, 12)])
+    def test_images_are_built_on_the_one_enumeration(self, n_electrons, n_qubits, spin_preserving):
+        modes = excitation_modes(n_electrons, n_qubits, spin_preserving)
+        found = excitations(n_electrons, n_qubits, spin_preserving)
+        assert [(occ, virt) for occ, virt, _ in found] == modes
+
+    def test_uccsd_reads_the_modes_without_building_an_image(self, monkeypatch):
+        import qcsim
+        from qcsim import fermion
+
+        built = []
+        monkeypatch.setattr(fermion, "_jw_ladder", lambda *args: built.append(args))
+        circuit = qcsim.uccsd_circuit(qcsim.UccsdSpec(4, 12))
+        assert built == []
+        assert len(list(circuit.leaves())) == 4 + len(excitation_modes(4, 12))
 
     @pytest.mark.parametrize("n_electrons, n_qubits", [(2, 4), (3, 8), (4, 12)])
     def test_spin_preserving_keeps_the_sz_conserving_subset(self, n_electrons, n_qubits):

@@ -19,7 +19,11 @@ when they are read.  Neither ``ansatz.py`` nor an algorithm module calls
 ``jordan_wigner``: excitation images come only from
 ``fermion.excitations``.  ``ir.py`` does not import ``fermion`` either,
 and ``backend.py`` never calls ``jordan_wigner``: an excitation node's
-strings and signs come from its modes by bit arithmetic.
+strings and signs come from its modes by bit arithmetic.  ``apply_pauli``
+is the one exact application of a Pauli sum: it does not read the
+per-string ``_strings`` generator, which only sampled ``expect`` and the
+one-string ``_rotate`` read, and ``qeom.eom_pencil`` builds one
+commutator per basis operator.
 """
 import ast
 from pathlib import Path
@@ -201,3 +205,47 @@ def test_excitation_images_come_only_from_fermion_excitations(path):
 def test_the_simulator_never_maps_a_fermion_operator():
     tree = ast.parse((PACKAGE / "backend.py").read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if _calls_named(node, "jordan_wigner")] == []
+
+
+def _functions_reading(path, name):
+    """The names of the functions (methods included) whose bodies read ``name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Name) and node.id == name
+            for statement in function.body
+            for node in ast.walk(statement)
+        )
+    )
+
+
+def test_apply_pauli_is_the_one_exact_application():
+    backend = PACKAGE / "backend.py"
+    assert "apply_pauli" not in _functions_reading(backend, "_strings")
+    # sampled draws, and the one string of a Pauli rotation
+    assert _functions_reading(backend, "_strings") == ["_rotate", "expect"]
+    assert {"expect", "expect_commutators", "moments"} <= set(
+        _functions_reading(backend, "apply_pauli")
+    )
+
+
+def test_eom_pencil_builds_one_commutator_per_basis_operator(monkeypatch):
+    import qcsim
+    from qcsim.algorithms import qeom
+    from qcsim.fermion import excitations
+    from qcsim.ir import create_composite, create_instruction
+
+    operators = [image for _, _, image in excitations(2, 4, spin_preserving=False)]
+    observable = qcsim.PauliOperator({0: "Z", 1: "Z"}) + qcsim.PauliOperator({1: "X", 2: "X"})
+    reference = create_composite("reference")
+    for q in (0, 2):
+        reference.add(create_instruction("X", [q]))
+    state = qcsim.get_accelerator("statevector", {"shots": 0}).prepare(reference, 4)
+    built = []
+    original = qeom.commutator
+    monkeypatch.setattr(qeom, "commutator", lambda a, b: built.append(b) or original(a, b))
+    qeom.eom_pencil(observable, operators, state)
+    assert built == operators

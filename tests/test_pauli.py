@@ -143,6 +143,22 @@ class TestAlgebra:
             op = random_operator(rng, 3, 4, complex_coeffs=True)
             assert commutator(op, op).isclose(PauliOperator.zero(), 1e-10)
 
+    def test_equal_operators_are_one_key_whatever_their_term_order(self):
+        terms = [PauliOperator({0: "X", 2: "Y"}, 0.5), PauliOperator({1: "Z"}, -0.25j), PauliOperator(0.3)]
+        forward = terms[0] + terms[1] + terms[2]
+        backward = terms[2] + terms[1] + terms[0]
+        assert list(forward.masks()) == list(backward.masks())
+        assert forward == backward and hash(forward) == hash(backward)
+        table = {forward: "forward"}
+        assert table[backward] == "forward"
+        assert table[PauliOperator({0: "X", 2: "Y"}, 0.5 + 0j) + terms[2] + terms[1]] == "forward"
+        negated = -backward
+        assert negated not in table
+        assert table[-negated] == "forward"
+        table[negated] = "negated"
+        assert table[-forward] == "negated"
+        assert PauliOperator.zero() not in table
+
     def test_pruning_threshold(self):
         tiny = PauliOperator({0: "Z"}, 1e-15)
         assert tiny.is_zero()
