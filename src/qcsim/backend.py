@@ -15,16 +15,34 @@ cached vector, and ``moments`` repeats ``apply_pauli`` (exact) or takes
 ``expect`` of each power (sampled).  Sampled ``expect`` gives each
 distinct non-identity string P, in ``op.masks()`` order, ``shots`` shots:
 the ``pauli.observe`` circuit sees parity +1 with probability
-(1 + <P>)/2, so k ~ Binomial(shots, (1 + <P>)/2) is drawn with <P> read
-from the cached vector, and the string's estimate is (2k - shots)/shots.
+(1 + <P>)/2, so k ~ Binomial(shots, (1 + <P>)/2) is drawn with <P> the
+``np.vdot`` of the cached vector and P psi, and the string's estimate is
+(2k - shots)/shots.  One ``binomial`` call takes every string's draw, in
+that order, exactly as one call per string would; ``estimate`` also
+returns the standard error sqrt(sum |c|^2 (1 - m^2)/shots) of those
+draws.
+
+One compiled form per Pauli sum: ``CompiledPauli(op, n)`` reads
+``op.masks()`` once for an n-qubit register.  It checks the width and
+Hermiticity, groups the strings by X mask, and keeps each string's index
+masks, phase and coefficient.  Exact application and sampled draws both
+read it.  ``apply_pauli`` and a one-off ``expect`` compile a plain
+operator on each call; callers that evaluate one operator on many states
+hold the compiled form for as long as they need it (the VQE objective
+compiles once per run, ``optim.evaluate_gradient`` once per call, exact
+``moments`` once per call), and no module-level cache exists.  Memory
+budget, on 2^n amplitudes: per distinct X mask at most one index and
+one complex vector, per string at most one boolean row, never a complex
+vector per string.  Exact application holds no table and builds one
+group's diagonal at a time; the first draw keeps one gather index per
+non-zero X mask and one parity row per string, and each draw gathers
+psi once into one vector per non-zero X mask.
 
 Exact Pauli sums: ``apply_pauli`` is the one exact application of a
 Pauli sum.  It makes one gather per distinct X mask: the strings sharing
 an X mask fold into one diagonal, and the Z-only strings need no gather
 (its docstring states the summation order).  Exact ``expect``,
-``moments`` and ``expect_commutators`` go through it.  Only sampled
-``expect`` and a rotation's one string walk strings one by one
-(``_strings``).
+``moments`` and ``expect_commutators`` go through it.
 
 Commutators without products: ``expect_commutators(lefts, rights)`` is
 the matrix of <[L_i, R_j]>.  It checks every operator's width before
@@ -44,19 +62,24 @@ One pass per rotation: a simulation walks the circuit's leaves once,
 checking them whole before touching an amplitude.  Each
 ``ir.PauliRotation`` leaf is applied as
 psi <- cos(theta/2) psi - i sin(theta/2) P psi, with P the node's unit
-string (through the per-string generator ``_strings``, as one string
-costs less there than through ``apply_pauli``'s grouping) and theta its
-one parameter, a field of the node.  Each ``ir.ExcitationRotation``
+string (read from its compiled form's one string, as one string costs
+less there than through ``apply_pauli``'s grouping) and theta its one
+parameter, a field of the node.  Each ``ir.ExcitationRotation``
 exp(theta (T - T†)) touches only the 2^(n-1) (single) or 2^(n-3)
 (double) amplitudes whose determinants T or T† map to each other, and is
 applied in place as one Givens rotation of those pairs, with the JW sign
 of each pair read from the node's (sign, parity).  Neither rotation's
 gate lowering is built.  Every other leaf is one gate, one
-``_apply_gate``.  Every qubit mask becomes an amplitude-index mask
-through one helper, ``_index_bits``.
+``_apply_gate``, applied in place (Suzuki et al., Qulacs, Quantum 5, 559
+(2021)): the state tensor is reshaped into views of its 2 or 4 blocks,
+one per value of the gate's qubits; X, CNOT and Swap swap blocks, and
+every other gate combines the blocks with its matrix entries.  Every
+qubit mask becomes an amplitude-index mask through one helper,
+``_index_bits``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -230,20 +253,29 @@ class PreparedState:
     def n_qubits(self) -> int:
         return self._amplitudes.size.bit_length() - 1
 
-    def expect(self, op: PauliOperator) -> complex:
-        """<psi|op|psi> for a general (possibly non-Hermitian) Pauli sum."""
+    def expect(self, op: "PauliOperator | CompiledPauli") -> complex:
+        """<psi|op|psi> for a general (possibly non-Hermitian) Pauli sum,
+        plain or compiled for this register."""
+        op = _compiled(op, self.n_qubits)
         psi = self._amplitudes
         shots = self.accelerator.config.shots
         if shots == 0:
             return complex(np.vdot(psi, apply_pauli(op, psi)))
-        total = complex(op.identity_coefficient)
-        for masks, coefficient, source, odd, phase in _strings(op, self.n_qubits):
-            if masks == (0, 0):
-                continue
-            mean = np.vdot(psi, np.where(odd, -phase, phase) * psi[source]).real
-            hits = self.accelerator._rng.binomial(shots, np.clip((1 + mean) / 2, 0, 1))
-            total += coefficient * (2 * hits - shots) / shots
-        return total
+        return op.total(op.draw(psi, self.accelerator._rng, shots), shots)
+
+    def estimate(self, op: "PauliOperator | CompiledPauli") -> tuple[complex, float]:
+        """``expect``'s value and its standard error, from the same draws.
+
+        The error is sqrt(sum |c|^2 (1 - m^2) / shots) over the non-identity
+        strings, m each string's estimate (2k - shots)/shots; it is 0.0 in
+        exact mode.  No draw is made beyond those of ``expect``.
+        """
+        op = _compiled(op, self.n_qubits)
+        shots = self.accelerator.config.shots
+        if shots == 0:
+            return self.expect(op), 0.0
+        hits = op.draw(self._amplitudes, self.accelerator._rng, shots)
+        return op.total(hits, shots), op.standard_error(hits, shots)
 
     def expect_commutators(
         self, lefts: Sequence[PauliOperator], rights: Sequence[PauliOperator]
@@ -323,10 +355,11 @@ class PreparedState:
             raise BackendError(f"moments need highest >= 1, got {highest}")
         moments = []
         if self.accelerator.config.shots == 0:
-            # repeated sparse application of op to the cached vector
+            # repeated sparse application of op, compiled once, to the cached vector
+            compiled = CompiledPauli(op, self.n_qubits)
             current = self._amplitudes
             for _ in range(highest):
-                current = apply_pauli(op, current)
+                current = apply_pauli(compiled, current)
                 moments.append(float(np.real(np.vdot(self._amplitudes, current))))
             return moments
         power = PauliOperator.identity(1.0)
@@ -390,8 +423,8 @@ def _simulate(
 
 
 def _run(state: np.ndarray, steps: list) -> np.ndarray:
-    """Apply planned steps to a state tensor of shape (2,)*n, which the
-    caller gives up: an excitation updates it in place."""
+    """Apply planned steps to a contiguous state tensor of shape (2,)*n,
+    which the caller gives up: excitations and gates update it in place."""
     for step in steps:
         if isinstance(step, ExcitationRotation):
             state = _excite(state, step)
@@ -406,9 +439,12 @@ def _rotate(state: np.ndarray, rotation: PauliRotation) -> np.ndarray:
     """exp(-i theta P / 2)|psi> = cos(theta/2)|psi> - i sin(theta/2) P|psi>."""
     half = rotation.angle.value / 2.0
     flat = state.reshape(-1)
-    ((_, _, source, odd, phase),) = _strings(rotation.pauli, state.ndim)
+    # the one string's index masks and phase, without the draw tables
+    ((source, parity, phase, _),) = CompiledPauli(rotation.pauli, state.ndim)._measured
+    index = np.arange(flat.size) ^ source
+    odd = np.bitwise_count(index & parity) & 1
     factor = -1j * math.sin(half) * phase
-    out = math.cos(half) * flat + np.where(odd, -factor, factor) * flat[source]
+    out = math.cos(half) * flat + np.where(odd, -factor, factor) * flat[index]
     return out.reshape(state.shape)
 
 
@@ -444,16 +480,48 @@ def _excite(state: np.ndarray, rotation: ExcitationRotation) -> np.ndarray:
     return flat.reshape(state.shape)
 
 
+# gates that only permute amplitudes: the pairs of ``_blocks`` they swap
+_SWAPS = {"X": ((0, 1),), "CNOT": ((2, 3),), "Swap": ((1, 2),)}
+
+
 def _apply_gate(state: np.ndarray, inst) -> np.ndarray:
-    matrix = gate_matrix(inst)
-    if len(inst.qubits) == 1:
-        q = inst.qubits[0]
-        out = np.tensordot(matrix, state, axes=([1], [q]))
-        return np.moveaxis(out, 0, q)
-    q1, q2 = inst.qubits
-    tensor = matrix.reshape(2, 2, 2, 2)
-    out = np.tensordot(tensor, state, axes=([2, 3], [q1, q2]))
-    return np.moveaxis(out, [0, 1], [q1, q2])
+    """One gate applied in place to a contiguous (2,)*n state tensor.
+
+    Block i of ``_blocks`` becomes sum_j M[i, j] * block j: X, CNOT and Swap
+    swap blocks, and every other gate combines copies of its 2 or 4 blocks
+    with its non-zero matrix entries.
+    """
+    blocks = _blocks(state, inst.qubits)
+    if inst.name in _SWAPS:
+        for i, j in _SWAPS[inst.name]:
+            held = blocks[i].copy()
+            blocks[i][...] = blocks[j]
+            blocks[j][...] = held
+        return state
+    old = [block.copy() for block in blocks]
+    for row, block in zip(gate_matrix(inst).tolist(), blocks):
+        (first, source), *rest = [(entry, old[j]) for j, entry in enumerate(row) if entry]
+        np.multiply(source, first, out=block)
+        for entry, source in rest:
+            block += entry * source
+    return state
+
+
+def _blocks(state: np.ndarray, qubits: Sequence[int]) -> list[np.ndarray]:
+    """The views of a contiguous (2,)*n state tensor with ``qubits`` fixed,
+    one per bit pattern in the order a gate matrix indexes them (the first
+    qubit's bit most significant): the tensor is reshaped so that each
+    gate qubit is one axis of length 2 between runs of free qubits."""
+    if len(qubits) == 1:
+        (q,) = qubits
+        view = state.reshape(1 << q, 2, -1)
+        return [view[:, 0], view[:, 1]]
+    first, second = qubits
+    low, high = sorted(qubits)
+    view = state.reshape(1 << low, 2, 1 << (high - low - 1), 2, -1)
+    if first < second:
+        return [view[:, a, :, b] for a in (0, 1) for b in (0, 1)]
+    return [view[:, b, :, a] for a in (0, 1) for b in (0, 1)]
 
 
 def _marginal_probabilities(state: np.ndarray, measured: tuple[int, ...]) -> np.ndarray:
@@ -507,23 +575,150 @@ def _index_bits(qubits: int, n: int) -> int:
     return out
 
 
-def _strings(op: PauliOperator, n: int):
-    """Each ((x, z), c) of ``op.masks()`` as ((x, z), c, source, odd, phase):
-    the unit string adds phase (-1)^odd[j] psi[source[j]] to amplitude j, with
-    source = j ^ X, odd = popcount(source & Z) & 1 and phase = i^|x&z| (X, Z:
-    the index masks of x and z).  A too-wide op raises first."""
-    _check_width(op, n)
-    index = np.arange(1 << n)
-    for (x, z), coefficient in op.masks():
-        source = index ^ _index_bits(x, n)
-        odd = np.bitwise_count(source & _index_bits(z, n)) & 1
-        yield (x, z), coefficient, source, odd, 1j ** ((x & z).bit_count() & 3)
+class CompiledPauli:
+    """A Pauli sum compiled for an n-qubit register, to evaluate on many states.
+
+    ``op.masks()`` is read here, once: the width and Hermiticity checks are
+    made, the strings are grouped by X mask (the groups in the order their
+    X first occurs in ``masks()``, the strings in ``masks()`` order), and
+    each string keeps its index masks, phase and coefficient.
+    ``apply_pauli`` and a one-off ``PreparedState.expect`` compile a plain
+    operator on the fly; a caller that evaluates one operator on many
+    states (the VQE objective, one ``evaluate_gradient`` call, exact
+    ``moments``) compiles it once and passes this form.  Nothing outlives
+    the instance, which lives as long as its caller.
+
+    Memory on 2^n amplitudes: exact application (``apply``) keeps no table
+    and builds one group's diagonal at a time.  The first draw (``draw``)
+    builds and keeps one gather index per distinct non-zero X mask and one
+    boolean parity row per non-identity string, and each draw gathers one
+    complex vector per such X mask.  No complex vector is kept per string.
+    """
+
+    def __init__(self, op: PauliOperator, n: int):
+        _check_width(op, n)
+        self._n = n
+        self._hermitian = op.is_hermitian()
+        self.identity = complex(op.identity_coefficient)
+        groups: dict[int, list[tuple[int, complex]]] = {}
+        # (X, Z, i^|x&z|, c) of each non-identity string, in masks() order
+        self._measured: list[tuple[int, int, complex, complex]] = []
+        for (x, z), coefficient in op.masks():
+            source, parity = _index_bits(x, n), _index_bits(z, n)
+            # i^|x&z| (-1)^|X&Z| = i^(3|x&z|): X, Z reorder the bits of x, z
+            phase = 1j ** (3 * (x & z).bit_count() & 3)
+            groups.setdefault(source, []).append((parity, coefficient * phase))
+            if x or z:
+                self._measured.append(
+                    (source, parity, 1j ** ((x & z).bit_count() & 3), coefficient)
+                )
+        self._groups = list(groups.items())
+
+    def n_qubits(self) -> int:
+        """The register width it was compiled for."""
+        return self._n
+
+    def is_hermitian(self) -> bool:
+        return self._hermitian
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        """op|psi> for 2^n amplitudes; see ``apply_pauli``."""
+        flat = state.reshape(-1)
+        index = np.arange(flat.size)
+        odd = np.bitwise_count(index) & 1 == 1
+        out = np.zeros(flat.size, dtype=complex)
+        for source, strings in self._groups:
+            diagonal = np.zeros(flat.size, dtype=complex)
+            for parity, weight in strings:
+                # (-1)^popcount(j & Z) read from the parity of every index
+                diagonal += np.where(odd[index & parity], -weight, weight)
+            if source:
+                # XOR the index in place and back: no second index is allocated
+                index ^= source
+                diagonal *= flat[index]
+                index ^= source
+            else:
+                diagonal *= flat
+            out += diagonal
+        return out.reshape(state.shape)
+
+    @functools.cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """(sources, odd, slots): one row j ^ X per distinct non-zero X, one
+        row popcount((j ^ X) & Z) odd per non-identity string, and each
+        string's row of sources (-1 for X = 0)."""
+        index = np.arange(1 << self._n)
+        masks = list(dict.fromkeys(source for source, *_ in self._measured if source))
+        slots = [masks.index(source) if source else -1 for source, *_ in self._measured]
+        sources = index ^ np.array(masks, dtype=index.dtype)[:, None]
+        odd = np.empty((len(self._measured), index.size), dtype=bool)
+        for row, (_, parity, _, _), g in zip(odd, self._measured, slots):
+            row[...] = np.bitwise_count((index if g < 0 else sources[g]) & parity) & 1
+        return sources, odd, slots
+
+    def draw(self, psi: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
+        """Each non-identity string's parity count, in ``masks()`` order.
+
+        ``pauli.observe``'s circuit for P sees parity +1 with probability
+        (1 + <P>)/2, so k ~ Binomial(shots, (1 + <P>)/2), with <P> the
+        ``np.vdot`` of psi and P psi.  One ``binomial`` call draws every
+        string, as one call per string in ``masks()`` order would.  psi is
+        gathered once, for every non-zero X mask; the unit string P adds
+        i^|x&z| (-1)^odd[j] psi[j ^ X] to amplitude j.
+        """
+        sources, odd, slots = self._tables
+        gathered = psi[sources]
+        means = np.array(
+            [
+                np.vdot(psi, np.where(row, -phase, phase) * (psi if g < 0 else gathered[g])).real
+                for (_, _, phase, _), row, g in zip(self._measured, odd, slots)
+            ]
+        )
+        return rng.binomial(shots, np.clip((1 + means) / 2, 0, 1))
+
+    def total(self, hits: np.ndarray, shots: int) -> complex:
+        """The identity coefficient plus c (2k - shots)/shots of each string,
+        summed in ``masks()`` order in Python complex arithmetic (numpy's
+        complex division rounds differently)."""
+        total = self.identity
+        for (_, _, _, coefficient), k in zip(self._measured, hits.tolist()):
+            total += coefficient * (2 * k - shots) / shots
+        return total
+
+    def standard_error(self, hits: np.ndarray, shots: int) -> float:
+        """sqrt(sum |c|^2 (1 - m^2) / shots), m = (2k - shots)/shots."""
+        weights = np.array([abs(coefficient) ** 2 for *_, coefficient in self._measured])
+        means = (2 * hits - shots) / shots
+        return math.sqrt(float(weights @ (1 - means**2)) / shots)
 
 
-def apply_pauli(op: PauliOperator, state: np.ndarray) -> np.ndarray:
+def _compiled(op: "PauliOperator | CompiledPauli", n: int) -> CompiledPauli:
+    """op compiled for n qubits; an already compiled op must be for n."""
+    if not isinstance(op, CompiledPauli):
+        return CompiledPauli(op, n)
+    if op.n_qubits() != n:
+        raise BackendError(
+            f"operator compiled for {op.n_qubits()} qubits but the register has {n}"
+        )
+    return op
+
+
+def compile_observable(obs: PauliOperator, circuit: CompositeInstruction) -> CompiledPauli:
+    """obs compiled for the register ``operator_expectation`` measures it
+    on after ``circuit`` or any binding of it."""
+    return CompiledPauli(obs, _register(obs, circuit))
+
+
+def _register(op: "PauliOperator | CompiledPauli", circuit: CompositeInstruction) -> int:
+    """The smallest register holding both."""
+    return max(circuit.max_qubit() + 1, op.n_qubits(), 1)
+
+
+def apply_pauli(op: "PauliOperator | CompiledPauli", state: np.ndarray) -> np.ndarray:
     """op|psi> for 2^n amplitudes, flat or of shape (2,)*n; keeps the shape.
 
-    One gather per distinct X mask.  A string (x, z) with coefficient c
+    op is plain, or compiled for n qubits (``CompiledPauli``).  One gather
+    per distinct X mask.  A string (x, z) with coefficient c
     adds c i^|x&z| (-1)^popcount((j ^ X) & Z) psi[j ^ X] to amplitude j (X,
     Z: the index masks of x and z), so the strings sharing X fold into one
     diagonal D_X[j] = sum c i^|x&z| (-1)^|X&Z| (-1)^popcount(j & Z), and
@@ -538,55 +733,32 @@ def apply_pauli(op: PauliOperator, state: np.ndarray) -> np.ndarray:
     diagonal and one gathered vector of 2^n are live, never one vector per
     string.  A too-wide op raises first.
     """
-    flat = state.reshape(-1)
-    n = flat.size.bit_length() - 1
-    _check_width(op, n)
-    groups: dict[int, list[tuple[int, complex]]] = {}
-    for (x, z), coefficient in op.masks():
-        # i^|x&z| (-1)^|X&Z| = i^(3|x&z|): X, Z reorder the bits of x, z
-        phase = 1j ** (3 * (x & z).bit_count() & 3)
-        groups.setdefault(x, []).append((_index_bits(z, n), coefficient * phase))
-    index = np.arange(flat.size)
-    odd = np.bitwise_count(index) & 1 == 1
-    out = np.zeros(flat.size, dtype=complex)
-    for x, strings in groups.items():
-        diagonal = np.zeros(flat.size, dtype=complex)
-        for parity, weight in strings:
-            # (-1)^popcount(j & Z) read from the parity of every index
-            diagonal += np.where(odd[index & parity], -weight, weight)
-        source = _index_bits(x, n)
-        if source:
-            # XOR the index in place and back: no second index is allocated
-            index ^= source
-            diagonal *= flat[index]
-            index ^= source
-        else:
-            diagonal *= flat
-        out += diagonal
-    return out.reshape(state.shape)
+    return _compiled(op, state.size.bit_length() - 1).apply(state)
 
 
 def expectation(
-    obs: PauliOperator,
+    obs: "PauliOperator | CompiledPauli",
     circuit: CompositeInstruction,
     accelerator: StatevectorAccelerator,
 ) -> float:
-    """Real <psi|obs|psi> of a Hermitian observable (see operator_expectation)."""
+    """Real <psi|obs|psi> of a Hermitian observable (see operator_expectation);
+    a compiled observable's Hermiticity was checked when it was compiled."""
     if not obs.is_hermitian():
         raise BackendError("expectation requires a Hermitian observable")
     return operator_expectation(obs, circuit, accelerator).real
 
 
 def operator_expectation(
-    op: PauliOperator,
+    op: "PauliOperator | CompiledPauli",
     circuit: CompositeInstruction,
     accelerator: StatevectorAccelerator,
 ) -> complex:
     """<psi|op|psi> for a general (possibly non-Hermitian) Pauli sum.
 
     A one-off ``accelerator.prepare(circuit, n).expect(op)`` on the
-    smallest register holding both; callers measuring several operators
-    on one state prepare it once themselves.
+    smallest register holding both (a compiled op's own register); callers
+    measuring several operators on one state prepare it once themselves,
+    and callers measuring one operator on many states compile it once
+    (``compile_observable``).
     """
-    n = max(circuit.max_qubit() + 1, op.n_qubits(), 1)
-    return accelerator.prepare(circuit, n).expect(op)
+    return accelerator.prepare(circuit, _register(op, circuit)).expect(op)

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backend import StatevectorAccelerator, expectation
+from .backend import StatevectorAccelerator, compile_observable, expectation
 from .errors import OptimizationError
 from .ir import (
     CompositeInstruction,
@@ -220,7 +220,8 @@ def evaluate_gradient(
 ) -> np.ndarray:
     """dE/dx of E(x) = <obs> on ``circuit`` bound to x.
 
-    Every energy is one ``backend.expectation`` of a bound circuit.
+    Every energy is one ``backend.expectation`` of a bound circuit, all of
+    them of one observable compiled once per call.
     Finite differences shift the variable vector by +-FD_DEFAULT_STEP.
     Parameter-shift binds x once and shifts one rotation at a time by
     +-pi/2, which is exact for R_P(theta) = exp(-i theta P / 2); a gate
@@ -242,8 +243,10 @@ def evaluate_gradient(
             f"circuit has {len(circuit.variables)} variables, got {x.size} values"
         )
 
+    compiled = compile_observable(obs, circuit)
+
     def energy(bound: CompositeInstruction) -> float:
-        return expectation(obs, bound, accelerator)
+        return expectation(compiled, bound, accelerator)
 
     grad = np.zeros(x.size)
     if strategy == "parameter-shift":

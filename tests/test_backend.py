@@ -9,8 +9,13 @@ within a Hoeffding bound, and sampled ``evolve`` and ``moments`` against
 ``expect`` on the equivalent state and powers.  Exact ``expect_commutators``
 is checked to apply each distinct operator once, up to sign, counted
 through a wrapper around ``backend.apply_pauli``, and its peak memory with
-``tracemalloc``.
+``tracemalloc``.  Seeded sampled ``expect`` is pinned, bit for bit, to a
+reference loop of one scalar binomial per string; ``estimate``'s standard
+error is checked in law.  ``CompiledPauli``'s memory budget is checked with
+``tracemalloc`` on the 12-qubit chain, and the in-place gate kernels
+against dense Kronecker-built matrices on every qubit and ordered pair.
 """
+import itertools
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 
 import qcsim
 from qcsim import backend, pauli
+from qcsim import ir as ir_module
 from qcsim.algorithms import adapt as adapt_module
 from qcsim.errors import BackendError
 from qcsim.ir import create_composite, create_instruction, gate_matrix
@@ -354,13 +360,18 @@ class TestEvolve:
         assert [evolved.expect(op) for op in ops] == [joined.expect(op) for op in ops]
 
     def test_leaves_the_prepared_state_unchanged(self):
+        """The block's gates, X, CNOT and Ry among them, update a copy in place."""
         accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
         state = accelerator.prepare(_h2_state(), 2)
         before = state._amplitudes.copy()
         block = create_composite("block")
         block.add(create_instruction("H", [0]))
-        state.evolve(block)
+        block.add(create_instruction("X", [1]))
+        block.add(create_instruction("CNOT", [1, 0]))
+        block.add(create_instruction("Ry", [0], [0.9]))
+        evolved = state.evolve(block)
         assert np.array_equal(state._amplitudes, before)
+        assert np.abs(evolved._amplitudes - _dense_state(_joined(_h2_state(), block), 2)).max() <= 1e-12
 
     @pytest.mark.parametrize("shots", [0, 10])
     def test_many_evolves_keep_the_circuit_shallow(self, shots):
@@ -530,6 +541,171 @@ class TestSampledExpect:
         bound = 8 * np.sqrt(sum(abs(t.coefficient) ** 2 for t in op.terms() if t.ops) / shots)
         assert abs((sampled - exact).real) <= bound
         assert abs((sampled - exact).imag) <= bound
+
+    @staticmethod
+    def _one_draw_per_string(op, psi, rng, shots):
+        """The reference loop: one scalar binomial per non-identity string, in
+        ``masks()`` order, with <P> = vdot(psi, P psi) read string by string."""
+        n = psi.size.bit_length() - 1
+        index = np.arange(psi.size)
+        total = complex(op.identity_coefficient)
+        for (x, z), coefficient in op.masks():
+            if (x, z) == (0, 0):
+                continue
+            source = index ^ backend._index_bits(x, n)
+            odd = np.bitwise_count(source & backend._index_bits(z, n)) & 1
+            phase = 1j ** ((x & z).bit_count() & 3)
+            mean = np.vdot(psi, np.where(odd, -phase, phase) * psi[source]).real
+            hits = rng.binomial(shots, np.clip((1 + mean) / 2, 0, 1))
+            total += coefficient * (2 * hits - shots) / shots
+        return total
+
+    @pytest.mark.parametrize("seed", [5, 11, 23])
+    def test_draws_match_one_scalar_binomial_per_string(self, seed, hubbard_chain):
+        """Bit for bit, and leaving the generator where the loop leaves it.
+        The H2 state has <Z0 Z1> = -1 and the basis state <Z> = +-1 exactly,
+        so their draws have p = 0 or 1, where ``binomial`` consumes nothing."""
+        h2 = pauli.load_hamiltonian(str(H2_PATH))
+        basis = create_composite("basis")
+        for q in (0, 3):
+            basis.add(create_instruction("X", [q]))
+        rng = np.random.default_rng(seed)
+        cases = [
+            (h2, _h2_state(0.2), 2),
+            (h2, _h2_state(0.0), 2),
+            (hubbard_chain(3), basis, 6),
+            (pauli.random_operator(rng, 3, 7, complex_coeffs=True), _h2_state(1.3), 3),
+        ]
+        for op, circuit, n in cases:
+            state = _accelerator(seed, shots=4000).prepare(circuit, n)
+            reference = np.random.default_rng(seed)
+            for _ in range(3):
+                expected = self._one_draw_per_string(op, state._amplitudes, reference, 4000)
+                assert state.expect(op) == expected
+            assert state.accelerator._rng.random() == reference.random()
+
+    def test_a_compiled_operator_draws_as_the_plain_one(self):
+        op = pauli.load_hamiltonian(str(H2_PATH))
+        compiled = backend.CompiledPauli(op, 2)
+        plain = _accelerator(7, shots=1000).prepare(_h2_state(), 2)
+        held = _accelerator(7, shots=1000).prepare(_h2_state(), 2)
+        assert [plain.expect(op) for _ in range(5)] == [held.expect(compiled) for _ in range(5)]
+
+    def test_estimate_draws_what_expect_draws(self):
+        op = pauli.load_hamiltonian(str(H2_PATH))
+        first = _accelerator(9, shots=1000).prepare(_h2_state(), 2)
+        second = _accelerator(9, shots=1000).prepare(_h2_state(), 2)
+        value, error = first.estimate(op)
+        assert value == second.expect(op)
+        assert error > 0
+        assert first.expect(op) == second.expect(op)
+        assert _accelerator(9, shots=0).prepare(_h2_state(), 2).estimate(op)[1] == 0.0
+
+    def test_standard_error_law(self):
+        """Over 600 seeds at a fixed point the mean reported standard error
+        lies within 15% of the spread of the estimates."""
+        op = pauli.load_hamiltonian(str(H2_PATH))
+        estimates = [
+            _accelerator(seed, shots=1000).prepare(_h2_state(0.5), 2).estimate(op)
+            for seed in range(600)
+        ]
+        values = np.array([value.real for value, _ in estimates])
+        errors = np.array([error for _, error in estimates])
+        assert errors.mean() == pytest.approx(values.std(ddof=1), rel=0.15)
+
+
+class TestCompiledPauli:
+    def test_memory_budget_on_the_12_qubit_chain(self, hubbard_chain):
+        """Held: one index per distinct non-zero X mask and one boolean row
+        per string.  Peak over a draw and an exact application: besides
+        those, one complex vector per X mask and a few of 2^n; never a
+        complex vector per string."""
+        n, op = 12, hubbard_chain(6)
+        masks = {x for (x, _), _ in op.masks()}
+        strings = sum(1 for (x, z), _ in op.masks() if x or z)
+        assert (len(masks), strings) == (11, 38)
+        rng = np.random.default_rng(4)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        size = 1 << n
+        tracemalloc.start()
+        try:
+            compiled = backend.CompiledPauli(op, n)
+            compiled.draw(psi, rng, 100)
+            backend.apply_pauli(compiled, psi)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slack = 16 * 1024
+        assert held <= (8 * (len(masks) - 1) + strings) * size + slack
+        assert peak <= ((8 + 16) * len(masks) + strings + 4 * 16) * size + slack
+        assert peak < 16 * strings * size
+
+    def test_applies_as_the_plain_operator(self, hubbard_chain):
+        op = hubbard_chain(4)
+        compiled = backend.CompiledPauli(op, 8)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            psi = rng.normal(size=256) + 1j * rng.normal(size=256)
+            assert np.array_equal(backend.apply_pauli(compiled, psi), backend.apply_pauli(op, psi))
+
+    @pytest.mark.parametrize("shots", [0, 100])
+    def test_rejects_another_register(self, shots):
+        compiled = backend.CompiledPauli(pauli.PauliOperator({0: "Z"}), 3)
+        state = _accelerator(1, shots).prepare(_h2_state(), 2)
+        with pytest.raises(BackendError, match="compiled for 3 qubits"):
+            state.expect(compiled)
+
+    def test_checks_width_and_hermiticity_once(self):
+        with pytest.raises(BackendError, match="qubit 3"):
+            backend.CompiledPauli(pauli.PauliOperator({3: "Z"}), 2)
+        compiled = backend.CompiledPauli(pauli.PauliOperator({0: "Z"}, 1j), 2)
+        assert not compiled.is_hermitian()
+        with pytest.raises(BackendError, match="Hermitian"):
+            backend.expectation(compiled, _h2_state(), _accelerator(1, 0))
+
+
+def _dense_gate(matrix, qubits, n):
+    """The 2^n x 2^n matrix of a gate on ``qubits`` (qubit 0 leftmost), built
+    from Kronecker products of |i><k| on the gate qubits."""
+    k = len(qubits)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for row in range(1 << k):
+        for column in range(1 << k):
+            if matrix[row, column] == 0:
+                continue
+            factors = [np.eye(2)] * n
+            for position, q in enumerate(qubits):
+                unit = np.zeros((2, 2))
+                shift = k - 1 - position
+                unit[row >> shift & 1, column >> shift & 1] = 1.0
+                factors[q] = unit
+            out += matrix[row, column] * _kron(factors)
+    return out
+
+
+class TestGateKernels:
+    """``_apply_gate`` updates a (2,)*n tensor in place; checked against
+    dense Kronecker-built matrices on every qubit and every ordered pair."""
+
+    NAMES = sorted(ir_module._FIXED_MATRICES) + ["Rx", "Ry", "Rz"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_matches_dense_matrices(self, name):
+        rng = np.random.default_rng(len(name))
+        fixed = ir_module._FIXED_MATRICES.get(name)
+        arity = 1 if fixed is None else fixed.shape[0].bit_length() - 1
+        angles = [[]] if fixed is not None else [[a] for a in rng.uniform(-7, 7, size=3)]
+        for n in range(arity, 7):
+            for qubits, params in itertools.product(
+                itertools.permutations(range(n), arity), angles
+            ):
+                inst = create_instruction(name, list(qubits), params)
+                psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                expected = _dense_gate(gate_matrix(inst), qubits, n) @ psi
+                tensor = psi.reshape((2,) * n).copy()
+                assert backend._apply_gate(tensor, inst) is tensor
+                assert np.abs(tensor.reshape(-1) - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -19,11 +19,14 @@ when they are read.  Neither ``ansatz.py`` nor an algorithm module calls
 ``jordan_wigner``: excitation images come only from
 ``fermion.excitations``.  ``ir.py`` does not import ``fermion`` either,
 and ``backend.py`` never calls ``jordan_wigner``: an excitation node's
-strings and signs come from its modes by bit arithmetic.  ``apply_pauli``
-is the one exact application of a Pauli sum: it does not read the
-per-string ``_strings`` generator, which only sampled ``expect`` and the
-one-string ``_rotate`` read, and ``qeom.eom_pencil`` builds one
-commutator per basis operator.
+strings and signs come from its modes by bit arithmetic.  In ``backend``
+only the compile step, ``CompiledPauli.__init__``, reads an operator's
+strings (``masks()``), and only ``CompiledPauli.draw`` draws: exact
+application (``apply_pauli``), sampled ``expect`` and a rotation's one
+string all read the compiled form.  A VQE run compiles its observable
+once, and so does each ``evaluate_gradient`` call (counting tests).
+Gates are applied in place, without ``tensordot`` or ``moveaxis``.
+``qeom.eom_pencil`` builds one commutator per basis operator.
 """
 import ast
 from pathlib import Path
@@ -222,14 +225,130 @@ def _functions_reading(path, name):
     )
 
 
-def test_apply_pauli_is_the_one_exact_application():
+def _functions_calling(path, attribute):
+    """``Class.method`` or ``function`` for each function whose body calls
+    ``.attribute(...)``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owners = {
+        id(function): f"{cls.name}.{function.name}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for function in cls.body
+        if isinstance(function, ast.FunctionDef)
+    }
+    return sorted(
+        owners.get(id(function), function.name)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attribute
+            for statement in function.body
+            for node in ast.walk(statement)
+        )
+    )
+
+
+def test_one_compiled_form_reads_the_strings_of_a_pauli_sum():
     backend = PACKAGE / "backend.py"
-    assert "apply_pauli" not in _functions_reading(backend, "_strings")
-    # sampled draws, and the one string of a Pauli rotation
-    assert _functions_reading(backend, "_strings") == ["_rotate", "expect"]
+    # the compile step is the one reader of an operator's strings
+    assert _functions_calling(backend, "masks") == ["CompiledPauli.__init__"]
+    # every draw of a sampled evaluation is one call, in the compiled form
+    assert _functions_calling(backend, "binomial") == ["CompiledPauli.draw"]
+    # exact applications, one-off and held, and a rotation's one string go
+    # through it
+    assert {"_compiled", "_rotate", "compile_observable", "moments"} <= set(
+        _functions_reading(backend, "CompiledPauli")
+    )
     assert {"expect", "expect_commutators", "moments"} <= set(
         _functions_reading(backend, "apply_pauli")
     )
+
+
+def test_gates_are_applied_in_place():
+    tree = ast.parse((PACKAGE / "backend.py").read_text(encoding="utf-8"))
+    kernels = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_apply_gate", "_blocks")
+    ]
+    assert len(kernels) == 2
+    assert [
+        node.lineno
+        for kernel in kernels
+        for node in ast.walk(kernel)
+        if (getattr(node, "attr", None) or getattr(node, "id", None)) in ("tensordot", "moveaxis")
+    ] == []
+
+
+def _count_compiles(monkeypatch):
+    from qcsim import backend
+
+    compiled = []
+    original = backend.CompiledPauli.__init__
+
+    def counting(self, op, n):
+        compiled.append(op)
+        original(self, op, n)
+
+    monkeypatch.setattr(backend.CompiledPauli, "__init__", counting)
+    return compiled
+
+
+def _h2_vqe(shots, **options):
+    import qcsim
+    from qcsim.ir import Parameter, create_composite, create_instruction
+
+    ansatz = create_composite("h2")
+    ansatz.add(create_instruction("Ry", [0], [Parameter.symbolic("t")]))
+    ansatz.add(create_instruction("X", [1]))
+    ansatz.add(create_instruction("CNOT", [0, 1]))
+    observable = qcsim.load_hamiltonian(str(PACKAGE.parents[1] / "data" / "h2.ham"))
+    vqe = qcsim.get_algorithm(
+        "vqe",
+        {
+            "ansatz": ansatz,
+            "observable": observable,
+            "accelerator": qcsim.get_accelerator("statevector", {"shots": shots, "seed": 3}),
+            "max-iterations": 15,
+            **options,
+        },
+    )
+    buffer = qcsim.qalloc(2)
+    vqe.execute(buffer)
+    return observable, buffer
+
+
+@pytest.mark.parametrize("shots", [0, 1000])
+def test_a_vqe_run_compiles_its_observable_once(monkeypatch, shots):
+    import qcsim
+
+    compiled = _count_compiles(monkeypatch)
+    observable, buffer = _h2_vqe(shots, optimizer=qcsim.get_optimizer("nelder-mead"))
+    assert len(buffer["energy-history"]) > 15
+    assert compiled == [observable]
+
+
+def test_each_gradient_compiles_its_observable_once(monkeypatch):
+    import qcsim
+    from qcsim.algorithms import vqe
+
+    compiled = _count_compiles(monkeypatch)
+    gradients = []
+    original = vqe.evaluate_gradient
+
+    def counting(*args):
+        gradients.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(vqe, "evaluate_gradient", counting)
+    observable, _ = _h2_vqe(
+        0,
+        optimizer=qcsim.get_optimizer("gradient-descent"),
+        gradient_strategy="parameter-shift",
+    )
+    assert gradients
+    assert compiled == [observable] * (1 + len(gradients))
 
 
 def test_eom_pencil_builds_one_commutator_per_basis_operator(monkeypatch):

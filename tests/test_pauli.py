@@ -143,6 +143,17 @@ class TestAlgebra:
             op = random_operator(rng, 3, 4, complex_coeffs=True)
             assert commutator(op, op).isclose(PauliOperator.zero(), 1e-10)
 
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_one_pass_commutator_matches_both_products(self, n, left, right, seed):
+        """Only anticommuting pairs survive [a, b] = a b - b a, doubled: the
+        same strings after pruning, each coefficient within 1e-14."""
+        rng = np.random.default_rng(seed)
+        a = random_operator(rng, n, left, complex_coeffs=True)
+        b = random_operator(rng, n, right, complex_coeffs=True)
+        got, reference = commutator(a, b), multiply(a, b) - multiply(b, a)
+        assert [masks for masks, _ in got.masks()] == [masks for masks, _ in reference.masks()]
+        assert got.isclose(reference, 1e-14)
+
     def test_equal_operators_are_one_key_whatever_their_term_order(self):
         terms = [PauliOperator({0: "X", 2: "Y"}, 0.5), PauliOperator({1: "Z"}, -0.25j), PauliOperator(0.3)]
         forward = terms[0] + terms[1] + terms[2]

@@ -225,17 +225,22 @@ def test_a_metric_dead_as_a_whole_raises(monkeypatch, hubbard_dimer_mo):
 
 
 def test_exact_pencil_builds_only_the_h_commutators(monkeypatch, hubbard_chain):
-    """On a 3-site chain the exact pencil multiplies Pauli sums only for
-    [H, O_v], 2 products each, 2 dim in all: [H, O_v^dag] is -[H, O_v]^dag."""
+    """On a 3-site chain the exact pencil builds Pauli sums only for
+    [H, O_v], one one-pass commutator each and no product, dim in all:
+    [H, O_v^dag] is -[H, O_v]^dag."""
     chain = hubbard_chain(3)
     operators = _basis(2, 6)
     reference = create_composite("reference")
     for q in (0, 3):
         reference.add(create_instruction("X", [q]))
     state = _accelerator().prepare(reference, 6)
-    calls = []
-    multiply = pauli.multiply
-    monkeypatch.setattr(pauli, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    products, commutators = [], []
+    multiply, commutator = pauli.multiply, qeom.commutator
+    monkeypatch.setattr(pauli, "multiply", lambda a, b: products.append(1) or multiply(a, b))
+    monkeypatch.setattr(
+        qeom, "commutator", lambda a, b: commutators.append(b) or commutator(a, b)
+    )
     qeom.eom_pencil(chain, operators, state)
     assert len(operators) == 14
-    assert len(calls) == 2 * len(operators)
+    assert commutators == operators
+    assert products == []

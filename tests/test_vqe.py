@@ -3,7 +3,8 @@
 A sampled run must report an unbiased estimate at the parameters it
 returns, not the lowest noisy sample the optimizer saw: over seeded runs
 the mean of ``opt-val`` minus the exact energy at ``opt-params`` lies
-within four standard errors of zero.
+within four standard errors of zero, and ``opt-val-stderr`` states the
+standard error of that fresh estimate (0.0 in exact mode).
 """
 from pathlib import Path
 
@@ -121,3 +122,24 @@ def test_uccsd_dimer_minimum_depends_on_the_orbital_basis(name, energy):
     buffer = qcsim.qalloc(4)
     vqe.execute(buffer)
     assert buffer["opt-val"] == pytest.approx(energy, abs=1e-6)
+
+
+def test_opt_val_stderr_goes_with_the_fresh_estimate():
+    """Exact runs report 0.0.  A sampled run reports sqrt(sum c^2 (1 - m^2)
+    / shots) over the draws of its fresh ``opt-val``; it lies near the same
+    sum with the exact <P> at ``opt-params``."""
+    observable = pauli.load_hamiltonian(str(H2_PATH))
+    exact = qcsim.get_accelerator("statevector", {"shots": 0})
+    assert _run(observable, exact)["opt-val-stderr"] == 0.0
+    shots = 1000
+    buffer = _run(observable, qcsim.get_accelerator("statevector", {"shots": shots, "seed": 4}))
+    state = exact.prepare(evaluate(_ansatz(), buffer["opt-params"]), 2)
+    expected = np.sqrt(
+        sum(
+            term.coefficient.real**2 * (1 - state.expect(pauli.PauliOperator(term.ops)).real ** 2)
+            for term in observable.terms()
+            if term.ops
+        )
+        / shots
+    )
+    assert buffer["opt-val-stderr"] == pytest.approx(expected, rel=0.2)
