@@ -121,7 +121,7 @@ class QEOM(Algorithm):
                 f"(limit {MAX_METRIC_CONDITION:.0e}); the state leaves some "
                 "excitations nearly dependent, so the roots would be noise"
             )
-        scale = max(sum(abs(c) for _, c in op.masks()) for op in basis) ** 2
+        scale = max(sum(abs(c) for _, c in op.encoded()) for op in basis) ** 2
         if kept.max() * MAX_METRIC_CONDITION < scale:
             raise AlgorithmError(
                 f"dead metric: the largest kept |eigenvalue| {kept.max():.3g} is "

@@ -22,27 +22,32 @@ that order, exactly as one call per string would; ``estimate`` also
 returns the standard error sqrt(sum |c|^2 (1 - m^2)/shots) of those
 draws.
 
-One compiled form per Pauli sum: ``CompiledPauli(op, n)`` reads
-``op.masks()`` once for an n-qubit register.  It checks the width and
-Hermiticity, groups the strings by X mask, and keeps each string's index
-masks, phase and coefficient.  Exact application and sampled draws both
-read it.  ``apply_pauli`` and a one-off ``expect`` compile a plain
-operator on each call; callers that evaluate one operator on many states
-hold the compiled form for as long as they need it (the VQE objective
-compiles once per run, ``optim.evaluate_gradient`` once per call, exact
-``moments`` once per call), and no module-level cache exists.  Memory
-budget, on 2^n amplitudes: per distinct X mask at most one index and
-one complex vector, per string at most one boolean row, never a complex
-vector per string.  Exact application holds no table and builds one
-group's diagonal at a time; the first draw keeps one gather index per
-non-zero X mask and one parity row per string, and each draw gathers
-psi once into one vector per non-zero X mask.
+One compiled form per Pauli sum: ``CompiledPauli(op, n)`` checks the
+register (1 to ``MAX_QUBITS`` qubits), the width and the Hermiticity, and
+builds each of its two tables on first use: exact application reads
+``op.encoded()`` once, sampled draws read ``op.masks()`` once.
+``apply_pauli`` and a one-off ``expect`` compile a plain operator on each
+call; callers that evaluate one operator on many states hold the compiled
+form for as long as they need it (the VQE objective compiles once per
+run, ``optim.evaluate_gradient`` once per call, exact ``moments`` once
+per call), and no module-level cache exists.  Memory budget, on 2^n
+amplitudes with l = n // 2 and h = n - l: the exact table holds
+k (16 * 2^h + 8 * 2^l) bytes for an X mask of k strings, and exact
+application builds one group's diagonal at a time; the first draw keeps
+one gather index per non-zero X mask and one boolean parity row per
+string, and each draw gathers psi once into one vector per non-zero X
+mask.  No complex vector of 2^n is kept per string or per X mask.
 
-Exact Pauli sums: ``apply_pauli`` is the one exact application of a
-Pauli sum.  It makes one gather per distinct X mask: the strings sharing
-an X mask fold into one diagonal, and the Z-only strings need no gather
-(its docstring states the summation order).  Exact ``expect``,
-``moments`` and ``expect_commutators`` go through it.
+Exact Pauli sums from factored sign tables: ``apply_pauli`` is the one
+exact application of a Pauli sum, one matmul and one gather per distinct
+X mask and no numpy call per string.  The strings sharing an X mask fold
+into one diagonal D_X[j] = sum_s w_s (-1)^popcount(j & Z_s).  Splitting
+j = j_hi 2^l + j_lo splits each sign into a sign of j_hi & Z_hi times one
+of j_lo & Z_lo, so D_X is the product A_X @ B_X of a 2^h x k complex
+table (the weights folded into the high-half signs) and a k x 2^l table
+of +-1, reshaped to 2^n; op|psi> = sum_X D_X * psi[j ^ X], and the Z-only
+strings need no gather (its docstring states the summation order).
+Exact ``expect``, ``moments`` and ``expect_commutators`` go through it.
 
 Commutators without products: ``expect_commutators(lefts, rights)`` is
 the matrix of <[L_i, R_j]>.  It checks every operator's width before
@@ -99,6 +104,11 @@ from .registry import HeterogeneousMap, as_het_map
 
 MAX_QUBITS = 20
 _PROB_CUTOFF = 1e-16
+# constants of the exact tables: every half-register index m below 2^h,
+# h = MAX_QUBITS - MAX_QUBITS // 2, and its sign (-1)^popcount(m)
+_HALF_INDEX = np.arange(1 << (MAX_QUBITS - MAX_QUBITS // 2))
+_PARITY_SIGNS = (-1.0) ** np.bitwise_count(_HALF_INDEX)
+_HALF_INDEX.flags.writeable = _PARITY_SIGNS.flags.writeable = False
 
 
 @dataclass
@@ -379,14 +389,11 @@ def _plan(
     register size, free variables, width and Measure: rejected unless
     ``measure``, and then no gate may follow one on its qubit.
     """
-    if n < 1:
-        raise BackendError(f"register size must be >= 1, got {n}")
+    _check_register(n)
     if not circuit.is_concrete:
         raise BackendError(
             f"circuit '{circuit.name}' has free variables {circuit.variables}"
         )
-    if n > MAX_QUBITS:
-        raise BackendError(f"statevector capped at {MAX_QUBITS} qubits, got {n}")
     steps: list = []
     measured: list[int] = []
     for step in circuit.leaves():
@@ -557,6 +564,21 @@ def statevector(circuit: CompositeInstruction, n: int) -> np.ndarray:
     return state.reshape(-1)
 
 
+def _check_register(n: int) -> None:
+    if n < 1:
+        raise BackendError(f"register size must be >= 1, got {n}")
+    if n > MAX_QUBITS:
+        raise BackendError(f"statevector capped at {MAX_QUBITS} qubits, got {n}")
+
+
+def _qubits(state: np.ndarray) -> int:
+    """n for a state of 2^n amplitudes, n >= 1."""
+    n = state.size.bit_length() - 1
+    if state.size < 2 or state.size != 1 << n:
+        raise BackendError(f"a state holds 2^n amplitudes, n >= 1, but this one holds {state.size}")
+    return n
+
+
 def _check_width(op: PauliOperator, n: int) -> None:
     if op.n_qubits() > n:
         raise BackendError(
@@ -578,41 +600,36 @@ def _index_bits(qubits: int, n: int) -> int:
 class CompiledPauli:
     """A Pauli sum compiled for an n-qubit register, to evaluate on many states.
 
-    ``op.masks()`` is read here, once: the width and Hermiticity checks are
-    made, the strings are grouped by X mask (the groups in the order their
-    X first occurs in ``masks()``, the strings in ``masks()`` order), and
-    each string keeps its index masks, phase and coefficient.
+    The register (1 to ``MAX_QUBITS`` qubits), the width and the
+    Hermiticity are checked here; each table is built on its first use and
+    kept.  Exact application (``apply``) reads ``op.encoded()`` once into
+    one pair of sign-factor tables per distinct X mask (see
+    ``apply_pauli``); sampled draws (``draw``) read ``op.masks()`` once into
+    each non-identity string's index masks, phase and coefficient, in
+    ``masks()`` order, and a rotation reads only that one string.
     ``apply_pauli`` and a one-off ``PreparedState.expect`` compile a plain
     operator on the fly; a caller that evaluates one operator on many
     states (the VQE objective, one ``evaluate_gradient`` call, exact
     ``moments``) compiles it once and passes this form.  Nothing outlives
     the instance, which lives as long as its caller.
 
-    Memory on 2^n amplitudes: exact application (``apply``) keeps no table
-    and builds one group's diagonal at a time.  The first draw (``draw``)
-    builds and keeps one gather index per distinct non-zero X mask and one
-    boolean parity row per non-identity string, and each draw gathers one
-    complex vector per such X mask.  No complex vector is kept per string.
+    Memory on 2^n amplitudes, l = n // 2 and h = n - l: exact application
+    keeps k (16 * 2^h + 8 * 2^l) bytes for each X mask of k strings, and
+    builds one group's diagonal at a time.  The first draw builds and keeps
+    one gather index per distinct non-zero X mask and one boolean parity
+    row per non-identity string, and each draw gathers one complex vector
+    per such X mask.  No complex vector is kept per string.
     """
 
     def __init__(self, op: PauliOperator, n: int):
+        _check_register(n)
         _check_width(op, n)
+        self._op = op
         self._n = n
         self._hermitian = op.is_hermitian()
         self.identity = complex(op.identity_coefficient)
-        groups: dict[int, list[tuple[int, complex]]] = {}
-        # (X, Z, i^|x&z|, c) of each non-identity string, in masks() order
-        self._measured: list[tuple[int, int, complex, complex]] = []
-        for (x, z), coefficient in op.masks():
-            source, parity = _index_bits(x, n), _index_bits(z, n)
-            # i^|x&z| (-1)^|X&Z| = i^(3|x&z|): X, Z reorder the bits of x, z
-            phase = 1j ** (3 * (x & z).bit_count() & 3)
-            groups.setdefault(source, []).append((parity, coefficient * phase))
-            if x or z:
-                self._measured.append(
-                    (source, parity, 1j ** ((x & z).bit_count() & 3), coefficient)
-                )
-        self._groups = list(groups.items())
+        # (X, A_X, B_X) per X mask, built by the first exact application
+        self._factors: list[tuple[int, np.ndarray, np.ndarray]] | None = None
 
     def n_qubits(self) -> int:
         """The register width it was compiled for."""
@@ -621,17 +638,44 @@ class CompiledPauli:
     def is_hermitian(self) -> bool:
         return self._hermitian
 
+    def _exact_tables(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(X, A_X, B_X) for each distinct X mask, in ascending x, with
+        D_X = (A_X @ B_X).reshape(-1): A_X[j_hi, s] = w_s (-1)^|j_hi & Z_hi|
+        and B_X[s, j_lo] = (-1)^|j_lo & Z_lo| over the group's strings s in
+        ascending z, j = j_hi 2^l + j_lo."""
+        n = self._n
+        low = n // 2
+        index = _HALF_INDEX[: 1 << (n - low)]
+        # encoded() is ordered by (x, z): the groups come in ascending x
+        groups: dict[int, tuple[list[int], list[int], list[complex]]] = {}
+        for (x, z), coefficient in self._op.encoded():
+            if x not in groups:
+                groups[x] = ([], [], [])
+            highs, lows, weights = groups[x]
+            parity = _index_bits(z, n)
+            highs.append(parity >> low)
+            lows.append(parity)
+            # i^|x&z| (-1)^|X&Z| = i^(3|x&z|): X, Z reorder the bits of x, z
+            weights.append(coefficient * 1j ** (3 * (x & z).bit_count() & 3))
+        factors = []
+        for x, (highs, lows, weights) in groups.items():
+            # rows[j, 0, s] = (-1)^|j & Z_hi| and, for j < 2^l, rows[j, 1, s] = (-1)^|j & Z_lo|
+            rows = _PARITY_SIGNS[index[:, None, None] & np.array([highs, lows])]
+            high = rows[:, 0] * np.array(weights)
+            # a copy, so that the table does not keep rows alive
+            factors.append((_index_bits(x, n), high, rows[: 1 << low, 1].T.copy()))
+        return factors
+
     def apply(self, state: np.ndarray) -> np.ndarray:
         """op|psi> for 2^n amplitudes; see ``apply_pauli``."""
         flat = state.reshape(-1)
+        if self._factors is None:
+            self._factors = self._exact_tables()
         index = np.arange(flat.size)
-        odd = np.bitwise_count(index) & 1 == 1
-        out = np.zeros(flat.size, dtype=complex)
-        for source, strings in self._groups:
-            diagonal = np.zeros(flat.size, dtype=complex)
-            for parity, weight in strings:
-                # (-1)^popcount(j & Z) read from the parity of every index
-                diagonal += np.where(odd[index & parity], -weight, weight)
+        # the first group's term is the running sum: no zero vector is made
+        out = None
+        for source, high, low in self._factors:
+            diagonal = (high @ low).reshape(-1)
             if source:
                 # XOR the index in place and back: no second index is allocated
                 index ^= source
@@ -639,8 +683,23 @@ class CompiledPauli:
                 index ^= source
             else:
                 diagonal *= flat
-            out += diagonal
+            if out is None:
+                out = diagonal
+            else:
+                out += diagonal
+        if out is None:
+            out = np.zeros(flat.size, dtype=complex)
         return out.reshape(state.shape)
+
+    @functools.cached_property
+    def _measured(self) -> list[tuple[int, int, complex, complex]]:
+        """(X, Z, i^|x&z|, c) of each non-identity string, in ``masks()`` order."""
+        n = self._n
+        return [
+            (_index_bits(x, n), _index_bits(z, n), 1j ** ((x & z).bit_count() & 3), coefficient)
+            for (x, z), coefficient in self._op.masks()
+            if x or z
+        ]
 
     @functools.cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -717,23 +776,33 @@ def _register(op: "PauliOperator | CompiledPauli", circuit: CompositeInstruction
 def apply_pauli(op: "PauliOperator | CompiledPauli", state: np.ndarray) -> np.ndarray:
     """op|psi> for 2^n amplitudes, flat or of shape (2,)*n; keeps the shape.
 
-    op is plain, or compiled for n qubits (``CompiledPauli``).  One gather
-    per distinct X mask.  A string (x, z) with coefficient c
-    adds c i^|x&z| (-1)^popcount((j ^ X) & Z) psi[j ^ X] to amplitude j (X,
-    Z: the index masks of x and z), so the strings sharing X fold into one
-    diagonal D_X[j] = sum c i^|x&z| (-1)^|X&Z| (-1)^popcount(j & Z), and
+    op is plain, or compiled for n qubits (``CompiledPauli``).  A state of
+    any other size than 2^n, n >= 1, raises before any work, and so does a
+    too-wide op.  A string (x, z) with coefficient c adds
+    c i^|x&z| (-1)^popcount((j ^ X) & Z) psi[j ^ X] to amplitude j (X, Z:
+    the index masks of x and z), so the strings sharing X fold into one
+    diagonal D_X[j] = sum_s w_s (-1)^popcount(j & Z_s), with
+    w_s = c_s i^|x&z| (-1)^|X&Z| = c_s i^(3|x&z|), and
     op|psi> = sum_X D_X * psi[j ^ X]; the Z-only strings (X = 0) need no
-    gather.  Summation order: the groups in the order their X first occurs
-    in ``op.masks()``, each D_X summed from zero over its strings in
-    ``masks()`` order, each D_X * psi[j ^ X] added to a zero vector.  The
-    order depends only on op's value, so equal operators give the same
+    gather.  With l = n // 2, h = n - l and j = j_hi 2^l + j_lo, each sign
+    factors as (-1)^|j_hi & Z_hi| (-1)^|j_lo & Z_lo|, so
+    D_X = (A_X @ B_X).reshape(2^n) for A_X[j_hi, s] = w_s (-1)^|j_hi & Z_hi|
+    (2^h x k, complex) and B_X[s, j_lo] = (-1)^|j_lo & Z_lo| (k x 2^l, real):
+    one matmul and one gather per X mask.
+
+    Summation order: the groups in ascending x, each D_X in the matmul's
+    (BLAS) order over its strings in ascending z, each D_X * psi[j ^ X]
+    added to the running sum.  The order depends only on op's value
+    (``op.encoded()`` sorts the strings), so equal operators give the same
     vector and -op gives exactly its negation, which lets
-    ``PreparedState.expect_commutators`` reuse a vector up to sign.  One
-    group at a time: besides the result, the index, its parity table, one
-    diagonal and one gathered vector of 2^n are live, never one vector per
-    string.  A too-wide op raises first.
+    ``PreparedState.expect_commutators`` reuse a vector up to sign.
+
+    Memory: the factor tables, k (16 * 2^h + 8 * 2^l) bytes for an X mask
+    of k strings, are kept by the compiled form.  One group at a time:
+    besides the result, the index, one diagonal and one gathered vector of
+    2^n are live, never one vector per string.
     """
-    return _compiled(op, state.size.bit_length() - 1).apply(state)
+    return _compiled(op, _qubits(state)).apply(state)
 
 
 def expectation(

@@ -11,7 +11,8 @@ qubit q, bit q of z for Z or Y, so the string is i^|x&z| X^x Z^z.  Every
 constructor validates strings in ``_encode``.  A product is the XOR of
 the masks times i^(|xa&za| + |xb&zb| - |x&z| + 2|za&xb|), |m| a popcount;
 a commutator keeps only the anticommuting pairs of the product, doubled.
-``masks()`` exposes the encoding; ``terms()`` decodes it to sorted
+``masks()`` exposes the encoding in ``terms()`` order, ``encoded()`` in
+(x, z) order without decoding; ``terms()`` decodes it to sorted
 (qubit, letter) tuples.  ``to_matrix`` builds the dense matrix from the
 letters by Kronecker products, independently of the encoding: it is the
 reference the tests check the encoding against.
@@ -112,6 +113,8 @@ class PauliOperator:
             ops, coefficient = {}, complex(ops) * complex(coefficient)
         self._terms = {} if ops is None else {_encode(ops): complex(coefficient)}
         self._prune()
+        # computed on first use: ``_from_masks`` sets _terms after __init__
+        self._hash: int | None = None
 
     @staticmethod
     def zero() -> "PauliOperator":
@@ -141,6 +144,11 @@ class PauliOperator:
         """Each encoded string as ((x, z), coefficient), in ``terms()`` order."""
         return sorted(self._terms.items(), key=lambda item: _decode(item[0]))
 
+    def encoded(self) -> list[tuple[Masks, complex]]:
+        """Each encoded string as ((x, z), coefficient), ordered by (x, z):
+        the strings sharing an x mask are contiguous, and nothing is decoded."""
+        return sorted(self._terms.items())
+
     def terms(self) -> Iterator[PauliTerm]:
         for ops, c in sorted((_decode(k), c) for k, c in self._terms.items()):
             yield PauliTerm(ops, c)
@@ -168,7 +176,7 @@ class PauliOperator:
         return all(abs(c.imag) <= tolerance for c in self._terms.values())
 
     def dagger(self) -> "PauliOperator":
-        return _from_masks({k: c.conjugate() for k, c in self._terms.items()})
+        return _from_masks({k: c.conjugate() for k, c in self._terms.items()}, prune=False)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -187,7 +195,7 @@ class PauliOperator:
         return self + (other * -1.0)
 
     def __neg__(self) -> "PauliOperator":
-        return self * -1.0
+        return _from_masks({k: -c for k, c in self._terms.items()}, prune=False)
 
     def __mul__(self, other: "PauliOperator | complex | float | int") -> "PauliOperator":
         if isinstance(other, PauliOperator):
@@ -203,8 +211,11 @@ class PauliOperator:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        """Equal operators hash alike, whatever order their terms were added in."""
-        return hash(frozenset(self._terms.items()))
+        """Equal operators hash alike, whatever order their terms were added
+        in; computed once per operator, which is never changed after it is built."""
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
 
     def isclose(self, other: "PauliOperator", tolerance: float = 1e-10) -> bool:
         keys = set(self._terms) | set(other._terms)
@@ -222,11 +233,13 @@ class PauliOperator:
     __repr__ = __str__
 
 
-def _from_masks(terms: dict[Masks, complex]) -> PauliOperator:
-    """Operator over already-encoded strings, dropping negligible terms."""
+def _from_masks(terms: dict[Masks, complex], prune: bool = True) -> PauliOperator:
+    """Operator over already-encoded strings, dropping negligible terms
+    unless the caller knows every |c| is that of a kept term."""
     op = PauliOperator()
     op._terms = terms
-    op._prune()
+    if prune:
+        op._prune()
     return op
 
 

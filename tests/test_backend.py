@@ -14,6 +14,10 @@ reference loop of one scalar binomial per string; ``estimate``'s standard
 error is checked in law.  ``CompiledPauli``'s memory budget is checked with
 ``tracemalloc`` on the 12-qubit chain, and the in-place gate kernels
 against dense Kronecker-built matrices on every qubit and ordered pair.
+Exact application from the factored sign tables is checked against dense
+matrices for n = 1..8 and on one string at ``MAX_QUBITS``, bit for bit
+for equal operators and for -op, and counting wrappers around
+``PauliOperator.masks`` and ``encoded`` check which table reads which.
 """
 import itertools
 import tracemalloc
@@ -152,16 +156,17 @@ class TestExactExpect:
     def test_apply_pauli_on_a_chain_is_bit_identical_to_reversed_strings(self, sites, hubbard_chain):
         """Index masks come from ``_index_bits``; on the 12- and 16-qubit
         chains op|psi> equals, bit for bit, the sum in the documented order
-        (X groups in first-seen ``masks()`` order, strings in ``masks()``
-        order within a group) with each mask read as a reversed binary
-        string and each sign read from the gathered index."""
+        (X groups in ascending x, each D_X * psi[j ^ X] added in turn) with
+        each mask read as a reversed binary string and each sign read from
+        the gathered index.  The chain's weights are small dyadic numbers,
+        so every D_X is exact whatever order its strings are summed in."""
         n = 2 * sites
         op = hubbard_chain(sites)
         rng = np.random.default_rng(n)
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         index = np.arange(1 << n)
         groups = {}
-        for (x, z), coefficient in op.masks():
+        for (x, z), coefficient in sorted(op.masks()):
             flip = int(format(x, f"0{n}b")[::-1], 2)
             parity = int(format(z, f"0{n}b")[::-1], 2)
             groups.setdefault(flip, []).append((parity, coefficient * 1j ** ((x & z).bit_count() & 3)))
@@ -178,7 +183,7 @@ class TestExactExpect:
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize(
-        "kind", ["hubbard", "commutator", "z-only", "identity-only", "zero"]
+        "kind", ["hubbard", "commutator", "random", "z-only", "identity-only", "zero"]
     )
     def test_apply_pauli_matches_dense_matrix_when_strings_share_x_masks(
         self, n, kind, hubbard_chain
@@ -190,6 +195,9 @@ class TestExactExpect:
             if kind == "commutator":
                 other = pauli.random_operator(rng, n, 6, complex_coeffs=True)
                 op = pauli.commutator(op, other)
+        elif kind == "random":
+            # up to 4^n strings over at most 2^n X masks: groups of several strings
+            op = pauli.random_operator(rng, n, 3 * 2**n, complex_coeffs=True)
         elif kind == "z-only":
             op = pauli.PauliOperator.zero()
             for _ in range(6):
@@ -213,6 +221,57 @@ class TestExactExpect:
     def test_apply_pauli_rejects_an_operator_wider_than_the_state(self):
         with pytest.raises(BackendError, match="qubit 2"):
             backend.apply_pauli(pauli.PauliOperator({2: "Z"}), np.ones(4, dtype=complex))
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 6, 12, 1000])
+    @pytest.mark.parametrize("letter", ["Z", "X"])
+    def test_apply_pauli_rejects_a_state_of_any_other_size_than_2_to_the_n(
+        self, size, letter, monkeypatch
+    ):
+        """Neither a silently wrong vector (Z0) nor a bare IndexError (X0):
+        a ``BackendError`` before anything is compiled."""
+        monkeypatch.setattr(backend, "CompiledPauli", None)
+        with pytest.raises(BackendError, match="2\\^n amplitudes"):
+            backend.apply_pauli(pauli.PauliOperator({0: letter}), np.ones(size, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "size, match", [(6, "2\\^n amplitudes"), (16, "compiled for 2 qubits")]
+    )
+    def test_a_compiled_operator_rejects_a_state_of_another_size(self, size, match):
+        compiled = backend.CompiledPauli(pauli.PauliOperator({0: "X"}), 2)
+        with pytest.raises(BackendError, match=match):
+            backend.apply_pauli(compiled, np.ones(size, dtype=complex))
+
+    def test_one_string_on_the_largest_register(self):
+        """One string touching the first, a middle and the last of
+        ``MAX_QUBITS`` qubits, against the string read from reversed masks."""
+        n = backend.MAX_QUBITS
+        op = pauli.PauliOperator({0: "Y", 7: "X", n - 1: "Z"}, 0.3 - 0.2j)
+        ((x, z), coefficient), = op.masks()
+        flip = int(format(x, f"0{n}b")[::-1], 2)
+        parity = int(format(z, f"0{n}b")[::-1], 2)
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        source = np.arange(1 << n) ^ flip
+        weight = coefficient * 1j ** ((x & z).bit_count() & 3)
+        reference = np.where(np.bitwise_count(source & parity) & 1, -weight, weight) * psi[source]
+        got = backend.apply_pauli(op, psi)
+        assert np.abs(got - reference).max() <= 1e-15 * np.abs(reference).max()
+
+    def test_equal_operators_give_identical_vectors_and_minus_op_the_negation(self):
+        """Built from the same strings in two insertion orders, an operator
+        gives the same vector bit for bit, and -op exactly its negation."""
+        rng = np.random.default_rng(7)
+        n = 7
+        strings = list(pauli.random_operator(rng, n, 60, complex_coeffs=True).terms())
+        forward = pauli.PauliOperator.from_terms({term.ops: term.coefficient for term in strings})
+        backward = pauli.PauliOperator.from_terms(
+            {term.ops: term.coefficient for term in reversed(strings)}
+        )
+        assert forward == backward
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        applied = backend.apply_pauli(forward, psi)
+        assert np.array_equal(backend.apply_pauli(backward, psi), applied)
+        assert np.array_equal(backend.apply_pauli(-backward, psi), -applied)
 
     @pytest.mark.parametrize("shots", [0, 300])
     def test_one_simulation_for_many_operators(self, simulations, monkeypatch, shots):
@@ -617,9 +676,10 @@ class TestSampledExpect:
 class TestCompiledPauli:
     def test_memory_budget_on_the_12_qubit_chain(self, hubbard_chain):
         """Held: one index per distinct non-zero X mask and one boolean row
-        per string.  Peak over a draw and an exact application: besides
-        those, one complex vector per X mask and a few of 2^n; never a
-        complex vector per string."""
+        per string (draws), and the exact sign factors, k (16 * 2^h + 8 * 2^l)
+        bytes for an X mask of k strings, l = n // 2 and h = n - l.  Peak over
+        a draw and an exact application: besides those, one complex vector
+        per X mask and a few of 2^n; never a complex vector per string."""
         n, op = 12, hubbard_chain(6)
         masks = {x for (x, _), _ in op.masks()}
         strings = sum(1 for (x, z), _ in op.masks() if x or z)
@@ -637,7 +697,8 @@ class TestCompiledPauli:
         finally:
             tracemalloc.stop()
         slack = 16 * 1024
-        assert held <= (8 * (len(masks) - 1) + strings) * size + slack
+        factors = op.n_terms() * (16 * (1 << (n - n // 2)) + 8 * (1 << n // 2))
+        assert held <= (8 * (len(masks) - 1) + strings) * size + factors + slack
         assert peak <= ((8 + 16) * len(masks) + strings + 4 * 16) * size + slack
         assert peak < 16 * strings * size
 
@@ -656,6 +717,11 @@ class TestCompiledPauli:
         with pytest.raises(BackendError, match="compiled for 3 qubits"):
             state.expect(compiled)
 
+    @pytest.mark.parametrize("n", [-1, 0, backend.MAX_QUBITS + 1])
+    def test_rejects_a_register_outside_one_to_max_qubits(self, n):
+        with pytest.raises(BackendError, match="register size|capped"):
+            backend.CompiledPauli(pauli.PauliOperator({0: "Z"}), n)
+
     def test_checks_width_and_hermiticity_once(self):
         with pytest.raises(BackendError, match="qubit 3"):
             backend.CompiledPauli(pauli.PauliOperator({3: "Z"}), 2)
@@ -663,6 +729,74 @@ class TestCompiledPauli:
         assert not compiled.is_hermitian()
         with pytest.raises(BackendError, match="Hermitian"):
             backend.expectation(compiled, _h2_state(), _accelerator(1, 0))
+
+
+def _count_string_reads(monkeypatch):
+    """How often ``PauliOperator.masks`` and ``PauliOperator.encoded`` are called."""
+    reads = {"masks": 0, "encoded": 0}
+    for name in reads:
+        original = getattr(pauli.PauliOperator, name)
+
+        def counting(self, _name=name, _original=original):
+            reads[_name] += 1
+            return _original(self)
+
+        monkeypatch.setattr(pauli.PauliOperator, name, counting)
+    return reads
+
+
+class TestStringReads:
+    """The exact table reads ``encoded()`` and never sorts through
+    ``masks()``; the draw tables and a rotation's one string read
+    ``masks()`` and never build the exact table."""
+
+    def test_a_one_off_exact_expect_reads_encoded_once(self, monkeypatch):
+        state = _accelerator(1, shots=0).prepare(_h2_state(), 2)
+        reads = _count_string_reads(monkeypatch)
+        state.expect(pauli.load_hamiltonian(str(H2_PATH)))
+        assert reads == {"masks": 0, "encoded": 1}
+
+    def test_sampled_expect_reads_masks_once(self, monkeypatch):
+        state = _accelerator(1, shots=100).prepare(_h2_state(), 2)
+        reads = _count_string_reads(monkeypatch)
+        state.expect(pauli.load_hamiltonian(str(H2_PATH)))
+        assert reads == {"masks": 1, "encoded": 0}
+
+    def test_an_exact_qeom_operation_never_reads_masks(self, monkeypatch, hubbard_chain):
+        reference = create_composite("reference")
+        for q in (0, 3):
+            reference.add(create_instruction("X", [q]))
+        algorithm = qcsim.get_algorithm(
+            "qeom",
+            {
+                "observable": hubbard_chain(3),
+                "accelerator": _accelerator(seed=0, shots=0),
+                "ansatz": reference,
+                "n-electrons": 2,
+            },
+        )
+        reads = _count_string_reads(monkeypatch)
+        algorithm.execute(qcsim.qalloc(6))
+        assert reads["masks"] == 0
+        assert reads["encoded"] > 0
+
+    def test_a_rotation_never_builds_the_exact_table(self, monkeypatch):
+        generator = pauli.PauliOperator({0: "X", 1: "Y", 2: "Z"}, 1j) + pauli.PauliOperator(
+            {1: "X"}, -0.5j
+        )
+        circuit = qcsim.exp_pauli(generator, 0.4)
+        built, original = [], backend.CompiledPauli._exact_tables
+
+        def counting(self):
+            built.append(self)
+            return original(self)
+
+        monkeypatch.setattr(backend.CompiledPauli, "_exact_tables", counting)
+        reads = _count_string_reads(monkeypatch)
+        psi = backend.statevector(circuit, 3)
+        assert built == []
+        assert reads == {"masks": 2, "encoded": 0}
+        assert np.abs(psi - _dense_state(circuit, 3)).max() <= 1e-12
 
 
 def _dense_gate(matrix, qubits, n):

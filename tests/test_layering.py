@@ -20,11 +20,13 @@ when they are read.  Neither ``ansatz.py`` nor an algorithm module calls
 ``fermion.excitations``.  ``ir.py`` does not import ``fermion`` either,
 and ``backend.py`` never calls ``jordan_wigner``: an excitation node's
 strings and signs come from its modes by bit arithmetic.  In ``backend``
-only the compile step, ``CompiledPauli.__init__``, reads an operator's
-strings (``masks()``), and only ``CompiledPauli.draw`` draws: exact
-application (``apply_pauli``), sampled ``expect`` and a rotation's one
-string all read the compiled form.  A VQE run compiles its observable
-once, and so does each ``evaluate_gradient`` call (counting tests).
+only the compiled form reads an operator's strings: its sampled table
+(``CompiledPauli._measured``) is the one reader of ``masks()``, its exact
+table (``CompiledPauli._exact_tables``) the one reader of ``encoded()``,
+and only ``CompiledPauli.draw`` draws: exact application
+(``apply_pauli``), sampled ``expect`` and a rotation's one string all
+read the compiled form.  A VQE run compiles its observable once, and so
+does each ``evaluate_gradient`` call (counting tests).
 Gates are applied in place, without ``tensordot`` or ``moveaxis``.
 ``qeom.eom_pencil`` builds one commutator per basis operator.
 """
@@ -252,8 +254,11 @@ def _functions_calling(path, attribute):
 
 def test_one_compiled_form_reads_the_strings_of_a_pauli_sum():
     backend = PACKAGE / "backend.py"
-    # the compile step is the one reader of an operator's strings
-    assert _functions_calling(backend, "masks") == ["CompiledPauli.__init__"]
+    # the compiled form's two table builders are the only readers of an
+    # operator's strings: the sampled one in masks() order, the exact one
+    # in encoded() order
+    assert _functions_calling(backend, "masks") == ["CompiledPauli._measured"]
+    assert _functions_calling(backend, "encoded") == ["CompiledPauli._exact_tables"]
     # every draw of a sampled evaluation is one call, in the compiled form
     assert _functions_calling(backend, "binomial") == ["CompiledPauli.draw"]
     # exact applications, one-off and held, and a rotation's one string go

@@ -84,8 +84,28 @@ class TestEncoding:
         with pytest.raises(ValueError, match="repeated"):
             build()
 
+    def test_encoded_holds_the_strings_of_masks_ordered_by_x_then_z(self):
+        op = random_operator(np.random.default_rng(3), 4, 30, complex_coeffs=True)
+        encoded = op.encoded()
+        assert encoded == sorted(op.masks())
+        xs = [x for (x, _), _ in encoded]
+        # the strings sharing an x mask are one run
+        assert len({x for x in xs}) == 1 + sum(a != b for a, b in zip(xs, xs[1:]))
+
 
 class TestAlgebra:
+    def test_dagger_and_negation_keep_every_kept_term(self):
+        """|c| is unchanged by both, so a term just above the pruning
+        threshold stays, and both undo themselves exactly."""
+        op = PauliOperator({0: "X"}, 2e-14j) + PauliOperator({1: "Y"}, 0.3 - 0.7j)
+        assert op.n_terms() == 2
+        for image in (op.dagger(), -op):
+            assert image.n_terms() == 2
+        assert op.dagger().coefficient({0: "X"}) == -2e-14j
+        assert (-op).coefficient({1: "Y"}) == -0.3 + 0.7j
+        assert op.dagger().dagger() == op and -(-op) == op
+        assert hash(-(-op)) == hash(op)
+
     def test_add_same_term(self):
         z = PauliOperator({0: "Z"})
         assert (z + z).coefficient({0: "Z"}) == pytest.approx(2.0)
