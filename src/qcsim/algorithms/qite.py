@@ -9,13 +9,13 @@ system S a = b with
     b_I  = Im <psi| s_I H |psi> / sqrt(1 - 2 db <H>)
 
 Each product s_I s_J or s_I h (h a term of H) is a phase times one string
-s_K.  ``StepSystem`` tabulates index and phase once per run with
-``pauli.multiply``; each step takes one estimate <s_K> per basis string
-(4^n - 1 ``expect`` calls, exact or sampled alike), sums <H> from the
-same estimates, fills S_IJ = Re(phase <s_K>) and
-b_I = Im(sum_h c_h phase <s_K>) / norm by lookup, and advances the
-prepared state with ``evolve``.  Only the final state's <H> is measured
-with ``expect(observable)``.
+s_K.  ``StepSystem`` tabulates index and phase with ``pauli.multiply``
+and compiles each basis string, both once per run; each step takes one
+estimate <s_K> per basis string (4^n - 1 ``expect`` calls of the compiled
+strings, exact or sampled alike), sums <H> from the same estimates,
+fills S_IJ = Re(phase <s_K>) and b_I = Im(sum_h c_h phase <s_K>) / norm
+by lookup, and advances the prepared state with ``evolve``.  Only the
+final state's <H> is measured with ``expect(observable)``.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from ..ansatz import exp_pauli
-from ..backend import AcceleratorBuffer, PreparedState
+from ..backend import AcceleratorBuffer, CompiledPauli, PreparedState
 from ..errors import AlgorithmError
 from ..linalg import solve_regularized_lsq
 from ..pauli import PauliOperator, multiply
@@ -40,9 +40,10 @@ class StepSystem:
     ``itertools.product("IXYZ", repeat=n)`` order, qubit 0 outermost.
     Strings on different qubits commute, so the product table of n qubits
     is the Kronecker product of n one-qubit tables, each read from
-    ``pauli.multiply``.  The observable must be Hermitian, so every
-    estimate is real and Re/Im of phase * <s_K> reduce to the real and
-    imaginary parts of the phase.
+    ``pauli.multiply``.  Each basis string is compiled for the n-qubit
+    register here, so ``measure`` compiles nothing.  The observable must be
+    Hermitian, so every estimate is real and Re/Im of phase * <s_K> reduce
+    to the real and imaginary parts of the phase.
     """
 
     def __init__(self, observable: PauliOperator, n_qubits: int):
@@ -60,7 +61,8 @@ class StepSystem:
         position = {key: k for k, key in enumerate(keys)}
 
         self.basis = keys[1:]
-        self._strings = [PauliOperator.from_terms({key: 1.0}) for key in self.basis]
+        strings = [PauliOperator.from_terms({key: 1.0}) for key in self.basis]
+        self._strings = [CompiledPauli(sigma, n_qubits) for sigma in strings]
         self._s_sign, self._s_index = phase[1:, 1:].real, index[1:, 1:]
         terms = list(observable.terms())
         self._columns = [position[term.ops] for term in terms]

@@ -117,8 +117,7 @@ def exp_pauli(
     circuit = create_composite("exp_pauli")
     for ops, c in _validate_anti_hermitian(generator):
         if ops:
-            theta = angle.scaled(-2.0 * c)
-            circuit.add(PauliRotation(ops, PauliOperator.from_terms({ops: 1.0}), (theta,)))
+            circuit.add(PauliRotation(ops, (angle.scaled(-2.0 * c),)))
     return circuit
 
 

@@ -66,15 +66,15 @@ row-major order, drawing exactly as that nested loop would.
 One pass per rotation: a simulation walks the circuit's leaves once,
 checking them whole before touching an amplitude.  Each
 ``ir.PauliRotation`` leaf is applied as
-psi <- cos(theta/2) psi - i sin(theta/2) P psi, with P the node's unit
-string (read from its compiled form's one string, as one string costs
-less there than through ``apply_pauli``'s grouping) and theta its one
-parameter, a field of the node.  Each ``ir.ExcitationRotation``
-exp(theta (T - T†)) touches only the 2^(n-1) (single) or 2^(n-3)
-(double) amplitudes whose determinants T or T† map to each other, and is
-applied in place as one Givens rotation of those pairs, with the JW sign
-of each pair read from the node's (sign, parity).  Neither rotation's
-gate lowering is built.  Every other leaf is one gate, one
+psi <- cos(theta/2) psi - i sin(theta/2) P psi, with theta its one
+parameter and P its unit string, whose ``ops`` ``pauli.encode`` turns
+into masks (x, z) and phase i^|x&z| (no compiled form is built: one
+string costs less so than through ``apply_pauli``'s grouping).  Each
+``ir.ExcitationRotation`` exp(theta (T - T†)) touches only the 2^(n-1)
+(single) or 2^(n-3) (double) amplitudes whose determinants T or T† map
+to each other, and is applied in place as one Givens rotation of those
+pairs, with the JW sign of each pair read from the node's (sign,
+parity).  Neither rotation's gate lowering is built.  Every other leaf is one gate, one
 ``_apply_gate``, applied in place (Suzuki et al., Qulacs, Quantum 5, 559
 (2021)): the state tensor is reshaped into views of its 2 or 4 blocks,
 one per value of the gate's qubits; X, CNOT and Swap swap blocks, and
@@ -97,6 +97,7 @@ from .pauli import (
     PauliOperator,
     PauliTerm,
     commutator,
+    encode,
     expectation_from_counts,
     multiply,
 )
@@ -446,8 +447,7 @@ def _rotate(state: np.ndarray, rotation: PauliRotation) -> np.ndarray:
     """exp(-i theta P / 2)|psi> = cos(theta/2)|psi> - i sin(theta/2) P|psi>."""
     half = rotation.angle.value / 2.0
     flat = state.reshape(-1)
-    # the one string's index masks and phase, without the draw tables
-    ((source, parity, phase, _),) = CompiledPauli(rotation.pauli, state.ndim)._measured
+    source, parity, phase = _string(*encode(rotation.ops), state.ndim)
     index = np.arange(flat.size) ^ source
     odd = np.bitwise_count(index & parity) & 1
     factor = -1j * math.sin(half) * phase
@@ -597,6 +597,13 @@ def _index_bits(qubits: int, n: int) -> int:
     return out
 
 
+def _string(x: int, z: int, n: int) -> tuple[int, int, complex]:
+    """(X, Z, i^|x&z|): the index masks and phase of the unit string (x, z)
+    on n qubits, which adds i^|x&z| (-1)^popcount((j ^ X) & Z) psi[j ^ X]
+    to amplitude j."""
+    return _index_bits(x, n), _index_bits(z, n), 1j ** ((x & z).bit_count() & 3)
+
+
 class CompiledPauli:
     """A Pauli sum compiled for an n-qubit register, to evaluate on many states.
 
@@ -606,7 +613,7 @@ class CompiledPauli:
     one pair of sign-factor tables per distinct X mask (see
     ``apply_pauli``); sampled draws (``draw``) read ``op.masks()`` once into
     each non-identity string's index masks, phase and coefficient, in
-    ``masks()`` order, and a rotation reads only that one string.
+    ``masks()`` order.
     ``apply_pauli`` and a one-off ``PreparedState.expect`` compile a plain
     operator on the fly; a caller that evaluates one operator on many
     states (the VQE objective, one ``evaluate_gradient`` call, exact
@@ -694,9 +701,8 @@ class CompiledPauli:
     @functools.cached_property
     def _measured(self) -> list[tuple[int, int, complex, complex]]:
         """(X, Z, i^|x&z|, c) of each non-identity string, in ``masks()`` order."""
-        n = self._n
         return [
-            (_index_bits(x, n), _index_bits(z, n), 1j ** ((x & z).bit_count() & 3), coefficient)
+            (*_string(x, z, self._n), coefficient)
             for (x, z), coefficient in self._op.masks()
             if x or z
         ]

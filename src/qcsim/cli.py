@@ -15,9 +15,10 @@ given one, or a drawn 32-bit seed when a sampled run (shots > 0) names
 none; exact runs without a seed leave it blank.  Rerunning with
 ``--seed`` set to the recorded value reproduces the CSV.  All energies
 are in Hartree.  Exit codes: 0 success, 1 config error (the file, its
-ansatz or kernel file, a typed algorithm key, the shot count, or qite
-from an ansatz with free variables), 2 missing Hamiltonian file, 3
-algorithm error.
+ansatz or kernel file, a typed algorithm key, a ``gradient-strategy``
+outside ``[vqe]`` or not in ``optim.GRADIENT_STRATEGIES``, the shot
+count, or qite from an ansatz with free variables), 2 missing
+Hamiltonian file, 3 algorithm error.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from .backend import qalloc
 from .errors import ConfigError, QcsimError
 from .ir import evaluate
 from .kernel import parse_kernel
+from .optim import GRADIENT_STRATEGIES
 from .pauli import load_hamiltonian
 from .registry import ServiceKind, list_services
 
@@ -116,16 +118,24 @@ def _build_ansatz(config):
 
 
 def _algorithm_options(config, algorithm: str) -> dict:
-    """Typed key-value pairs from the algorithm's own config section."""
+    """Typed key-value pairs from the algorithm's own config section; a
+    ``gradient-strategy`` is checked here, before any sweep point runs."""
     out: dict = {}
     if not config.has_section(algorithm):
         return out
     int_keys = {"steps", "cmx-order", "n-electrons", "max-iter", "max-iterations"}
     real_keys = {"step-size", "grad-threshold", "tolerance", "ridge", "overlap-threshold"}
     for key, raw in config[algorithm].items():
-        if key in ("optimizer", "gradient-strategy"):
+        if key == "optimizer":
             continue
-        if key in int_keys:
+        if key == "gradient-strategy":
+            if algorithm != "vqe" or raw.strip() not in GRADIENT_STRATEGIES:
+                raise ConfigError(
+                    f"[{algorithm}] gradient-strategy = {raw.strip()}: only [vqe] takes one, "
+                    f"from {', '.join(GRADIENT_STRATEGIES)}"
+                )
+            out["gradient_strategy"] = raw.strip()
+        elif key in int_keys:
             out[key] = int(raw)
         elif key in real_keys:
             out[key] = float(raw)
@@ -167,8 +177,6 @@ def _execute_point(config, algorithm, options, observable, accelerator, ansatz, 
 
     if algorithm in ("vqe", "adapt"):
         options["optimizer"] = get_optimizer(section.get("optimizer", "nelder-mead"))
-    if algorithm == "vqe" and section.get("gradient-strategy", "").strip():
-        options["gradient_strategy"] = section["gradient-strategy"].strip()
     if algorithm == "adapt":
         options.setdefault("sub-algorithm", "vqe")
         options.setdefault("pool", "uccsd")

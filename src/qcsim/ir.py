@@ -1,7 +1,7 @@
 """Polymorphic circuit intermediate representation.
 
 A circuit is a tree of four node kinds.  ``Instruction`` (one gate),
-``PauliRotation`` (R_P(theta), stored as P and theta) and
+``PauliRotation`` (R_P(theta), stored as P's letters and theta) and
 ``ExcitationRotation`` (exp(theta (T - T†)) for a fermionic excitation T,
 stored as its occ and virt modes and theta) are immutable leaves, and
 ``CompositeInstruction`` is a named n-ary tree over them.  Every node
@@ -220,18 +220,16 @@ class CompositeInstruction:
 class PauliRotation(_Leaf):
     """R_P(theta) = exp(-i theta P / 2) for one unit Pauli string P.
 
-    ``ops`` is P's (qubit, letter) pairs in ascending qubit order, ``pauli``
-    is P as a one-term operator and ``parameters`` is (theta,).  ir treats
-    ``pauli`` as opaque (``pauli`` imports ir); only the simulator reads
-    it, to apply the node in one pass.  ``instructions()`` lowers the node
-    on each read: basis changes into Z, a CNOT ladder onto the highest
-    support qubit, Rz(theta) there, and the mirror image.  Every reader of
-    gates (``pretty_print``, ``depth``, ``count_gates``, the kernel text)
-    sees that sequence.
+    The node is the value (P, theta): ``ops`` is P's (qubit, letter) pairs
+    in ascending qubit order and ``parameters`` is (theta,).  The simulator
+    encodes ``ops`` to apply the node in one pass.  ``instructions()``
+    lowers the node on each read: basis changes into Z, a CNOT ladder onto
+    the highest support qubit, Rz(theta) there, and the mirror image.
+    Every reader of gates (``pretty_print``, ``depth``, ``count_gates``,
+    the kernel text) sees that sequence.
     """
 
     ops: tuple[tuple[int, str], ...]
-    pauli: object
     parameters: tuple[Parameter]
 
     name = "pauli_rotation"

@@ -223,15 +223,16 @@ def evaluate_gradient(
     Every energy is one ``backend.expectation`` of a bound circuit, all of
     them of one observable compiled once per call.
     Finite differences shift the variable vector by +-FD_DEFAULT_STEP.
-    Parameter-shift binds x once and shifts one rotation at a time by
-    +-pi/2, which is exact for R_P(theta) = exp(-i theta P / 2); a gate
+    Parameter-shift binds x once and lists the bound circuit's leaves; it
+    shifts one rotation at a time by +-pi/2, which is exact for
+    R_P(theta) = exp(-i theta P / 2), by splicing the shifted leaves
+    (``_shifts``) in place of the bound leaf into one flat circuit.  A gate
     whose angle is ``scale * var`` adds scale * (E+ - E-) / 2 to var's
-    entry (chain rule), so a variable driving several gates sums them.
-    The shifted leaf is replaced inside the bound tree, so a Pauli
-    rotation shifts its own theta and is still simulated in one pass.
+    entry (chain rule), so a variable driving several gates sums them.  A
+    Pauli rotation shifts its own theta and is still simulated in one pass.
     An excitation rotation exp(theta G) has G^3 = -G, so one shift of
     theta is not exact: each Pauli rotation of its lowering is shifted
-    instead (``_shifted_leaves``), as if the node were lowered.
+    instead, as if the node were lowered.
     """
     if strategy not in GRADIENT_STRATEGIES:
         raise ValueError(
@@ -251,10 +252,16 @@ def evaluate_gradient(
     grad = np.zeros(x.size)
     if strategy == "parameter-shift":
         index = {var: i for i, var in enumerate(circuit.variables)}
-        bound = evaluate(circuit, x)
-        for path, param, plus, minus in _shifted_leaves(circuit, bound):
-            shift = energy(_with_leaves(bound, path, plus)) - energy(_with_leaves(bound, path, minus))
-            grad[index[param.var]] += param.scale * shift / 2.0
+        bound = list(evaluate(circuit, x).leaves())
+
+        def spliced(k: int, leaves: list) -> CompositeInstruction:
+            return CompositeInstruction(circuit.name).add_all(bound[:k] + leaves + bound[k + 1 :])
+
+        for k, leaf in enumerate(circuit.leaves()):
+            shifts = zip(_shifts(leaf, bound[k], SHIFT), _shifts(leaf, bound[k], -SHIFT))
+            for (param, plus), (_, minus) in shifts:
+                shift = energy(spliced(k, plus)) - energy(spliced(k, minus))
+                grad[index[param.var]] += param.scale * shift / 2.0
         return grad
 
     h = FD_DEFAULT_STEP
@@ -278,46 +285,21 @@ def evaluate_gradient(
     return grad
 
 
-def _shifted_leaves(symbolic: CompositeInstruction, bound: CompositeInstruction, path=()):
-    """(path, parameter, plus, minus) for each rotation angle ``scale * var``
-    in source order: ``path`` is the child indices that lead to its leaf in
-    both trees, and ``plus``/``minus`` are the leaves that replace the bound
-    leaf to shift that one angle by +-pi/2.
+def _shifts(leaf, bound, delta: float):
+    """(parameter, leaves) for each rotation angle ``scale * var`` of one
+    leaf, in source order: ``leaves`` replace ``bound``, the leaf's bound
+    copy, to shift that one angle by ``delta``.
 
     An ``ExcitationRotation`` is the product of its commuting Pauli
     rotations R_{P_k}(s_k theta), so shifting one of them is the bound node
-    followed by a fixed R_{P_k}(+-pi/2); every other leaf has one angle and
-    is replaced by a copy with that angle shifted.
+    followed by a fixed R_{P_k}(delta); every other leaf has at most one
+    angle and is replaced by a copy with that angle shifted.  A concrete
+    leaf yields nothing.
     """
-    for i, (child, bound_child) in enumerate(zip(symbolic.children, bound.children)):
-        if isinstance(child, CompositeInstruction):
-            yield from _shifted_leaves(child, bound_child, path + (i,))
-        elif isinstance(child, ExcitationRotation):
-            for ops, angle in child.rotations():
-                if angle.is_symbolic:
-                    string = PauliOperator.from_terms({ops: 1.0})
-                    plus, minus = (
-                        [bound_child, PauliRotation(ops, string, (Parameter.concrete(delta),))]
-                        for delta in (SHIFT, -SHIFT)
-                    )
-                    yield path + (i,), angle, plus, minus
-        elif child.parameters and child.parameters[0].is_symbolic:
-            angle = bound_child.parameters[0].value
-            plus, minus = (
-                [replace(bound_child, parameters=(Parameter.concrete(angle + delta),))]
-                for delta in (SHIFT, -SHIFT)
-            )
-            yield path + (i,), child.parameters[0], plus, minus
-
-
-def _with_leaves(node: CompositeInstruction, path: tuple, leaves: list) -> CompositeInstruction:
-    """``node`` with the leaf at ``path`` replaced by ``leaves``.
-
-    The composites on the path are rebuilt; every other subtree is shared.
-    """
-    i = path[0]
-    if len(path) > 1:
-        leaves = [_with_leaves(node.children[i], path[1:], leaves)]
-    out = CompositeInstruction(node.name)
-    out.children = node.children[:i] + leaves + node.children[i + 1 :]
-    return out
+    if isinstance(leaf, ExcitationRotation):
+        for ops, angle in leaf.rotations():
+            if angle.is_symbolic:
+                yield angle, [bound, PauliRotation(ops, (Parameter.concrete(delta),))]
+    elif leaf.parameters and leaf.parameters[0].is_symbolic:
+        shifted = Parameter.concrete(bound.parameters[0].value + delta)
+        yield leaf.parameters[0], [replace(bound, parameters=(shifted,))]

@@ -8,7 +8,8 @@ unmeasured circuit produces one measured circuit per non-identity term
 Each string is stored as a pair of ints ``(x, z)`` (the symplectic
 encoding of Aaronson & Gottesman 2004): bit q of x is set for X or Y on
 qubit q, bit q of z for Z or Y, so the string is i^|x&z| X^x Z^z.  Every
-constructor validates strings in ``_encode``.  A product is the XOR of
+constructor validates strings in ``encode``, the one encoder, which the
+simulator also reads a rotation's string through.  A product is the XOR of
 the masks times i^(|xa&za| + |xb&zb| - |x&z| + 2|za&xb|), |m| a popcount;
 a commutator keeps only the anticommuting pairs of the product, doubled.
 ``masks()`` exposes the encoding in ``terms()`` order, ``encoded()`` in
@@ -69,7 +70,7 @@ class PauliTerm:
         return f"{coef} {self.pauli_string()}" if self.ops else coef
 
 
-def _encode(ops: "Mapping[int, str] | Iterable[tuple[int, str]]") -> Masks:
+def encode(ops: "Mapping[int, str] | Iterable[tuple[int, str]]") -> Masks:
     """(x, z) of {qubit: letter} or (qubit, letter) pairs, ``I`` dropped; an unknown
     letter, a qubit that is not a non-negative int or a repeated qubit raise ValueError."""
     items = ops.items() if isinstance(ops, Mapping) else ops
@@ -111,7 +112,7 @@ class PauliOperator:
         if isinstance(ops, (int, float, complex)):
             # identity-term shorthand: PauliOperator(0.2976)
             ops, coefficient = {}, complex(ops) * complex(coefficient)
-        self._terms = {} if ops is None else {_encode(ops): complex(coefficient)}
+        self._terms = {} if ops is None else {encode(ops): complex(coefficient)}
         self._prune()
         # computed on first use: ``_from_masks`` sets _terms after __init__
         self._hash: int | None = None
@@ -129,7 +130,7 @@ class PauliOperator:
         """Sum of ``{ops: coefficient}``; keys are validated and canonicalized."""
         encoded: dict[Masks, complex] = {}
         for ops, c in terms.items():
-            key = _encode(ops)
+            key = encode(ops)
             encoded[key] = encoded[key] + c if key in encoded else complex(c)
         return _from_masks(encoded)
 
@@ -160,7 +161,7 @@ class PauliOperator:
         return len(self._terms)
 
     def coefficient(self, ops: Mapping[int, str] | PauliKey) -> complex:
-        return self._terms.get(_encode(ops), 0.0)
+        return self._terms.get(encode(ops), 0.0)
 
     @property
     def identity_coefficient(self) -> complex:
@@ -412,6 +413,6 @@ def random_operator(
         coef = rng.normal()
         if complex_coeffs:
             coef = coef + 1j * rng.normal()
-        key = _encode(ops)
+        key = encode(ops)
         terms[key] = terms.get(key, 0.0) + coef
     return _from_masks({k: complex(c) for k, c in terms.items()})

@@ -747,8 +747,8 @@ def _count_string_reads(monkeypatch):
 
 class TestStringReads:
     """The exact table reads ``encoded()`` and never sorts through
-    ``masks()``; the draw tables and a rotation's one string read
-    ``masks()`` and never build the exact table."""
+    ``masks()``; the draw tables read ``masks()`` and never build the exact
+    table; a rotation reads neither, but encodes its own ``ops``."""
 
     def test_a_one_off_exact_expect_reads_encoded_once(self, monkeypatch):
         state = _accelerator(1, shots=0).prepare(_h2_state(), 2)
@@ -795,7 +795,7 @@ class TestStringReads:
         reads = _count_string_reads(monkeypatch)
         psi = backend.statevector(circuit, 3)
         assert built == []
-        assert reads == {"masks": 2, "encoded": 0}
+        assert reads == {"masks": 0, "encoded": 0}
         assert np.abs(psi - _dense_state(circuit, 3)).max() <= 1e-12
 
 

@@ -405,6 +405,48 @@ class TestExitCodes:
         assert "algorithm error" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "algorithm, strategy",
+        [("vqe", "bogus"), ("adapt", "central"), ("qeom", "bogus")],
+        ids=["unknown-under-vqe", "under-adapt", "under-qeom"],
+    )
+    def test_bad_gradient_strategy_is_a_config_error(self, tmp_path, capsys, algorithm, strategy):
+        config = _write_config(tmp_path, "vqe")
+        config.write_text(
+            config.read_text(encoding="utf-8")
+            .replace("algorithm = vqe", f"algorithm = {algorithm}")
+            .replace("[vqe]", f"[{algorithm}]")
+            + f"gradient-strategy = {strategy}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.csv"
+        for verb in ("run", "spectrum"):
+            assert _main(verb, config, out) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and "gradient-strategy" in err
+        assert "algorithm error" not in err
+        assert not out.exists()
+
+    def test_gradient_strategy_reaches_vqe(self, tmp_path, monkeypatch, h2_spectrum):
+        from qcsim.algorithms import vqe
+
+        strategies = []
+        original = vqe.evaluate_gradient
+        monkeypatch.setattr(
+            vqe, "evaluate_gradient", lambda s, *args: strategies.append(s) or original(s, *args)
+        )
+        config = _write_config(tmp_path, "vqe")
+        config.write_text(
+            config.read_text(encoding="utf-8").replace("nelder-mead", "gradient-descent")
+            + "gradient-strategy = parameter-shift\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.csv"
+        assert _main("run", config, out) == cli.EXIT_OK
+        assert strategies and set(strategies) == {"parameter-shift"}
+        _, _, rows = _read(out)
+        assert float(rows[0]["opt-val"]) == pytest.approx(h2_spectrum[0], abs=1e-6)
+
     def test_unknown_optimizer_is_an_algorithm_error(self, tmp_path):
         config = _write_config(tmp_path, "vqe")
         config.write_text(

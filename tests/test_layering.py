@@ -1,18 +1,17 @@
 """Algorithms read states only through ``PreparedState``, only
-``backend`` reads the exact/sampled mode, only ``pauli`` reads the
-string encoding, and only ``backend`` reads a rotation node's string.
+``backend`` reads the exact/sampled mode, and only ``pauli`` reads the
+string encoding.
 
 Each module under ``src/qcsim/algorithms`` is parsed with ``ast``: none
 may read ``exact_mode`` or reach the simulator's raw-state functions,
 whether imported from ``backend`` or called as attributes.  Neither they
 nor ``optim.py`` may read ``.config`` or ``.shots``.  Every module under
-``src/qcsim`` is parsed too: only ``pauli.py`` may read ``._terms``, and
-only ``backend.py`` may read ``.pauli`` (``ir.PauliRotation`` stores it),
-so the one-pass rotation stays the simulator's one path.  ``ir.py`` must
-not import ``pauli``, which imports ``ir``.  No call in an algorithm module
-takes a ``commutator(...)`` call as an argument, and ``adapt.py`` does not
-import ``commutator``: commutator expectations are read through
-``PreparedState.expect_commutators``, which in exact mode builds no product.
+``src/qcsim`` is parsed too: only ``pauli.py`` may read ``._terms``.
+``ir.py`` must not import ``pauli``, which imports ``ir``.  No call in an
+algorithm module takes a ``commutator(...)`` call as an argument, and
+``adapt.py`` does not import ``commutator``: commutator expectations are
+read through ``PreparedState.expect_commutators``, which in exact mode
+builds no product.
 A Pauli rotation and an excitation rotation are leaves, not composites,
 and ``ansatz.exp_pauli`` builds no gate: a rotation derives its gates
 when they are read.  Neither ``ansatz.py`` nor an algorithm module calls
@@ -24,9 +23,10 @@ only the compiled form reads an operator's strings: its sampled table
 (``CompiledPauli._measured``) is the one reader of ``masks()``, its exact
 table (``CompiledPauli._exact_tables``) the one reader of ``encoded()``,
 and only ``CompiledPauli.draw`` draws: exact application
-(``apply_pauli``), sampled ``expect`` and a rotation's one string all
-read the compiled form.  A VQE run compiles its observable once, and so
-does each ``evaluate_gradient`` call (counting tests).
+(``apply_pauli``) and sampled ``expect`` read the compiled form, while a
+rotation (``_rotate``) encodes its own ``ops`` and compiles nothing.  A
+VQE run compiles its observable once, so does each ``evaluate_gradient``
+call, and a QITE run compiles each basis string once (counting tests).
 Gates are applied in place, without ``tensordot`` or ``moveaxis``.
 ``qeom.eom_pencil`` builds one commutator per basis operator.
 """
@@ -95,33 +95,6 @@ def test_the_encoding_lives_in_pauli():
 )
 def test_only_pauli_reads_the_string_encoding(path):
     assert _reads(path, {"_terms"}) == []
-
-
-ROTATION_READER = PACKAGE / "backend.py"
-
-
-def _loads(path, attribute):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr == attribute
-        and isinstance(node.ctx, ast.Load)
-    ]
-
-
-def test_the_simulator_reads_the_rotation_string():
-    assert _loads(ROTATION_READER, "pauli")
-
-
-@pytest.mark.parametrize(
-    "path",
-    [path for path in sorted(PACKAGE.rglob("*.py")) if path != ROTATION_READER],
-    ids=lambda path: str(path.relative_to(PACKAGE)),
-)
-def test_only_the_simulator_reads_the_rotation_string(path):
-    assert _loads(path, "pauli") == []
 
 
 def _imported_by_ir():
@@ -261,11 +234,11 @@ def test_one_compiled_form_reads_the_strings_of_a_pauli_sum():
     assert _functions_calling(backend, "encoded") == ["CompiledPauli._exact_tables"]
     # every draw of a sampled evaluation is one call, in the compiled form
     assert _functions_calling(backend, "binomial") == ["CompiledPauli.draw"]
-    # exact applications, one-off and held, and a rotation's one string go
-    # through it
-    assert {"_compiled", "_rotate", "compile_observable", "moments"} <= set(
-        _functions_reading(backend, "CompiledPauli")
-    )
+    # exact applications, one-off and held, go through it; a rotation
+    # encodes its own string and builds no compiled form
+    readers = set(_functions_reading(backend, "CompiledPauli"))
+    assert {"_compiled", "compile_observable", "moments"} <= readers
+    assert "_rotate" not in readers
     assert {"expect", "expect_commutators", "moments"} <= set(
         _functions_reading(backend, "apply_pauli")
     )
@@ -354,6 +327,37 @@ def test_each_gradient_compiles_its_observable_once(monkeypatch):
     )
     assert gradients
     assert compiled == [observable] * (1 + len(gradients))
+
+
+@pytest.mark.parametrize("shots", [0, 1000])
+def test_a_qite_run_compiles_each_basis_string_once(monkeypatch, shots):
+    import qcsim
+    from qcsim.algorithms.qite import StepSystem
+    from qcsim.ir import create_composite, create_instruction
+
+    observable = qcsim.load_hamiltonian(str(PACKAGE.parents[1] / "data" / "h2.ham"))
+    reference = create_composite("reference").add(create_instruction("X", [1]))
+    steps = 3
+    qite = qcsim.get_algorithm(
+        "qite",
+        {
+            "accelerator": qcsim.get_accelerator("statevector", {"shots": shots, "seed": 3}),
+            "observable": observable,
+            "ansatz": reference,
+            "step-size": 0.1,
+            "steps": steps,
+        },
+    )
+    basis = StepSystem(observable, 2).basis
+    compiled = _count_compiles(monkeypatch)
+    buffer = qcsim.qalloc(2)
+    qite.execute(buffer)
+    assert len(buffer["energy-history"]) == steps + 1
+    # the 15 basis strings once for the run, and the final energy's observable;
+    # no rotation of the steps' exp_pauli blocks compiles its string
+    assert compiled == [qcsim.PauliOperator.from_terms({key: 1.0}) for key in basis] + [
+        observable
+    ]
 
 
 def test_eom_pencil_builds_one_commutator_per_basis_operator(monkeypatch):

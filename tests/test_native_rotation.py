@@ -142,10 +142,10 @@ def test_exp_pauli_tags_each_term_with_its_unit_string():
     )
     circuit = exp_pauli(generator, 0.4)
     assert all(isinstance(node, PauliRotation) for node in circuit.children)
-    assert [node.pauli for node in circuit.children] == [
-        pauli.PauliOperator({0: "X", 2: "Y"}),
-        pauli.PauliOperator({0: "Y"}),
-        pauli.PauliOperator({1: "Z"}),
+    assert [node.ops for node in circuit.children] == [
+        ((0, "X"), (2, "Y")),
+        ((0, "Y"),),
+        ((1, "Z"),),
     ]
     assert [node.qubits for node in circuit.children] == [(0, 2), (0,), (1,)]
     assert [node.angle.value for node in circuit.children] == pytest.approx([-0.4, 0.6, -0.2])
@@ -163,7 +163,7 @@ def test_evaluate_keeps_the_node_types_and_strings():
     assert len(pairs) == 12
     binding = dict(zip(circuit.variables, [0.1, -0.2, 0.3]))
     for node, bound_node in pairs:
-        assert bound_node.pauli is node.pauli
+        assert bound_node.ops is node.ops
         assert bound_node.qubits == node.qubits
         assert bound_node.angle.value == node.angle.evaluate(binding)
         values = [binding[var] for var in node.variables]
@@ -213,7 +213,7 @@ def test_uccsd_12_qubits_keeps_its_gate_counts_and_kernel_text():
 
 def test_a_rotation_is_its_string_and_angle():
     assert [field.name for field in dataclasses.fields(PauliRotation)] == [
-        "ops", "pauli", "parameters"
+        "ops", "parameters"
     ]
     (node,) = exp_pauli(pauli.PauliOperator({0: "X", 2: "Y"}, 0.5j), "t").children
     assert node.ops == ((0, "X"), (2, "Y"))

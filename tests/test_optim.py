@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import qcsim
 from qcsim import optim, pauli
 from qcsim.errors import OptimizationError
-from qcsim.ir import Parameter, create_composite, create_instruction
+from qcsim.fermion import excitation_modes
+from qcsim.ir import ExcitationRotation, Parameter, create_composite, create_instruction
 
 H2_PATH = Path(__file__).resolve().parents[1] / "data" / "h2.ham"
 
@@ -86,6 +87,46 @@ class TestGradientAgreement:
         )
         np.testing.assert_allclose(central, [-3.1838, -0.8125, 0.1334], atol=1e-4)
         np.testing.assert_allclose(shift, central, rtol=0, atol=1e-6)
+
+    def test_concrete_excitation_among_symbolic_ones(self, hubbard_dimer, exact_accelerator):
+        """A concrete node is simulated in every shifted circuit but shifts nothing."""
+        circuit = qcsim.hartree_fock_circuit(2, 4)
+        angles = [
+            Parameter.symbolic("t0"), Parameter.concrete(0.4), Parameter.symbolic("t1", -0.5)
+        ]
+        for (occ, virt), angle in zip(excitation_modes(2, 4), angles):
+            circuit.add(ExcitationRotation(occ, virt, (angle,)))
+        x = [0.3, -0.7]
+        central, shift = (
+            optim.evaluate_gradient(s, circuit, x, hubbard_dimer, exact_accelerator)
+            for s in ("central", "parameter-shift")
+        )
+        assert np.abs(central).min() > 0.1
+        assert np.abs(shift - central).max() <= 1e-7
+
+    def test_one_variable_drives_two_qubits_at_two_scales(self, exact_accelerator):
+        circuit = create_composite("scales")
+        for q in (0, 1):
+            circuit.add(create_instruction("H", [q]))
+        circuit.add(create_instruction("Rz", [0], [Parameter.symbolic("t")]))
+        circuit.add(create_instruction("Rz", [1], [Parameter.symbolic("t", -0.5)]))
+        observable = (
+            pauli.PauliOperator({0: "X"})
+            + pauli.PauliOperator({1: "Y"}, 0.5)
+            + pauli.PauliOperator({0: "X", 1: "X"}, 0.25)
+        )
+        for t in (0.0, 0.9, -2.1):
+            central, shift = (
+                optim.evaluate_gradient(s, circuit, [t], observable, exact_accelerator)
+                for s in ("central", "parameter-shift")
+            )
+            # <X> = cos(angle) and <Y> = sin(angle) after Rz(angle) H, so
+            # E(t) = cos t - 0.5 sin(t/2) + 0.25 cos t cos(t/2)
+            exact = -np.sin(t) - 0.25 * np.cos(t / 2) - 0.25 * (
+                np.sin(t) * np.cos(t / 2) + 0.5 * np.cos(t) * np.sin(t / 2)
+            )
+            assert np.abs(shift - central).max() <= 1e-7
+            assert shift[0] == pytest.approx(exact, abs=1e-12)
 
     @pytest.mark.parametrize("t", [0.0, 0.3, -1.2])
     def test_pair_rotation(self, pair_rotation_ansatz, h2, exact_accelerator, t):
