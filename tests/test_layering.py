@@ -6,7 +6,9 @@ Each module under ``src/qcsim/algorithms`` is parsed with ``ast``: none
 may read ``exact_mode`` or reach the simulator's raw-state functions,
 whether imported from ``backend`` or called as attributes.  Neither they
 nor ``optim.py`` may read ``.config`` or ``.shots``.  Every module under
-``src/qcsim`` is parsed too: only ``pauli.py`` may read ``._terms``.
+``src/qcsim`` is parsed too: only ``pauli.py`` may read ``._terms``, and
+only ``backend.py`` may reach ``pauli.encode``, which its ``_rotate`` calls
+on a rotation's ``ops``: ``exp_pauli`` stores the string as given.
 ``ir.py`` must not import ``pauli``, which imports ``ir``.  No call in an
 algorithm module takes a ``commutator(...)`` call as an argument, and
 ``adapt.py`` does not import ``commutator``: commutator expectations are
@@ -95,6 +97,46 @@ def test_the_encoding_lives_in_pauli():
 )
 def test_only_pauli_reads_the_string_encoding(path):
     assert _reads(path, {"_terms"}) == []
+
+
+ROTATION_READER = PACKAGE / "backend.py"
+
+
+def _reaches_encoder(path):
+    """Lines that import ``encode`` or read it as an attribute: reaching
+    pauli's encoder from outside ``pauli.py``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and "encode" in {alias.name for alias in node.names})
+        or (isinstance(node, ast.Attribute) and node.attr == "encode")
+    ]
+
+
+def test_the_simulator_reads_the_rotation_string():
+    tree = ast.parse(ROTATION_READER.read_text(encoding="utf-8"))
+    (rotate,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_rotate"
+    ]
+    assert [
+        node.lineno
+        for node in ast.walk(rotate)
+        if _calls_named(node, "encode")
+        and any(isinstance(argument, ast.Attribute) and argument.attr == "ops" for argument in node.args)
+    ]
+    assert _reaches_encoder(ROTATION_READER)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in sorted(PACKAGE.rglob("*.py")) if path != ROTATION_READER],
+    ids=lambda path: str(path.relative_to(PACKAGE)),
+)
+def test_only_the_simulator_reads_the_rotation_string(path):
+    # exp_pauli stores ops as given; the simulator alone encodes them
+    assert _reaches_encoder(path) == []
 
 
 def _imported_by_ir():
