@@ -3,18 +3,19 @@
 Minimizes <psi(theta)|H|psi(theta)> over the ansatz parameters with the
 configured classical optimizer, optionally feeding it gradients from one
 of the strategies in ``optim.GRADIENT_STRATEGIES``.  The observable is
-compiled once per run (``backend.compile_observable``) and every
-evaluation reads that form.  ``opt-val`` is measured afresh at
-``opt-params``, and ``opt-val-stderr`` is its standard error from the same
+compiled once per run (``backend.compile_observable``) and the ansatz is
+planned once per run (``backend.CompiledCircuit``): every evaluation runs
+that plan with the optimizer's x and reads that observable, and builds no
+bound circuit.  ``opt-val`` is measured afresh at ``opt-params``, from the
+same plan, and ``opt-val-stderr`` is its standard error from the same
 draws (0.0 in exact mode).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..backend import AcceleratorBuffer, compile_observable, expectation
+from ..backend import AcceleratorBuffer, CompiledCircuit, compile_observable, expectation
 from ..errors import AlgorithmError
-from ..ir import evaluate
 from ..optim import GRADIENT_STRATEGIES, ObjectiveFunction, evaluate_gradient
 from ..registry import HeterogeneousMap
 from .base import Algorithm
@@ -58,13 +59,14 @@ class VQE(Algorithm):
         observable = self.options.get_observable("observable")
         accelerator = self.options.get_accelerator("accelerator")
         strategy = self.options.get_or("gradient_strategy", "string", None)
-        # one compiled observable for every evaluation of the run
+        # one compiled observable and one planned ansatz for every evaluation
         compiled = compile_observable(observable, ansatz)
+        circuit = CompiledCircuit(ansatz, compiled.n_qubits())
 
         energy_history: list[float] = []
 
         def objective(x: np.ndarray, grad_out: np.ndarray) -> float:
-            energy = expectation(compiled, evaluate(ansatz, x), accelerator)
+            energy = expectation(compiled, circuit, accelerator, x)
             energy_history.append(energy)
             if strategy is not None and grad_out.size:
                 grad_out[:] = evaluate_gradient(
@@ -78,7 +80,7 @@ class VQE(Algorithm):
         result = optimizer.optimize(f, optimizer_options(self.options, optimizer))
 
         # sampled opt_val is the lowest noisy sample seen, so measure afresh
-        final = accelerator.prepare(evaluate(ansatz, result.opt_params), compiled.n_qubits())
+        final = accelerator.prepare(circuit, circuit.n_qubits(), result.opt_params)
         opt_val, stderr = final.estimate(compiled)
         buffer.metadata.insert("opt-val", opt_val.real)
         buffer.metadata.insert("opt-val-stderr", stderr)

@@ -6,80 +6,43 @@ significant bit of a statevector amplitude index, and the leftmost
 Kronecker factor of ``pauli.to_matrix``.
 
 Prepare once, measure many: ``StatevectorAccelerator.prepare(circuit, n)``
-checks a measurement-free, concrete circuit against an n-qubit register,
-simulates it once through the public ``statevector`` in both modes, and
-returns a ``PreparedState``, the only way an algorithm reads a state.
-Exact mode (``shots == 0``) and sampled mode differ only inside it, and
-none of its methods simulates again: ``evolve`` applies a block to the
-cached vector, and ``moments`` repeats ``apply_pauli`` (exact) or takes
-``expect`` of each power (sampled).  Sampled ``expect`` gives each
-distinct non-identity string P, in ``op.masks()`` order, ``shots`` shots:
-the ``pauli.observe`` circuit sees parity +1 with probability
-(1 + <P>)/2, so k ~ Binomial(shots, (1 + <P>)/2) is drawn with <P> the
-``np.vdot`` of the cached vector and P psi, and the string's estimate is
-(2k - shots)/shots.  One ``binomial`` call takes every string's draw, in
-that order, exactly as one call per string would; ``estimate`` also
-returns the standard error sqrt(sum |c|^2 (1 - m^2)/shots) of those
-draws.
+checks a measurement-free circuit against an n-qubit register, simulates
+it once in both modes, and returns a ``PreparedState``, the only way an
+algorithm reads a state.  Exact mode (``shots == 0``) and sampled mode
+differ only inside it, and none of its methods simulates again:
+``evolve`` applies a block to the cached vector.  Sampled ``expect``
+draws each string's parity count as the ``pauli.observe`` circuit would
+see it, with <P> read from the cached vector (``CompiledPauli.draw``).
 
-One compiled form per Pauli sum: ``CompiledPauli(op, n)`` checks the
-register (1 to ``MAX_QUBITS`` qubits), the width and the Hermiticity, and
-builds each of its two tables on first use: exact application reads
-``op.encoded()`` once, sampled draws read ``op.masks()`` once.
+Plan once, run with x: one planner, ``_plan``, checks a circuit whole
+before any amplitude is touched, and one step loop, ``_run``, applies the
+steps it returns; ``statevector``, ``prepare``, ``evolve`` and ``execute``
+all go through both.  ``CompiledCircuit(circuit, n)`` keeps the plan of a
+symbolic or concrete circuit, to run at many x without binding a tree:
+``prepare(compiled, n, x)``.  The VQE objective and final estimate and
+``optim.evaluate_gradient``'s finite differences plan once per run or call.
+
+One compiled form per Pauli sum: ``CompiledPauli(op, n)`` reads an
+operator's strings once into the tables that exact application and
+sampled draws use; its docstring states the memory budget.
 ``apply_pauli`` and a one-off ``expect`` compile a plain operator on each
-call; callers that evaluate one operator on many states hold the compiled
-form for as long as they need it (the VQE objective compiles once per
-run, ``optim.evaluate_gradient`` once per call, exact ``moments`` once
-per call), and no module-level cache exists.  Memory budget, on 2^n
-amplitudes with l = n // 2 and h = n - l: the exact table holds
-k (16 * 2^h + 8 * 2^l) bytes for an X mask of k strings, and exact
-application builds one group's diagonal at a time; the first draw keeps
-one gather index per non-zero X mask and one boolean parity row per
-string, and each draw gathers psi once into one vector per non-zero X
-mask.  No complex vector of 2^n is kept per string or per X mask.
+call; callers that evaluate one operator on many states (the VQE
+objective, one ``evaluate_gradient`` call, exact ``moments``) hold the
+compiled form, and no module-level cache exists.  ``apply_pauli`` is the
+one exact application of a Pauli sum: one matmul and one gather per
+distinct X mask, no numpy call per string.
 
-Exact Pauli sums from factored sign tables: ``apply_pauli`` is the one
-exact application of a Pauli sum, one matmul and one gather per distinct
-X mask and no numpy call per string.  The strings sharing an X mask fold
-into one diagonal D_X[j] = sum_s w_s (-1)^popcount(j & Z_s).  Splitting
-j = j_hi 2^l + j_lo splits each sign into a sign of j_hi & Z_hi times one
-of j_lo & Z_lo, so D_X is the product A_X @ B_X of a 2^h x k complex
-table (the weights folded into the high-half signs) and a k x 2^l table
-of +-1, reshaped to 2^n; op|psi> = sum_X D_X * psi[j ^ X], and the Z-only
-strings need no gather (its docstring states the summation order).
-Exact ``expect``, ``moments`` and ``expect_commutators`` go through it.
+Commutators without products: exact ``expect_commutators`` takes
+<[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi> and applies each
+distinct operator once: one equal to an operator applied before, or to
+minus it, reads that one's vector.  The lefts' vectors live through the
+call and each right's are dropped after their last use.
 
-Commutators without products: ``expect_commutators(lefts, rights)`` is
-the matrix of <[L_i, R_j]>.  It checks every operator's width before
-building a vector or drawing.  Exact mode builds no product operator: it
-takes <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi> and applies each
-distinct operator once, up to sign.  An operator equal to one applied
-before, or to minus it (``PauliOperator`` values are hashable), reads
-that one's vector: a Hermitian L or anti-Hermitian R costs one
-application, and so does every right that is, up to sign, a left, a
-left's adjoint or another right's.  The lefts' vectors live through the
-call; the rights are streamed in order, and each right's vectors are
-dropped after their last use, so memory stays at the lefts' vectors
-plus a few of 2^n.  Sampled mode takes ``expect(commutator(L_i, R_j))`` in
-row-major order, drawing exactly as that nested loop would.
-
-One pass per rotation: a simulation walks the circuit's leaves once,
-checking them whole before touching an amplitude.  Each
-``ir.PauliRotation`` leaf is applied as
-psi <- cos(theta/2) psi - i sin(theta/2) P psi, with theta its one
-parameter and P its unit string, whose ``ops`` ``pauli.encode`` turns
-into masks (x, z) and phase i^|x&z| (no compiled form is built: one
-string costs less so than through ``apply_pauli``'s grouping).  Each
-``ir.ExcitationRotation`` exp(theta (T - T†)) touches only the 2^(n-1)
-(single) or 2^(n-3) (double) amplitudes whose determinants T or T† map
-to each other, and is applied in place as one Givens rotation of those
-pairs, with the JW sign of each pair read from the node's (sign,
-parity).  Neither rotation's gate lowering is built.  Every other leaf is one gate, one
-``_apply_gate``, applied in place (Suzuki et al., Qulacs, Quantum 5, 559
-(2021)): the state tensor is reshaped into views of its 2 or 4 blocks,
-one per value of the gate's qubits; X, CNOT and Swap swap blocks, and
-every other gate combines the blocks with its matrix entries.  Every
-qubit mask becomes an amplitude-index mask through one helper,
+One pass per leaf: ``_rotate`` applies a ``PauliRotation`` and
+``_excite`` an ``ExcitationRotation`` without building its gate lowering,
+and every other leaf is one gate applied in place on views of the state's
+2 or 4 blocks (``_apply_gate``; Suzuki et al., Qulacs, Quantum 5, 559
+(2021)).  Every qubit mask becomes an amplitude-index mask through
 ``_index_bits``.
 """
 from __future__ import annotations
@@ -92,15 +55,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BackendError
-from .ir import CompositeInstruction, ExcitationRotation, PauliRotation, gate_matrix
-from .pauli import (
-    PauliOperator,
-    PauliTerm,
-    commutator,
-    encode,
-    expectation_from_counts,
-    multiply,
-)
+from .ir import CompositeInstruction, ExcitationRotation, PauliRotation, _rotation_matrix, gate_matrix
+from .pauli import PauliOperator, PauliTerm, commutator, encode, expectation_from_counts, multiply
 from .registry import HeterogeneousMap, as_het_map
 
 MAX_QUBITS = 20
@@ -202,9 +158,7 @@ class StatevectorAccelerator:
     ) -> list[ExecutionResult]:
         if isinstance(circuits, CompositeInstruction):
             circuits = [circuits]
-        results = []
-        for circuit in circuits:
-            results.append(self._execute_one(buffer, circuit))
+        results = [self._execute_one(buffer, circuit) for circuit in circuits]
         buffer.executions.extend(results)
         return results
 
@@ -212,24 +166,22 @@ class StatevectorAccelerator:
         self, buffer: AcceleratorBuffer, circuit: CompositeInstruction
     ) -> ExecutionResult:
         n = buffer.size
-        state, measured = _simulate(circuit, n, measure=True)
-        if not measured:
-            measured = list(range(n))
-        measured_sorted = tuple(sorted(measured))
-        marginal = _marginal_probabilities(state, measured_sorted)
-        result = ExecutionResult(circuit.name, measured_qubits=measured_sorted)
+        steps, measured = _plan(circuit, n, measure=True)
+        state = _run(_zero_state(n), steps)
+        measured = tuple(sorted(measured or range(n)))
+        flat = _marginal_probabilities(state, measured).reshape(-1)
+        result = ExecutionResult(circuit.name, measured_qubits=measured)
         if self.config.shots == 0:
-            result.probabilities = _weights_to_bitstrings(marginal, measured_sorted, n)
+            result.probabilities = {
+                _bitstring(int(idx), measured, n): float(flat[idx])
+                for idx in np.flatnonzero(flat > _PROB_CUTOFF)
+            }
         else:
-            flat = marginal.reshape(-1)
-            flat = flat / flat.sum()
-            draws = self._rng.choice(flat.size, size=self.config.shots, p=flat)
-            counts: dict[str, int] = {}
-            width = len(measured_sorted)
-            for idx, hits in zip(*np.unique(draws, return_counts=True)):
-                bits = format(int(idx), f"0{width}b")
-                counts[_embed_bits(bits, measured_sorted, n)] = int(hits)
-            result.counts = counts
+            draws = self._rng.choice(flat.size, size=self.config.shots, p=flat / flat.sum())
+            result.counts = {
+                _bitstring(int(idx), measured, n): int(hits)
+                for idx, hits in zip(*np.unique(draws, return_counts=True))
+            }
         return result
 
     def execute_and_reduce(
@@ -238,16 +190,30 @@ class StatevectorAccelerator:
         """Run one measured circuit and return the term's parity average."""
         scratch = AcceleratorBuffer(n_qubits)
         result = self._execute_one(scratch, circuit)
-        return expectation_from_counts(
-            PauliTerm(term.ops, 1.0), result.outcomes
-        )
+        return expectation_from_counts(PauliTerm(term.ops, 1.0), result.outcomes)
 
-    def prepare(self, circuit: CompositeInstruction, n_qubits: int) -> "PreparedState":
+    def prepare(
+        self,
+        circuit: "CompositeInstruction | CompiledCircuit",
+        n_qubits: int,
+        values: Sequence[float] = (),
+    ) -> "PreparedState":
         """The state circuit|0...0> on n_qubits, ready for many ``expect`` calls.
 
-        Rejects a symbolic or measured circuit, one wider than the register and
-        a register under 1 or over MAX_QUBITS qubits before simulating or drawing.
+        A plain circuit is simulated through ``statevector``; a compiled one,
+        planned for n_qubits, is run with x = ``values``.  Rejects a plain
+        circuit with free variables or values, a measured circuit, one wider
+        than the register, a register under 1 or over MAX_QUBITS qubits and
+        an x of the wrong length before simulating or drawing.
         """
+        if isinstance(circuit, CompiledCircuit):
+            if circuit.n_qubits() != n_qubits:
+                raise BackendError(
+                    f"circuit compiled for {circuit.n_qubits()} qubits but the register has {n_qubits}"
+                )
+            return PreparedState(self, circuit.run(values))
+        if len(values):
+            raise BackendError(f"circuit '{circuit.name}' is not compiled: bind it to values first")
         return PreparedState(self, statevector(circuit, n_qubits))
 
 
@@ -381,71 +347,80 @@ class PreparedState:
 
 
 def _plan(
-    circuit: CompositeInstruction, n: int, measure: bool = False
+    circuit: CompositeInstruction,
+    n: int,
+    variables: Sequence[str] = (),
+    measure: bool = False,
 ) -> tuple[list, list[int]]:
-    """The gates and rotations to apply, and the Measure targets in
-    first-seen order, of a circuit checked whole on an n-qubit register.
+    """The steps of a circuit checked whole on an n-qubit register, and its
+    Measure targets in first-seen order.
 
     One walk of the tree, before anything is simulated or drawn, checks the
-    register size, free variables, width and Measure: rejected unless
-    ``measure``, and then no gate may follow one on its qubit.
+    register size, the variables (each one of ``variables``, the order of
+    x), the width and Measure: rejected unless ``measure``, and then no
+    gate may follow one on its qubit.  A step is (kernel, data, source):
+    ``_run`` applies kernel(state, data, angle), the angle being source, a
+    constant (None for a fixed gate), or scale * x[i] for source (i, scale).
+    A gate's data is (name, qubits, entries), the entries of a fixed gate
+    other than X, CNOT and Swap its non-zero matrix entries, made here once.
     """
     _check_register(n)
-    if not circuit.is_concrete:
-        raise BackendError(
-            f"circuit '{circuit.name}' has free variables {circuit.variables}"
-        )
+    index = {var: i for i, var in enumerate(variables)}
+    free = [var for var in circuit.variables if var not in index]
+    if free:
+        raise BackendError(f"circuit '{circuit.name}' has free variables {free}")
     steps: list = []
     measured: list[int] = []
-    for step in circuit.leaves():
-        if step.max_qubit() >= n:
+    for leaf in circuit.leaves():
+        if leaf.max_qubit() >= n:
             raise BackendError(
-                f"circuit '{circuit.name}' touches qubit {step.max_qubit()} "
+                f"circuit '{circuit.name}' touches qubit {leaf.max_qubit()} "
                 f"but the register has {n}"
             )
-        if step.name == "Measure":
+        if leaf.name == "Measure":
             if not measure:
                 raise BackendError(f"circuit '{circuit.name}' already contains Measure")
-            if step.qubits[0] not in measured:
-                measured.append(step.qubits[0])
-        elif measured and any(q in measured for q in step.qubits):
-            raise BackendError(f"gate {step.name} on {step.qubits} after Measure")
+            if leaf.qubits[0] not in measured:
+                measured.append(leaf.qubits[0])
+            continue
+        if measured and any(q in measured for q in leaf.qubits):
+            raise BackendError(f"gate {leaf.name} on {leaf.qubits} after Measure")
+        if isinstance(leaf, ExcitationRotation):
+            kernel, data = _excite, leaf
+        elif isinstance(leaf, PauliRotation):
+            kernel, data = _rotate, leaf
         else:
-            steps.append(step)
+            fixed = not leaf.parameters and leaf.name not in _SWAPS
+            entries = _entries(gate_matrix(leaf)) if fixed else None
+            kernel, data = _apply_gate, (leaf.name, leaf.qubits, entries)
+        source = None
+        if leaf.parameters:
+            (angle,) = leaf.parameters
+            source = (index[angle.var], angle.scale) if angle.is_symbolic else angle.value
+        steps.append((kernel, data, source))
     return steps, measured
 
 
-def _simulate(
-    circuit: CompositeInstruction, n: int, measure: bool = False
-) -> tuple[np.ndarray, list[int]]:
-    """Evolve |0...0> on n qubits through a circuit ``_plan`` accepts.
-
-    Returns the state tensor and the Measure targets in first-seen order.
-    Private so that a simulation is counted once, by whichever public entry
-    point ran it.
-    """
-    steps, measured = _plan(circuit, n, measure)
+def _zero_state(n: int) -> np.ndarray:
+    """|0...0> as a (2,)*n tensor."""
     state = np.zeros((2,) * n, dtype=complex)
     state[(0,) * n] = 1.0
-    return _run(state, steps), measured
-
-
-def _run(state: np.ndarray, steps: list) -> np.ndarray:
-    """Apply planned steps to a contiguous state tensor of shape (2,)*n,
-    which the caller gives up: excitations and gates update it in place."""
-    for step in steps:
-        if isinstance(step, ExcitationRotation):
-            state = _excite(state, step)
-        elif isinstance(step, PauliRotation):
-            state = _rotate(state, step)
-        else:
-            state = _apply_gate(state, step)
     return state
 
 
-def _rotate(state: np.ndarray, rotation: PauliRotation) -> np.ndarray:
+def _run(state: np.ndarray, steps: list, values: Sequence[float] = ()) -> np.ndarray:
+    """Apply planned steps, their angles bound to x = ``values`` as
+    ``Parameter.evaluate`` binds them, to a contiguous state tensor of
+    shape (2,)*n, which the caller gives up: the kernels update it in place."""
+    for kernel, data, source in steps:
+        angle = source[1] * values[source[0]] if isinstance(source, tuple) else source
+        state = kernel(state, data, angle)
+    return state
+
+
+def _rotate(state: np.ndarray, rotation: PauliRotation, theta: float) -> np.ndarray:
     """exp(-i theta P / 2)|psi> = cos(theta/2)|psi> - i sin(theta/2) P|psi>."""
-    half = rotation.angle.value / 2.0
+    half = theta / 2.0
     flat = state.reshape(-1)
     source, parity, phase = _string(*encode(rotation.ops), state.ndim)
     index = np.arange(flat.size) ^ source
@@ -455,13 +430,12 @@ def _rotate(state: np.ndarray, rotation: PauliRotation) -> np.ndarray:
     return out.reshape(state.shape)
 
 
-def _excite(state: np.ndarray, rotation: ExcitationRotation) -> np.ndarray:
+def _excite(state: np.ndarray, rotation: ExcitationRotation, theta: float) -> np.ndarray:
     """exp(theta (T - T†))|psi>, in place, as a Givens rotation of each pair
     (a, b) of amplitudes whose occ modes are full and virt modes empty (a)
     and the reverse (b): T maps a's determinant to sigma times b's, so
     a' = c a - s sigma b and b' = c b + s sigma a, with c, s = cos, sin theta
     and sigma the JW sign; every other amplitude is left as it is."""
-    theta = rotation.angle.value
     n = state.ndim
     flat = state.reshape(-1)
     sign, parity = rotation.jw_parity()
@@ -491,27 +465,35 @@ def _excite(state: np.ndarray, rotation: ExcitationRotation) -> np.ndarray:
 _SWAPS = {"X": ((0, 1),), "CNOT": ((2, 3),), "Swap": ((1, 2),)}
 
 
-def _apply_gate(state: np.ndarray, inst) -> np.ndarray:
-    """One gate applied in place to a contiguous (2,)*n state tensor.
+def _apply_gate(state: np.ndarray, gate: tuple, angle: float | None) -> np.ndarray:
+    """One planned gate (name, qubits, entries) applied in place to a
+    contiguous (2,)*n state tensor.
 
     Block i of ``_blocks`` becomes sum_j M[i, j] * block j: X, CNOT and Swap
     swap blocks, and every other gate combines copies of its 2 or 4 blocks
-    with its non-zero matrix entries.
+    with its non-zero matrix entries: a fixed gate's planned ``entries``, or
+    those of Rx, Ry or Rz at ``angle``.
     """
-    blocks = _blocks(state, inst.qubits)
-    if inst.name in _SWAPS:
-        for i, j in _SWAPS[inst.name]:
+    name, qubits, entries = gate
+    blocks = _blocks(state, qubits)
+    if name in _SWAPS:
+        for i, j in _SWAPS[name]:
             held = blocks[i].copy()
             blocks[i][...] = blocks[j]
             blocks[j][...] = held
         return state
     old = [block.copy() for block in blocks]
-    for row, block in zip(gate_matrix(inst).tolist(), blocks):
-        (first, source), *rest = [(entry, old[j]) for j, entry in enumerate(row) if entry]
-        np.multiply(source, first, out=block)
-        for entry, source in rest:
-            block += entry * source
+    for row, block in zip(entries or _entries(_rotation_matrix(name, angle)), blocks):
+        (j, first), *rest = row
+        np.multiply(old[j], first, out=block)
+        for j, entry in rest:
+            block += entry * old[j]
     return state
+
+
+def _entries(matrix: np.ndarray) -> list[list[tuple[int, complex]]]:
+    """The non-zero entries (j, M[i, j]) of each row i of a gate matrix."""
+    return [[(j, entry) for j, entry in enumerate(row) if entry] for row in matrix.tolist()]
 
 
 def _blocks(state: np.ndarray, qubits: Sequence[int]) -> list[np.ndarray]:
@@ -539,29 +521,52 @@ def _marginal_probabilities(state: np.ndarray, measured: tuple[int, ...]) -> np.
     return probs
 
 
-def _embed_bits(bits: str, measured: tuple[int, ...], n: int) -> str:
+def _bitstring(index: int, measured: tuple[int, ...], n: int) -> str:
+    """The n-qubit bitstring of an index of the measured qubits' marginal,
+    with 0 on every other qubit."""
     full = ["0"] * n
-    for bit, q in zip(bits, measured):
+    for bit, q in zip(format(index, f"0{len(measured)}b"), measured):
         full[q] = bit
     return "".join(full)
 
 
-def _weights_to_bitstrings(
-    marginal: np.ndarray, measured: tuple[int, ...], n: int
-) -> dict[str, float]:
-    width = len(measured)
-    flat = marginal.reshape(-1)
-    out = {}
-    for idx in np.flatnonzero(flat > _PROB_CUTOFF):
-        bits = format(int(idx), f"0{width}b")
-        out[_embed_bits(bits, measured, n)] = float(flat[idx])
-    return out
-
-
 def statevector(circuit: CompositeInstruction, n: int) -> np.ndarray:
     """Amplitudes of circuit|0...0>; index bit order puts qubit 0 first."""
-    state, _ = _simulate(circuit, n)
-    return state.reshape(-1)
+    steps, _ = _plan(circuit, n)
+    return _run(_zero_state(n), steps).reshape(-1)
+
+
+class CompiledCircuit:
+    """A symbolic or concrete circuit planned once for an n-qubit register.
+
+    Each step keeps its kernel, its fixed data (a fixed gate's non-zero
+    matrix entries) and its angle source, a constant or (variable index,
+    scale).  ``run(x)`` takes each angle as scale * x[i], the float
+    operation of ``Parameter.evaluate``, so its amplitudes are those of
+    ``statevector(evaluate(circuit, x), n)`` bit for bit, and builds no
+    ``Parameter``, tree or fixed gate's matrix.
+    """
+
+    def __init__(self, circuit: CompositeInstruction, n: int):
+        self.name = circuit.name
+        self.variables = tuple(circuit.variables)
+        self._n = n
+        self._steps, _ = _plan(circuit, n, self.variables)
+
+    def n_qubits(self) -> int:
+        """The register width it was planned for."""
+        return self._n
+
+    def run(self, values: Sequence[float] = ()) -> np.ndarray:
+        """The flat amplitudes of circuit(x)|0...0>, x = ``values``; an x of
+        the wrong length raises before any amplitude is made."""
+        values = [float(v) for v in values]
+        if len(values) != len(self.variables):
+            raise BackendError(
+                f"circuit '{self.name}' has {len(self.variables)} variable(s) "
+                f"{list(self.variables)}, got {len(values)} value(s)"
+            )
+        return _run(_zero_state(self._n), self._steps, values).reshape(-1)
 
 
 def _check_register(n: int) -> None:
@@ -613,19 +618,16 @@ class CompiledPauli:
     one pair of sign-factor tables per distinct X mask (see
     ``apply_pauli``); sampled draws (``draw``) read ``op.masks()`` once into
     each non-identity string's index masks, phase and coefficient, in
-    ``masks()`` order.
-    ``apply_pauli`` and a one-off ``PreparedState.expect`` compile a plain
-    operator on the fly; a caller that evaluates one operator on many
-    states (the VQE objective, one ``evaluate_gradient`` call, exact
-    ``moments``) compiles it once and passes this form.  Nothing outlives
-    the instance, which lives as long as its caller.
+    ``masks()`` order.  Nothing outlives the instance.
 
     Memory on 2^n amplitudes, l = n // 2 and h = n - l: exact application
-    keeps k (16 * 2^h + 8 * 2^l) bytes for each X mask of k strings, and
-    builds one group's diagonal at a time.  The first draw builds and keeps
-    one gather index per distinct non-zero X mask and one boolean parity
-    row per non-identity string, and each draw gathers one complex vector
-    per such X mask.  No complex vector is kept per string.
+    keeps k (16 * 2^h + 8 * 2^l) bytes of tables for each X mask of k
+    strings and builds one group's diagonal at a time, so besides the
+    result the index, one diagonal and one gathered vector of 2^n are live.
+    The first draw builds and keeps one gather index per distinct non-zero
+    X mask and one boolean parity row per non-identity string, and each
+    draw gathers psi once into one vector per such X mask.  No complex
+    vector of 2^n is kept per string or per X mask.
     """
 
     def __init__(self, op: PauliOperator, n: int):
@@ -774,8 +776,10 @@ def compile_observable(obs: PauliOperator, circuit: CompositeInstruction) -> Com
     return CompiledPauli(obs, _register(obs, circuit))
 
 
-def _register(op: "PauliOperator | CompiledPauli", circuit: CompositeInstruction) -> int:
-    """The smallest register holding both."""
+def _register(op, circuit: "CompositeInstruction | CompiledCircuit") -> int:
+    """A compiled circuit's register, or the smallest one holding both."""
+    if isinstance(circuit, CompiledCircuit):
+        return circuit.n_qubits()
     return max(circuit.max_qubit() + 1, op.n_qubits(), 1)
 
 
@@ -787,14 +791,11 @@ def apply_pauli(op: "PauliOperator | CompiledPauli", state: np.ndarray) -> np.nd
     too-wide op.  A string (x, z) with coefficient c adds
     c i^|x&z| (-1)^popcount((j ^ X) & Z) psi[j ^ X] to amplitude j (X, Z:
     the index masks of x and z), so the strings sharing X fold into one
-    diagonal D_X[j] = sum_s w_s (-1)^popcount(j & Z_s), with
-    w_s = c_s i^|x&z| (-1)^|X&Z| = c_s i^(3|x&z|), and
-    op|psi> = sum_X D_X * psi[j ^ X]; the Z-only strings (X = 0) need no
-    gather.  With l = n // 2, h = n - l and j = j_hi 2^l + j_lo, each sign
-    factors as (-1)^|j_hi & Z_hi| (-1)^|j_lo & Z_lo|, so
-    D_X = (A_X @ B_X).reshape(2^n) for A_X[j_hi, s] = w_s (-1)^|j_hi & Z_hi|
-    (2^h x k, complex) and B_X[s, j_lo] = (-1)^|j_lo & Z_lo| (k x 2^l, real):
-    one matmul and one gather per X mask.
+    diagonal D_X[j] = sum_s c_s i^(3|x&z|) (-1)^popcount(j & Z_s), and
+    op|psi> = sum_X D_X * psi[j ^ X]; the Z-only strings need no gather.
+    With l = n // 2 and j = j_hi 2^l + j_lo each sign factors into one of
+    j_hi & Z_hi and one of j_lo & Z_lo, so D_X is one matmul of a complex
+    2^h x k and a real k x 2^l table (``_exact_tables``).
 
     Summation order: the groups in ascending x, each D_X in the matmul's
     (BLAS) order over its strings in ascending z, each D_X * psi[j ^ X]
@@ -802,38 +803,35 @@ def apply_pauli(op: "PauliOperator | CompiledPauli", state: np.ndarray) -> np.nd
     (``op.encoded()`` sorts the strings), so equal operators give the same
     vector and -op gives exactly its negation, which lets
     ``PreparedState.expect_commutators`` reuse a vector up to sign.
-
-    Memory: the factor tables, k (16 * 2^h + 8 * 2^l) bytes for an X mask
-    of k strings, are kept by the compiled form.  One group at a time:
-    besides the result, the index, one diagonal and one gathered vector of
-    2^n are live, never one vector per string.
+    ``CompiledPauli`` states the memory budget.
     """
     return _compiled(op, _qubits(state)).apply(state)
 
 
 def expectation(
     obs: "PauliOperator | CompiledPauli",
-    circuit: CompositeInstruction,
+    circuit: "CompositeInstruction | CompiledCircuit",
     accelerator: StatevectorAccelerator,
+    values: Sequence[float] = (),
 ) -> float:
     """Real <psi|obs|psi> of a Hermitian observable (see operator_expectation);
     a compiled observable's Hermiticity was checked when it was compiled."""
     if not obs.is_hermitian():
         raise BackendError("expectation requires a Hermitian observable")
-    return operator_expectation(obs, circuit, accelerator).real
+    return operator_expectation(obs, circuit, accelerator, values).real
 
 
 def operator_expectation(
     op: "PauliOperator | CompiledPauli",
-    circuit: CompositeInstruction,
+    circuit: "CompositeInstruction | CompiledCircuit",
     accelerator: StatevectorAccelerator,
+    values: Sequence[float] = (),
 ) -> complex:
     """<psi|op|psi> for a general (possibly non-Hermitian) Pauli sum.
 
-    A one-off ``accelerator.prepare(circuit, n).expect(op)`` on the
-    smallest register holding both (a compiled op's own register); callers
-    measuring several operators on one state prepare it once themselves,
-    and callers measuring one operator on many states compile it once
-    (``compile_observable``).
+    A one-off ``accelerator.prepare(circuit, n, values).expect(op)`` on a
+    compiled circuit's register or the smallest one holding both; callers
+    measuring one operator on many states compile both once
+    (``compile_observable``, ``CompiledCircuit``).
     """
-    return accelerator.prepare(circuit, _register(op, circuit)).expect(op)
+    return accelerator.prepare(circuit, _register(op, circuit), values).expect(op)

@@ -423,18 +423,23 @@ def gate_matrix(inst: Instruction) -> np.ndarray:
         raise IRError(f"gate {inst.name} has unbound parameters")
     if inst.name in _FIXED_MATRICES:
         return _FIXED_MATRICES[inst.name].copy()
-    theta = inst.parameters[0].value
+    return _rotation_matrix(inst.name, inst.parameters[0].value)
+
+
+def _rotation_matrix(name: str, theta: float) -> np.ndarray:
+    """Unitary of Rx, Ry or Rz at the angle theta: the one copy of their
+    formulas, which the simulator reads too."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    if inst.name == "Rx":
+    if name == "Rx":
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if inst.name == "Ry":
+    if name == "Ry":
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if inst.name == "Rz":
+    if name == "Rz":
         return np.array(
             [[np.exp(-1j * theta / 2.0), 0], [0, np.exp(1j * theta / 2.0)]],
             dtype=complex,
         )
-    raise IRError(f"unknown gate '{inst.name}'")
+    raise IRError(f"unknown gate '{name}'")
 
 
 def pretty_print(circuit: CompositeInstruction) -> str:

@@ -2,7 +2,7 @@
 
 Optimizers minimize F: R^n -> R given an ObjectiveFunction.  Every
 gradient strategy is one branch of ``evaluate_gradient``, which measures
-each energy through ``backend.expectation`` on a bound circuit.
+each energy through ``backend.expectation``.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backend import StatevectorAccelerator, compile_observable, expectation
+from .backend import CompiledCircuit, StatevectorAccelerator, compile_observable, expectation
 from .errors import OptimizationError
 from .ir import (
     CompositeInstruction,
@@ -220,9 +220,10 @@ def evaluate_gradient(
 ) -> np.ndarray:
     """dE/dx of E(x) = <obs> on ``circuit`` bound to x.
 
-    Every energy is one ``backend.expectation`` of a bound circuit, all of
-    them of one observable compiled once per call.
-    Finite differences shift the variable vector by +-FD_DEFAULT_STEP.
+    Every energy is one ``backend.expectation``, all of them of one
+    observable compiled once per call.  Finite differences plan the circuit
+    once per call (``backend.CompiledCircuit``) and run it at x shifted by
+    +-FD_DEFAULT_STEP in one variable, building no bound circuit.
     Parameter-shift binds x once and lists the bound circuit's leaves; it
     shifts one rotation at a time by +-pi/2, which is exact for
     R_P(theta) = exp(-i theta P / 2), by splicing the shifted leaves
@@ -235,19 +236,19 @@ def evaluate_gradient(
     instead, as if the node were lowered.
     """
     if strategy not in GRADIENT_STRATEGIES:
-        raise ValueError(
+        raise OptimizationError(
             f"unknown gradient strategy '{strategy}'; choose from {GRADIENT_STRATEGIES}"
         )
     x = np.asarray(x, dtype=float)
     if x.size != len(circuit.variables):
-        raise ValueError(
+        raise OptimizationError(
             f"circuit has {len(circuit.variables)} variables, got {x.size} values"
         )
 
     compiled = compile_observable(obs, circuit)
 
-    def energy(bound: CompositeInstruction) -> float:
-        return expectation(compiled, bound, accelerator)
+    def energy(target: "CompositeInstruction | CompiledCircuit", values=()) -> float:
+        return expectation(compiled, target, accelerator, values)
 
     grad = np.zeros(x.size)
     if strategy == "parameter-shift":
@@ -265,14 +266,15 @@ def evaluate_gradient(
         return grad
 
     h = FD_DEFAULT_STEP
+    planned = CompiledCircuit(circuit, compiled.n_qubits())
 
     def shifted_energy(i: int, delta: float) -> float:
         shifted_x = x.copy()
         shifted_x[i] += delta
-        return energy(evaluate(circuit, shifted_x))
+        return energy(planned, shifted_x)
 
     if strategy in ("forward", "backward"):
-        base = energy(evaluate(circuit, x))
+        base = energy(planned, x)
     for i in range(x.size):
         if strategy == "central":
             plus = shifted_energy(i, +h)

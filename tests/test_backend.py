@@ -18,6 +18,9 @@ Exact application from the factored sign tables is checked against dense
 matrices for n = 1..8 and on one string at ``MAX_QUBITS``, bit for bit
 for equal operators and for -op, and counting wrappers around
 ``PauliOperator.masks`` and ``encoded`` check which table reads which.
+``CompiledCircuit`` runs are checked bit for bit against ``statevector``
+of the circuit bound by ``ir.evaluate``, and its bad inputs to raise
+before any kernel runs.
 """
 import itertools
 import tracemalloc
@@ -276,14 +279,15 @@ class TestExactExpect:
     @pytest.mark.parametrize("shots", [0, 300])
     def test_one_simulation_for_many_operators(self, simulations, monkeypatch, shots):
         calls, _ = simulations
-        simulated, simulate = [], backend._simulate
+        simulated, zero_state = [], backend._zero_state
 
-        def counted(circuit, n):
-            simulated.append(circuit)
-            return simulate(circuit, n)
+        def counted(n):
+            simulated.append(n)
+            return zero_state(n)
 
-        # also catches a re-simulation that bypasses ``statevector``
-        monkeypatch.setattr(backend, "_simulate", counted)
+        # every simulation starts from |0...0>: this also catches a
+        # re-simulation that bypasses ``statevector``
+        monkeypatch.setattr(backend, "_zero_state", counted)
         accelerator = _accelerator(seed=5, shots=shots)
         state = accelerator.prepare(_h2_state(), 2)
         rng = np.random.default_rng(5)
@@ -819,8 +823,9 @@ def _dense_gate(matrix, qubits, n):
 
 
 class TestGateKernels:
-    """``_apply_gate`` updates a (2,)*n tensor in place; checked against
-    dense Kronecker-built matrices on every qubit and every ordered pair."""
+    """``_apply_gate``, run on the step ``_plan`` makes of one gate, updates
+    a (2,)*n tensor in place; checked against dense Kronecker-built
+    matrices on every qubit and every ordered pair."""
 
     NAMES = sorted(ir_module._FIXED_MATRICES) + ["Rx", "Ry", "Rz"]
 
@@ -838,7 +843,9 @@ class TestGateKernels:
                 psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
                 expected = _dense_gate(gate_matrix(inst), qubits, n) @ psi
                 tensor = psi.reshape((2,) * n).copy()
-                assert backend._apply_gate(tensor, inst) is tensor
+                ((kernel, gate, angle),), _ = backend._plan(create_composite("g").add(inst), n)
+                assert kernel is backend._apply_gate
+                assert kernel(tensor, gate, angle) is tensor
                 assert np.abs(tensor.reshape(-1) - expected).max() <= 1e-12
 
 
@@ -946,3 +953,134 @@ class TestValidation:
         with pytest.raises(BackendError, match="prepared register has 2"):
             state.expect(pauli.PauliOperator({0: "Z"}) + 0.5 * pauli.PauliOperator({2: "X"}))
         assert accelerator._rng.bit_generator.state == before
+
+
+def _h2_kernel():
+    return qcsim.parse_kernel(
+        "__qpu__ void h2(qbit q, double t) {\n"
+        "  Ry(q[0], t);\n  X(q[1]);\n  CNOT(q[0], q[1]);\n}"
+    )
+
+
+def _shared_scales():
+    """One variable driving Rz(t), Rz(-t) and Rx(2t), among fixed gates."""
+    symbolic = qcsim.Parameter.symbolic
+    circuit = create_composite("scales")
+    circuit.add(create_instruction("H", [0]))
+    circuit.add(create_instruction("Rz", [0], [symbolic("t")]))
+    circuit.add(create_instruction("CNOT", [0, 1]))
+    circuit.add(create_instruction("Rz", [1], [symbolic("t", -1.0)]))
+    circuit.add(create_instruction("Rx", [0], [symbolic("t", 2.0)]))
+    circuit.add(create_instruction("Ry", [1], [symbolic("u", 0.5)]))
+    return circuit
+
+
+def _every_fixed_gate():
+    """A symbolic Ry layer, then every fixed gate of ``GATE_TABLE``."""
+    circuit = create_composite("fixed")
+    for q in range(3):
+        circuit.add(create_instruction("Ry", [q], [qcsim.Parameter.symbolic(f"t{q}")]))
+    for name, (arity, n_params) in ir_module.GATE_TABLE.items():
+        if name != "Measure" and not n_params:
+            for qubits in itertools.permutations(range(3), arity):
+                circuit.add(create_instruction(name, list(qubits)))
+    return circuit
+
+
+def _exp_pauli_leaves():
+    rng = np.random.default_rng(17)
+    generator = 1j * pauli.random_operator(rng, 3, 6)
+    circuit = create_composite("rotations")
+    circuit.add(create_instruction("H", [1]))
+    circuit.add_all(qcsim.ansatz.exp_pauli(generator, "a").children)
+    circuit.add_all(qcsim.ansatz.exp_pauli(generator, qcsim.Parameter.symbolic("b", -0.5)).children)
+    return circuit
+
+
+COMPILED_CIRCUITS = {
+    "h2-kernel": (_h2_kernel, 2),
+    "shared-scales": (_shared_scales, 2),
+    "every-fixed-gate": (_every_fixed_gate, 3),
+    "exp-pauli": (_exp_pauli_leaves, 3),
+    "uccsd-2-4": (lambda: qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4)), 4),
+    "uccsd-2-6": (lambda: qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 6)), 6),
+}
+
+
+class TestCompiledCircuit:
+    """A circuit planned once and run with x gives the amplitudes of the
+    circuit bound to x (``ir.evaluate``) bit for bit, through ``run`` and
+    through ``prepare``; every bad input raises before any kernel runs."""
+
+    @pytest.mark.parametrize("name", sorted(COMPILED_CIRCUITS))
+    def test_runs_equal_the_bound_circuit_bit_for_bit(self, name):
+        build, n = COMPILED_CIRCUITS[name]
+        circuit = build()
+        compiled = backend.CompiledCircuit(circuit, n)
+        accelerator = _accelerator(seed=0, shots=0)
+        rng = np.random.default_rng(len(name))
+        for x in rng.uniform(-3, 3, size=(4, len(circuit.variables))):
+            expected = backend.statevector(qcsim.evaluate(circuit, x), n)
+            assert np.array_equal(compiled.run(x), expected)
+            assert np.array_equal(accelerator.prepare(compiled, n, list(x))._amplitudes, expected)
+
+    def test_a_concrete_circuit_runs_with_no_values(self):
+        circuit = _h2_state()
+        compiled = backend.CompiledCircuit(circuit, 3)
+        assert np.array_equal(compiled.run(), backend.statevector(circuit, 3))
+
+    def test_sampled_draws_match_the_bound_circuit(self):
+        observable = pauli.load_hamiltonian(str(H2_PATH))
+        circuit = _h2_kernel()
+        compiled = backend.CompiledCircuit(circuit, 2)
+        planned, bound = _accelerator(seed=9), _accelerator(seed=9)
+        for t in (0.3, -1.1, 2.0):
+            assert planned.prepare(compiled, 2, [t]).expect(observable) == bound.prepare(
+                qcsim.evaluate(circuit, [t]), 2
+            ).expect(observable)
+
+    @staticmethod
+    def _rejects_before_any_kernel(action, match):
+        with mock.patch.object(backend, "_apply_gate") as gates, mock.patch.object(
+            backend, "_rotate"
+        ) as rotations, mock.patch.object(backend, "_excite") as excitations, mock.patch.object(
+            backend, "_zero_state"
+        ) as zero_states:
+            with pytest.raises(BackendError, match=match):
+                action()
+        assert gates.call_count == rotations.call_count == excitations.call_count == 0
+        assert zero_states.call_count == 0
+
+    @pytest.mark.parametrize("x", [[], [0.1, 0.2, 0.3, 0.4]])
+    def test_wrong_length_x(self, x):
+        circuit = qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4))
+        compiled = backend.CompiledCircuit(circuit, 4)
+        accelerator = _accelerator(seed=1, shots=100)
+        before = accelerator._rng.bit_generator.state
+        self._rejects_before_any_kernel(lambda: compiled.run(x), "3 variable")
+        self._rejects_before_any_kernel(lambda: accelerator.prepare(compiled, 4, x), "3 variable")
+        assert accelerator._rng.bit_generator.state == before
+
+    def test_measure(self):
+        circuit = _shared_scales().add(create_instruction("Measure", [0]))
+        self._rejects_before_any_kernel(lambda: backend.CompiledCircuit(circuit, 2), "Measure")
+
+    def test_too_wide_leaf(self):
+        circuit = _exp_pauli_leaves()
+        self._rejects_before_any_kernel(
+            lambda: backend.CompiledCircuit(circuit, 2), "touches qubit 2"
+        )
+
+    @pytest.mark.parametrize("n, match", [(0, "size must be"), (backend.MAX_QUBITS + 1, "capped")])
+    def test_register_out_of_range(self, n, match):
+        self._rejects_before_any_kernel(lambda: backend.CompiledCircuit(_h2_kernel(), n), match)
+
+    def test_prepare_checks_the_register_and_plain_values(self):
+        compiled = backend.CompiledCircuit(_h2_kernel(), 2)
+        accelerator = _accelerator(seed=1, shots=0)
+        self._rejects_before_any_kernel(
+            lambda: accelerator.prepare(compiled, 3, [0.1]), "compiled for 2 qubits"
+        )
+        self._rejects_before_any_kernel(
+            lambda: accelerator.prepare(_h2_state(), 2, [0.1]), "not compiled"
+        )

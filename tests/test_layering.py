@@ -29,6 +29,8 @@ and only ``CompiledPauli.draw`` draws: exact application
 rotation (``_rotate``) encodes its own ``ops`` and compiles nothing.  A
 VQE run compiles its observable once, so does each ``evaluate_gradient``
 call, and a QITE run compiles each basis string once (counting tests).
+A VQE run plans its ansatz once, each finite-difference gradient call
+plans its circuit once, and neither binds a tree with ``ir.evaluate``.
 Gates are applied in place, without ``tensordot`` or ``moveaxis``.
 ``qeom.eom_pencil`` builds one commutator per basis operator.
 """
@@ -347,6 +349,70 @@ def test_a_vqe_run_compiles_its_observable_once(monkeypatch, shots):
     observable, buffer = _h2_vqe(shots, optimizer=qcsim.get_optimizer("nelder-mead"))
     assert len(buffer["energy-history"]) > 15
     assert compiled == [observable]
+
+
+def _count_plans(monkeypatch):
+    """The circuits ``backend._plan`` checks, in call order."""
+    from qcsim import backend
+
+    planned, original = [], backend._plan
+
+    def counting(circuit, *args, **kwargs):
+        planned.append(circuit)
+        return original(circuit, *args, **kwargs)
+
+    monkeypatch.setattr(backend, "_plan", counting)
+    return planned
+
+
+def _count_evaluations(monkeypatch):
+    """The circuits ``ir.evaluate`` binds, wherever qcsim imported it."""
+    import sys
+
+    from qcsim import ir
+
+    bound, original = [], ir.evaluate
+
+    def counting(circuit, values):
+        bound.append(circuit)
+        return original(circuit, values)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qcsim" or name.startswith("qcsim."):
+            for attribute, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attribute, counting)
+    return bound
+
+
+@pytest.mark.parametrize("shots", [0, 1000])
+def test_a_vqe_run_plans_its_ansatz_once(monkeypatch, shots):
+    import qcsim
+
+    planned = _count_plans(monkeypatch)
+    bound = _count_evaluations(monkeypatch)
+    _, buffer = _h2_vqe(shots, optimizer=qcsim.get_optimizer("nelder-mead"))
+    # every evaluation and the final estimate run the one plan
+    assert len(buffer["energy-history"]) > 15
+    assert [circuit.name for circuit in planned] == ["h2"]
+    assert bound == []
+
+
+@pytest.mark.parametrize("shots", [0, 1000])
+@pytest.mark.parametrize("strategy", ["central", "forward", "backward"])
+def test_each_finite_difference_gradient_plans_once(monkeypatch, shots, strategy):
+    import qcsim
+    from qcsim import optim
+
+    ansatz = qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4))
+    observable = qcsim.load_hamiltonian(str(PACKAGE.parents[1] / "data" / "hubbard_dimer_mo.ham"))
+    accelerator = qcsim.get_accelerator("statevector", {"shots": shots, "seed": 3})
+    planned = _count_plans(monkeypatch)
+    bound = _count_evaluations(monkeypatch)
+    for x in ([0.1, -0.2, 0.3], [0.0, 0.5, -0.1]):
+        optim.evaluate_gradient(strategy, ansatz, x, observable, accelerator)
+    assert planned == [ansatz, ansatz]
+    assert bound == []
 
 
 def test_each_gradient_compiles_its_observable_once(monkeypatch):

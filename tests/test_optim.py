@@ -158,9 +158,16 @@ class TestGradientAgreement:
         assert buffer["opt-val"] == pytest.approx(exact, abs=1e-6)
 
     def test_unknown_strategy(self, pair_rotation_ansatz, h2, exact_accelerator):
-        with pytest.raises(ValueError, match="unknown gradient strategy"):
+        with pytest.raises(OptimizationError, match="unknown gradient strategy"):
             optim.evaluate_gradient(
                 "sideways", pair_rotation_ansatz, [0.0], h2, exact_accelerator
+            )
+
+    @pytest.mark.parametrize("strategy", optim.GRADIENT_STRATEGIES)
+    def test_wrong_length_x(self, strategy, pair_rotation_ansatz, h2, exact_accelerator):
+        with pytest.raises(OptimizationError, match="1 variables, got 2 values"):
+            optim.evaluate_gradient(
+                strategy, pair_rotation_ansatz, [0.0, 0.1], h2, exact_accelerator
             )
 
 

@@ -1,7 +1,12 @@
-"""Moment-expansion estimators on the H2 Hartree-Fock state."""
+"""Moment-expansion estimators on the H2 Hartree-Fock state, and the
+QCMX algorithm on the orbital-basis dimer against sector ED."""
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qcsim
 from qcsim import to_matrix
 
 from qcsim.algorithms.qcmx import (
@@ -49,3 +54,24 @@ def test_knowles_order_three_uses_i2_to_i5(hf_moments):
 def test_pds_order_two_is_exact_in_the_two_state_sector(hf_moments, h2_eigensystem):
     # |10> couples only to |01>, so the order-2 Krylov space holds the ground state
     assert pds_energy(hf_moments, 2) == pytest.approx(h2_eigensystem[0][0], abs=1e-9)
+
+
+def test_pds_order_two_reaches_the_mo_dimer_sector_ground_state(exact_accelerator, sector_eigh):
+    """At the Hartree-Fock determinant of the orbital-basis dimer, the
+    order-2 PDS energy lands within 1e-9 of the N=2, Sz=0 ground state."""
+    path = Path(__file__).resolve().parents[1] / "data" / "hubbard_dimer_mo.ham"
+    observable = qcsim.load_hamiltonian(str(path))
+    ground = sector_eigh(observable, 4, 2)[0][0]
+    assert ground == pytest.approx(2 - 2 * math.sqrt(2), abs=1e-12)
+    qcmx = qcsim.get_algorithm(
+        "qcmx",
+        {
+            "accelerator": exact_accelerator,
+            "observable": observable,
+            "ansatz": qcsim.hartree_fock_circuit(2, 4),
+            "cmx-order": 2,
+        },
+    )
+    buffer = qcsim.qalloc(4)
+    qcmx.execute(buffer)
+    assert abs(buffer["pds-energies"][0] - ground) <= 1e-9

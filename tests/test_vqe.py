@@ -55,6 +55,29 @@ def test_sampled_opt_val_is_unbiased_at_opt_params():
     assert abs(errors.mean()) <= 4 * errors.std(ddof=1) / np.sqrt(len(errors))
 
 
+@pytest.mark.parametrize(
+    "seed, opt_val, evaluations",
+    [(7, "-0x1.258409e55c0fdp+0", 1288), (23, "-0x1.247df77ca3bf9p+0", 1292)],
+)
+def test_seeded_sampled_run_is_pinned(seed, opt_val, evaluations):
+    """A seeded 4,000-shot run with default Nelder-Mead reports the same
+    ``opt-val`` bit for bit, after the same number of evaluations, as the
+    run that bound a circuit per evaluation: planning changes no draw."""
+    vqe = qcsim.get_algorithm(
+        "vqe",
+        {
+            "ansatz": _ansatz(),
+            "observable": pauli.load_hamiltonian(str(H2_PATH)),
+            "accelerator": qcsim.get_accelerator("statevector", {"shots": 4000, "seed": seed}),
+            "optimizer": qcsim.get_optimizer("nelder-mead"),
+        },
+    )
+    buffer = qcsim.qalloc(2)
+    vqe.execute(buffer)
+    assert buffer["opt-val"] == float.fromhex(opt_val)
+    assert len(buffer["energy-history"]) == evaluations
+
+
 def test_exact_opt_val_is_the_energy_at_opt_params():
     observable = pauli.load_hamiltonian(str(H2_PATH))
     exact = qcsim.get_accelerator("statevector", {"shots": 0})
