@@ -8,16 +8,16 @@ span the excitation/de-excitation manifold.  The commutator matrix elements
     M_uv = <[O_u†, [H, O_v ]]>      Q_uv = -<[O_u†, [H, O_v†]]>
     V_uv = <[O_u†, O_v ]>           W_uv = -<[O_u†, O_v†]>
 
-are read in one ``PreparedState.expect_commutators`` call, with the
-adjoints O_u† as lefts and, per v, the rights [H, O_v], [H, O_v†], O_v
-and O_v† interleaved (columns 0::4 to 3::4).  Only the dim commutators
-[H, O_v] are built: for the Hermitian H that QEOM requires,
-[H, O_v†] = -[H, O_v]†, formed from it exactly, so every right is, up
-to sign, a left, a left's adjoint or another right's adjoint.  Exact mode
-takes each element as two inner products of vectors applied to the
-cached state, applying each of O_u, O_u†, [H, O_v] and [H, O_v]† once;
-sampled mode measures every double commutator in the order of the
-(u, v) loop.  They are assembled into the response pencil
+are read in two ``PreparedState.expect_commutators`` calls with the
+adjoints O_u† as lefts and, per v, the rights O_v and O_v† interleaved
+(columns 0::2 and 1::2): the observable form, <[L, [H, R]]>, gives M
+and Q, and the plain form V and W.  H is compiled once per run, for the
+pencil and the ground energy.  Exact mode builds no commutator: the
+observable form applies H to the cached state once and reads
+[H, R]psi = H(R psi) - R(H psi) and [H, R]†psi = -[H, R†]psi from
+vectors.  Sampled mode forms [H, R] once per right and measures every
+element in the order of the (u, v) loop, M and Q first.  They are
+assembled into the response pencil
 
     [[M, Q], [Q*, M*]] x = E [[V, W], [-W*, -V*]] x
 
@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import AcceleratorBuffer, PreparedState
+from ..backend import AcceleratorBuffer, CompiledPauli, PreparedState
 from ..errors import AlgorithmError
 from ..fermion import excitations
 from ..linalg import indefinite_generalized_eig
-from ..pauli import PauliOperator, commutator
+from ..pauli import PauliOperator
 from .base import Algorithm
 
 _POSITIVE_ROOT_CUTOFF = 1e-8
@@ -56,20 +56,17 @@ MAX_METRIC_CONDITION = 1e6
 
 
 def eom_pencil(
-    observable: PauliOperator,
+    observable: "PauliOperator | CompiledPauli",
     operators: list[PauliOperator],
     state: PreparedState,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the (Hermitized) doubled response pencil (A, B)."""
     daggers = [op.dagger() for op in operators]
-    rights = []
-    for op, dagger in zip(operators, daggers):
-        # [H, O^dag] = -[H, O]^dag for a Hermitian H; formed so, it is minus
-        # the adjoint bit for bit, and its vectors are reused
-        response = commutator(observable, op)
-        rights += [response, -response.dagger(), op, dagger]
-    values = state.expect_commutators(daggers, rights)
-    m, q, v, w = values[:, 0::4], -values[:, 1::4], values[:, 2::4], -values[:, 3::4]
+    rights = [op for pair in zip(operators, daggers) for op in pair]
+    responses = state.expect_commutators(daggers, rights, observable)
+    overlaps = state.expect_commutators(daggers, rights)
+    m, q = responses[:, 0::2], -responses[:, 1::2]
+    v, w = overlaps[:, 0::2], -overlaps[:, 1::2]
     a = np.block([[m, q], [q.conj(), m.conj()]])
     b = np.block([[v, w], [-w.conj(), -v.conj()]])
     a = 0.5 * (a + a.conj().T)
@@ -107,7 +104,8 @@ class QEOM(Algorithm):
             )
 
         state = accelerator.prepare(ansatz, n_qubits)
-        a, b = eom_pencil(observable, basis, state)
+        compiled = CompiledPauli(observable, n_qubits)
+        a, b = eom_pencil(compiled, basis, state)
         metric = np.abs(np.linalg.eigvalsh(b))
         kept = metric[metric > threshold]
         if not kept.size:
@@ -131,6 +129,6 @@ class QEOM(Algorithm):
         values, rank = indefinite_generalized_eig(a, b, threshold)
         energies = [float(e) for e in values if e > _POSITIVE_ROOT_CUTOFF]
 
-        buffer.metadata.insert("ground-energy", state.expect(observable).real)
+        buffer.metadata.insert("ground-energy", state.expect(compiled).real)
         buffer.metadata.insert("excitation-energies", energies)
         buffer.metadata.insert("qeom-matrix-rank", rank)

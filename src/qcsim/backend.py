@@ -35,8 +35,10 @@ distinct X mask, no numpy call per string.
 Commutators without products: exact ``expect_commutators`` takes
 <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi> and applies each
 distinct operator once: one equal to an operator applied before, or to
-minus it, reads that one's vector.  The lefts' vectors live through the
-call and each right's are dropped after their last use.
+minus it, reads that one's vector.  Its observable form, <[L, [H, R]]>
+for a Hermitian H, applies H to psi once and reads [H, R] psi as
+H (R psi) - R (H psi), so no commutator is built or compiled.  The lefts'
+vectors live through the call and each right's are dropped once read.
 
 One pass per leaf: ``_rotate`` applies a ``PauliRotation`` and
 ``_excite`` an ``ExcitationRotation`` without building its gate lowering,
@@ -255,68 +257,84 @@ class PreparedState:
         return op.total(hits, shots), op.standard_error(hits, shots)
 
     def expect_commutators(
-        self, lefts: Sequence[PauliOperator], rights: Sequence[PauliOperator]
+        self,
+        lefts: Sequence[PauliOperator],
+        rights: Sequence[PauliOperator],
+        observable: "PauliOperator | CompiledPauli | None" = None,
     ) -> np.ndarray:
-        """The matrix of <psi|[L_i, R_j]|psi>, every operator's width checked first."""
+        """The matrix of <psi|[L_i, R_j]|psi>, or of <psi|[L_i, [H, R_j]]|psi>
+        for a Hermitian ``observable`` H, plain or compiled for this register.
+
+        Every operator's width and H's Hermiticity are checked before any
+        vector or draw.  Sampled mode forms [H, R_j] once per right and
+        measures each [L_i, .] in the order of the loop over i, then j.
+        """
         n = self.n_qubits
         for op in (*lefts, *rights):
             _check_width(op, n)
-        out = np.empty((len(lefts), len(rights)), dtype=complex)
+        if observable is not None:
+            observable = _compiled(observable, n)
+            if not observable.is_hermitian():
+                raise BackendError("commutators with an observable need a Hermitian one")
         if self.accelerator.config.shots:
+            if observable is not None:
+                rights = [commutator(observable._op, b) for b in rights]
+            out = np.empty((len(lefts), len(rights)), dtype=complex)
             for i, a in enumerate(lefts):
                 for j, b in enumerate(rights):
                     out[i, j] = self.expect(commutator(a, b))
             return out
-        # <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi>; every operator
-        # equal, up to sign, to one already met reads that one's vector
+        # <[L, C]> = <L^dag psi|C psi> - <C^dag psi|L psi>, with C = R, or
+        # C = [H, R] and C^dag = -[H, R^dag]; every operator equal, up to
+        # sign, to one already met reads that one's vector
         owners: list[PauliOperator] = []
-        slots: dict[PauliOperator, int] = {}
+        slots: dict[tuple, tuple[int, float]] = {}
 
-        def slot(op: PauliOperator) -> tuple[int, float]:
-            """(s, sign): op psi is sign times owners[s] psi."""
-            if op in slots:
-                return slots[op], 1.0
-            negated = -op
-            if negated in slots:
-                return slots[negated], -1.0
-            slots[op] = len(owners)
-            owners.append(op)
-            return slots[op], 1.0
+        def signed(ops: Sequence[PauliOperator], adjoint: bool = False) -> tuple[list, np.ndarray]:
+            """(s, sign) of each op, or its adjoint: that psi is sign * owners[s] psi."""
+            found = []
+            for op in ops:
+                key, sign = op.up_to_sign(adjoint)
+                s, owner_sign = slots.setdefault(key, (len(owners), sign))
+                if s == len(owners):
+                    owners.append(op.dagger() if adjoint else op)
+                found.append((s, sign * owner_sign))
+            return [s for s, _ in found], np.array([sign for _, sign in found])
 
-        kets = [slot(a) for a in lefts]
-        bras = [slot(a.dagger()) for a in lefts]
-        ket_rows, bra_rows = [s for s, _ in kets], [s for s, _ in bras]
-        ket_signs = np.array([sign for _, sign in kets])
-        bra_signs = np.array([sign for _, sign in bras])
+        ket_rows, ket_signs = signed(lefts)
+        bra_rows, bra_signs = signed(lefts, adjoint=True)
         psi = self._amplitudes
-        # the lefts' vectors, slots 0..len(kept)-1, live through the call
+        # the lefts' vectors, slots 0..len(kept)-1, live through the call, and
+        # so do their compiled forms when H is given: [H, A] applies A again
+        compiled = [op if observable is None else CompiledPauli(op, n) for op in owners]
         kept = np.empty((len(owners), psi.size), dtype=complex)
-        for s, op in enumerate(owners):
-            kept[s] = apply_pauli(op, psi)
-        pairs = [(slot(b), slot(b.dagger())) for b in rights]
-        last = {s: j for j, pair in enumerate(pairs) for s, _ in pair}
-        held: dict[int, np.ndarray] = {}
+        for row, op in zip(kept, compiled):
+            row[...] = apply_pauli(op, psi)
+        right_rows, right_signs = signed(rights)
+        adjoint_rows, adjoint_signs = signed(rights, adjoint=True)
+        # the rights' own operators are compiled on each application
+        compiled += owners[len(compiled):]
+        h_psi = None if observable is None else apply_pauli(observable, psi)
 
         def overlaps(s: int) -> np.ndarray:
-            """<kept row|owners[s] psi> for every kept row."""
-            if s < len(kept):
-                vector = kept[s]
-            else:
-                if s not in held:
-                    held[s] = apply_pauli(owners[s], psi)
-                vector = held[s]
+            """<kept row|C psi> for every kept row, C = owners[s] or
+            [H, owners[s]]; its vectors are dropped once read."""
+            vector = kept[s] if s < len(kept) else apply_pauli(compiled[s], psi)
+            if h_psi is not None:
+                # [H, A] psi = H (A psi) - A (H psi)
+                vector = apply_pauli(observable, vector)
+                vector -= apply_pauli(compiled[s], h_psi)
             return (kept @ vector.conj()).conj()
 
-        for j, ((r, r_sign), (d, d_sign)) in enumerate(pairs):
-            with_r = overlaps(r)
-            with_d = with_r if d == r else overlaps(d)
-            out[:, j] = bra_signs * r_sign * with_r[bra_rows] - (
-                ket_signs * d_sign * with_d[ket_rows].conj()
-            )
-            for s in (r, d):
-                if last[s] == j:
-                    held.pop(s, None)
-        return out
+        # column s for each slot s the rights read
+        table = np.empty((len(kept), len(owners)), dtype=complex)
+        for s in dict.fromkeys(right_rows + adjoint_rows):
+            table[:, s] = overlaps(s)
+        with_r, with_d = table[bra_rows][:, right_rows], table[ket_rows][:, adjoint_rows]
+        flip = 1.0 if h_psi is None else -1.0
+        return bra_signs[:, None] * right_signs * with_r - (
+            flip * ket_signs[:, None] * adjoint_signs * with_d.conj()
+        )
 
     def evolve(self, block: CompositeInstruction) -> "PreparedState":
         """The state after ``block``, which ``prepare``'s checks must pass."""

@@ -114,8 +114,6 @@ class PauliOperator:
             ops, coefficient = {}, complex(ops) * complex(coefficient)
         self._terms = {} if ops is None else {encode(ops): complex(coefficient)}
         self._prune()
-        # computed on first use: ``_from_masks`` sets _terms after __init__
-        self._hash: int | None = None
 
     @staticmethod
     def zero() -> "PauliOperator":
@@ -182,6 +180,20 @@ class PauliOperator:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def up_to_sign(self, adjoint: bool = False) -> tuple[tuple, float]:
+        """(key, sign): op, or its adjoint, is sign times the operator that
+        key lists ((x, z) strings, coefficients), the one of the two signs
+        whose first coefficient c has (c.real, c.imag) > (0, 0): op and -op
+        share the key.  No operator is built."""
+        strings = sorted(self._terms)
+        coefficients = [self._terms[k] for k in strings]
+        if adjoint:
+            coefficients = [c.conjugate() for c in coefficients]
+        c = coefficients[0] if strings else 1.0
+        if c.real > 0 or (c.real == 0 and c.imag > 0):
+            return (tuple(strings), tuple(coefficients)), 1.0
+        return (tuple(strings), tuple(-v for v in coefficients)), -1.0
+
     # ---- algebra ----
 
     def __add__(self, other: "PauliOperator") -> "PauliOperator":
@@ -212,11 +224,8 @@ class PauliOperator:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        """Equal operators hash alike, whatever order their terms were added
-        in; computed once per operator, which is never changed after it is built."""
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        """Equal operators hash alike, whatever order their terms were added in."""
+        return hash(frozenset(self._terms.items()))
 
     def isclose(self, other: "PauliOperator", tolerance: float = 1e-10) -> bool:
         keys = set(self._terms) | set(other._terms)

@@ -330,7 +330,8 @@ class TestCommutatorReuse:
     """Exact ``expect_commutators`` applies each distinct operator once, up
     to sign: the lefts' L psi and L^dag psi, and every right's R psi and
     R^dag psi, are read from a vector already at hand when the operator is
-    equal to, or minus, one applied before."""
+    equal to, or minus, one applied before.  The observable form applies H
+    to psi once and, per slot the rights read, H to A psi and A to H psi."""
 
     def test_adapt_shape_costs_one_application_per_generator(self, monkeypatch, hubbard_dimer_mo):
         """A Hermitian left is applied once and every anti-Hermitian right
@@ -343,26 +344,41 @@ class TestCommutatorReuse:
         want = [state.expect(pauli.commutator(hubbard_dimer_mo, g)) for g in generators]
         assert np.abs(got[0] - want).max() <= 1e-12
 
-    def test_qeom_on_the_six_qubit_chain_applies_57_operators(self, monkeypatch, hubbard_chain):
-        """14 excitations O_u: the lefts O_u^dag and their adjoints, and
-        [H, O_v] with its adjoint, are 56 distinct operators up to sign;
-        the ground energy is the 57th.  The rights [H, O_v^dag], O_v and
-        O_v^dag are all at hand (141 applications before the reuse)."""
+    def test_qeom_on_the_six_qubit_chain_compiles_57_and_applies_114_operators(
+        self, monkeypatch, hubbard_chain
+    ):
+        """14 excitations O_u: the lefts O_u^dag and their adjoints are 28
+        distinct operators up to sign, and the rights O_v and O_v^dag are
+        all among them.  Each of the pencil's two calls compiles and
+        applies the 28 once (56); the observable form applies H to psi once
+        and, per operator A, H to A psi and A to H psi (57); the ground
+        energy is the 114th application.  H is compiled once for the run:
+        57 compiles.  Before, 57 operators were compiled and applied once
+        each, 28 of them the built [H, O_v] and their adjoints."""
         reference = create_composite("reference")
         for q in (0, 3):
             reference.add(create_instruction("X", [q]))
+        observable = hubbard_chain(3)
         algorithm = qcsim.get_algorithm(
             "qeom",
             {
-                "observable": hubbard_chain(3),
+                "observable": observable,
                 "accelerator": _accelerator(seed=0, shots=0),
                 "ansatz": reference,
                 "n-electrons": 2,
             },
         )
         applied = _counted_applications(monkeypatch)
+        compiled, compile = [], backend.CompiledPauli.__init__
+        monkeypatch.setattr(
+            backend.CompiledPauli,
+            "__init__",
+            lambda self, op, n: compiled.append(op) or compile(self, op, n),
+        )
         algorithm.execute(qcsim.qalloc(6))
-        assert len(applied) == 57
+        assert len(applied) == 114
+        assert len(compiled) == 57
+        assert compiled.count(observable) == 1
 
     def test_values_match_nested_commutator_expectations(self, monkeypatch):
         """Rights equal to a left, its adjoint, minus either, or to each
@@ -385,20 +401,23 @@ class TestCommutatorReuse:
 
     def test_memory_stays_at_the_lefts_plus_a_few_vectors(self, hubbard_chain):
         """One 12-qubit call with 1 left and 60 anti-Hermitian rights holds
-        at most 2 * lefts + 4 vectors of 2^n at once."""
+        at most 2 * lefts + 4 vectors of 2^n at once; the observable form
+        adds H psi, H applied to a right's vector and two compiled forms of
+        the chain (about one vector each at 12 qubits): 2 * lefts + 8."""
         n = 12
         rng = np.random.default_rng(12)
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = backend.PreparedState(_accelerator(seed=0, shots=0), psi / np.linalg.norm(psi))
         lefts = [hubbard_chain(6)]
         rights = [1j * pauli.random_operator(rng, n, 8) for _ in range(60)]
-        tracemalloc.start()
-        try:
-            state.expect_commutators(lefts, rights)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= (2 * len(lefts) + 4) * psi.nbytes
+        for observable, few in [(None, 4), (backend.CompiledPauli(hubbard_chain(6), n), 8)]:
+            tracemalloc.start()
+            try:
+                state.expect_commutators(lefts, rights, observable)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= (2 * len(lefts) + few) * psi.nbytes
 
 
 class TestEvolve:

@@ -11,9 +11,10 @@ only ``backend.py`` may reach ``pauli.encode``, which its ``_rotate`` calls
 on a rotation's ``ops``: ``exp_pauli`` stores the string as given.
 ``ir.py`` must not import ``pauli``, which imports ``ir``.  No call in an
 algorithm module takes a ``commutator(...)`` call as an argument, and
-``adapt.py`` does not import ``commutator``: commutator expectations are
-read through ``PreparedState.expect_commutators``, which in exact mode
-builds no product.
+neither ``adapt.py`` nor ``qeom.py`` imports ``commutator``: commutator
+expectations, double ones included, are read through
+``PreparedState.expect_commutators``, which in exact mode builds no
+product and no commutator.
 A Pauli rotation and an excitation rotation are leaves, not composites,
 and ``ansatz.exp_pauli`` builds no gate: a rotation derives its gates
 when they are read.  Neither ``ansatz.py`` nor an algorithm module calls
@@ -32,7 +33,8 @@ call, and a QITE run compiles each basis string once (counting tests).
 A VQE run plans its ansatz once, each finite-difference gradient call
 plans its circuit once, and neither binds a tree with ``ir.evaluate``.
 Gates are applied in place, without ``tensordot`` or ``moveaxis``.
-``qeom.eom_pencil`` builds one commutator per basis operator.
+``qeom.eom_pencil`` builds no commutator in exact mode, and an exact QEOM
+run compiles its observable once.
 """
 import ast
 from pathlib import Path
@@ -180,15 +182,23 @@ def test_no_commutator_is_built_to_be_measured(path):
     ] == []
 
 
-def test_adapt_does_not_import_commutator():
-    tree = ast.parse((ALGORITHMS / "adapt.py").read_text(encoding="utf-8"))
-    assert [
+def _imports_of_commutator(module):
+    tree = ast.parse((ALGORITHMS / module).read_text(encoding="utf-8"))
+    return [
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
         if alias.name.split(".")[-1] == "commutator"
-    ] == []
+    ]
+
+
+def test_adapt_does_not_import_commutator():
+    assert _imports_of_commutator("adapt.py") == []
+
+
+def test_qeom_does_not_import_commutator():
+    assert _imports_of_commutator("qeom.py") == []
 
 
 def test_a_rotation_is_a_leaf():
@@ -365,24 +375,30 @@ def _count_plans(monkeypatch):
     return planned
 
 
-def _count_evaluations(monkeypatch):
-    """The circuits ``ir.evaluate`` binds, wherever qcsim imported it."""
+def _count_calls(monkeypatch, original):
+    """The first arguments ``original`` is called with, wherever qcsim
+    imported it."""
     import sys
 
-    from qcsim import ir
+    called = []
 
-    bound, original = [], ir.evaluate
-
-    def counting(circuit, values):
-        bound.append(circuit)
-        return original(circuit, values)
+    def counting(first, *args):
+        called.append(first)
+        return original(first, *args)
 
     for name, module in list(sys.modules.items()):
         if name == "qcsim" or name.startswith("qcsim."):
             for attribute, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attribute, counting)
-    return bound
+    return called
+
+
+def _count_evaluations(monkeypatch):
+    """The circuits ``ir.evaluate`` binds, wherever qcsim imported it."""
+    from qcsim import ir
+
+    return _count_calls(monkeypatch, ir.evaluate)
 
 
 @pytest.mark.parametrize("shots", [0, 1000])
@@ -468,8 +484,9 @@ def test_a_qite_run_compiles_each_basis_string_once(monkeypatch, shots):
     ]
 
 
-def test_eom_pencil_builds_one_commutator_per_basis_operator(monkeypatch):
+def test_eom_pencil_builds_no_commutator(monkeypatch):
     import qcsim
+    from qcsim import pauli
     from qcsim.algorithms import qeom
     from qcsim.fermion import excitations
     from qcsim.ir import create_composite, create_instruction
@@ -480,8 +497,34 @@ def test_eom_pencil_builds_one_commutator_per_basis_operator(monkeypatch):
     for q in (0, 2):
         reference.add(create_instruction("X", [q]))
     state = qcsim.get_accelerator("statevector", {"shots": 0}).prepare(reference, 4)
-    built = []
-    original = qeom.commutator
-    monkeypatch.setattr(qeom, "commutator", lambda a, b: built.append(b) or original(a, b))
+    built = _count_calls(monkeypatch, pauli.commutator)
     qeom.eom_pencil(observable, operators, state)
-    assert built == operators
+    assert built == []
+
+
+def test_an_exact_qeom_run_compiles_h_once_and_builds_no_commutator(monkeypatch, hubbard_chain):
+    import qcsim
+    from qcsim import pauli
+    from qcsim.ir import create_composite, create_instruction
+
+    observable = hubbard_chain(3)
+    reference = create_composite("reference")
+    for q in (0, 3):
+        reference.add(create_instruction("X", [q]))
+    qeom = qcsim.get_algorithm(
+        "qeom",
+        {
+            "observable": observable,
+            "accelerator": qcsim.get_accelerator("statevector", {"shots": 0}),
+            "ansatz": reference,
+            "n-electrons": 2,
+        },
+    )
+    compiled = _count_compiles(monkeypatch)
+    built = _count_calls(monkeypatch, pauli.commutator)
+    buffer = qcsim.qalloc(6)
+    qeom.execute(buffer)
+    assert len(buffer["excitation-energies"]) == 14
+    # the pencil and the ground energy share one compiled H
+    assert compiled.count(observable) == 1
+    assert built == []

@@ -190,6 +190,24 @@ class TestAlgebra:
         assert table[-forward] == "negated"
         assert PauliOperator.zero() not in table
 
+    @given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+    def test_up_to_sign_keys_an_operator_and_its_negation_alike(self, n, terms, seed, imaginary):
+        """op and -op share the key with opposite signs, the adjoint's key
+        is that of the built dagger, and an operator that differs from
+        op beyond its sign has another key."""
+        rng = np.random.default_rng(seed)
+        op = random_operator(rng, n, terms, complex_coeffs=True)
+        if imaginary:
+            op = 1j * (op + op.dagger())
+        key, sign = op.up_to_sign()
+        assert (-op).up_to_sign() == (key, -sign)
+        adjoint_key, adjoint_sign = op.dagger().up_to_sign()
+        assert op.up_to_sign(adjoint=True) == (adjoint_key, adjoint_sign)
+        assert (-op).up_to_sign(adjoint=True) == (adjoint_key, -adjoint_sign)
+        assert (op + PauliOperator({n: "X"})).up_to_sign()[0] != key
+        assert (2 * op).up_to_sign()[0] != key
+        assert PauliOperator.zero().up_to_sign() == (((), ()), 1.0)
+
     def test_pruning_threshold(self):
         tiny = PauliOperator({0: "Z"}, 1e-15)
         assert tiny.is_zero()

@@ -2,11 +2,12 @@
 
 ``PreparedState.expect_commutators`` is checked against ``expect`` of the
 built commutator and against dense ``to_matrix`` commutators (exact), and
-against the nested ``expect(commutator)`` loop value for value (sampled).
-QEOM itself is checked on the Hubbard dimer against sector exact
-diagonalization in the orbital basis, must refuse the site-basis state
-whose metric is ill-conditioned, and builds only the H commutators in
-exact mode.
+against the nested ``expect(commutator)`` loop value for value (sampled),
+in its plain form and in its observable form <[L, [H, R]]>, whose bad
+observables raise before any vector or draw.  QEOM itself is checked on
+the Hubbard dimer against sector exact diagonalization in the orbital
+basis, must refuse the site-basis state whose metric is ill-conditioned,
+and builds no Pauli sum in exact mode.
 """
 from pathlib import Path
 from unittest import mock
@@ -93,13 +94,85 @@ def test_sampled_values_follow_the_nested_expect_loop():
     assert got.tolist() == want
 
 
+@st.composite
+def observable_cases(draw):
+    """A ``commutator_cases`` state and lefts, a Hermitian H on the same
+    register, and rights that add to fresh operators each left, its
+    adjoint and minus either."""
+    n_qubits, circuit, lefts, fresh = draw(commutator_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = pauli.random_operator(rng, n_qubits, draw(st.integers(1, 6)), complex_coeffs=True)
+    related = [op for left in lefts for op in (left, -left, left.dagger(), -left.dagger())]
+    rights = fresh + draw(st.lists(st.sampled_from(related), min_size=1, max_size=4))
+    return n_qubits, circuit, h + h.dagger(), lefts, rights
+
+
+@given(observable_cases(), st.booleans())
+def test_observable_form_matches_built_double_commutators(case, compile_first):
+    n, circuit, h, lefts, rights = case
+    state = _accelerator().prepare(circuit, n)
+    observable = backend.CompiledPauli(h, n) if compile_first else h
+    got = state.expect_commutators(lefts, rights, observable)
+    assert got.shape == (len(lefts), len(rights))
+    psi = backend.statevector(circuit, n)
+    dense_h = pauli.to_matrix(h, n)
+    for i, left in enumerate(lefts):
+        a = pauli.to_matrix(left, n)
+        for j, right in enumerate(rights):
+            c = dense_h @ pauli.to_matrix(right, n)
+            c = c - pauli.to_matrix(right, n) @ dense_h
+            dense = np.vdot(psi, (a @ c - c @ a) @ psi)
+            built = pauli.commutator(left, pauli.commutator(h, right))
+            assert abs(got[i, j] - state.expect(built)) <= 1e-12
+            assert abs(got[i, j] - dense) <= 1e-12
+
+
+def test_sampled_observable_form_follows_the_nested_expect_loop():
+    """[H, R_j] is formed once per right; [L_i, .] is measured over i, then j."""
+    lefts, rights = _operators(3, 3, seed=1), _operators(3, 4, seed=2)
+    (h,) = _operators(3, 1, seed=3)
+    h = h + h.dagger()
+    got = _accelerator(500, seed=11).prepare(_entangled(3), 3).expect_commutators(lefts, rights, h)
+    reference = _accelerator(500, seed=11).prepare(_entangled(3), 3)
+    responses = [pauli.commutator(h, b) for b in rights]
+    want = [[reference.expect(pauli.commutator(a, b)) for b in responses] for a in lefts]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("shots", [0, 100])
+@pytest.mark.parametrize(
+    "observable, message",
+    [
+        (pauli.PauliOperator({0: "Z"}) + pauli.PauliOperator({1: "X"}, 0.5j), "Hermitian"),
+        (pauli.PauliOperator({0: "Z"}) + pauli.PauliOperator({2: "X"}), "touches qubit 2"),
+        (backend.CompiledPauli(pauli.PauliOperator({0: "Z"}), 3), "compiled for 3 qubits"),
+    ],
+    ids=["non-hermitian", "too-wide", "compiled-for-3"],
+)
+def test_a_bad_observable_raises_before_any_vector_or_draw(shots, observable, message):
+    accelerator = _accelerator(shots, seed=3)
+    state = accelerator.prepare(_entangled(2), 2)
+    before = accelerator._rng.bit_generator.state
+    lefts = [pauli.PauliOperator({0: "Z"}), pauli.PauliOperator({1: "X"})]
+    rights = [pauli.PauliOperator({0: "X"}), pauli.PauliOperator({1: "Y"})]
+    with mock.patch.object(backend, "apply_pauli") as vectors, mock.patch.object(
+        backend, "commutator"
+    ) as built:
+        with pytest.raises(BackendError, match=message):
+            state.expect_commutators(lefts, rights, observable)
+    assert vectors.call_count == 0
+    assert built.call_count == 0
+    assert accelerator._rng.bit_generator.state == before
+
+
 def _basis(n_electrons, n_qubits):
     return [image for _, _, image in excitations(n_electrons, n_qubits, spin_preserving=False)]
 
 
-def test_sampled_pencil_draws_in_the_nested_loop_order(hubbard_dimer):
-    """Seeded sampled QEOM measures every element exactly as the loop
-    over (i, j) and then M, Q, V, W did, with the same draws."""
+def test_sampled_pencil_draws_the_responses_then_the_metric_in_loop_order(hubbard_dimer):
+    """Seeded sampled QEOM measures M and Q over (i, j), each [H, O_j] and
+    [H, O_j^dag] formed once, and then V and W over (i, j), with the same
+    draws as this loop."""
     operators = _basis(2, 4)
     daggers = [op.dagger() for op in operators]
     got = qeom.eom_pencil(
@@ -108,12 +181,16 @@ def test_sampled_pencil_draws_in_the_nested_loop_order(hubbard_dimer):
     state = _accelerator(500, seed=5).prepare(_entangled(4), 4)
     dim = len(operators)
     m, q, v, w = (np.zeros((dim, dim), dtype=complex) for _ in range(4))
+    responses = [
+        (pauli.commutator(hubbard_dimer, op), pauli.commutator(hubbard_dimer, dagger))
+        for op, dagger in zip(operators, daggers)
+    ]
     for i in range(dim):
-        for j in range(dim):
-            h_op = pauli.commutator(hubbard_dimer, operators[j])
-            h_dagger = pauli.commutator(hubbard_dimer, daggers[j])
+        for j, (h_op, h_dagger) in enumerate(responses):
             m[i, j] = state.expect(pauli.commutator(daggers[i], h_op))
             q[i, j] = -state.expect(pauli.commutator(daggers[i], h_dagger))
+    for i in range(dim):
+        for j in range(dim):
             v[i, j] = state.expect(pauli.commutator(daggers[i], operators[j]))
             w[i, j] = -state.expect(pauli.commutator(daggers[i], daggers[j]))
     a = np.block([[m, q], [q.conj(), m.conj()]])
@@ -224,23 +301,22 @@ def test_a_metric_dead_as_a_whole_raises(monkeypatch, hubbard_dimer_mo):
     assert "excitation-energies" not in buffer
 
 
-def test_exact_pencil_builds_only_the_h_commutators(monkeypatch, hubbard_chain):
-    """On a 3-site chain the exact pencil builds Pauli sums only for
-    [H, O_v], one one-pass commutator each and no product, dim in all:
-    [H, O_v^dag] is -[H, O_v]^dag."""
+def test_exact_pencil_builds_no_product_or_commutator(monkeypatch, hubbard_chain):
+    """On a 3-site chain the exact pencil builds no Pauli sum: no product
+    and no commutator, in ``pauli`` or in ``backend``, which reads
+    [H, O_v] psi from vectors."""
     chain = hubbard_chain(3)
     operators = _basis(2, 6)
     reference = create_composite("reference")
     for q in (0, 3):
         reference.add(create_instruction("X", [q]))
     state = _accelerator().prepare(reference, 6)
-    products, commutators = [], []
-    multiply, commutator = pauli.multiply, qeom.commutator
-    monkeypatch.setattr(pauli, "multiply", lambda a, b: products.append(1) or multiply(a, b))
-    monkeypatch.setattr(
-        qeom, "commutator", lambda a, b: commutators.append(b) or commutator(a, b)
-    )
+    built = []
+    for module, name in [(pauli, "multiply"), (pauli, "commutator"), (backend, "commutator")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda a, b, original=original: built.append(a) or original(a, b)
+        )
     qeom.eom_pencil(chain, operators, state)
     assert len(operators) == 14
-    assert commutators == operators
-    assert products == []
+    assert built == []
