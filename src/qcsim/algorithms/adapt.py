@@ -1,8 +1,10 @@
 """Adaptive ansatz growth driven by pool gradients.
 
-Each iteration measures g_i = <psi|[H, A_i]|psi> for every pool operator
-in one ``PreparedState.expect_commutators([H], pool)`` call (two inner
-products each in exact mode, the built commutator in sampled mode);
+Each iteration plans the symbolic ansatz once (``backend.CompiledCircuit``)
+and runs it at the current parameters, binding no tree, and measures
+g_i = <psi|[H, A_i]|psi> for every pool operator in one
+``PreparedState.expect_commutators([H], pool)`` call (two inner products
+each in exact mode, the built commutator in sampled mode);
 if ||g|| clears the threshold, the operator with the largest |g_i| is
 appended (new parameter at zero) and the whole parameter vector is
 re-optimized with the VQE sub-algorithm.
@@ -12,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..ansatz import build_pool, exp_pauli, reference_circuit
-from ..backend import AcceleratorBuffer, expectation, qalloc
+from ..backend import AcceleratorBuffer, CompiledCircuit, expectation, qalloc
 from ..errors import AlgorithmError
-from ..ir import CompositeInstruction, Parameter, create_composite, evaluate
+from ..ir import Parameter, create_composite
 from .base import Algorithm
 from .vqe import VQE
 
@@ -35,13 +37,6 @@ class AdaptVQE(Algorithm):
         if sub != "vqe":
             raise AlgorithmError(f"unsupported sub-algorithm '{sub}' (only 'vqe')")
 
-    def _symbolic_ansatz(self, reference, chosen) -> CompositeInstruction:
-        circuit = create_composite("adapt_ansatz")
-        circuit.add_all(reference.children)
-        for k, (_, generator) in enumerate(chosen):
-            circuit.add_all(exp_pauli(generator, Parameter.symbolic(f"t{k}")).children)
-        return circuit
-
     def _execute(self, buffer: AcceleratorBuffer) -> None:
         observable = self.options.get_observable("observable")
         optimizer = self.options.get_optimizer("optimizer")
@@ -60,15 +55,16 @@ class AdaptVQE(Algorithm):
 
         generators = [op for _, op in pool.elements]
         reference = reference_circuit(n_electrons, n_qubits)
+        # the symbolic ansatz, grown by one exp_pauli block t<k> per chosen operator
+        ansatz = create_composite("adapt_ansatz").add_all(reference.children)
 
-        chosen: list[tuple[str, object]] = []
+        chosen: list[str] = []
         params: list[float] = []
         gradient_norms: list[float] = []
         energy = expectation(observable, reference, accelerator)
 
         while True:
-            ansatz = self._symbolic_ansatz(reference, chosen)
-            state = accelerator.prepare(evaluate(ansatz, params), n_qubits)
+            state = accelerator.prepare(CompiledCircuit(ansatz, n_qubits), n_qubits, params)
             gradients = state.expect_commutators([observable], generators)[0].real
             norm = float(np.linalg.norm(gradients))
             gradient_norms.append(norm)
@@ -76,12 +72,14 @@ class AdaptVQE(Algorithm):
                 break
 
             winner = int(np.argmax(np.abs(gradients)))
-            chosen.append(pool.elements[winner])
+            label, generator = pool.elements[winner]
+            chosen.append(label)
+            ansatz.add_all(exp_pauli(generator, Parameter.symbolic(f"t{len(params)}")).children)
             params.append(0.0)
 
             vqe = VQE().initialize(
                 {
-                    "ansatz": self._symbolic_ansatz(reference, chosen),
+                    "ansatz": ansatz,
                     "optimizer": optimizer,
                     "observable": observable,
                     "accelerator": accelerator,
@@ -95,5 +93,5 @@ class AdaptVQE(Algorithm):
 
         buffer.metadata.insert("opt-val", energy)
         buffer.metadata.insert("opt-params", list(params))
-        buffer.metadata.insert("adapt-ops", [label for label, _ in chosen])
+        buffer.metadata.insert("adapt-ops", chosen)
         buffer.metadata.insert("adapt-gradient-norms", gradient_norms)

@@ -19,8 +19,10 @@ before any amplitude is touched, and one step loop, ``_run``, applies the
 steps it returns; ``statevector``, ``prepare``, ``evolve`` and ``execute``
 all go through both.  ``CompiledCircuit(circuit, n)`` keeps the plan of a
 symbolic or concrete circuit, to run at many x without binding a tree:
-``prepare(compiled, n, x)``.  The VQE objective and final estimate and
-``optim.evaluate_gradient``'s finite differences plan once per run or call.
+``prepare(compiled, n, x)``; ``CompiledCircuit.shifted`` moves one of its
+angles at a time for parameter-shift.  The VQE objective and final
+estimate, each ``optim.evaluate_gradient`` call and each ADAPT iteration
+plan once.
 
 One compiled form per Pauli sum: ``CompiledPauli(op, n)`` reads an
 operator's strings once into the tables that exact application and
@@ -49,10 +51,11 @@ and every other leaf is one gate applied in place on views of the state's
 """
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -585,6 +588,31 @@ class CompiledCircuit:
                 f"{list(self.variables)}, got {len(values)} value(s)"
             )
         return _run(_zero_state(self._n), self._steps, values).reshape(-1)
+
+    def shifted(self, x: Sequence[float], delta: float) -> Iterator[tuple]:
+        """(i, scale, plan) for each angle scale * x[i] the plan reads, in
+        step order: this plan, not planned again, with that angle moved by
+        ``delta``.  A gate or ``PauliRotation`` step gets the constant
+        scale * x[i] + delta.  An ``ExcitationRotation`` is the product of
+        its commuting rotations R_{P_k}(s_k theta) (``rotations()``), so its
+        step stays and one R_{P_k} step at the constant delta follows it for
+        each k, at scale s_k (as everywhere, the step's source is its angle).
+        """
+        for k, (kernel, data, source) in enumerate(self._steps):
+            if not isinstance(source, tuple):
+                continue
+            i, scale = source
+            if isinstance(data, ExcitationRotation):
+                for ops, angle in data.rotations():
+                    fixed = (_rotate, PauliRotation(ops, (angle,)), delta)
+                    yield i, angle.scale, self._spliced(k, [self._steps[k], fixed])
+            else:
+                yield i, scale, self._spliced(k, [(kernel, data, scale * float(x[i]) + delta)])
+
+    def _spliced(self, k: int, steps: list) -> "CompiledCircuit":
+        plan = copy.copy(self)
+        plan._steps = self._steps[:k] + steps + self._steps[k + 1 :]
+        return plan
 
 
 def _check_register(n: int) -> None:

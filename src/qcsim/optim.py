@@ -2,25 +2,20 @@
 
 Optimizers minimize F: R^n -> R given an ObjectiveFunction.  Every
 gradient strategy is one branch of ``evaluate_gradient``, which measures
-each energy through ``backend.expectation``.
+each energy of one plan of the circuit, or of its shifted copies, through
+``backend.expectation``; no strategy binds or splices a circuit tree.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .backend import CompiledCircuit, StatevectorAccelerator, compile_observable, expectation
 from .errors import OptimizationError
-from .ir import (
-    CompositeInstruction,
-    ExcitationRotation,
-    Parameter,
-    PauliRotation,
-    evaluate,
-)
+from .ir import CompositeInstruction
 from .pauli import PauliOperator
 from .registry import HeterogeneousMap, as_het_map
 
@@ -159,13 +154,12 @@ class GradientDescent:
     def name(self) -> str:
         return "gradient-descent"
 
-    def _gradient(self, f: ObjectiveFunction, x: np.ndarray, fx: float) -> np.ndarray:
+    def _gradient(self, f: ObjectiveFunction, x: np.ndarray) -> np.ndarray:
+        grad = np.zeros(f.dimension)
         if f.provides_gradient:
-            grad = np.zeros(f.dimension)
             f(x, grad)
             return grad
         # internal central-difference fallback
-        grad = np.zeros(f.dimension)
         for i in range(f.dimension):
             step = np.zeros(f.dimension)
             step[i] = FD_DEFAULT_STEP
@@ -183,7 +177,7 @@ class GradientDescent:
         converged = False
         while iterations < max_iter:
             iterations += 1
-            grad = self._gradient(f, x, fx)
+            grad = self._gradient(f, x)
             norm_sq = float(np.dot(grad, grad))
             if norm_sq == 0.0:
                 converged = True
@@ -218,63 +212,57 @@ def evaluate_gradient(
     obs: PauliOperator,
     accelerator: StatevectorAccelerator,
 ) -> np.ndarray:
-    """dE/dx of E(x) = <obs> on ``circuit`` bound to x.
+    """dE/dx of E(x) = <obs> on ``circuit`` bound to x, a flat vector of
+    finite reals checked before anything is simulated.
 
-    Every energy is one ``backend.expectation``, all of them of one
-    observable compiled once per call.  Finite differences plan the circuit
-    once per call (``backend.CompiledCircuit``) and run it at x shifted by
-    +-FD_DEFAULT_STEP in one variable, building no bound circuit.
-    Parameter-shift binds x once and lists the bound circuit's leaves; it
-    shifts one rotation at a time by +-pi/2, which is exact for
-    R_P(theta) = exp(-i theta P / 2), by splicing the shifted leaves
-    (``_shifts``) in place of the bound leaf into one flat circuit.  A gate
-    whose angle is ``scale * var`` adds scale * (E+ - E-) / 2 to var's
-    entry (chain rule), so a variable driving several gates sums them.  A
-    Pauli rotation shifts its own theta and is still simulated in one pass.
-    An excitation rotation exp(theta G) has G^3 = -G, so one shift of
-    theta is not exact: each Pauli rotation of its lowering is shifted
-    instead, as if the node were lowered.
+    The observable is compiled and the circuit planned
+    (``backend.CompiledCircuit``) once per call.  Finite differences run
+    the plan at x +-FD_DEFAULT_STEP in one variable.  Parameter-shift
+    (Schuld et al., PRA 99, 032331 (2019)) runs at x each plan
+    ``CompiledCircuit.shifted`` gives, one rotation angle moved by +-pi/2,
+    exact for R_P(theta) = exp(-i theta P / 2); an angle ``scale * x[i]``
+    adds scale * (E+ - E-) / 2 to entry i (chain rule).  An excitation
+    exp(theta G) has G^3 = -G, so each Pauli rotation of its lowering is
+    shifted instead of theta.
     """
     if strategy not in GRADIENT_STRATEGIES:
         raise OptimizationError(
             f"unknown gradient strategy '{strategy}'; choose from {GRADIENT_STRATEGIES}"
         )
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x)
+    except ValueError as exc:
+        raise OptimizationError(f"x must be a flat vector of finite reals: {exc}") from None
+    if x.ndim != 1 or x.dtype.kind not in "iuf" or not np.isfinite(x).all():
+        raise OptimizationError(f"x must be a flat vector of finite reals, got {x.tolist()}")
+    x = x.astype(float)
     if x.size != len(circuit.variables):
         raise OptimizationError(
             f"circuit has {len(circuit.variables)} variables, got {x.size} values"
         )
 
     compiled = compile_observable(obs, circuit)
+    plan = CompiledCircuit(circuit, compiled.n_qubits())
 
-    def energy(target: "CompositeInstruction | CompiledCircuit", values=()) -> float:
+    def energy(target: CompiledCircuit, values: np.ndarray = x) -> float:
         return expectation(compiled, target, accelerator, values)
 
     grad = np.zeros(x.size)
     if strategy == "parameter-shift":
-        index = {var: i for i, var in enumerate(circuit.variables)}
-        bound = list(evaluate(circuit, x).leaves())
-
-        def spliced(k: int, leaves: list) -> CompositeInstruction:
-            return CompositeInstruction(circuit.name).add_all(bound[:k] + leaves + bound[k + 1 :])
-
-        for k, leaf in enumerate(circuit.leaves()):
-            shifts = zip(_shifts(leaf, bound[k], SHIFT), _shifts(leaf, bound[k], -SHIFT))
-            for (param, plus), (_, minus) in shifts:
-                shift = energy(spliced(k, plus)) - energy(spliced(k, minus))
-                grad[index[param.var]] += param.scale * shift / 2.0
+        shifts = zip(plan.shifted(x, SHIFT), plan.shifted(x, -SHIFT))
+        for (i, scale, plus), (_, _, minus) in shifts:
+            grad[i] += scale * (energy(plus) - energy(minus)) / 2.0
         return grad
 
     h = FD_DEFAULT_STEP
-    planned = CompiledCircuit(circuit, compiled.n_qubits())
 
     def shifted_energy(i: int, delta: float) -> float:
         shifted_x = x.copy()
         shifted_x[i] += delta
-        return energy(planned, shifted_x)
+        return energy(plan, shifted_x)
 
     if strategy in ("forward", "backward"):
-        base = energy(planned, x)
+        base = energy(plan)
     for i in range(x.size):
         if strategy == "central":
             plus = shifted_energy(i, +h)
@@ -285,23 +273,3 @@ def evaluate_gradient(
         else:
             grad[i] = (base - shifted_energy(i, -h)) / h
     return grad
-
-
-def _shifts(leaf, bound, delta: float):
-    """(parameter, leaves) for each rotation angle ``scale * var`` of one
-    leaf, in source order: ``leaves`` replace ``bound``, the leaf's bound
-    copy, to shift that one angle by ``delta``.
-
-    An ``ExcitationRotation`` is the product of its commuting Pauli
-    rotations R_{P_k}(s_k theta), so shifting one of them is the bound node
-    followed by a fixed R_{P_k}(delta); every other leaf has at most one
-    angle and is replaced by a copy with that angle shifted.  A concrete
-    leaf yields nothing.
-    """
-    if isinstance(leaf, ExcitationRotation):
-        for ops, angle in leaf.rotations():
-            if angle.is_symbolic:
-                yield angle, [bound, PauliRotation(ops, (Parameter.concrete(delta),))]
-    elif leaf.parameters and leaf.parameters[0].is_symbolic:
-        shifted = Parameter.concrete(bound.parameters[0].value + delta)
-        yield leaf.parameters[0], [replace(bound, parameters=(shifted,))]

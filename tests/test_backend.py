@@ -114,16 +114,23 @@ def _joined(first, second):
 
 @pytest.fixture()
 def simulations(monkeypatch):
-    """Counts calls of ``backend.statevector`` while ``counting[0]`` is true."""
+    """Counts calls of ``backend.statevector`` and runs of a
+    ``backend.CompiledCircuit`` while ``counting[0]`` is true."""
     calls, counting = [], [True]
-    original = backend.statevector
+    original, original_run = backend.statevector, backend.CompiledCircuit.run
 
     def statevector(circuit, n):
         if counting[0]:
             calls.append(circuit)
         return original(circuit, n)
 
+    def run(compiled, values=()):
+        if counting[0]:
+            calls.append(compiled)
+        return original_run(compiled, values)
+
     monkeypatch.setattr(backend, "statevector", statevector)
+    monkeypatch.setattr(backend.CompiledCircuit, "run", run)
     return calls, counting
 
 

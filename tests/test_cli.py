@@ -3,8 +3,10 @@
 Energies are checked against exact diagonalization of ``data/h2.ham``;
 the CSV layout and provenance header are checked line by line.
 """
+import argparse
 import hashlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -249,6 +251,20 @@ class TestShippedDimer:
 
 
 class TestExitCodes:
+    def test_one_parser_serves_calls_that_each_return_their_own_code(self, tmp_path):
+        config = _write_config(tmp_path, "vqe")
+        (tmp_path / "missing").mkdir()
+        missing = _write_config(tmp_path / "missing", "vqe", files=[str(tmp_path / "absent.ham")])
+        out = tmp_path / "o.csv"
+        # the process's parser exists from the first call on
+        assert cli.main(["list"]) == cli.EXIT_OK
+        with mock.patch.object(argparse, "ArgumentParser", wraps=argparse.ArgumentParser) as built:
+            assert _main("run", config, out) == cli.EXIT_OK
+            assert _main("run", missing, out) == cli.EXIT_MISSING_HAMILTONIAN
+            assert _main("run", tmp_path / "absent.ini", out) == cli.EXIT_CONFIG
+            assert _main("spectrum", config, out) == cli.EXIT_OK
+        assert built.call_count == 0
+
     def test_missing_config_file(self, tmp_path):
         assert _main("run", tmp_path / "absent.ini", tmp_path / "o.csv") == cli.EXIT_CONFIG
 

@@ -30,8 +30,10 @@ and only ``CompiledPauli.draw`` draws: exact application
 rotation (``_rotate``) encodes its own ``ops`` and compiles nothing.  A
 VQE run compiles its observable once, so does each ``evaluate_gradient``
 call, and a QITE run compiles each basis string once (counting tests).
-A VQE run plans its ansatz once, each finite-difference gradient call
-plans its circuit once, and neither binds a tree with ``ir.evaluate``.
+A VQE run plans its ansatz once, each gradient call plans its circuit
+once, whatever the strategy, and none of them nor an ADAPT run binds a
+tree with ``ir.evaluate``; ``optim.py`` imports nothing that binds or
+splices one.
 Gates are applied in place, without ``tensordot`` or ``moveaxis``.
 ``qeom.eom_pencil`` builds no commutator in exact mode, and an exact QEOM
 run compiles its observable once.
@@ -182,23 +184,29 @@ def test_no_commutator_is_built_to_be_measured(path):
     ] == []
 
 
-def _imports_of_commutator(module):
-    tree = ast.parse((ALGORITHMS / module).read_text(encoding="utf-8"))
+def _imports_of(path, names):
+    """The imports of ``path`` whose last name part is one of ``names``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     return [
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
-        if alias.name.split(".")[-1] == "commutator"
+        if alias.name.split(".")[-1] in names
     ]
 
 
 def test_adapt_does_not_import_commutator():
-    assert _imports_of_commutator("adapt.py") == []
+    assert _imports_of(ALGORITHMS / "adapt.py", {"commutator"}) == []
 
 
 def test_qeom_does_not_import_commutator():
-    assert _imports_of_commutator("qeom.py") == []
+    assert _imports_of(ALGORITHMS / "qeom.py", {"commutator"}) == []
+
+
+def test_optim_neither_binds_nor_splices_a_tree():
+    tree_tools = {"evaluate", "Parameter", "PauliRotation", "ExcitationRotation", "replace"}
+    assert _imports_of(PACKAGE / "optim.py", tree_tools) == []
 
 
 def test_a_rotation_is_a_leaf():
@@ -415,8 +423,8 @@ def test_a_vqe_run_plans_its_ansatz_once(monkeypatch, shots):
 
 
 @pytest.mark.parametrize("shots", [0, 1000])
-@pytest.mark.parametrize("strategy", ["central", "forward", "backward"])
-def test_each_finite_difference_gradient_plans_once(monkeypatch, shots, strategy):
+@pytest.mark.parametrize("strategy", ["central", "forward", "backward", "parameter-shift"])
+def test_each_gradient_plans_once(monkeypatch, shots, strategy):
     import qcsim
     from qcsim import optim
 
@@ -428,6 +436,28 @@ def test_each_finite_difference_gradient_plans_once(monkeypatch, shots, strategy
     for x in ([0.1, -0.2, 0.3], [0.0, 0.5, -0.1]):
         optim.evaluate_gradient(strategy, ansatz, x, observable, accelerator)
     assert planned == [ansatz, ansatz]
+    assert bound == []
+
+
+def test_an_adapt_run_binds_no_tree(monkeypatch, hubbard_dimer_mo):
+    import qcsim
+
+    bound = _count_evaluations(monkeypatch)
+    adapt = qcsim.get_algorithm(
+        "adapt",
+        {
+            "optimizer": qcsim.get_optimizer("nelder-mead"),
+            "observable": hubbard_dimer_mo,
+            "sub-algorithm": "vqe",
+            "n-electrons": 2,
+            "pool": "uccsd",
+            "accelerator": qcsim.get_accelerator("statevector", {"shots": 0}),
+        },
+    )
+    buffer = qcsim.qalloc(4)
+    adapt.execute(buffer)
+    # two gradient sweeps: the reference's and the chosen double's
+    assert len(buffer["adapt-gradient-norms"]) == 2
     assert bound == []
 
 

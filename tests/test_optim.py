@@ -2,10 +2,14 @@
 
 Every gradient strategy must agree with central differences: the
 parameter-shift rule exactly (to the finite-difference truncation error)
-and one-sided differences to O(step).  Optimizers are checked on a
-quadratic with a known minimum.
+and one-sided differences to O(step).  Parameter-shift on the compiled
+plan is bit for bit the rule that binds x and splices shifted leaves into
+the bound tree, exact and seeded sampled alike.  Optimizers are checked on
+a quadratic with a known minimum.
 """
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +17,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qcsim
-from qcsim import optim, pauli
+from qcsim import backend, optim, pauli
+from qcsim.ansatz import exp_pauli
+from qcsim.backend import expectation
 from qcsim.errors import OptimizationError
-from qcsim.fermion import excitation_modes
-from qcsim.ir import ExcitationRotation, Parameter, create_composite, create_instruction
+from qcsim.fermion import excitation_modes, excitations
+from qcsim.ir import (
+    ExcitationRotation,
+    Parameter,
+    PauliRotation,
+    create_composite,
+    create_instruction,
+    evaluate,
+)
 
 H2_PATH = Path(__file__).resolve().parents[1] / "data" / "h2.ham"
 
@@ -169,6 +182,104 @@ class TestGradientAgreement:
             optim.evaluate_gradient(
                 strategy, pair_rotation_ansatz, [0.0, 0.1], h2, exact_accelerator
             )
+
+    @pytest.mark.parametrize("strategy", optim.GRADIENT_STRATEGIES)
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [float("nan")],
+            [float("inf")],
+            [[0.3]],
+            0.3,
+            ["a"],
+            [1j],
+            np.array([0.3 + 0j]),
+            [[0.1], [0.2, 0.3]],
+        ],
+        ids=repr,
+    )
+    def test_rejects_x_that_is_not_a_flat_vector_of_finite_reals(
+        self, strategy, x, pair_rotation_ansatz, h2
+    ):
+        accelerator = qcsim.get_accelerator("statevector", {"shots": 100, "seed": 1})
+        before = accelerator._rng.bit_generator.state
+        with mock.patch.object(backend, "_zero_state") as simulated:
+            with pytest.raises(OptimizationError, match="flat vector of finite reals"):
+                optim.evaluate_gradient(strategy, pair_rotation_ansatz, x, h2, accelerator)
+        assert simulated.call_count == 0
+        assert accelerator._rng.bit_generator.state == before
+
+
+def _spliced_parameter_shift(circuit, x, obs, accelerator):
+    """Parameter-shift as a bound tree: bind x, and replace each bound leaf
+    by its shifted leaves in one flat circuit per angle and sign, measured
+    leaf by leaf, shift by shift, plus before minus."""
+    index = {var: i for i, var in enumerate(circuit.variables)}
+    bound = list(evaluate(circuit, x).leaves())
+
+    def shifts(leaf, bound_leaf, delta):
+        if isinstance(leaf, ExcitationRotation):
+            for ops, angle in leaf.rotations():
+                if angle.is_symbolic:
+                    fixed = PauliRotation(ops, (Parameter.concrete(delta),))
+                    yield angle, [bound_leaf, fixed]
+        elif leaf.parameters and leaf.parameters[0].is_symbolic:
+            shifted = Parameter.concrete(bound_leaf.parameters[0].value + delta)
+            yield leaf.parameters[0], [replace(bound_leaf, parameters=(shifted,))]
+
+    def energy(k, leaves):
+        spliced = create_composite(circuit.name).add_all(bound[:k] + leaves + bound[k + 1 :])
+        return expectation(obs, spliced, accelerator)
+
+    grad = np.zeros(len(circuit.variables))
+    for k, leaf in enumerate(circuit.leaves()):
+        pairs = zip(shifts(leaf, bound[k], optim.SHIFT), shifts(leaf, bound[k], -optim.SHIFT))
+        for (angle, plus), (_, minus) in pairs:
+            shift = energy(k, plus) - energy(k, minus)
+            grad[index[angle.var]] += angle.scale * shift / 2.0
+    return grad
+
+
+def _shared_rz_kernel():
+    return qcsim.parse_kernel(
+        "__qpu__ void shared(qbit q, double t, double u) {\n"
+        "  H(q[0]);\n  Rz(q[0], t);\n  CNOT(q[0], q[1]);\n  Rz(q[1], -t);\n"
+        "  Rx(q[0], 2*t);\n  Ry(q[1], 0.5*u);\n}"
+    )
+
+
+def _exp_pauli_ansatz():
+    """|1010> and one exp_pauli block per excitation of (2, 4), its Pauli
+    rotations at +-t_k or +-t_k/4."""
+    circuit = qcsim.hartree_fock_circuit(2, 4)
+    for k, (_, _, image) in enumerate(excitations(2, 4)):
+        circuit.add_all(exp_pauli(image - image.dagger(), f"t{k}").children)
+    return circuit
+
+
+@pytest.mark.parametrize("shots", [0, 200])
+@pytest.mark.parametrize(
+    "case", ["shared-rz-kernel", "exp-pauli", "uccsd-2-4", "uccsd-2-6"]
+)
+def test_parameter_shift_equals_the_spliced_tree(case, shots, hubbard_dimer, hubbard_chain):
+    circuit, observable = {
+        "shared-rz-kernel": lambda: (
+            _shared_rz_kernel(), pauli.load_hamiltonian(str(H2_PATH))
+        ),
+        "exp-pauli": lambda: (_exp_pauli_ansatz(), hubbard_dimer),
+        "uccsd-2-4": lambda: (qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4)), hubbard_dimer),
+        "uccsd-2-6": lambda: (qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 6)), hubbard_chain(3)),
+    }[case]()
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        x = rng.uniform(-np.pi, np.pi, len(circuit.variables))
+        planned, spliced = (
+            qcsim.get_accelerator("statevector", {"shots": shots, "seed": 5}) for _ in range(2)
+        )
+        gradient = optim.evaluate_gradient("parameter-shift", circuit, x, observable, planned)
+        reference = _spliced_parameter_shift(circuit, x, observable, spliced)
+        assert np.abs(reference).max() > 0.01
+        assert np.array_equal(gradient, reference)
 
 
 def _quadratic(minimum, with_gradient=False):
