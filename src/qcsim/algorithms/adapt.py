@@ -36,6 +36,7 @@ class AdaptVQE(Algorithm):
         sub = self.options.get_string("sub-algorithm")
         if sub != "vqe":
             raise AlgorithmError(f"unsupported sub-algorithm '{sub}' (only 'vqe')")
+        self._check_real("grad-threshold", positive=False)
 
     def _execute(self, buffer: AcceleratorBuffer) -> None:
         observable = self.options.get_observable("observable")

@@ -1,6 +1,8 @@
 """Common initialize/execute contract for algorithms."""
 from __future__ import annotations
 
+import math
+
 from ..backend import AcceleratorBuffer
 from ..errors import AlgorithmError
 from ..registry import HeterogeneousMap, as_het_map
@@ -35,6 +37,18 @@ class Algorithm:
 
     def _validate(self) -> None:
         """Optional extra option validation in subclasses."""
+
+    def _check_real(self, key: str, positive: bool) -> None:
+        """Raise unless the real option ``key``, when given, is finite and
+        > 0 (``positive``) or >= 0; an absent one keeps its default."""
+        if not self.options.contains(key):
+            return
+        value = self.options.get_real(key)
+        if not math.isfinite(value) or value < 0 or (positive and value == 0):
+            raise AlgorithmError(
+                f"{self.algorithm_name} {key} must be finite and "
+                f"{'> 0' if positive else '>= 0'}, got {value}"
+            )
 
     def execute(self, buffer: AcceleratorBuffer) -> None:
         if not self._initialized:

@@ -81,6 +81,7 @@ class QEOM(Algorithm):
     def _validate(self):
         if not self.options.get_composite("ansatz").is_concrete:
             raise AlgorithmError("qeom needs a concrete (prepared) ansatz")
+        self._check_real("overlap-threshold", positive=True)
 
     def _execute(self, buffer: AcceleratorBuffer) -> None:
         observable = self.options.get_observable("observable")

@@ -90,8 +90,8 @@ class QITE(Algorithm):
     required_keys = ("accelerator", "observable", "step-size", "steps", "ansatz")
 
     def _validate(self):
-        if self.options.get_real("step-size") <= 0:
-            raise AlgorithmError("step-size must be positive")
+        self._check_real("step-size", positive=True)
+        self._check_real("ridge", positive=False)
         if self.options.get_int("steps") < 1:
             raise AlgorithmError("steps must be >= 1")
 

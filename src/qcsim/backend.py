@@ -12,7 +12,8 @@ algorithm reads a state.  Exact mode (``shots == 0``) and sampled mode
 differ only inside it, and none of its methods simulates again:
 ``evolve`` applies a block to the cached vector.  Sampled ``expect``
 draws each string's parity count as the ``pauli.observe`` circuit would
-see it, with <P> read from the cached vector (``CompiledPauli.draw``).
+see it, with every <P> of one X mask read from the cached vector in one
+product with the sign tables (``CompiledPauli.draw``).
 
 Plan once, run with x: one planner, ``_plan``, checks a circuit whole
 before any amplitude is touched, and one step loop, ``_run``, applies the
@@ -25,14 +26,14 @@ estimate, each ``optim.evaluate_gradient`` call and each ADAPT iteration
 plan once.
 
 One compiled form per Pauli sum: ``CompiledPauli(op, n)`` reads an
-operator's strings once into the tables that exact application and
-sampled draws use; its docstring states the memory budget.
-``apply_pauli`` and a one-off ``expect`` compile a plain operator on each
-call; callers that evaluate one operator on many states (the VQE
-objective, one ``evaluate_gradient`` call, exact ``moments``) hold the
-compiled form, and no module-level cache exists.  ``apply_pauli`` is the
-one exact application of a Pauli sum: one matmul and one gather per
-distinct X mask, no numpy call per string.
+operator's ``encoded()`` strings once per mode, in one builder, into the
+sign tables of each X mask that exact application and sampled draws use;
+its docstring states the memory budget.  ``apply_pauli`` and a one-off
+``expect`` compile a plain operator on each call; callers that evaluate
+one operator on many states (the VQE objective, one ``evaluate_gradient``
+call, exact ``moments``) hold the compiled form, and no module-level
+cache exists.  Exact application and a draw each take one matmul and one
+gather per distinct X mask, no numpy call per string.
 
 Commutators without products: exact ``expect_commutators`` takes
 <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi> and applies each
@@ -52,7 +53,6 @@ and every other leaf is one gate applied in place on views of the state's
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -443,7 +443,10 @@ def _rotate(state: np.ndarray, rotation: PauliRotation, theta: float) -> np.ndar
     """exp(-i theta P / 2)|psi> = cos(theta/2)|psi> - i sin(theta/2) P|psi>."""
     half = theta / 2.0
     flat = state.reshape(-1)
-    source, parity, phase = _string(*encode(rotation.ops), state.ndim)
+    # P adds i^|x&z| (-1)^popcount((j ^ X) & Z) psi[j ^ X] to amplitude j
+    x, z = encode(rotation.ops)
+    source, parity = _index_bits(x, state.ndim), _index_bits(z, state.ndim)
+    phase = 1j ** ((x & z).bit_count() & 3)
     index = np.arange(flat.size) ^ source
     odd = np.bitwise_count(index & parity) & 1
     factor = -1j * math.sin(half) * phase
@@ -648,32 +651,24 @@ def _index_bits(qubits: int, n: int) -> int:
     return out
 
 
-def _string(x: int, z: int, n: int) -> tuple[int, int, complex]:
-    """(X, Z, i^|x&z|): the index masks and phase of the unit string (x, z)
-    on n qubits, which adds i^|x&z| (-1)^popcount((j ^ X) & Z) psi[j ^ X]
-    to amplitude j."""
-    return _index_bits(x, n), _index_bits(z, n), 1j ** ((x & z).bit_count() & 3)
-
-
 class CompiledPauli:
     """A Pauli sum compiled for an n-qubit register, to evaluate on many states.
 
     The register (1 to ``MAX_QUBITS`` qubits), the width and the
-    Hermiticity are checked here; each table is built on its first use and
-    kept.  Exact application (``apply``) reads ``op.encoded()`` once into
-    one pair of sign-factor tables per distinct X mask (see
-    ``apply_pauli``); sampled draws (``draw``) read ``op.masks()`` once into
-    each non-identity string's index masks, phase and coefficient, in
-    ``masks()`` order.  Nothing outlives the instance.
+    Hermiticity are checked here.  One builder, ``_factors``, reads
+    ``op.encoded()`` once per mode into one pair of sign-factor tables per
+    distinct X mask (see ``apply_pauli``): exact application (``apply``)
+    weights each string by its coefficient, and sampled draws (``draw``)
+    read the same signs unweighted, without the identity string.  Each
+    mode's tables are built on its first use and kept; nothing outlives
+    the instance.
 
-    Memory on 2^n amplitudes, l = n // 2 and h = n - l: exact application
-    keeps k (16 * 2^h + 8 * 2^l) bytes of tables for each X mask of k
-    strings and builds one group's diagonal at a time, so besides the
-    result the index, one diagonal and one gathered vector of 2^n are live.
-    The first draw builds and keeps one gather index per distinct non-zero
-    X mask and one boolean parity row per non-identity string, and each
-    draw gathers psi once into one vector per such X mask.  No complex
-    vector of 2^n is kept per string or per X mask.
+    Memory on 2^n amplitudes, l = n // 2 and h = n - l: each mode keeps
+    k (16 * 2^h + 8 * 2^l) bytes of tables for each X mask of k strings.
+    Exact application builds one group's diagonal at a time, so besides
+    the result the index, one diagonal and one gathered vector of 2^n are
+    live; a draw holds conj(psi), the index and one product vector of 2^n
+    at a time.  Nothing of 2^n is kept per string or per X mask.
     """
 
     def __init__(self, op: PauliOperator, n: int):
@@ -683,8 +678,8 @@ class CompiledPauli:
         self._n = n
         self._hermitian = op.is_hermitian()
         self.identity = complex(op.identity_coefficient)
-        # (X, A_X, B_X) per X mask, built by the first exact application
-        self._factors: list[tuple[int, np.ndarray, np.ndarray]] | None = None
+        # weighted -> ``_factors(weighted)``, built by its first use
+        self._tables: dict[bool, tuple[list, list[complex]]] = {}
 
     def n_qubits(self) -> int:
         """The register width it was compiled for."""
@@ -693,17 +688,27 @@ class CompiledPauli:
     def is_hermitian(self) -> bool:
         return self._hermitian
 
-    def _exact_tables(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """(X, A_X, B_X) for each distinct X mask, in ascending x, with
-        D_X = (A_X @ B_X).reshape(-1): A_X[j_hi, s] = w_s (-1)^|j_hi & Z_hi|
-        and B_X[s, j_lo] = (-1)^|j_lo & Z_lo| over the group's strings s in
-        ascending z, j = j_hi 2^l + j_lo."""
+    def _factors(self, weighted: bool) -> tuple[list, list[complex]]:
+        """(X, A_X, B_X) for each distinct X mask, in ascending x, and the
+        coefficients of the strings the tables hold, in ``encoded()`` order.
+
+        A_X[j_hi, s] = w_s (-1)^|j_hi & Z_hi| and B_X[s, j_lo] =
+        (-1)^|j_lo & Z_lo| over the group's strings s in ascending z,
+        j = j_hi 2^l + j_lo.  Weighted, for ``apply``: w_s = c_s i^(3|x&z|),
+        so D_X = (A_X @ B_X).reshape(-1).  Unweighted, for ``draw``:
+        w_s = i^(3|x&z|), and the identity string is left out.
+        """
+        if weighted in self._tables:
+            return self._tables[weighted]
         n = self._n
         low = n // 2
         index = _HALF_INDEX[: 1 << (n - low)]
         # encoded() is ordered by (x, z): the groups come in ascending x
         groups: dict[int, tuple[list[int], list[int], list[complex]]] = {}
+        coefficients = []
         for (x, z), coefficient in self._op.encoded():
+            if not (weighted or x or z):
+                continue
             if x not in groups:
                 groups[x] = ([], [], [])
             highs, lows, weights = groups[x]
@@ -711,7 +716,9 @@ class CompiledPauli:
             highs.append(parity >> low)
             lows.append(parity)
             # i^|x&z| (-1)^|X&Z| = i^(3|x&z|): X, Z reorder the bits of x, z
-            weights.append(coefficient * 1j ** (3 * (x & z).bit_count() & 3))
+            phase = 1j ** (3 * (x & z).bit_count() & 3)
+            weights.append(coefficient * phase if weighted else phase)
+            coefficients.append(coefficient)
         factors = []
         for x, (highs, lows, weights) in groups.items():
             # rows[j, 0, s] = (-1)^|j & Z_hi| and, for j < 2^l, rows[j, 1, s] = (-1)^|j & Z_lo|
@@ -719,17 +726,17 @@ class CompiledPauli:
             high = rows[:, 0] * np.array(weights)
             # a copy, so that the table does not keep rows alive
             factors.append((_index_bits(x, n), high, rows[: 1 << low, 1].T.copy()))
-        return factors
+        self._tables[weighted] = factors, coefficients
+        return factors, coefficients
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """op|psi> for 2^n amplitudes; see ``apply_pauli``."""
         flat = state.reshape(-1)
-        if self._factors is None:
-            self._factors = self._exact_tables()
+        factors, _ = self._factors(weighted=True)
         index = np.arange(flat.size)
         # the first group's term is the running sum: no zero vector is made
         out = None
-        for source, high, low in self._factors:
+        for source, high, low in factors:
             diagonal = (high @ low).reshape(-1)
             if source:
                 # XOR the index in place and back: no second index is allocated
@@ -746,61 +753,44 @@ class CompiledPauli:
             out = np.zeros(flat.size, dtype=complex)
         return out.reshape(state.shape)
 
-    @functools.cached_property
-    def _measured(self) -> list[tuple[int, int, complex, complex]]:
-        """(X, Z, i^|x&z|, c) of each non-identity string, in ``masks()`` order."""
-        return [
-            (*_string(x, z, self._n), coefficient)
-            for (x, z), coefficient in self._op.masks()
-            if x or z
-        ]
-
-    @functools.cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """(sources, odd, slots): one row j ^ X per distinct non-zero X, one
-        row popcount((j ^ X) & Z) odd per non-identity string, and each
-        string's row of sources (-1 for X = 0)."""
-        index = np.arange(1 << self._n)
-        masks = list(dict.fromkeys(source for source, *_ in self._measured if source))
-        slots = [masks.index(source) if source else -1 for source, *_ in self._measured]
-        sources = index ^ np.array(masks, dtype=index.dtype)[:, None]
-        odd = np.empty((len(self._measured), index.size), dtype=bool)
-        for row, (_, parity, _, _), g in zip(odd, self._measured, slots):
-            row[...] = np.bitwise_count((index if g < 0 else sources[g]) & parity) & 1
-        return sources, odd, slots
-
     def draw(self, psi: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
-        """Each non-identity string's parity count, in ``masks()`` order.
+        """Each non-identity string's parity count, in ``encoded()`` order.
 
         ``pauli.observe``'s circuit for P sees parity +1 with probability
-        (1 + <P>)/2, so k ~ Binomial(shots, (1 + <P>)/2), with <P> the
-        ``np.vdot`` of psi and P psi.  One ``binomial`` call draws every
-        string, as one call per string in ``masks()`` order would.  psi is
-        gathered once, for every non-zero X mask; the unit string P adds
-        i^|x&z| (-1)^odd[j] psi[j ^ X] to amplitude j.
+        (1 + <P>)/2, so k ~ Binomial(shots, (1 + <P>)/2).  One ``binomial``
+        call, if any string is left, draws every string, as one call per
+        string would.  <P_s> = sum_j v[j] A_X[j_hi, s] B_X[s, j_lo] for the
+        product v[j] = conj(psi[j]) psi[j ^ X] of its X mask.
         """
-        sources, odd, slots = self._tables
-        gathered = psi[sources]
-        means = np.array(
-            [
-                np.vdot(psi, np.where(row, -phase, phase) * (psi if g < 0 else gathered[g])).real
-                for (_, _, phase, _), row, g in zip(self._measured, odd, slots)
-            ]
-        )
-        return rng.binomial(shots, np.clip((1 + means) / 2, 0, 1))
+        factors, _ = self._factors(weighted=False)
+        if not factors:
+            return np.zeros(0, dtype=np.int64)
+        bra = psi.conj()
+        index = np.arange(psi.size)
+        means = []
+        for source, high, low in factors:
+            # XOR the index in place and back, as ``apply`` does
+            index ^= source
+            product = psi[index]
+            index ^= source
+            product *= bra
+            means.append(((product.reshape(len(high), -1) @ low.T) * high).sum(0).real)
+        return rng.binomial(shots, np.clip((1 + np.concatenate(means)) / 2, 0, 1))
 
     def total(self, hits: np.ndarray, shots: int) -> complex:
         """The identity coefficient plus c (2k - shots)/shots of each string,
-        summed in ``masks()`` order in Python complex arithmetic (numpy's
+        summed in ``encoded()`` order in Python complex arithmetic (numpy's
         complex division rounds differently)."""
+        _, coefficients = self._factors(weighted=False)
         total = self.identity
-        for (_, _, _, coefficient), k in zip(self._measured, hits.tolist()):
+        for coefficient, k in zip(coefficients, hits.tolist()):
             total += coefficient * (2 * k - shots) / shots
         return total
 
     def standard_error(self, hits: np.ndarray, shots: int) -> float:
         """sqrt(sum |c|^2 (1 - m^2) / shots), m = (2k - shots)/shots."""
-        weights = np.array([abs(coefficient) ** 2 for *_, coefficient in self._measured])
+        _, coefficients = self._factors(weighted=False)
+        weights = np.array([abs(coefficient) ** 2 for coefficient in coefficients])
         means = (2 * hits - shots) / shots
         return math.sqrt(float(weights @ (1 - means**2)) / shots)
 
@@ -841,7 +831,7 @@ def apply_pauli(op: "PauliOperator | CompiledPauli", state: np.ndarray) -> np.nd
     op|psi> = sum_X D_X * psi[j ^ X]; the Z-only strings need no gather.
     With l = n // 2 and j = j_hi 2^l + j_lo each sign factors into one of
     j_hi & Z_hi and one of j_lo & Z_lo, so D_X is one matmul of a complex
-    2^h x k and a real k x 2^l table (``_exact_tables``).
+    2^h x k and a real k x 2^l table (``CompiledPauli._factors``).
 
     Summation order: the groups in ascending x, each D_X in the matmul's
     (BLAS) order over its strings in ascending z, each D_X * psi[j ^ X]

@@ -14,7 +14,8 @@ the masks times i^(|xa&za| + |xb&zb| - |x&z| + 2|za&xb|), |m| a popcount;
 a commutator keeps only the anticommuting pairs of the product, doubled.
 ``masks()`` exposes the encoding in ``terms()`` order, ``encoded()`` in
 (x, z) order without decoding; ``terms()`` decodes it to sorted
-(qubit, letter) tuples.  ``to_matrix`` builds the dense matrix from the
+(qubit, letter) tuples.  The simulator reads only ``encoded()``, in exact
+and sampled mode alike.  ``to_matrix`` builds the dense matrix from the
 letters by Kronecker products, independently of the encoding: it is the
 reference the tests check the encoding against.
 """

@@ -3,13 +3,16 @@
 ADAPT's ansatz is a product of ``exp_pauli`` rotation nodes, so every
 energy and pool gradient here runs the one-pass rotation path.
 """
+import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import qcsim
-from qcsim import pauli
+from qcsim import backend, pauli
+from qcsim.errors import AlgorithmError
 
 DIMER_PATH = Path(__file__).resolve().parents[1] / "data" / "hubbard_dimer.ham"
 
@@ -51,3 +54,23 @@ def test_site_basis_stops_at_the_singles_product_state():
     buffer = _adapt(pauli.load_hamiltonian(str(DIMER_PATH)))
     assert buffer["opt-val"] == pytest.approx(-0.5, abs=1e-6)
     assert buffer["adapt-ops"] == ["(0)->(1)", "(2)->(3)"]
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_a_bad_grad_threshold_raises_before_any_simulation(value, hubbard_dimer_mo):
+    accelerator = qcsim.get_accelerator("statevector", {"shots": 100, "seed": 5})
+    options = {
+        "optimizer": qcsim.get_optimizer("nelder-mead"),
+        "observable": hubbard_dimer_mo,
+        "sub-algorithm": "vqe",
+        "n-electrons": 2,
+        "pool": "uccsd",
+        "accelerator": accelerator,
+        "grad-threshold": value,
+    }
+    before = accelerator._rng.bit_generator.state
+    with mock.patch.object(backend, "_zero_state") as simulated:
+        with pytest.raises(AlgorithmError, match="grad-threshold must be finite"):
+            qcsim.get_algorithm("adapt", options).execute(qcsim.qalloc(4))
+    assert simulated.call_count == 0
+    assert accelerator._rng.bit_generator.state == before

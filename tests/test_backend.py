@@ -10,14 +10,15 @@ within a Hoeffding bound, and sampled ``evolve`` and ``moments`` against
 is checked to apply each distinct operator once, up to sign, counted
 through a wrapper around ``backend.apply_pauli``, and its peak memory with
 ``tracemalloc``.  Seeded sampled ``expect`` is pinned, bit for bit, to a
-reference loop of one scalar binomial per string; ``estimate``'s standard
-error is checked in law.  ``CompiledPauli``'s memory budget is checked with
-``tracemalloc`` on the 12-qubit chain, and the in-place gate kernels
+reference loop of one scalar binomial per string, each drawn p against
+(1 + <P>)/2 through a recording generator, and ``estimate``'s standard
+error in law.  ``CompiledPauli``'s memory budget is checked with
+``tracemalloc`` on the 12- and 16-qubit chains, and the in-place gate kernels
 against dense Kronecker-built matrices on every qubit and ordered pair.
 Exact application from the factored sign tables is checked against dense
 matrices for n = 1..8 and on one string at ``MAX_QUBITS``, bit for bit
 for equal operators and for -op, and counting wrappers around
-``PauliOperator.masks`` and ``encoded`` check which table reads which.
+``PauliOperator.masks`` and ``encoded`` check that only ``encoded`` is read.
 ``CompiledCircuit`` runs are checked bit for bit against ``statevector``
 of the circuit bound by ``ir.evaluate``, and its bad inputs to raise
 before any kernel runs.
@@ -634,11 +635,11 @@ class TestSampledExpect:
     @staticmethod
     def _one_draw_per_string(op, psi, rng, shots):
         """The reference loop: one scalar binomial per non-identity string, in
-        ``masks()`` order, with <P> = vdot(psi, P psi) read string by string."""
+        ``encoded()`` order, with <P> = vdot(psi, P psi) read string by string."""
         n = psi.size.bit_length() - 1
         index = np.arange(psi.size)
         total = complex(op.identity_coefficient)
-        for (x, z), coefficient in op.masks():
+        for (x, z), coefficient in op.encoded():
             if (x, z) == (0, 0):
                 continue
             source = index ^ backend._index_bits(x, n)
@@ -673,6 +674,39 @@ class TestSampledExpect:
                 assert state.expect(op) == expected
             assert state.accelerator._rng.random() == reference.random()
 
+    @given(states_and_operators())
+    def test_each_drawn_p_is_the_parity_probability_of_its_string(self, case):
+        """One ``binomial`` call, whose p for each non-identity string, in
+        ``encoded()`` order, is (1 + <P>)/2 with <P> = vdot(psi, P psi) from
+        ``to_matrix``."""
+        n, circuit, op = case
+        psi = backend.statevector(circuit, n)
+        recorder = _RecordingGenerator()
+        backend.CompiledPauli(op, n).draw(psi, recorder, 100)
+        letters = {pauli.encode(term.ops): term.ops for term in op.terms()}
+        strings = [letters[masks] for masks, _ in op.encoded() if masks != (0, 0)]
+        expected = [
+            (1 + np.vdot(psi, pauli.to_matrix(pauli.PauliOperator(ops), n) @ psi).real) / 2
+            for ops in strings
+        ]
+        assert len(recorder.probabilities) == (1 if strings else 0)
+        for drawn in recorder.probabilities:
+            assert drawn.shape == (len(strings),)
+            assert np.abs(drawn - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "op",
+        [pauli.PauliOperator.zero(), pauli.PauliOperator.identity(0.75 - 0.25j)],
+        ids=["zero", "identity-only"],
+    )
+    def test_an_operator_with_no_string_to_draw_draws_nothing(self, op):
+        accelerator = _accelerator(3, shots=1000)
+        state = accelerator.prepare(_h2_state(), 2)
+        before = accelerator._rng.bit_generator.state
+        assert state.expect(op) == op.identity_coefficient
+        assert state.estimate(op) == (op.identity_coefficient, 0.0)
+        assert accelerator._rng.bit_generator.state == before
+
     def test_a_compiled_operator_draws_as_the_plain_one(self):
         op = pauli.load_hamiltonian(str(H2_PATH))
         compiled = backend.CompiledPauli(op, 2)
@@ -703,16 +737,33 @@ class TestSampledExpect:
         assert errors.mean() == pytest.approx(values.std(ddof=1), rel=0.15)
 
 
+class _RecordingGenerator:
+    """A generator stub that keeps each p passed to ``binomial`` and draws 0."""
+
+    def __init__(self):
+        self.probabilities = []
+
+    def binomial(self, shots, p):
+        self.probabilities.append(np.array(p, dtype=float))
+        return np.zeros(np.shape(p), dtype=np.int64)
+
+
+def _sign_tables_bytes(strings, n):
+    """k (16 * 2^h + 8 * 2^l) bytes of sign factors for k strings on n
+    qubits, l = n // 2 and h = n - l."""
+    return strings * (16 * (1 << (n - n // 2)) + 8 * (1 << n // 2))
+
+
 class TestCompiledPauli:
     def test_memory_budget_on_the_12_qubit_chain(self, hubbard_chain):
-        """Held: one index per distinct non-zero X mask and one boolean row
-        per string (draws), and the exact sign factors, k (16 * 2^h + 8 * 2^l)
-        bytes for an X mask of k strings, l = n // 2 and h = n - l.  Peak over
-        a draw and an exact application: besides those, one complex vector
-        per X mask and a few of 2^n; never a complex vector per string."""
+        """Held: the sign factors of each mode, k (16 * 2^h + 8 * 2^l) bytes
+        for an X mask of k strings, l = n // 2 and h = n - l, over every
+        string for exact application and every non-identity one for draws.
+        Peak over a draw and an exact application: besides those, a few
+        vectors of 2^n; never a complex vector per string or per X mask."""
         n, op = 12, hubbard_chain(6)
-        masks = {x for (x, _), _ in op.masks()}
-        strings = sum(1 for (x, z), _ in op.masks() if x or z)
+        masks = {x for (x, _), _ in op.encoded()}
+        strings = sum(1 for (x, z), _ in op.encoded() if x or z)
         assert (len(masks), strings) == (11, 38)
         rng = np.random.default_rng(4)
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -727,10 +778,28 @@ class TestCompiledPauli:
         finally:
             tracemalloc.stop()
         slack = 16 * 1024
-        factors = op.n_terms() * (16 * (1 << (n - n // 2)) + 8 * (1 << n // 2))
-        assert held <= (8 * (len(masks) - 1) + strings) * size + factors + slack
-        assert peak <= ((8 + 16) * len(masks) + strings + 4 * 16) * size + slack
+        factors = _sign_tables_bytes(op.n_terms() + strings, n)
+        assert held <= factors + slack
+        assert peak <= factors + 4 * 16 * size + slack
         assert peak < 16 * strings * size
+
+    def test_a_draw_keeps_only_its_sign_tables_on_the_16_qubit_chain(self, hubbard_chain):
+        """After one draw the compiled form holds the unweighted sign factors
+        of its non-identity strings and nothing of 2^n per string or per X
+        mask."""
+        n, op = 16, hubbard_chain(8)
+        strings = sum(1 for (x, z), _ in op.encoded() if x or z)
+        rng = np.random.default_rng(4)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        tracemalloc.start()
+        try:
+            compiled = backend.CompiledPauli(op, n)
+            compiled.draw(psi, rng, 100)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= _sign_tables_bytes(strings, n) + 16 * 1024
 
     def test_applies_as_the_plain_operator(self, hubbard_chain):
         op = hubbard_chain(4)
@@ -776,9 +845,9 @@ def _count_string_reads(monkeypatch):
 
 
 class TestStringReads:
-    """The exact table reads ``encoded()`` and never sorts through
-    ``masks()``; the draw tables read ``masks()`` and never build the exact
-    table; a rotation reads neither, but encodes its own ``ops``."""
+    """Both modes' tables read ``encoded()``, once per mode, and never sort
+    through ``masks()``; a rotation reads neither and builds no table, but
+    encodes its own ``ops``."""
 
     def test_a_one_off_exact_expect_reads_encoded_once(self, monkeypatch):
         state = _accelerator(1, shots=0).prepare(_h2_state(), 2)
@@ -786,11 +855,11 @@ class TestStringReads:
         state.expect(pauli.load_hamiltonian(str(H2_PATH)))
         assert reads == {"masks": 0, "encoded": 1}
 
-    def test_sampled_expect_reads_masks_once(self, monkeypatch):
+    def test_sampled_expect_reads_encoded_once(self, monkeypatch):
         state = _accelerator(1, shots=100).prepare(_h2_state(), 2)
         reads = _count_string_reads(monkeypatch)
         state.expect(pauli.load_hamiltonian(str(H2_PATH)))
-        assert reads == {"masks": 1, "encoded": 0}
+        assert reads == {"masks": 0, "encoded": 1}
 
     def test_an_exact_qeom_operation_never_reads_masks(self, monkeypatch, hubbard_chain):
         reference = create_composite("reference")
@@ -815,13 +884,13 @@ class TestStringReads:
             {1: "X"}, -0.5j
         )
         circuit = qcsim.exp_pauli(generator, 0.4)
-        built, original = [], backend.CompiledPauli._exact_tables
+        built, original = [], backend.CompiledPauli._factors
 
-        def counting(self):
+        def counting(self, weighted):
             built.append(self)
-            return original(self)
+            return original(self, weighted)
 
-        monkeypatch.setattr(backend.CompiledPauli, "_exact_tables", counting)
+        monkeypatch.setattr(backend.CompiledPauli, "_factors", counting)
         reads = _count_string_reads(monkeypatch)
         psi = backend.statevector(circuit, 3)
         assert built == []

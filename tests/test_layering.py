@@ -289,11 +289,10 @@ def _functions_calling(path, attribute):
 
 def test_one_compiled_form_reads_the_strings_of_a_pauli_sum():
     backend = PACKAGE / "backend.py"
-    # the compiled form's two table builders are the only readers of an
-    # operator's strings: the sampled one in masks() order, the exact one
-    # in encoded() order
-    assert _functions_calling(backend, "masks") == ["CompiledPauli._measured"]
-    assert _functions_calling(backend, "encoded") == ["CompiledPauli._exact_tables"]
+    # the compiled form's one table builder is the only reader of an
+    # operator's strings, in encoded() order, for both modes
+    assert _functions_calling(backend, "masks") == []
+    assert _functions_calling(backend, "encoded") == ["CompiledPauli._factors"]
     # every draw of a sampled evaluation is one call, in the compiled form
     assert _functions_calling(backend, "binomial") == ["CompiledPauli.draw"]
     # exact applications, one-off and held, go through it; a rotation

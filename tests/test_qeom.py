@@ -9,6 +9,7 @@ the Hubbard dimer against sector exact diagonalization in the orbital
 basis, must refuse the site-basis state whose metric is ill-conditioned,
 and builds no Pauli sum in exact mode.
 """
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -320,3 +321,21 @@ def test_exact_pencil_builds_no_product_or_commutator(monkeypatch, hubbard_chain
     qeom.eom_pencil(chain, operators, state)
     assert len(operators) == 14
     assert built == []
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-10, math.nan, math.inf])
+def test_a_bad_overlap_threshold_raises_before_any_simulation(value, hubbard_dimer):
+    accelerator = _accelerator(shots=100, seed=5)
+    options = {
+        "observable": hubbard_dimer,
+        "accelerator": accelerator,
+        "ansatz": _entangled(4),
+        "n-electrons": 2,
+        "overlap-threshold": value,
+    }
+    before = accelerator._rng.bit_generator.state
+    with mock.patch.object(backend, "_zero_state") as simulated:
+        with pytest.raises(AlgorithmError, match="overlap-threshold must be finite"):
+            qcsim.get_algorithm("qeom", options).execute(qcsim.qalloc(4))
+    assert simulated.call_count == 0
+    assert accelerator._rng.bit_generator.state == before

@@ -3,6 +3,7 @@ checked against exact diagonalization, and its step system checked
 against the Gram construction from explicit vectors s_I|psi>."""
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,6 +64,36 @@ def test_non_hermitian_observable_is_rejected(shots, hf_circuit_2q):
     before = accelerator._rng.bit_generator.state
     with pytest.raises(AlgorithmError, match="Hermitian"):
         qite.execute(qcsim.qalloc(1))
+    assert accelerator._rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("step-size", 0.0),
+        ("step-size", -0.1),
+        ("step-size", math.nan),
+        ("step-size", math.inf),
+        ("ridge", -1.0),
+        ("ridge", math.nan),
+        ("ridge", math.inf),
+    ],
+)
+def test_a_bad_real_option_raises_before_any_simulation(key, value, hf_circuit_2q):
+    accelerator = qcsim.get_accelerator("statevector", {"shots": 100, "seed": 5})
+    options = {
+        "accelerator": accelerator,
+        "observable": pauli.load_hamiltonian(str(H2_PATH)),
+        "ansatz": hf_circuit_2q,
+        "step-size": 0.1,
+        "steps": 2,
+        key: value,
+    }
+    before = accelerator._rng.bit_generator.state
+    with mock.patch.object(backend, "_zero_state") as simulated:
+        with pytest.raises(AlgorithmError, match=f"{key} must be finite"):
+            qcsim.get_algorithm("qite", options).execute(qcsim.qalloc(2))
+    assert simulated.call_count == 0
     assert accelerator._rng.bit_generator.state == before
 
 
