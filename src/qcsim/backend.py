@@ -766,16 +766,22 @@ class CompiledPauli:
         if not factors:
             return np.zeros(0, dtype=np.int64)
         bra = psi.conj()
-        index = np.arange(psi.size)
+        index = None
         means = []
         for source, high, low in factors:
-            # XOR the index in place and back, as ``apply`` does
-            index ^= source
-            product = psi[index]
-            index ^= source
-            product *= bra
+            if source:
+                if index is None:
+                    index = np.arange(psi.size)
+                # XOR the index in place and back, as ``apply`` does
+                index ^= source
+                product = psi[index]
+                index ^= source
+                product *= bra
+            else:
+                product = bra * psi
             means.append(((product.reshape(len(high), -1) @ low.T) * high).sum(0).real)
-        return rng.binomial(shots, np.clip((1 + np.concatenate(means)) / 2, 0, 1))
+        # the method skips the ~1.4 us wrapper of np.clip, a tenth of a small draw
+        return rng.binomial(shots, ((1 + np.concatenate(means)) / 2).clip(0, 1))
 
     def total(self, hits: np.ndarray, shots: int) -> complex:
         """The identity coefficient plus c (2k - shots)/shots of each string,

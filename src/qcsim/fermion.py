@@ -7,12 +7,10 @@ modes strictly below the ladder operator's mode.
 ``excitation_modes`` is the one enumeration of the singles/doubles
 manifold off the reference determinant, as (occ, virt) indices: UCCSD
 reads it alone.  ``excitations`` adds each entry's JW image, which both
-ADAPT pools and the QEOM basis read; it builds them once per
-(n_electrons, n_qubits, spin_preserving) and returns the same tuple after.
+ADAPT pools and the QEOM basis read.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -144,16 +142,13 @@ def excitation_modes(
     ]
 
 
-@functools.cache
 def excitations(
     n_electrons: int, n_qubits: int, spin_preserving: bool = True
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...], PauliOperator], ...]:
+) -> list[tuple[tuple[int, ...], tuple[int, ...], PauliOperator]]:
     """Each ``excitation_modes`` entry (occ, virt) with its image: the
     Jordan-Wigner image of T = a†_virt... a_occ... (occ in reverse), whose
     anti-Hermitian generator is ``image - image.dagger()``.  Each mode's
-    ladder image is built once, and the result once per arguments: a later
-    call returns the same tuple, which no caller can change
-    (``PauliOperator`` has no public mutator).
+    ladder image is built once per call.
     """
     occupied = occupied_spin_orbitals(n_electrons, n_qubits)
     # an excitation only annihilates occupied modes and creates virtual ones
@@ -164,4 +159,4 @@ def excitations(
         for q in virt + occ[::-1]:
             image = image * ladder[q]
         found.append((occ, virt, image))
-    return tuple(found)
+    return found

@@ -755,16 +755,16 @@ def _sign_tables_bytes(strings, n):
 
 
 class TestCompiledPauli:
-    def test_memory_budget_on_the_12_qubit_chain(self, hubbard_chain):
+    @pytest.mark.parametrize("n, sites, masks, strings", [(12, 6, 11, 38), (16, 8, 15, 52)])
+    def test_memory_budget_on_the_chain(self, hubbard_chain, n, sites, masks, strings):
         """Held: the sign factors of each mode, k (16 * 2^h + 8 * 2^l) bytes
         for an X mask of k strings, l = n // 2 and h = n - l, over every
         string for exact application and every non-identity one for draws.
         Peak over a draw and an exact application: besides those, a few
         vectors of 2^n; never a complex vector per string or per X mask."""
-        n, op = 12, hubbard_chain(6)
-        masks = {x for (x, _), _ in op.encoded()}
-        strings = sum(1 for (x, z), _ in op.encoded() if x or z)
-        assert (len(masks), strings) == (11, 38)
+        op = hubbard_chain(sites)
+        assert len({x for (x, _), _ in op.encoded()}) == masks
+        assert sum(1 for (x, z), _ in op.encoded() if x or z) == strings
         rng = np.random.default_rng(4)
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
@@ -782,24 +782,6 @@ class TestCompiledPauli:
         assert held <= factors + slack
         assert peak <= factors + 4 * 16 * size + slack
         assert peak < 16 * strings * size
-
-    def test_a_draw_keeps_only_its_sign_tables_on_the_16_qubit_chain(self, hubbard_chain):
-        """After one draw the compiled form holds the unweighted sign factors
-        of its non-identity strings and nothing of 2^n per string or per X
-        mask."""
-        n, op = 16, hubbard_chain(8)
-        strings = sum(1 for (x, z), _ in op.encoded() if x or z)
-        rng = np.random.default_rng(4)
-        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        psi /= np.linalg.norm(psi)
-        tracemalloc.start()
-        try:
-            compiled = backend.CompiledPauli(op, n)
-            compiled.draw(psi, rng, 100)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held <= _sign_tables_bytes(strings, n) + 16 * 1024
 
     def test_applies_as_the_plain_operator(self, hubbard_chain):
         op = hubbard_chain(4)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qcsim import pauli
 from qcsim.fermion import (
     FermionOperator,
     FermionTerm,
@@ -185,21 +184,6 @@ class TestEnumeration:
         modes = excitation_modes(n_electrons, n_qubits, spin_preserving)
         found = excitations(n_electrons, n_qubits, spin_preserving)
         assert [(occ, virt) for occ, virt, _ in found] == modes
-
-    def test_a_second_call_returns_the_same_images_and_builds_none(self, monkeypatch):
-        first = excitations(3, 8, False)
-        products = []
-        original = pauli.multiply
-        monkeypatch.setattr(
-            pauli, "multiply", lambda a, b: products.append(a) or original(a, b)
-        )
-        assert excitations(3, 8, False) is first
-        assert isinstance(first, tuple)
-        assert products == []
-        # the images are products: an uncached build is seen by the counter
-        rebuilt = excitations.__wrapped__(3, 8, False)
-        assert products != []
-        assert [image for *_, image in rebuilt] == [image for *_, image in first]
 
     def test_uccsd_reads_the_modes_without_building_an_image(self, monkeypatch):
         import qcsim
