@@ -19,7 +19,7 @@ import numpy as np
 
 from ..backend import AcceleratorBuffer
 from ..errors import AlgorithmError
-from ..linalg import poly_roots, solve_regularized_lsq
+from ..linalg import poly_roots, solve_min_norm_lsq
 from .base import Algorithm
 
 COLLAPSE_TOLERANCE = 1e-9
@@ -75,7 +75,7 @@ def knowles_energy(connected: list[float], order: int) -> float:
     k = order
     b = np.array([connected[i] for i in range(1, k)])
     a = np.array([[connected[i + j + 2] for j in range(k - 1)] for i in range(k - 1)])
-    x = solve_regularized_lsq(a, b, 0.0)
+    x = solve_min_norm_lsq(a, b)
     return float(connected[0] - np.real(np.dot(b, x)))
 
 
@@ -95,7 +95,7 @@ def pds_energy(raw: list[float], order: int) -> float:
         [[moment(2 * k - i - j) for j in range(1, k + 1)] for i in range(1, k + 1)]
     )
     rhs = np.array([-moment(2 * k - i) for i in range(1, k + 1)])
-    coeffs = np.real(solve_regularized_lsq(matrix, rhs, 0.0))
+    coeffs = np.real(solve_min_norm_lsq(matrix, rhs))
     # ascending-power coefficients of E^k + a_1 E^(k-1) + ... + a_k
     ascending = list(coeffs[::-1]) + [1.0]
     roots = poly_roots(np.array(ascending))

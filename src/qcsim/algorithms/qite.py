@@ -2,8 +2,7 @@
 
 Each step approximates e^(-db H)|psi> / norm by a unitary e^(-i db A)
 whose generator A = sum_I a_I s_I is expanded over the full Pauli basis
-of the register.  The coefficients solve the regularized least-squares
-system S a = b with
+of the register.  The coefficients solve S a = b with
 
     S_IJ = Re <psi| s_I s_J |psi>
     b_I  = Im <psi| s_I H |psi> / sqrt(1 - 2 db <H>)
@@ -16,6 +15,10 @@ strings, exact or sampled alike), sums <H> from the same estimates,
 fills S_IJ = Re(phase <s_K>) and b_I = Im(sum_h c_h phase <s_K>) / norm
 by lookup, and advances the prepared state with ``evolve``.  Only the
 final state's <H> is measured with ``expect(observable)``.
+
+S is a Gram matrix, so each step solves it on its own spectrum with
+``linalg.solve_gram``, dropping the eigenvalues that rounding or shot noise
+could have produced; each step's kept count is reported as ``qite-ranks``.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 from ..ansatz import exp_pauli
 from ..backend import AcceleratorBuffer, CompiledPauli, PreparedState
 from ..errors import AlgorithmError
-from ..linalg import solve_regularized_lsq
+from ..linalg import solve_gram
 from ..pauli import PauliOperator, multiply
 from .base import Algorithm
 
@@ -91,7 +94,6 @@ class QITE(Algorithm):
 
     def _validate(self):
         self._check_real("step-size", positive=True)
-        self._check_real("ridge", positive=False)
         if self.options.get_int("steps") < 1:
             raise AlgorithmError("steps must be >= 1")
 
@@ -101,7 +103,6 @@ class QITE(Algorithm):
         ansatz = self.options.get_composite("ansatz")
         db = self.options.get_real("step-size")
         steps = self.options.get_int("steps")
-        ridge = self.options.get_or("ridge", "real", 1e-8)
         if not observable.is_hermitian():
             raise AlgorithmError("qite needs a Hermitian observable")
 
@@ -114,13 +115,14 @@ class QITE(Algorithm):
         system = StepSystem(observable, n)
 
         state = accelerator.prepare(ansatz, n)
-        energies = []
+        energies, ranks = [], []
         for _ in range(steps):
             values = system.measure(state)
             energies.append(system.energy(values))
             norm = math.sqrt(max(1.0 - 2.0 * db * energies[-1], 1e-12))
             s_matrix, b_vector = system.assemble(values, norm)
-            a = np.real(solve_regularized_lsq(s_matrix, b_vector, ridge))
+            a, rank = solve_gram(s_matrix, b_vector)
+            ranks.append(rank)
             generator = PauliOperator.from_terms(
                 {key: -1j * a_i for key, a_i in zip(system.basis, a)}
             )
@@ -128,4 +130,5 @@ class QITE(Algorithm):
         energies.append(state.expect(observable).real)
 
         buffer.metadata.insert("energy-history", energies)
+        buffer.metadata.insert("qite-ranks", ranks)
         buffer.metadata.insert("opt-val", energies[-1])

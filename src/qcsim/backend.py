@@ -182,10 +182,9 @@ class StatevectorAccelerator:
                 for idx in np.flatnonzero(flat > _PROB_CUTOFF)
             }
         else:
-            draws = self._rng.choice(flat.size, size=self.config.shots, p=flat / flat.sum())
+            hits = self._rng.multinomial(self.config.shots, flat / flat.sum())
             result.counts = {
-                _bitstring(int(idx), measured, n): int(hits)
-                for idx, hits in zip(*np.unique(draws, return_counts=True))
+                _bitstring(int(idx), measured, n): int(hits[idx]) for idx in np.flatnonzero(hits)
             }
         return result
 

@@ -125,7 +125,7 @@ def _algorithm_options(config, algorithm: str) -> dict:
     if not config.has_section(algorithm):
         return out
     int_keys = {"steps", "cmx-order", "n-electrons", "max-iter", "max-iterations"}
-    real_keys = {"step-size", "grad-threshold", "tolerance", "ridge", "overlap-threshold"}
+    real_keys = {"step-size", "grad-threshold", "tolerance", "overlap-threshold"}
     for key, raw in config[algorithm].items():
         if key == "optimizer":
             continue

@@ -1,9 +1,16 @@
-"""Small dense complex linear-algebra kernel.
+"""Small dense linear-algebra kernel.
 
 Backed by numpy's LAPACK bindings behind the contracts the rest of the
-framework relies on: ridge-regularized least squares (QITE, QCMX), the
-indefinite generalized eigenproblem of a response pencil (QEOM), and
-polynomial root finding (QCMX).
+framework relies on: the spectral solve of a Gram system (QITE),
+minimum-norm least squares (QCMX), the indefinite generalized
+eigenproblem of a response pencil (QEOM), and polynomial root finding
+(QCMX).
+
+``solve_gram`` takes no tuned constant.  A Gram matrix is positive
+semidefinite in exact arithmetic, so a negative eigenvalue is rounding or
+shot noise, and by Weyl's inequality no eigenvalue at or below
+max(n eps lambda_max, -lambda_min) can be told apart from it: the truncated
+pseudo-inverse (Hansen, BIT 27, 534 (1987)) drops those directions.
 """
 from __future__ import annotations
 
@@ -25,24 +32,36 @@ def _require_hermitian(m: np.ndarray, label: str) -> None:
         raise ValueError(f"{label} is not Hermitian within tolerance")
 
 
-def solve_regularized_lsq(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Minimize ||a x - b||^2 + ridge ||x||^2.
+def solve_gram(s: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """x = sum of v (v^T b) / lambda over the eigenpairs of S with lambda
+    above max(n eps lambda_max, -lambda_min), and the number kept.
 
-    ridge > 0 solves the normal equations directly; ridge == 0 falls back
-    to the minimum-norm least-squares solution so rank-deficient systems
-    stay well defined.
+    S must equal its transpose bit for bit, as a Gram matrix built from one
+    value per pair does: ``eigh`` would silently read only one triangle.
     """
+    s = np.asarray(s, dtype=float)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: S is {s.shape}, b has {b.shape[0]} rows")
+    if not np.array_equal(s, s.T):
+        raise ValueError("Gram matrix is not symmetric")
+    values, vectors = np.linalg.eigh(s)
+    rounding = values.size * np.finfo(float).eps * values.max(initial=0.0)
+    noise = max(rounding, -values.min(initial=0.0))
+    keep = values > noise
+    kept = vectors[:, keep]
+    return kept @ ((kept.T @ b) / values[keep]), int(keep.sum())
+
+
+def solve_min_norm_lsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The minimum-norm x minimizing ||a x - b||, so rank-deficient systems
+    stay well defined."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex).reshape(-1)
     if a.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: a is {a.shape}, b has {b.shape[0]} rows")
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
-    if ridge == 0.0:
-        x, *_ = np.linalg.lstsq(a, b, rcond=None)
-        return x
-    ata = a.conj().T @ a + ridge * np.eye(a.shape[1])
-    return np.linalg.solve(ata, a.conj().T @ b)
+    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return x
 
 
 def indefinite_generalized_eig(

@@ -12,12 +12,12 @@ constructor validates strings in ``encode``, the one encoder, which the
 simulator also reads a rotation's string through.  A product is the XOR of
 the masks times i^(|xa&za| + |xb&zb| - |x&z| + 2|za&xb|), |m| a popcount;
 a commutator keeps only the anticommuting pairs of the product, doubled.
-``masks()`` exposes the encoding in ``terms()`` order, ``encoded()`` in
-(x, z) order without decoding; ``terms()`` decodes it to sorted
-(qubit, letter) tuples.  The simulator reads only ``encoded()``, in exact
-and sampled mode alike.  ``to_matrix`` builds the dense matrix from the
-letters by Kronecker products, independently of the encoding: it is the
-reference the tests check the encoding against.
+``encoded()`` exposes the encoding in (x, z) order without decoding;
+``terms()`` decodes it to sorted (qubit, letter) tuples.  The simulator
+reads only ``encoded()``, in exact and sampled mode alike.  ``to_matrix``
+builds the dense matrix from the letters by Kronecker products,
+independently of the encoding: it is the reference the tests check the
+encoding against.
 """
 from __future__ import annotations
 
@@ -139,10 +139,6 @@ class PauliOperator:
         }
 
     # ---- inspection ----
-
-    def masks(self) -> list[tuple[Masks, complex]]:
-        """Each encoded string as ((x, z), coefficient), in ``terms()`` order."""
-        return sorted(self._terms.items(), key=lambda item: _decode(item[0]))
 
     def encoded(self) -> list[tuple[Masks, complex]]:
         """Each encoded string as ((x, z), coefficient), ordered by (x, z):

@@ -81,7 +81,7 @@ class TestSingletAdaptedPool:
         assert pool.labels() == ["singlet_(0)->(1)", "singlet_(0,0)->(1,1)"]
         for _, generator in pool.elements:
             assert generator.dagger().isclose(-generator, tolerance=1e-15)
-            norm = sum(abs(c) ** 2 for _, c in generator.masks())
+            norm = sum(abs(c) ** 2 for _, c in generator.encoded())
             assert norm == pytest.approx(1.0, abs=1e-14)
 
     def test_adapt_reaches_the_sector_ground_state(self, hubbard_dimer_mo, sector_eigh):

@@ -17,8 +17,8 @@ error in law.  ``CompiledPauli``'s memory budget is checked with
 against dense Kronecker-built matrices on every qubit and ordered pair.
 Exact application from the factored sign tables is checked against dense
 matrices for n = 1..8 and on one string at ``MAX_QUBITS``, bit for bit
-for equal operators and for -op, and counting wrappers around
-``PauliOperator.masks`` and ``encoded`` check that only ``encoded`` is read.
+for equal operators and for -op, and a counting wrapper around
+``PauliOperator.encoded`` checks how often the strings are read.
 ``CompiledCircuit`` runs are checked bit for bit against ``statevector``
 of the circuit bound by ``ir.evaluate``, and its bad inputs to raise
 before any kernel runs.
@@ -177,7 +177,7 @@ class TestExactExpect:
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         index = np.arange(1 << n)
         groups = {}
-        for (x, z), coefficient in sorted(op.masks()):
+        for (x, z), coefficient in op.encoded():
             flip = int(format(x, f"0{n}b")[::-1], 2)
             parity = int(format(z, f"0{n}b")[::-1], 2)
             groups.setdefault(flip, []).append((parity, coefficient * 1j ** ((x & z).bit_count() & 3)))
@@ -256,8 +256,9 @@ class TestExactExpect:
         """One string touching the first, a middle and the last of
         ``MAX_QUBITS`` qubits, against the string read from reversed masks."""
         n = backend.MAX_QUBITS
-        op = pauli.PauliOperator({0: "Y", 7: "X", n - 1: "Z"}, 0.3 - 0.2j)
-        ((x, z), coefficient), = op.masks()
+        ops, coefficient = {0: "Y", 7: "X", n - 1: "Z"}, 0.3 - 0.2j
+        op = pauli.PauliOperator(ops, coefficient)
+        x, z = pauli.encode(ops)
         flip = int(format(x, f"0{n}b")[::-1], 2)
         parity = int(format(z, f"0{n}b")[::-1], 2)
         rng = np.random.default_rng(n)
@@ -813,37 +814,37 @@ class TestCompiledPauli:
 
 
 def _count_string_reads(monkeypatch):
-    """How often ``PauliOperator.masks`` and ``PauliOperator.encoded`` are called."""
-    reads = {"masks": 0, "encoded": 0}
-    for name in reads:
-        original = getattr(pauli.PauliOperator, name)
+    """How often ``PauliOperator.encoded`` is called."""
+    reads = {"encoded": 0}
+    original = pauli.PauliOperator.encoded
 
-        def counting(self, _name=name, _original=original):
-            reads[_name] += 1
-            return _original(self)
+    def counting(self):
+        reads["encoded"] += 1
+        return original(self)
 
-        monkeypatch.setattr(pauli.PauliOperator, name, counting)
+    monkeypatch.setattr(pauli.PauliOperator, "encoded", counting)
     return reads
 
 
 class TestStringReads:
-    """Both modes' tables read ``encoded()``, once per mode, and never sort
-    through ``masks()``; a rotation reads neither and builds no table, but
-    encodes its own ``ops``."""
+    """Both modes' tables read ``encoded()``, once per mode; a rotation
+    reads no string list and builds no table, but encodes its own ``ops``."""
 
     def test_a_one_off_exact_expect_reads_encoded_once(self, monkeypatch):
         state = _accelerator(1, shots=0).prepare(_h2_state(), 2)
         reads = _count_string_reads(monkeypatch)
         state.expect(pauli.load_hamiltonian(str(H2_PATH)))
-        assert reads == {"masks": 0, "encoded": 1}
+        assert reads == {"encoded": 1}
 
     def test_sampled_expect_reads_encoded_once(self, monkeypatch):
         state = _accelerator(1, shots=100).prepare(_h2_state(), 2)
         reads = _count_string_reads(monkeypatch)
         state.expect(pauli.load_hamiltonian(str(H2_PATH)))
-        assert reads == {"masks": 0, "encoded": 1}
+        assert reads == {"encoded": 1}
 
-    def test_an_exact_qeom_operation_never_reads_masks(self, monkeypatch, hubbard_chain):
+    def test_an_exact_qeom_operation_reads_the_strings_through_encoded(
+        self, monkeypatch, hubbard_chain
+    ):
         reference = create_composite("reference")
         for q in (0, 3):
             reference.add(create_instruction("X", [q]))
@@ -858,7 +859,6 @@ class TestStringReads:
         )
         reads = _count_string_reads(monkeypatch)
         algorithm.execute(qcsim.qalloc(6))
-        assert reads["masks"] == 0
         assert reads["encoded"] > 0
 
     def test_a_rotation_never_builds_the_exact_table(self, monkeypatch):
@@ -876,7 +876,7 @@ class TestStringReads:
         reads = _count_string_reads(monkeypatch)
         psi = backend.statevector(circuit, 3)
         assert built == []
-        assert reads == {"masks": 0, "encoded": 0}
+        assert reads == {"encoded": 0}
         assert np.abs(psi - _dense_state(circuit, 3)).max() <= 1e-12
 
 

@@ -22,12 +22,12 @@ when they are read.  Neither ``ansatz.py`` nor an algorithm module calls
 ``fermion.excitations``.  ``ir.py`` does not import ``fermion`` either,
 and ``backend.py`` never calls ``jordan_wigner``: an excitation node's
 strings and signs come from its modes by bit arithmetic.  In ``backend``
-only the compiled form reads an operator's strings: its sampled table
-(``CompiledPauli._measured``) is the one reader of ``masks()``, its exact
-table (``CompiledPauli._exact_tables``) the one reader of ``encoded()``,
-and only ``CompiledPauli.draw`` draws: exact application
-(``apply_pauli``) and sampled ``expect`` read the compiled form, while a
-rotation (``_rotate``) encodes its own ``ops`` and compiles nothing.  A
+only the compiled form reads an operator's strings: its one table builder
+(``CompiledPauli._factors``), which serves exact application and sampled
+draws alike, is the one reader of ``encoded()``, and only
+``CompiledPauli.draw`` draws: exact application (``apply_pauli``) and
+sampled ``expect`` read the compiled form, while a rotation (``_rotate``)
+encodes its own ``ops`` and compiles nothing.  A
 VQE run compiles its observable once, so does each ``evaluate_gradient``
 call, and a QITE run compiles each basis string once (counting tests).
 A VQE run plans its ansatz once, each gradient call plans its circuit
@@ -291,7 +291,6 @@ def test_one_compiled_form_reads_the_strings_of_a_pauli_sum():
     backend = PACKAGE / "backend.py"
     # the compiled form's one table builder is the only reader of an
     # operator's strings, in encoded() order, for both modes
-    assert _functions_calling(backend, "masks") == []
     assert _functions_calling(backend, "encoded") == ["CompiledPauli._factors"]
     # every draw of a sampled evaluation is one call, in the compiled form
     assert _functions_calling(backend, "binomial") == ["CompiledPauli.draw"]

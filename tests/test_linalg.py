@@ -1,40 +1,76 @@
 import numpy as np
 import pytest
 
-from qcsim.linalg import indefinite_generalized_eig, poly_roots, solve_regularized_lsq
+from qcsim.linalg import indefinite_generalized_eig, poly_roots, solve_gram, solve_min_norm_lsq
 
 
-class TestRegularizedLsq:
+class TestMinNormLsq:
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(solve_regularized_lsq(np.eye(3), b, 0.0), b)
-
-    def test_zero_matrix_with_ridge(self):
-        x = solve_regularized_lsq(np.zeros((3, 3)), np.ones(3), 1e-3)
-        assert np.allclose(x, 0.0)
+        assert np.allclose(solve_min_norm_lsq(np.eye(3), b), b)
 
     def test_random_well_conditioned_residual(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(3, 3)) + np.eye(3) * 3
         b = rng.normal(size=3)
-        x = solve_regularized_lsq(a, b, 0.0)
+        x = solve_min_norm_lsq(a, b)
         assert np.linalg.norm(a @ x - b) < 1e-10
-
-    def test_ridge_shrinks_solution(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(4, 4)) + np.eye(4) * 2
-        b = rng.normal(size=4)
-        plain = solve_regularized_lsq(a, b, 0.0)
-        ridged = solve_regularized_lsq(a, b, 10.0)
-        assert np.linalg.norm(ridged) < np.linalg.norm(plain)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            solve_regularized_lsq(np.eye(3), np.ones(2), 0.0)
+            solve_min_norm_lsq(np.eye(3), np.ones(2))
 
-    def test_negative_ridge_rejected(self):
+
+class TestSolveGram:
+    def test_full_rank_spd_system_agrees_with_solve(self):
+        rng = np.random.default_rng(10)
+        for n in (1, 4, 30):
+            m = rng.normal(size=(n, n))
+            s = m @ m.T + n * np.eye(n)
+            b = rng.normal(size=n)
+            x, rank = solve_gram(s, b)
+            reference = np.linalg.solve(s, b)
+            assert rank == n
+            assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_rank_deficient_gram_matrix_gives_the_minimum_norm_solution(self):
+        """S = V V^T of 12 vectors of length 5 has rank 5; x solves the
+        normal equations on range(S) and has no part in its null space."""
+        rng = np.random.default_rng(11)
+        vectors = rng.normal(size=(12, 5))
+        s = vectors @ vectors.T
+        b = rng.normal(size=12)
+        x, rank = solve_gram(s, b)
+        assert rank == np.linalg.matrix_rank(s) == 5
+        assert np.abs(x - np.linalg.pinv(s, hermitian=True) @ b).max() <= 1e-10
+        null = np.linalg.svd(vectors.T)[2][5:]
+        assert np.abs(null @ x).max() <= 1e-12 * np.linalg.norm(x)
+        assert np.abs(s @ (s @ x) - s @ b).max() <= 1e-10 * np.linalg.norm(s @ b)
+
+    def test_noise_below_the_most_negative_eigenvalue_is_cut(self):
+        s = np.diag([2.0, 1e-9, 0.0, -1e-8])
+        x, rank = solve_gram(s, np.ones(4))
+        assert rank == 1
+        assert np.abs(x - [0.5, 0.0, 0.0, 0.0]).max() <= 1e-15
+
+    def test_zero_matrix_gives_zero_at_rank_zero(self):
+        x, rank = solve_gram(np.zeros((3, 3)), np.ones(3))
+        assert rank == 0
+        assert np.array_equal(x, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "s, b",
+        [
+            (np.ones((3, 2)), np.ones(3)),
+            (np.ones(3), np.ones(3)),
+            (np.eye(3), np.ones(2)),
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), np.ones(2)),
+        ],
+        ids=["non-square", "vector", "mismatched", "non-symmetric"],
+    )
+    def test_bad_input_raises(self, s, b):
         with pytest.raises(ValueError):
-            solve_regularized_lsq(np.eye(2), np.ones(2), -1.0)
+            solve_gram(s, b)
 
 
 class TestIndefiniteGeneralizedEig:

@@ -8,6 +8,7 @@ from qcsim.pauli import (
     PauliOperator,
     PauliTerm,
     commutator,
+    encode,
     expectation_from_counts,
     multiply,
     observe,
@@ -84,10 +85,10 @@ class TestEncoding:
         with pytest.raises(ValueError, match="repeated"):
             build()
 
-    def test_encoded_holds_the_strings_of_masks_ordered_by_x_then_z(self):
+    def test_encoded_holds_the_encoded_terms_ordered_by_x_then_z(self):
         op = random_operator(np.random.default_rng(3), 4, 30, complex_coeffs=True)
         encoded = op.encoded()
-        assert encoded == sorted(op.masks())
+        assert encoded == sorted((encode(term.ops), term.coefficient) for term in op.terms())
         xs = [x for (x, _), _ in encoded]
         # the strings sharing an x mask are one run
         assert len({x for x in xs}) == 1 + sum(a != b for a, b in zip(xs, xs[1:]))
@@ -171,14 +172,14 @@ class TestAlgebra:
         a = random_operator(rng, n, left, complex_coeffs=True)
         b = random_operator(rng, n, right, complex_coeffs=True)
         got, reference = commutator(a, b), multiply(a, b) - multiply(b, a)
-        assert [masks for masks, _ in got.masks()] == [masks for masks, _ in reference.masks()]
+        assert [masks for masks, _ in got.encoded()] == [masks for masks, _ in reference.encoded()]
         assert got.isclose(reference, 1e-14)
 
     def test_equal_operators_are_one_key_whatever_their_term_order(self):
         terms = [PauliOperator({0: "X", 2: "Y"}, 0.5), PauliOperator({1: "Z"}, -0.25j), PauliOperator(0.3)]
         forward = terms[0] + terms[1] + terms[2]
         backward = terms[2] + terms[1] + terms[0]
-        assert list(forward.masks()) == list(backward.masks())
+        assert forward.encoded() == backward.encoded()
         assert forward == backward and hash(forward) == hash(backward)
         table = {forward: "forward"}
         assert table[backward] == "forward"
