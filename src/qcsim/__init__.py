@@ -27,6 +27,7 @@ from .backend import (
     qalloc,
     statevector,
 )
+from .errors import OptimizationError
 from .fermion import FermionOperator, FermionTerm, jordan_wigner
 from .ir import (
     CompositeInstruction,
@@ -41,7 +42,7 @@ from .ir import (
     pretty_print,
 )
 from .kernel import parse_kernel
-from .optim import ObjectiveFunction, OptimizerResult
+from .optim import OPTIMIZER_KINDS, ObjectiveFunction, OptimizerResult
 from .pauli import (
     PauliOperator,
     PauliTerm,
@@ -74,6 +75,7 @@ def get_accelerator(name: str, options=None) -> StatevectorAccelerator:
 def get_optimizer(name: str, options=None):
     optimizer = get_service(ServiceKind.OPTIMIZER, name)
     if options is not None:
+        HeterogeneousMap(options).read_declared(OPTIMIZER_KINDS, name, OptimizationError)
         optimizer.options = dict(options)
     return optimizer
 

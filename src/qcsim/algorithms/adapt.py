@@ -7,7 +7,10 @@ g_i = <psi|[H, A_i]|psi> for every pool operator in one
 each in exact mode, the built commutator in sampled mode);
 if ||g|| clears the threshold, the operator with the largest |g_i| is
 appended (new parameter at zero) and the whole parameter vector is
-re-optimized with the VQE sub-algorithm.
+re-optimized by a VQE run from the current parameters.  The pool is
+``pool`` (``uccsd`` when not given); the run stops once ||g|| falls below
+``grad-threshold`` or ``max-iter`` operators (the pool's size by default)
+have been appended.
 """
 from __future__ import annotations
 
@@ -17,25 +20,19 @@ from ..ansatz import build_pool, exp_pauli, reference_circuit
 from ..backend import AcceleratorBuffer, CompiledCircuit, expectation, qalloc
 from ..errors import AlgorithmError
 from ..ir import Parameter, create_composite
-from .base import Algorithm
+from .base import STATE_KINDS, Algorithm
 from .vqe import VQE
 
 
 class AdaptVQE(Algorithm):
     algorithm_name = "adapt"
-    required_keys = (
-        "optimizer",
-        "observable",
-        "sub-algorithm",
-        "n-electrons",
-        "pool",
-        "accelerator",
-    )
+    option_kinds = {
+        **STATE_KINDS, "optimizer": "optimizer", "n-electrons": "int", "pool": "string",
+        "grad-threshold": "real", "max-iter": "int",
+    }
+    required_keys = ("optimizer", "observable", "n-electrons", "accelerator")
 
     def _validate(self):
-        sub = self.options.get_string("sub-algorithm")
-        if sub != "vqe":
-            raise AlgorithmError(f"unsupported sub-algorithm '{sub}' (only 'vqe')")
         self._check_real("grad-threshold", positive=False)
 
     def _execute(self, buffer: AcceleratorBuffer) -> None:
@@ -43,7 +40,7 @@ class AdaptVQE(Algorithm):
         optimizer = self.options.get_optimizer("optimizer")
         accelerator = self.options.get_accelerator("accelerator")
         n_electrons = self.options.get_int("n-electrons")
-        pool_name = self.options.get_string("pool")
+        pool_name = self.options.get_or("pool", "string", "uccsd")
         threshold = self.options.get_or("grad-threshold", "real", 1e-2)
 
         n_qubits = max(observable.n_qubits(), buffer.size)

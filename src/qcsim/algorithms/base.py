@@ -7,12 +7,20 @@ from ..backend import AcceleratorBuffer
 from ..errors import AlgorithmError
 from ..registry import HeterogeneousMap, as_het_map
 
+# the keys of the run's state, which every algorithm reads
+STATE_KINDS = {"accelerator": "accelerator", "observable": "observable"}
+
 
 class Algorithm:
-    """Base class: subclasses declare required option keys and implement
-    ``_execute``."""
+    """Base class: a subclass declares ``option_kinds``, each key it reads
+    (``STATE_KINDS`` and its own) mapped to its ``HeterogeneousMap`` kind or
+    to the tuple of strings it may hold, and ``required_keys``, the subset it
+    cannot run without, and implements ``_execute``.  ``initialize`` raises
+    ``AlgorithmError`` naming any other key, and reads each given key at its
+    declared kind, before ``_validate`` and any simulation."""
 
     algorithm_name = "algorithm"
+    option_kinds: dict[str, "str | tuple[str, ...]"] = {}
     required_keys: tuple[str, ...] = ()
 
     def __init__(self):
@@ -24,6 +32,7 @@ class Algorithm:
 
     def initialize(self, options: "HeterogeneousMap | dict") -> "Algorithm":
         options = as_het_map(options)
+        options.read_declared(self.option_kinds, self.algorithm_name, AlgorithmError)
         missing = [key for key in self.required_keys if not options.contains(key)]
         if missing:
             raise AlgorithmError(

@@ -20,7 +20,7 @@ import numpy as np
 from ..backend import AcceleratorBuffer
 from ..errors import AlgorithmError
 from ..linalg import poly_roots, solve_min_norm_lsq
-from .base import Algorithm
+from .base import STATE_KINDS, Algorithm
 
 COLLAPSE_TOLERANCE = 1e-9
 _REAL_ROOT_TOLERANCE = 1e-7
@@ -111,6 +111,7 @@ def pds_energy(raw: list[float], order: int) -> float:
 
 class QCMX(Algorithm):
     algorithm_name = "qcmx"
+    option_kinds = {**STATE_KINDS, "ansatz": "composite", "cmx-order": "int"}
     required_keys = ("ansatz", "accelerator", "observable", "cmx-order")
 
     def _validate(self):

@@ -47,7 +47,7 @@ from ..errors import AlgorithmError
 from ..fermion import excitations
 from ..linalg import indefinite_generalized_eig
 from ..pauli import PauliOperator
-from .base import Algorithm
+from .base import STATE_KINDS, Algorithm
 
 _POSITIVE_ROOT_CUTOFF = 1e-8
 # Largest max/min ratio of the kept metric eigenvalues |lambda| that QEOM
@@ -76,6 +76,9 @@ def eom_pencil(
 
 class QEOM(Algorithm):
     algorithm_name = "qeom"
+    option_kinds = {
+        **STATE_KINDS, "ansatz": "composite", "n-electrons": "int", "overlap-threshold": "real"
+    }
     required_keys = ("ansatz", "accelerator", "observable", "n-electrons")
 
     def _validate(self):

@@ -31,7 +31,7 @@ from ..backend import AcceleratorBuffer, CompiledPauli, PreparedState
 from ..errors import AlgorithmError
 from ..linalg import solve_gram
 from ..pauli import PauliOperator, multiply
-from .base import Algorithm
+from .base import STATE_KINDS, Algorithm
 
 MAX_EXPANSION_QUBITS = 4
 
@@ -90,6 +90,7 @@ class StepSystem:
 
 class QITE(Algorithm):
     algorithm_name = "qite"
+    option_kinds = {**STATE_KINDS, "ansatz": "composite", "step-size": "real", "steps": "int"}
     required_keys = ("accelerator", "observable", "step-size", "steps", "ansatz")
 
     def _validate(self):

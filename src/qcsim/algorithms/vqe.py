@@ -1,8 +1,10 @@
 """Variational quantum eigensolver.
 
 Minimizes <psi(theta)|H|psi(theta)> over the ansatz parameters with the
-configured classical optimizer, optionally feeding it gradients from one
-of the strategies in ``optim.GRADIENT_STRATEGIES``.  The observable is
+configured classical optimizer, optionally feeding it gradients from the
+``gradient-strategy`` given, one of ``optim.GRADIENT_STRATEGIES``.  The
+optimizer's keys (``optim.OPTIMIZER_KINDS``) may be set on the run too,
+and override the optimizer's own options.  The observable is
 compiled once per run (``backend.compile_observable``) and the ansatz is
 planned once per run (``backend.CompiledCircuit``): every evaluation runs
 that plan with the optimizer's x and reads that observable, and builds no
@@ -16,49 +18,28 @@ import numpy as np
 
 from ..backend import AcceleratorBuffer, CompiledCircuit, compile_observable, expectation
 from ..errors import AlgorithmError
-from ..optim import GRADIENT_STRATEGIES, ObjectiveFunction, evaluate_gradient
-from ..registry import HeterogeneousMap
-from .base import Algorithm
-
-_FORWARDED_OPTIMIZER_KEYS = (
-    ("initial-point", "real-list"),
-    ("lower-bounds", "real-list"),
-    ("upper-bounds", "real-list"),
-    ("max-iterations", "int"),
-    ("tolerance", "real"),
-)
-
-
-def optimizer_options(algorithm_options: HeterogeneousMap, optimizer) -> dict:
-    """Merge optimizer defaults with per-run keys set on the algorithm."""
-    merged = dict(getattr(optimizer, "options", None) or {})
-    for key, kind in _FORWARDED_OPTIMIZER_KEYS:
-        if algorithm_options.contains(key):
-            merged[key] = algorithm_options.get(key, kind)
-    return merged
+from ..optim import GRADIENT_STRATEGIES, OPTIMIZER_KINDS, ObjectiveFunction, evaluate_gradient
+from .base import STATE_KINDS, Algorithm
 
 
 class VQE(Algorithm):
     algorithm_name = "vqe"
+    option_kinds = {
+        **STATE_KINDS, **OPTIMIZER_KINDS, "ansatz": "composite", "optimizer": "optimizer",
+        "gradient-strategy": GRADIENT_STRATEGIES,
+    }
     required_keys = ("ansatz", "optimizer", "observable", "accelerator")
 
     def _validate(self):
-        ansatz = self.options.get_composite("ansatz")
-        if len(ansatz.variables) < 1:
+        if len(self.options.get_composite("ansatz").variables) < 1:
             raise AlgorithmError("vqe needs an ansatz with at least one variable")
-        strategy = self.options.get_or("gradient_strategy", "string", None)
-        if strategy is not None and strategy not in GRADIENT_STRATEGIES:
-            raise AlgorithmError(
-                f"unknown gradient_strategy '{strategy}'; choose from "
-                f"{GRADIENT_STRATEGIES}"
-            )
 
     def _execute(self, buffer: AcceleratorBuffer) -> None:
         ansatz = self.options.get_composite("ansatz")
         optimizer = self.options.get_optimizer("optimizer")
         observable = self.options.get_observable("observable")
         accelerator = self.options.get_accelerator("accelerator")
-        strategy = self.options.get_or("gradient_strategy", "string", None)
+        strategy = self.options.get_or("gradient-strategy", "string", None)
         # one compiled observable and one planned ansatz for every evaluation
         compiled = compile_observable(observable, ansatz)
         circuit = CompiledCircuit(ansatz, compiled.n_qubits())
@@ -77,7 +58,12 @@ class VQE(Algorithm):
         f = ObjectiveFunction(
             objective, len(ansatz.variables), provides_gradient=strategy is not None
         )
-        result = optimizer.optimize(f, optimizer_options(self.options, optimizer))
+        # the optimizer's own options, overridden by those set on this run
+        options = dict(getattr(optimizer, "options", None) or {})
+        for key, kind in OPTIMIZER_KINDS.items():
+            if key in self.options:
+                options[key] = self.options.get(key, kind)
+        result = optimizer.optimize(f, options)
 
         # sampled opt_val is the lowest noisy sample seen, so measure afresh
         final = accelerator.prepare(circuit, circuit.n_qubits(), result.opt_params)

@@ -132,6 +132,8 @@ class AcceleratorConfig:
 class StatevectorAccelerator:
     """Noiseless dense statevector backend (shot sampling or exact mode)."""
 
+    option_kinds = {"shots": "int", "seed": "int"}
+
     def __init__(self):
         self.config = AcceleratorConfig()
         self._rng = np.random.default_rng()
@@ -140,16 +142,13 @@ class StatevectorAccelerator:
         return "statevector"
 
     def initialize(
-        self, options: "AcceleratorConfig | HeterogeneousMap | dict | None" = None
+        self, options: "HeterogeneousMap | dict | None" = None
     ) -> "StatevectorAccelerator":
-        if isinstance(options, AcceleratorConfig):
-            config = options
-        else:
-            het = as_het_map(options)
-            config = AcceleratorConfig(
-                shots=het.get_or("shots", "int", 0),
-                seed=het.get_or("seed", "int", None),
-            )
+        options = as_het_map(options)
+        options.read_declared(self.option_kinds, "statevector", BackendError)
+        config = AcceleratorConfig(
+            shots=options.get_or("shots", "int", 0), seed=options.get_or("seed", "int", None)
+        )
         if config.shots < 0:
             raise BackendError(f"shots must be >= 0, got {config.shots}")
         self.config = config

@@ -14,11 +14,14 @@ seed, version).  ``# seed=`` holds the sampling seed actually used: the
 given one, or a drawn 32-bit seed when a sampled run (shots > 0) names
 none; exact runs without a seed leave it blank.  Rerunning with
 ``--seed`` set to the recorded value reproduces the CSV.  All energies
-are in Hartree.  Exit codes: 0 success, 1 config error (the file, its
-ansatz or kernel file, a typed algorithm key, a ``gradient-strategy``
-outside ``[vqe]`` or not in ``optim.GRADIENT_STRATEGIES``, the shot
-count, or qite from an ansatz with free variables), 2 missing
-Hamiltonian file, 3 algorithm error.
+are in Hartree.  Each section takes only its declared keys: ``[run]``,
+``[hamiltonian]`` and ``[ansatz]`` those of ``_SECTION_KEYS``, and the
+algorithm's own section those of its ``option_kinds``, each value parsed
+at its declared kind, and ``optimizer``, an optimizer's name.  Exit codes:
+0 success, 1 config error (the file, its ansatz or kernel file, an
+unknown algorithm, an undeclared key in any section, a value not of its
+key's kind or choices, the shot count, or qite from an ansatz with free
+variables), 2 missing Hamiltonian file, 3 algorithm error.
 """
 from __future__ import annotations
 
@@ -37,14 +40,23 @@ from .backend import qalloc
 from .errors import ConfigError, QcsimError
 from .ir import evaluate
 from .kernel import parse_kernel
-from .optim import GRADIENT_STRATEGIES
 from .pauli import load_hamiltonian
-from .registry import ServiceKind, list_services
+from .registry import HeterogeneousMap, ServiceKind, get_service, list_services
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MISSING_HAMILTONIAN = 2
 EXIT_ALGORITHM = 3
+
+# the keys the CLI reads from each of its own sections
+_SECTION_KEYS = {
+    "run": ("algorithm", "shots", "seed", "out"),
+    "hamiltonian": ("files", "file", "labels"),
+    "ansatz": ("kind", "ne", "nq", "file", "source", "params"),
+}
+# how an algorithm's config value is parsed at its declared kind; a value
+# of any other kind is kept as text, which only a string kind accepts
+_PARSERS = {"int": int, "real": float, "real-list": lambda raw: list(map(float, _split_list(raw)))}
 
 
 def _fmt(value: float) -> str:
@@ -60,6 +72,11 @@ def _parse_config(path: str) -> configparser.ConfigParser:
         raise ConfigError("config needs a [run] section")
     if not config.has_option("run", "algorithm"):
         raise ConfigError("[run] needs an 'algorithm' key")
+    for name, keys in _SECTION_KEYS.items():
+        if config.has_section(name):
+            HeterogeneousMap(dict(config[name])).read_declared(
+                dict.fromkeys(keys, "string"), f"[{name}]", ConfigError
+            )
     return config
 
 
@@ -118,44 +135,21 @@ def _build_ansatz(config):
     return circuit
 
 
-def _algorithm_options(config, algorithm: str) -> dict:
-    """Typed key-value pairs from the algorithm's own config section; a
-    ``gradient-strategy`` is checked here, before any sweep point runs."""
-    out: dict = {}
-    if not config.has_section(algorithm):
-        return out
-    int_keys = {"steps", "cmx-order", "n-electrons", "max-iter", "max-iterations"}
-    real_keys = {"step-size", "grad-threshold", "tolerance", "overlap-threshold"}
-    for key, raw in config[algorithm].items():
-        if key == "optimizer":
-            continue
-        if key == "gradient-strategy":
-            if algorithm != "vqe" or raw.strip() not in GRADIENT_STRATEGIES:
-                raise ConfigError(
-                    f"[{algorithm}] gradient-strategy = {raw.strip()}: only [vqe] takes one, "
-                    f"from {', '.join(GRADIENT_STRATEGIES)}"
-                )
-            out["gradient_strategy"] = raw.strip()
-        elif key in int_keys:
-            out[key] = int(raw)
-        elif key in real_keys:
-            out[key] = float(raw)
-        elif key in ("initial-point", "lower-bounds", "upper-bounds"):
-            out[key] = [float(v) for v in _split_list(raw)]
-        else:
-            out[key] = raw
-    return out
+def _algorithm_options(config, algorithm: str, kinds: dict) -> dict:
+    """The algorithm's own section, each value parsed at the kind ``kinds``
+    declares for its key, and the ``optimizer`` name."""
+    section = dict(config[algorithm]) if config.has_section(algorithm) else {}
+    optimizer = section.pop("optimizer", "nelder-mead")
+    options = {key: _PARSERS.get(kinds.get(key), str)(raw) for key, raw in section.items()}
+    HeterogeneousMap(options).read_declared(kinds, f"[{algorithm}]", ConfigError)
+    return {**options, "optimizer": optimizer}
 
 
-def _prepare_ground_state(circuit, observable, accelerator, config, algorithm):
+def _prepare_ground_state(circuit, observable, accelerator, optimizer: str):
     """Bind a symbolic ansatz to its VQE-optimal parameters."""
     if circuit.is_concrete:
         return circuit
-    section = config[algorithm] if config.has_section(algorithm) else {}
-    optimizer = get_optimizer(
-        section.get("optimizer", "nelder-mead"),
-        {"tolerance": 1e-14, "max-iterations": 2000},
-    )
+    optimizer = get_optimizer(optimizer, {"tolerance": 1e-14, "max-iterations": 2000})
     vqe = get_algorithm(
         "vqe",
         {
@@ -170,23 +164,18 @@ def _prepare_ground_state(circuit, observable, accelerator, config, algorithm):
     return evaluate(circuit, scratch.metadata.get_real_list("opt-params"))
 
 
-def _execute_point(config, algorithm, options, observable, accelerator, ansatz, verbose):
-    """Run one sweep point from the sweep's ansatz and options; returns the buffer."""
+def _execute_point(kinds, algorithm, options, observable, accelerator, ansatz, verbose):
+    """Run one sweep point from the sweep's ansatz and options; returns the
+    buffer.  An algorithm that takes no optimizer starts from the VQE
+    optimum of a symbolic ansatz."""
     n_qubits = observable.n_qubits()
     options = dict(options)
-    section = config[algorithm] if config.has_section(algorithm) else {}
-
-    if algorithm in ("vqe", "adapt"):
-        options["optimizer"] = get_optimizer(section.get("optimizer", "nelder-mead"))
-    if algorithm == "adapt":
-        options.setdefault("sub-algorithm", "vqe")
-        options.setdefault("pool", "uccsd")
-
+    optimizer = options.pop("optimizer")
+    if "optimizer" in kinds:
+        options["optimizer"] = get_optimizer(optimizer)
+    elif ansatz is not None:
+        ansatz = _prepare_ground_state(ansatz, observable, accelerator, optimizer)
     if ansatz is not None:
-        if algorithm in ("qcmx", "qeom"):
-            ansatz = _prepare_ground_state(
-                ansatz, observable, accelerator, config, algorithm
-            )
         options["ansatz"] = ansatz
         n_qubits = max(n_qubits, ansatz.max_qubit() + 1)
 
@@ -229,7 +218,7 @@ def _out_path(config, args, default: str) -> Path:
     return Path(config.get("run", "out", fallback=default))
 
 
-def _spectrum_columns(algorithm: str, config, buffer) -> dict[str, float]:
+def _spectrum_columns(algorithm: str, buffer) -> dict[str, float]:
     if algorithm == "qeom":
         columns = {"E0": buffer.metadata.get_real("ground-energy")}
         for i, energy in enumerate(
@@ -238,11 +227,10 @@ def _spectrum_columns(algorithm: str, config, buffer) -> dict[str, float]:
             columns[f"ex{i}"] = energy
         return columns
     if algorithm == "qcmx":
-        order = config.getint("qcmx", "cmx-order")
         columns = {}
         for family in ("cmx", "pds", "knowles"):
             values = buffer.metadata.get_real_list(f"{family}-energies")
-            for m, value in zip(range(2, order + 1), values):
+            for m, value in enumerate(values, start=2):
                 columns[f"{family}{m}"] = value
         return columns
     if algorithm == "qite":
@@ -251,7 +239,7 @@ def _spectrum_columns(algorithm: str, config, buffer) -> dict[str, float]:
     return {"opt-val": buffer.metadata.get_real("opt-val")}
 
 
-def _run_columns(algorithm: str, _config, buffer) -> dict[str, float]:
+def _run_columns(algorithm: str, buffer) -> dict[str, float]:
     if algorithm == "qcmx":
         energy = buffer.metadata.get_real_list("pds-energies")[-1]
     elif algorithm == "qeom":
@@ -264,7 +252,7 @@ def _run_columns(algorithm: str, _config, buffer) -> dict[str, float]:
 def _sweep(args, row_columns, default_out: str) -> int:
     """Run the configured algorithm at every sweep point and write the CSV.
 
-    ``row_columns(algorithm, config, buffer)`` names the point's values;
+    ``row_columns(algorithm, buffer)`` names the point's values;
     the header lists every column in first-seen order and a row lacking
     one leaves its cell blank.
     """
@@ -272,11 +260,10 @@ def _sweep(args, row_columns, default_out: str) -> int:
         config = _parse_config(args.config)
         sweep = _hamiltonian_files(config)
         algorithm = config.get("run", "algorithm")
-        options = _algorithm_options(config, algorithm)
+        kinds = get_service(ServiceKind.ALGORITHM, algorithm).option_kinds
+        options = _algorithm_options(config, algorithm, kinds)
         accelerator, seed = _accelerator_from(config, args)
-        ansatz = None
-        if algorithm in ("vqe", "qite", "qcmx", "qeom"):
-            ansatz = _build_ansatz(config)
+        ansatz = _build_ansatz(config) if "ansatz" in kinds else None
         if algorithm == "qite" and not ansatz.is_concrete:
             raise ConfigError(f"qite needs a concrete ansatz; bind {ansatz.variables} by params")
     except (QcsimError, configparser.Error, ValueError) as exc:
@@ -291,9 +278,9 @@ def _sweep(args, row_columns, default_out: str) -> int:
         observable = load_hamiltonian(path)
         try:
             buffer = _execute_point(
-                config, algorithm, options, observable, accelerator, ansatz, args.verbose
+                kinds, algorithm, options, observable, accelerator, ansatz, args.verbose
             )
-            rows.append((label, row_columns(algorithm, config, buffer)))
+            rows.append((label, row_columns(algorithm, buffer)))
         except (QcsimError, ValueError, KeyError) as exc:
             print(f"algorithm error at '{label}': {exc}", file=sys.stderr)
             return EXIT_ALGORITHM

@@ -22,6 +22,11 @@ from .registry import HeterogeneousMap, as_het_map
 FD_DEFAULT_STEP = 1e-4
 SHIFT = math.pi / 2.0
 GRADIENT_STRATEGIES = ("central", "forward", "backward", "parameter-shift")
+# the options every optimizer reads, each at its HeterogeneousMap kind
+OPTIMIZER_KINDS = {
+    "max-iterations": "int", "tolerance": "real", "initial-point": "real-list",
+    "lower-bounds": "real-list", "upper-bounds": "real-list",
+}
 
 
 @dataclass
@@ -52,6 +57,7 @@ class OptimizerResult:
 
 
 def _read_common_options(options: HeterogeneousMap, dimension: int):
+    options.read_declared(OPTIMIZER_KINDS, "optimizer", OptimizationError)
     max_iter = options.get_or("max-iterations", "int", 500)
     tolerance = options.get_or("tolerance", "real", 1e-8)
     x0 = np.asarray(
@@ -61,12 +67,10 @@ def _read_common_options(options: HeterogeneousMap, dimension: int):
         raise OptimizationError(
             f"initial-point has {x0.size} entries, objective dimension is {dimension}"
         )
-    lower = options.get_or("lower-bounds", "real-list", None)
-    upper = options.get_or("upper-bounds", "real-list", None)
     bounds = None
-    if lower is not None or upper is not None:
-        lo = np.asarray(lower if lower is not None else [-np.inf] * dimension)
-        hi = np.asarray(upper if upper is not None else [np.inf] * dimension)
+    if options.contains("lower-bounds") or options.contains("upper-bounds"):
+        lo = np.asarray(options.get_or("lower-bounds", "real-list", [-np.inf] * dimension))
+        hi = np.asarray(options.get_or("upper-bounds", "real-list", [np.inf] * dimension))
         if lo.size != dimension or hi.size != dimension:
             raise OptimizationError("bounds length does not match dimension")
         bounds = (lo, hi)

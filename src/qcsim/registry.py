@@ -85,9 +85,6 @@ class HeterogeneousMap:
 
     __contains__ = contains
 
-    def keys(self) -> list[str]:
-        return list(self._entries)
-
     def kind_of(self, key: str) -> str:
         self._require(key)
         return self._entries[key][0]
@@ -146,6 +143,19 @@ class HeterogeneousMap:
         if not self.contains(key):
             return default
         return self.get(key, kind)
+
+    def read_declared(self, kinds: dict[str, Any], owner: str, error: type) -> None:
+        """Raise ``error`` naming every key not in ``kinds``, then read each
+        key at its declared kind: a map kind, or a tuple of the strings the
+        key may hold."""
+        undeclared = [key for key in self._entries if key not in kinds]
+        if undeclared:
+            raise error(f"{owner} takes no {', '.join(undeclared)}; it declares {', '.join(kinds)}")
+        for key in self._entries:
+            kind = kinds[key]
+            value = self.get(key, "string" if isinstance(kind, tuple) else kind)
+            if isinstance(kind, tuple) and value not in kind:
+                raise error(f"{owner} {key} '{value}': choose from {', '.join(kind)}")
 
     def _require(self, key: str) -> None:
         if key not in self._entries:

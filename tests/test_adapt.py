@@ -24,7 +24,6 @@ def _adapt(observable):
         {
             "optimizer": qcsim.get_optimizer("nelder-mead", {"tolerance": 1e-12}),
             "observable": observable,
-            "sub-algorithm": "vqe",
             "n-electrons": 2,
             "pool": "uccsd",
             "accelerator": accelerator,
@@ -62,7 +61,6 @@ def test_a_bad_grad_threshold_raises_before_any_simulation(value, hubbard_dimer_
     options = {
         "optimizer": qcsim.get_optimizer("nelder-mead"),
         "observable": hubbard_dimer_mo,
-        "sub-algorithm": "vqe",
         "n-electrons": 2,
         "pool": "uccsd",
         "accelerator": accelerator,

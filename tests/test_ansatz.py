@@ -90,7 +90,6 @@ class TestSingletAdaptedPool:
             {
                 "optimizer": qcsim.get_optimizer("nelder-mead", {"tolerance": 1e-12}),
                 "observable": hubbard_dimer_mo,
-                "sub-algorithm": "vqe",
                 "n-electrons": 2,
                 "pool": "singlet-adapted-uccsd",
                 "accelerator": qcsim.get_accelerator("statevector", {"shots": 0}),

@@ -564,7 +564,6 @@ class TestSimulationCounts:
                 "optimizer": qcsim.get_optimizer("nelder-mead"),
                 "n-electrons": 2,
                 "pool": "uccsd",
-                "sub-algorithm": "vqe",
             },
         )
         buffer = qcsim.qalloc(4)

@@ -297,6 +297,25 @@ class TestExitCodes:
         assert "algorithm error at 'h2'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_algorithm_is_a_config_error_before_any_hamiltonian_is_read(
+        self, tmp_path, capsys
+    ):
+        # the sweep's file is absent, so reading it would exit 2
+        config = _write_config(tmp_path, "vqe", files=[str(tmp_path / "absent.ham")])
+        config.write_text(
+            config.read_text(encoding="utf-8").replace("algorithm = vqe", "algorithm = vqee"),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.csv"
+        with mock.patch.object(cli, "load_hamiltonian") as loaded:
+            for verb in ("run", "spectrum"):
+                assert _main(verb, config, out) == cli.EXIT_CONFIG
+        assert loaded.call_count == 0
+        err = capsys.readouterr().err
+        assert "config error: no algorithm named 'vqee'" in err
+        assert "algorithm error" not in err
+        assert not out.exists()
+
     def test_missing_kernel_file_is_a_config_error(self, tmp_path, capsys):
         config = _write_config(tmp_path, "vqe")
         (tmp_path / "h2.kernel").unlink()
@@ -470,6 +489,68 @@ class TestExitCodes:
             encoding="utf-8",
         )
         assert _main("run", config, tmp_path / "o.csv") == cli.EXIT_ALGORITHM
+
+
+class TestDeclaredKeys:
+    """Every section takes only its declared keys: the CLI's own sections
+    those of ``cli._SECTION_KEYS``, an algorithm's section those of its
+    ``option_kinds`` and ``optimizer``."""
+
+    # (algorithm, section, line): one misspelt or stale key per section
+    UNDECLARED = {
+        "run-shot": ("vqe", "[run]", "shot = 4000"),
+        "hamiltonian-label": ("vqe", "[hamiltonian]", "label = h2"),
+        "ansatz-param": ("vqe", "[ansatz]", "param = 0.1"),
+        "vqe-max-iter": ("vqe", "[vqe]", "max-iter = 3"),
+        "qite-stpes": ("qite", "[qite]", "stpes = 40"),
+        "qite-ridge": ("qite", "[qite]", "ridge = 1e-6"),
+        "qeom-overlap_threshold": ("qeom", "[qeom]", "overlap_threshold = 0.5"),
+        "adapt-sub-algorithm": ("adapt", "[adapt]", "sub-algorithm = vqe"),
+    }
+    DIMER_SECTIONS = {
+        "qite": "[qite]\nsteps = 2\nstep-size = 0.1\n",
+        "qeom": "[qeom]\nn-electrons = 2\n",
+        "adapt": "[adapt]\nn-electrons = 2\n",
+    }
+
+    def _config(self, tmp_path, algorithm):
+        if algorithm == "vqe":
+            return _write_config(tmp_path, "vqe")
+        config = tmp_path / "dimer.ini"
+        config.write_text(
+            f"[run]\nalgorithm = {algorithm}\n"
+            f"[hamiltonian]\nfiles = {DIMER_PATH}\n"
+            "[ansatz]\nkind = uccsd\nne = 2\nnq = 4\nparams = 0, 0, 0\n"
+            + self.DIMER_SECTIONS[algorithm],
+            encoding="utf-8",
+        )
+        return config
+
+    @pytest.mark.parametrize("algorithm, section, line", UNDECLARED.values(), ids=UNDECLARED.keys())
+    def test_an_undeclared_key_is_a_config_error(self, tmp_path, capsys, algorithm, section, line):
+        config = self._config(tmp_path, algorithm)
+        out = tmp_path / "o.csv"
+        # without the key the config runs
+        assert _main("run", config, out) == cli.EXIT_OK
+        out.unlink()
+        text = config.read_text(encoding="utf-8")
+        config.write_text(text.replace(f"{section}\n", f"{section}\n{line}\n"), encoding="utf-8")
+        for verb in ("run", "spectrum"):
+            assert _main(verb, config, out) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {section} takes no {line.split(' = ')[0]}; it declares" in err
+        assert "algorithm error" not in err
+        assert not out.exists()
+
+    def test_a_key_the_run_supplies_cannot_be_set(self, tmp_path, capsys):
+        config = _write_config(tmp_path, "vqe")
+        config.write_text(
+            config.read_text(encoding="utf-8") + "observable = h2\n", encoding="utf-8"
+        )
+        out = tmp_path / "o.csv"
+        assert _main("run", config, out) == cli.EXIT_CONFIG
+        assert "config error: key 'observable'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSampledSeed:

@@ -35,6 +35,9 @@ once, whatever the strategy, and none of them nor an ADAPT run binds a
 tree with ``ir.evaluate``; ``optim.py`` imports nothing that binds or
 splices one.
 Gates are applied in place, without ``tensordot`` or ``moveaxis``.
+Each algorithm module reads through ``self.options`` exactly the keys its
+class declares in ``option_kinds``: no key read undeclared, none declared
+and left unread, and ``required_keys`` is a subset of them.
 ``qeom.eom_pencil`` builds no commutator in exact mode, and an exact QEOM
 run compiles its observable once.
 """
@@ -88,6 +91,65 @@ def _reads(path, attributes):
 )
 def test_algorithms_and_optim_never_read_the_mode(path):
     assert _reads(path, {"config", "shots"}) == []
+
+
+def _option_key(node):
+    """The key argument of a read through ``self.options`` or
+    ``self._check_real``, or None when ``node`` is no such read."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args):
+        return None
+    owner = node.func.value
+    through_options = (
+        isinstance(owner, ast.Attribute)
+        and owner.attr == "options"
+        and isinstance(owner.value, ast.Name)
+        and owner.value.id == "self"
+    )
+    checked = isinstance(owner, ast.Name) and owner.id == "self" and node.func.attr == "_check_real"
+    return node.args[0] if through_options or checked else None
+
+
+def _option_reads(path, module):
+    """(keys read, lines of reads by a key no table names): a string key is
+    read as written; a key variable only inside ``for ... in TABLE.items()``
+    over a module-level table, which reads every key of that table."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    keys, by_table = set(), set()
+    for node in ast.walk(tree):
+        iterated = node.iter if isinstance(node, ast.For) else None
+        if (
+            isinstance(iterated, ast.Call)
+            and isinstance(iterated.func, ast.Attribute)
+            and iterated.func.attr == "items"
+            and isinstance(iterated.func.value, ast.Name)
+        ):
+            reads = [inner for inner in ast.walk(node) if isinstance(_option_key(inner), ast.Name)]
+            if reads:
+                keys |= set(getattr(module, iterated.func.value.id))
+                by_table |= {id(inner) for inner in reads}
+    unnamed = []
+    for node in ast.walk(tree):
+        key = _option_key(node)
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            keys.add(key.value)
+        elif key is not None and id(node) not in by_table:
+            unnamed.append(node.lineno)
+    return keys, unnamed
+
+
+@pytest.mark.parametrize("name", ["adapt", "qcmx", "qeom", "qite", "vqe"])
+def test_an_algorithm_reads_exactly_the_keys_it_declares(name):
+    import importlib
+
+    from qcsim.registry import ServiceKind, get_service
+
+    module = importlib.import_module(f"qcsim.algorithms.{name}")
+    declared = get_service(ServiceKind.ALGORITHM, name).option_kinds
+    assert type(get_service(ServiceKind.ALGORITHM, name)).__module__ == module.__name__
+    keys, unnamed = _option_reads(ALGORITHMS / f"{name}.py", module)
+    assert unnamed == []
+    assert keys == set(declared)
+    assert set(get_service(ServiceKind.ALGORITHM, name).required_keys) <= set(declared)
 
 
 ENCODING_OWNER = PACKAGE / "pauli.py"
@@ -446,7 +508,6 @@ def test_an_adapt_run_binds_no_tree(monkeypatch, hubbard_dimer_mo):
         {
             "optimizer": qcsim.get_optimizer("nelder-mead"),
             "observable": hubbard_dimer_mo,
-            "sub-algorithm": "vqe",
             "n-electrons": 2,
             "pool": "uccsd",
             "accelerator": qcsim.get_accelerator("statevector", {"shots": 0}),
@@ -475,7 +536,7 @@ def test_each_gradient_compiles_its_observable_once(monkeypatch):
     observable, _ = _h2_vqe(
         0,
         optimizer=qcsim.get_optimizer("gradient-descent"),
-        gradient_strategy="parameter-shift",
+        **{"gradient-strategy": "parameter-shift"},
     )
     assert gradients
     assert compiled == [observable] * (1 + len(gradients))

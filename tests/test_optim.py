@@ -162,7 +162,7 @@ class TestGradientAgreement:
                 "optimizer": qcsim.get_optimizer("gradient-descent"),
                 "observable": observable,
                 "accelerator": exact_accelerator,
-                "gradient_strategy": "parameter-shift",
+                "gradient-strategy": "parameter-shift",
             },
         )
         buffer = qcsim.qalloc(2)
