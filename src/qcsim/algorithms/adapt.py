@@ -2,9 +2,9 @@
 
 Each iteration plans the symbolic ansatz once (``backend.CompiledCircuit``)
 and runs it at the current parameters, binding no tree, and measures
-g_i = <psi|[H, A_i]|psi> for every pool operator in one
-``PreparedState.expect_commutators([H], pool)`` call (two inner products
-each in exact mode, the built commutator in sampled mode);
+g_i = <psi|[H, A_i]|psi> for every pool operator as the P of one
+``PreparedState.expect_commutators([H], pool)`` call; the first run, the
+reference, also gives <H>, the energy when no operator is appended;
 if ||g|| clears the threshold, the operator with the largest |g_i| is
 appended (new parameter at zero) and the whole parameter vector is
 re-optimized by a VQE run from the current parameters.  The pool is
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ansatz import build_pool, exp_pauli, reference_circuit
-from ..backend import AcceleratorBuffer, CompiledCircuit, expectation, qalloc
+from ..backend import AcceleratorBuffer, CompiledCircuit, qalloc
 from ..errors import AlgorithmError
 from ..ir import Parameter, create_composite
 from .base import STATE_KINDS, Algorithm
@@ -42,6 +42,8 @@ class AdaptVQE(Algorithm):
         n_electrons = self.options.get_int("n-electrons")
         pool_name = self.options.get_or("pool", "string", "uccsd")
         threshold = self.options.get_or("grad-threshold", "real", 1e-2)
+        if not observable.is_hermitian():
+            raise AlgorithmError("adapt needs a Hermitian observable")
 
         n_qubits = max(observable.n_qubits(), buffer.size)
         if n_qubits % 2:
@@ -59,11 +61,12 @@ class AdaptVQE(Algorithm):
         chosen: list[str] = []
         params: list[float] = []
         gradient_norms: list[float] = []
-        energy = expectation(observable, reference, accelerator)
 
         while True:
             state = accelerator.prepare(CompiledCircuit(ansatz, n_qubits), n_qubits, params)
-            gradients = state.expect_commutators([observable], generators)[0].real
+            if not params:
+                energy = state.expect(observable).real
+            gradients = state.expect_commutators([observable], generators)[0][0].real
             norm = float(np.linalg.norm(gradients))
             gradient_norms.append(norm)
             if norm < threshold or len(chosen) >= max_iter:

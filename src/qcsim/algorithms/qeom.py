@@ -8,16 +8,14 @@ span the excitation/de-excitation manifold.  The commutator matrix elements
     M_uv = <[O_u†, [H, O_v ]]>      Q_uv = -<[O_u†, [H, O_v†]]>
     V_uv = <[O_u†, O_v ]>           W_uv = -<[O_u†, O_v†]>
 
-are read in two ``PreparedState.expect_commutators`` calls with the
+are read in one ``PreparedState.expect_commutators`` call with the
 adjoints O_u† as lefts and, per v, the rights O_v and O_v† interleaved
-(columns 0::2 and 1::2): the observable form, <[L, [H, R]]>, gives M
-and Q, and the plain form V and W.  H is compiled once per run, for the
-pencil and the ground energy.  Exact mode builds no commutator: the
-observable form applies H to the cached state once and reads
-[H, R]psi = H(R psi) - R(H psi) and [H, R]†psi = -[H, R†]psi from
-vectors.  Sampled mode forms [H, R] once per right and measures every
-element in the order of the (u, v) loop, M and Q first.  They are
-assembled into the response pencil
+(columns 0::2 and 1::2): its D, <[L, [H, R]]>, gives M and Q, and its P
+gives V and W.  H is compiled once per run, for the pencil and the ground
+energy.  Exact mode builds no commutator and applies each O and O† once,
+reading its P and D columns from that one vector.  Sampled mode forms
+[H, R] once per right and measures every element in the order of the
+(u, v) loop, M and Q first.  They are assembled into the response pencil
 
     [[M, Q], [Q*, M*]] x = E [[V, W], [-W*, -V*]] x
 
@@ -26,17 +24,18 @@ are kept because dropping them biases the energies whenever O_u†|psi>
 does not annihilate (the single-block double-commutator pencil is
 measurably off even at the exact ground state).
 
-The metric B is solved only on eigen-directions with |lambda| above the
-overlap threshold; the rest (excitations that annihilate the state both
-ways) are counted in ``qeom-dropped-directions``.  If the kept |lambda|
-span more than ``MAX_METRIC_CONDITION`` (``qeom-metric-condition``), the
-state leaves some excitations nearly dependent and QEOM raises
-``AlgorithmError`` instead of returning roots.  It raises too when the
-metric is dead as a whole: when even the largest kept |lambda| lies more
-than ``MAX_METRIC_CONDITION`` below the basis operators' scale
-max_u (sum of |coefficients| of O_u)^2, which bounds every |B_uv| up to a
-factor 2 and is 1 for JW excitations, however evenly the kept |lambda|
-spread.
+B is eigendecomposed once, in ``linalg.indefinite_generalized_eig``,
+which solves the pencil only on eigen-directions with |lambda| above the
+overlap threshold and returns those |lambda|; the rest (excitations that
+annihilate the state both ways) are counted in ``qeom-dropped-directions``.
+If the kept |lambda| span more than ``MAX_METRIC_CONDITION``
+(``qeom-metric-condition``), the state leaves some excitations nearly
+dependent and QEOM raises ``AlgorithmError`` instead of returning roots.
+It raises too when the metric is dead as a whole: when even the largest
+kept |lambda| lies more than ``MAX_METRIC_CONDITION`` below the basis
+operators' scale max_u (sum of |coefficients| of O_u)^2, which bounds
+every |B_uv| up to a factor 2 and is 1 for JW excitations, however evenly
+the kept |lambda| spread.
 """
 from __future__ import annotations
 
@@ -63,8 +62,7 @@ def eom_pencil(
     """Assemble the (Hermitized) doubled response pencil (A, B)."""
     daggers = [op.dagger() for op in operators]
     rights = [op for pair in zip(operators, daggers) for op in pair]
-    responses = state.expect_commutators(daggers, rights, observable)
-    overlaps = state.expect_commutators(daggers, rights)
+    overlaps, responses = state.expect_commutators(daggers, rights, observable)
     m, q = responses[:, 0::2], -responses[:, 1::2]
     v, w = overlaps[:, 0::2], -overlaps[:, 1::2]
     a = np.block([[m, q], [q.conj(), m.conj()]])
@@ -110,13 +108,12 @@ class QEOM(Algorithm):
         state = accelerator.prepare(ansatz, n_qubits)
         compiled = CompiledPauli(observable, n_qubits)
         a, b = eom_pencil(compiled, basis, state)
-        metric = np.abs(np.linalg.eigvalsh(b))
-        kept = metric[metric > threshold]
+        values, kept = indefinite_generalized_eig(a, b, threshold)
         if not kept.size:
             raise AlgorithmError("all-singular overlap matrix; basis is dead")
         condition = float(kept.max() / kept.min())
         buffer.metadata.insert("qeom-metric-condition", condition)
-        buffer.metadata.insert("qeom-dropped-directions", int(metric.size - kept.size))
+        buffer.metadata.insert("qeom-dropped-directions", len(b) - kept.size)
         if condition > MAX_METRIC_CONDITION:
             raise AlgorithmError(
                 f"ill-conditioned metric: kept |eigenvalues| span {condition:.3g} "
@@ -130,9 +127,8 @@ class QEOM(Algorithm):
                 f"more than {MAX_METRIC_CONDITION:.0e} below the basis scale "
                 f"{scale:.3g}, so the roots would be noise"
             )
-        values, rank = indefinite_generalized_eig(a, b, threshold)
         energies = [float(e) for e in values if e > _POSITIVE_ROOT_CUTOFF]
 
         buffer.metadata.insert("ground-energy", state.expect(compiled).real)
         buffer.metadata.insert("excitation-energies", energies)
-        buffer.metadata.insert("qeom-matrix-rank", rank)
+        buffer.metadata.insert("qeom-matrix-rank", kept.size)

@@ -35,13 +35,13 @@ call, exact ``moments``) hold the compiled form, and no module-level
 cache exists.  Exact application and a draw each take one matmul and one
 gather per distinct X mask, no numpy call per string.
 
-Commutators without products: exact ``expect_commutators`` takes
-<[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi> and applies each
-distinct operator once: one equal to an operator applied before, or to
-minus it, reads that one's vector.  Its observable form, <[L, [H, R]]>
-for a Hermitian H, applies H to psi once and reads [H, R] psi as
-H (R psi) - R (H psi), so no commutator is built or compiled.  The lefts'
-vectors live through the call and each right's are dropped once read.
+Commutators without products, in one pass: exact ``expect_commutators``
+reads P, <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi>, and, given a
+Hermitian H, D, <[L, [H, R]]>, from each distinct operator A's one vector
+A psi (an operator equal to one applied before, or to minus it, reads that
+one's) and [H, A] psi = H (A psi) - A (H psi), with H psi formed once, so
+no commutator is built or compiled.  The lefts' vectors live through the
+call and each right's are dropped once read.
 
 One pass per leaf: ``_rotate`` applies a ``PauliRotation`` and
 ``_excite`` an ``ExcitationRotation`` without building its gate lowering,
@@ -262,13 +262,14 @@ class PreparedState:
         lefts: Sequence[PauliOperator],
         rights: Sequence[PauliOperator],
         observable: "PauliOperator | CompiledPauli | None" = None,
-    ) -> np.ndarray:
-        """The matrix of <psi|[L_i, R_j]|psi>, or of <psi|[L_i, [H, R_j]]|psi>
-        for a Hermitian ``observable`` H, plain or compiled for this register.
+    ) -> tuple[np.ndarray, "np.ndarray | None"]:
+        """(P, D): the matrices of <psi|[L_i, R_j]|psi> and, for a Hermitian
+        ``observable`` H, plain or compiled for this register, of
+        <psi|[L_i, [H, R_j]]|psi>; D is None without H.
 
         Every operator's width and H's Hermiticity are checked before any
         vector or draw.  Sampled mode forms [H, R_j] once per right and
-        measures each [L_i, .] in the order of the loop over i, then j.
+        draws all of D, then all of P, each in the order of i, then j.
         """
         n = self.n_qubits
         for op in (*lefts, *rights):
@@ -278,13 +279,13 @@ class PreparedState:
             if not observable.is_hermitian():
                 raise BackendError("commutators with an observable need a Hermitian one")
         if self.accelerator.config.shots:
-            if observable is not None:
-                rights = [commutator(observable._op, b) for b in rights]
-            out = np.empty((len(lefts), len(rights)), dtype=complex)
-            for i, a in enumerate(lefts):
-                for j, b in enumerate(rights):
-                    out[i, j] = self.expect(commutator(a, b))
-            return out
+            sides = [] if observable is None else [[commutator(observable._op, b) for b in rights]]
+            *d, p = (
+                np.array([[self.expect(commutator(a, b)) for b in side] for a in lefts], dtype=complex)
+                .reshape(len(lefts), len(rights))
+                for side in sides + [rights]
+            )
+            return p, (d[0] if d else None)
         # <[L, C]> = <L^dag psi|C psi> - <C^dag psi|L psi>, with C = R, or
         # C = [H, R] and C^dag = -[H, R^dag]; every operator equal, up to
         # sign, to one already met reads that one's vector
@@ -313,29 +314,29 @@ class PreparedState:
             row[...] = apply_pauli(op, psi)
         right_rows, right_signs = signed(rights)
         adjoint_rows, adjoint_signs = signed(rights, adjoint=True)
-        # the rights' own operators are compiled on each application
-        compiled += owners[len(compiled):]
         h_psi = None if observable is None else apply_pauli(observable, psi)
 
-        def overlaps(s: int) -> np.ndarray:
-            """<kept row|C psi> for every kept row, C = owners[s] or
-            [H, owners[s]]; its vectors are dropped once read."""
-            vector = kept[s] if s < len(kept) else apply_pauli(compiled[s], psi)
+        def columns(s: int) -> Iterator[np.ndarray]:
+            """<kept row|A psi>, A = owners[s], then, given H, <kept row|[H, A] psi>
+            from H (A psi) - A (H psi); a right's form and vectors are dropped once read."""
+            op = compiled[s] if s < len(kept) else CompiledPauli(owners[s], n)
+            vector = kept[s] if s < len(kept) else apply_pauli(op, psi)
+            yield (kept @ vector.conj()).conj()
             if h_psi is not None:
-                # [H, A] psi = H (A psi) - A (H psi)
                 vector = apply_pauli(observable, vector)
-                vector -= apply_pauli(compiled[s], h_psi)
-            return (kept @ vector.conj()).conj()
+                vector -= apply_pauli(op, h_psi)
+                yield (kept @ vector.conj()).conj()
 
-        # column s for each slot s the rights read
-        table = np.empty((len(kept), len(owners)), dtype=complex)
+        # column s of P's table, and of D's, for each slot s the rights read
+        tables = np.empty((1 if h_psi is None else 2, len(kept), len(owners)), dtype=complex)
         for s in dict.fromkeys(right_rows + adjoint_rows):
-            table[:, s] = overlaps(s)
-        with_r, with_d = table[bra_rows][:, right_rows], table[ket_rows][:, adjoint_rows]
-        flip = 1.0 if h_psi is None else -1.0
-        return bra_signs[:, None] * right_signs * with_r - (
-            flip * ket_signs[:, None] * adjoint_signs * with_d.conj()
+            tables[:, :, s] = list(columns(s))
+        p, *d = (
+            bra_signs[:, None] * right_signs * table[bra_rows][:, right_rows]
+            - flip * ket_signs[:, None] * adjoint_signs * table[ket_rows][:, adjoint_rows].conj()
+            for table, flip in zip(tables, (1.0, -1.0))
         )
+        return p, (d[0] if d else None)
 
     def evolve(self, block: CompositeInstruction) -> "PreparedState":
         """The state after ``block``, which ``prepare``'s checks must pass."""

@@ -17,11 +17,14 @@ none; exact runs without a seed leave it blank.  Rerunning with
 are in Hartree.  Each section takes only its declared keys: ``[run]``,
 ``[hamiltonian]`` and ``[ansatz]`` those of ``_SECTION_KEYS``, and the
 algorithm's own section those of its ``option_kinds``, each value parsed
-at its declared kind, and ``optimizer``, an optimizer's name.  Exit codes:
-0 success, 1 config error (the file, its ansatz or kernel file, an
-unknown algorithm, an undeclared key in any section, a value not of its
-key's kind or choices, the shot count, or qite from an ansatz with free
-variables), 2 missing Hamiltonian file, 3 algorithm error.
+at its declared kind, and ``optimizer``, an optimizer's name, where an
+optimizer is read: the algorithm declares one, or the CLI binds a
+symbolic ansatz by VQE first.  Exit codes: 0 success, 1 config error,
+raised before any Hamiltonian is read (the file, its ansatz or kernel
+file, an unknown algorithm or optimizer, an undeclared key in any section,
+a value not of its key's kind or choices, the shot count, or qite from an
+ansatz with free variables), 2 missing Hamiltonian file, 3 algorithm
+error.
 """
 from __future__ import annotations
 
@@ -135,21 +138,26 @@ def _build_ansatz(config):
     return circuit
 
 
-def _algorithm_options(config, algorithm: str, kinds: dict) -> dict:
+def _algorithm_options(config, algorithm: str, kinds: dict, ansatz) -> dict:
     """The algorithm's own section, each value parsed at the kind ``kinds``
-    declares for its key, and the ``optimizer`` name."""
+    declares for its key.  ``optimizer`` names the optimizer where one is
+    read, resolved here: the algorithm's own when it declares one, or that
+    of the VQE run that binds a symbolic ``ansatz`` first (``nelder-mead``
+    when not given); elsewhere it is undeclared."""
     section = dict(config[algorithm]) if config.has_section(algorithm) else {}
-    optimizer = section.pop("optimizer", "nelder-mead")
+    binds = "optimizer" not in kinds and ansatz is not None and not ansatz.is_concrete
+    name = section.pop("optimizer", "nelder-mead") if "optimizer" in kinds or binds else None
     options = {key: _PARSERS.get(kinds.get(key), str)(raw) for key, raw in section.items()}
     HeterogeneousMap(options).read_declared(kinds, f"[{algorithm}]", ConfigError)
-    return {**options, "optimizer": optimizer}
+    if name is not None:
+        options["optimizer"] = get_optimizer(
+            name, {"tolerance": 1e-14, "max-iterations": 2000} if binds else None
+        )
+    return options
 
 
-def _prepare_ground_state(circuit, observable, accelerator, optimizer: str):
+def _prepare_ground_state(circuit, observable, accelerator, optimizer):
     """Bind a symbolic ansatz to its VQE-optimal parameters."""
-    if circuit.is_concrete:
-        return circuit
-    optimizer = get_optimizer(optimizer, {"tolerance": 1e-14, "max-iterations": 2000})
     vqe = get_algorithm(
         "vqe",
         {
@@ -170,11 +178,8 @@ def _execute_point(kinds, algorithm, options, observable, accelerator, ansatz, v
     optimum of a symbolic ansatz."""
     n_qubits = observable.n_qubits()
     options = dict(options)
-    optimizer = options.pop("optimizer")
-    if "optimizer" in kinds:
-        options["optimizer"] = get_optimizer(optimizer)
-    elif ansatz is not None:
-        ansatz = _prepare_ground_state(ansatz, observable, accelerator, optimizer)
+    if "optimizer" not in kinds and "optimizer" in options:
+        ansatz = _prepare_ground_state(ansatz, observable, accelerator, options.pop("optimizer"))
     if ansatz is not None:
         options["ansatz"] = ansatz
         n_qubits = max(n_qubits, ansatz.max_qubit() + 1)
@@ -261,11 +266,11 @@ def _sweep(args, row_columns, default_out: str) -> int:
         sweep = _hamiltonian_files(config)
         algorithm = config.get("run", "algorithm")
         kinds = get_service(ServiceKind.ALGORITHM, algorithm).option_kinds
-        options = _algorithm_options(config, algorithm, kinds)
-        accelerator, seed = _accelerator_from(config, args)
         ansatz = _build_ansatz(config) if "ansatz" in kinds else None
         if algorithm == "qite" and not ansatz.is_concrete:
             raise ConfigError(f"qite needs a concrete ansatz; bind {ansatz.variables} by params")
+        options = _algorithm_options(config, algorithm, kinds, ansatz)
+        accelerator, seed = _accelerator_from(config, args)
     except (QcsimError, configparser.Error, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

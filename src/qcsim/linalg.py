@@ -66,14 +66,15 @@ def solve_min_norm_lsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def indefinite_generalized_eig(
     a: np.ndarray, b: np.ndarray, threshold: float = 1e-10
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Real eigenvalues of A x = E B x for Hermitian A and *indefinite*
     Hermitian B (response-type pencils with a +/- metric signature).
 
     B is eigendecomposed, directions with |eigenvalue| <= threshold are
     projected out, the rest are scaled to a pure sign metric, and the
     resulting similarity problem is solved densely.  Returns the sorted
-    real parts and the numerical rank of B.
+    real parts and the kept |eigenvalues| of B, whose size is B's
+    numerical rank.
     """
     a = _as_matrix(a)
     b = _as_matrix(b)
@@ -83,15 +84,13 @@ def indefinite_generalized_eig(
     _require_hermitian(b, "metric matrix")
     b_values, b_vectors = np.linalg.eigh(b)
     keep = np.abs(b_values) > threshold
-    rank = int(keep.sum())
-    if rank == 0:
-        return np.array([]), 0
-    basis = b_vectors[:, keep] / np.sqrt(np.abs(b_values[keep]))
+    kept = np.abs(b_values[keep])
+    basis = b_vectors[:, keep] / np.sqrt(kept)
     signs = np.sign(b_values[keep])
     reduced = basis.conj().T @ a @ basis
     reduced = 0.5 * (reduced + reduced.conj().T)
     roots = np.linalg.eig(np.diag(signs) @ reduced)[0]
-    return np.sort(roots.real), rank
+    return np.sort(roots.real), kept
 
 
 def poly_roots(coeffs: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ def _infer_kind(value: Any) -> str:
         return "string"
     if isinstance(value, (list, tuple)):
         items = list(value)
-        if all(isinstance(v, bool) for v in items):
+        if items and all(isinstance(v, bool) for v in items):
             raise HetMapTypeError("lists of booleans are not a supported kind")
         if all(isinstance(v, int) for v in items):
             return "int-list"
@@ -92,6 +92,9 @@ class HeterogeneousMap:
     def get(self, key: str, kind: str) -> Any:
         self._require(key)
         stored_kind, value = self._entries[key]
+        if stored_kind in _LIST_KINDS and kind in _LIST_KINDS and not value:
+            # an empty list, stored as an int-list, is every list kind
+            return []
         if stored_kind != kind:
             # ints are acceptable where reals are requested; everything
             # else is a hard mismatch

@@ -12,6 +12,7 @@ import pytest
 
 import qcsim
 from qcsim import backend, pauli
+from qcsim.ansatz import reference_circuit
 from qcsim.errors import AlgorithmError
 
 DIMER_PATH = Path(__file__).resolve().parents[1] / "data" / "hubbard_dimer.ham"
@@ -72,3 +73,47 @@ def test_a_bad_grad_threshold_raises_before_any_simulation(value, hubbard_dimer_
             qcsim.get_algorithm("adapt", options).execute(qcsim.qalloc(4))
     assert simulated.call_count == 0
     assert accelerator._rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("shots", [0, 100])
+def test_a_non_hermitian_observable_raises_before_any_simulation(shots, hubbard_dimer_mo):
+    accelerator = qcsim.get_accelerator("statevector", {"shots": shots, "seed": 5})
+    options = {
+        "optimizer": qcsim.get_optimizer("nelder-mead"),
+        "observable": hubbard_dimer_mo + pauli.PauliOperator({0: "X"}, 0.5j),
+        "n-electrons": 2,
+        "accelerator": accelerator,
+    }
+    before = accelerator._rng.bit_generator.state
+    with mock.patch.object(backend, "_zero_state") as simulated:
+        with pytest.raises(AlgorithmError, match="adapt needs a Hermitian observable"):
+            qcsim.get_algorithm("adapt", options).execute(qcsim.qalloc(4))
+    assert simulated.call_count == 0
+    assert accelerator._rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("shots", [0, 400])
+@pytest.mark.parametrize(
+    "stop", [{"grad-threshold": 1000.0}, {"max-iter": 0}], ids=["threshold", "max-iter"]
+)
+def test_a_run_that_appends_nothing_returns_the_reference_energy(shots, stop, hubbard_dimer_mo):
+    """With no operator appended the energy is <H> on the reference, read
+    from the first sweep's state with the draws a fresh state would make."""
+
+    def accelerator():
+        return qcsim.get_accelerator("statevector", {"shots": shots, "seed": 9})
+
+    options = {
+        "optimizer": qcsim.get_optimizer("nelder-mead"),
+        "observable": hubbard_dimer_mo,
+        "n-electrons": 2,
+        "accelerator": accelerator(),
+        **stop,
+    }
+    buffer = qcsim.qalloc(4)
+    qcsim.get_algorithm("adapt", options).execute(buffer)
+    reference = accelerator().prepare(reference_circuit(2, 4), 4)
+    assert buffer.metadata.get_real("opt-val") == reference.expect(hubbard_dimer_mo).real
+    assert buffer.metadata.get_string_list("adapt-ops") == []
+    assert buffer.metadata.get_real_list("opt-params") == []
+    assert len(buffer.metadata.get_real_list("adapt-gradient-norms")) == 1

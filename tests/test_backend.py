@@ -339,8 +339,8 @@ class TestCommutatorReuse:
     """Exact ``expect_commutators`` applies each distinct operator once, up
     to sign: the lefts' L psi and L^dag psi, and every right's R psi and
     R^dag psi, are read from a vector already at hand when the operator is
-    equal to, or minus, one applied before.  The observable form applies H
-    to psi once and, per slot the rights read, H to A psi and A to H psi."""
+    equal to, or minus, one applied before.  Given H, the same pass applies
+    H to psi once and, per slot the rights read, H to A psi and A to H psi."""
 
     def test_adapt_shape_costs_one_application_per_generator(self, monkeypatch, hubbard_dimer_mo):
         """A Hermitian left is applied once and every anti-Hermitian right
@@ -348,22 +348,22 @@ class TestCommutatorReuse:
         generators = [op for _, op in qcsim.build_pool("uccsd", 2, 4).elements]
         state = _accelerator(seed=0, shots=0).prepare(_perturbed_reference(4, (0, 2)), 4)
         applied = _counted_applications(monkeypatch)
-        got = state.expect_commutators([hubbard_dimer_mo], generators)
+        got, responses = state.expect_commutators([hubbard_dimer_mo], generators)
+        assert responses is None
         assert len(applied) == 1 + len(generators)
         want = [state.expect(pauli.commutator(hubbard_dimer_mo, g)) for g in generators]
         assert np.abs(got[0] - want).max() <= 1e-12
 
-    def test_qeom_on_the_six_qubit_chain_compiles_57_and_applies_114_operators(
+    def test_qeom_on_the_six_qubit_chain_compiles_29_and_applies_86_operators(
         self, monkeypatch, hubbard_chain
     ):
         """14 excitations O_u: the lefts O_u^dag and their adjoints are 28
         distinct operators up to sign, and the rights O_v and O_v^dag are
-        all among them.  Each of the pencil's two calls compiles and
-        applies the 28 once (56); the observable form applies H to psi once
-        and, per operator A, H to A psi and A to H psi (57); the ground
-        energy is the 114th application.  H is compiled once for the run:
-        57 compiles.  Before, 57 operators were compiled and applied once
-        each, 28 of them the built [H, O_v] and their adjoints."""
+        all among them.  The pencil's one call compiles and applies the 28
+        once (28), applies H to psi once and, per operator A, H to A psi
+        and A to H psi (57); the ground energy is the 86th application.  H
+        is compiled once for the run: 29 compiles.  When P and D came from
+        two calls, the 28 were compiled and applied once more (57 and 114)."""
         reference = create_composite("reference")
         for q in (0, 3):
             reference.add(create_instruction("X", [q]))
@@ -385,8 +385,8 @@ class TestCommutatorReuse:
             lambda self, op, n: compiled.append(op) or compile(self, op, n),
         )
         algorithm.execute(qcsim.qalloc(6))
-        assert len(applied) == 114
-        assert len(compiled) == 57
+        assert len(applied) == 86
+        assert len(compiled) == 29
         assert compiled.count(observable) == 1
 
     def test_values_match_nested_commutator_expectations(self, monkeypatch):
@@ -400,7 +400,7 @@ class TestCommutatorReuse:
         rights = [a, -a.dagger(), hermitian, -hermitian, d, -d, d.dagger(), b.dagger(), c]
         state = _accelerator(seed=0, shots=0).prepare(_perturbed_reference(3, (0,)), 3)
         applied = _counted_applications(monkeypatch)
-        got = state.expect_commutators(lefts, rights)
+        got, _ = state.expect_commutators(lefts, rights)
         # a, a^dag, hermitian, b, b^dag, d, d^dag, c, c^dag
         assert len(applied) == 9
         want = np.array(
@@ -410,9 +410,10 @@ class TestCommutatorReuse:
 
     def test_memory_stays_at_the_lefts_plus_a_few_vectors(self, hubbard_chain):
         """One 12-qubit call with 1 left and 60 anti-Hermitian rights holds
-        at most 2 * lefts + 4 vectors of 2^n at once; the observable form
-        adds H psi, H applied to a right's vector and two compiled forms of
-        the chain (about one vector each at 12 qubits): 2 * lefts + 8."""
+        at most 2 * lefts + 4 vectors of 2^n at once; the call that returns
+        D with P adds H psi, H applied to a right's vector and two compiled
+        forms of the chain (about one vector each at 12 qubits):
+        2 * lefts + 8."""
         n = 12
         rng = np.random.default_rng(12)
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -570,8 +571,9 @@ class TestSimulationCounts:
         algorithm.execute(buffer)
         iterations = len(buffer["adapt-gradient-norms"])
         assert iterations >= 2
-        # the reference energy, then one prepared state per gradient sweep
-        assert len(calls) == 1 + iterations
+        # one prepared state per gradient sweep; the first, the reference,
+        # also gives the reference energy
+        assert len(calls) == iterations
 
 
 class TestSampledExpect:

@@ -482,19 +482,34 @@ class TestExitCodes:
         _, _, rows = _read(out)
         assert float(rows[0]["opt-val"]) == pytest.approx(h2_spectrum[0], abs=1e-6)
 
-    def test_unknown_optimizer_is_an_algorithm_error(self, tmp_path):
-        config = _write_config(tmp_path, "vqe")
+    @pytest.mark.parametrize("algorithm", ["vqe", "qeom"], ids=["declared", "binding-vqe"])
+    def test_unknown_optimizer_is_a_config_error_before_any_hamiltonian_is_read(
+        self, tmp_path, capsys, algorithm
+    ):
+        """VQE declares ``optimizer``; QEOM from the symbolic kernel reads it
+        for the VQE that binds the kernel first."""
+        # the sweep's file is absent, so reading it would exit 2
+        config = _write_config(tmp_path, algorithm, files=[str(tmp_path / "absent.ham")])
         config.write_text(
-            config.read_text(encoding="utf-8").replace("nelder-mead", "no-such"),
+            config.read_text(encoding="utf-8").replace("nelder-mead", "no-such")
+            + ("optimizer = no-such\n" if algorithm == "qeom" else ""),
             encoding="utf-8",
         )
-        assert _main("run", config, tmp_path / "o.csv") == cli.EXIT_ALGORITHM
+        out = tmp_path / "o.csv"
+        with mock.patch.object(cli, "load_hamiltonian") as loaded:
+            for verb in ("run", "spectrum"):
+                assert _main(verb, config, out) == cli.EXIT_CONFIG
+        assert loaded.call_count == 0
+        err = capsys.readouterr().err
+        assert "config error: no optimizer named 'no-such'" in err
+        assert "algorithm error" not in err
+        assert not out.exists()
 
 
 class TestDeclaredKeys:
     """Every section takes only its declared keys: the CLI's own sections
     those of ``cli._SECTION_KEYS``, an algorithm's section those of its
-    ``option_kinds`` and ``optimizer``."""
+    ``option_kinds``, and ``optimizer`` where an optimizer is read."""
 
     # (algorithm, section, line): one misspelt or stale key per section
     UNDECLARED = {
@@ -506,6 +521,10 @@ class TestDeclaredKeys:
         "qite-ridge": ("qite", "[qite]", "ridge = 1e-6"),
         "qeom-overlap_threshold": ("qeom", "[qeom]", "overlap_threshold = 0.5"),
         "adapt-sub-algorithm": ("adapt", "[adapt]", "sub-algorithm = vqe"),
+        # an optimizer is read only where the algorithm declares one or the
+        # CLI binds a symbolic ansatz by VQE; these ansatzes are bound
+        "qite-optimizer": ("qite", "[qite]", "optimizer = no-such"),
+        "qeom-optimizer": ("qeom", "[qeom]", "optimizer = no-such"),
     }
     DIMER_SECTIONS = {
         "qite": "[qite]\nsteps = 2\nstep-size = 0.1\n",
@@ -601,3 +620,21 @@ def test_list_prints_the_four_service_kinds(capsys):
     printed = capsys.readouterr().out.splitlines()
     kinds = [line.split(":", 1)[0] for line in printed]
     assert kinds == ["accelerator", "optimizer", "algorithm", "compiler"]
+
+
+def test_adapt_that_appends_nothing_reports_the_reference_energy(tmp_path):
+    """No pool gradient of |1100> on the orbital-basis dimer reaches 1000."""
+    path = DIMER_PATH.with_name("hubbard_dimer_mo.ham")
+    config = tmp_path / "adapt.ini"
+    config.write_text(
+        f"[run]\nalgorithm = adapt\n[hamiltonian]\nfiles = {path}\n"
+        "[adapt]\nn-electrons = 2\ngrad-threshold = 1000\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.csv"
+    assert _main("run", config, out) == cli.EXIT_OK
+    _, _, rows = _read(out)
+    reference = np.zeros(16)
+    reference[0b1100] = 1.0
+    matrix = pauli.to_matrix(pauli.load_hamiltonian(str(path)), 4).real
+    assert float(rows[0]["opt-val"]) == pytest.approx(reference @ matrix @ reference, abs=1e-11)

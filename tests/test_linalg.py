@@ -77,22 +77,33 @@ class TestIndefiniteGeneralizedEig:
     def test_sign_metric(self):
         a = np.diag([3.0, 5.0])
         b = np.diag([1.0, -1.0])
-        values, rank = indefinite_generalized_eig(a, b)
-        assert rank == 2
+        values, kept = indefinite_generalized_eig(a, b)
+        assert kept.size == 2
         assert np.allclose(values, [-5.0, 3.0])
 
     def test_projects_null_directions(self):
         a = np.diag([3.0, 5.0, 7.0])
         b = np.diag([1.0, -1.0, 0.0])
-        values, rank = indefinite_generalized_eig(a, b)
-        assert rank == 2 and len(values) == 2
+        values, kept = indefinite_generalized_eig(a, b)
+        assert kept.size == 2 and len(values) == 2
+
+    def test_returns_the_kept_magnitudes_of_the_metric(self):
+        """|lambda| of B above the threshold, in the ascending order of lambda."""
+        a = np.diag([3.0, 5.0, 7.0])
+        values, kept = indefinite_generalized_eig(a, np.diag([2.0, -0.5, 1e-11]))
+        assert kept.tolist() == [0.5, 2.0]
+        assert np.allclose(values, [-10.0, 1.5])
+
+    def test_a_metric_below_the_threshold_keeps_nothing(self):
+        values, kept = indefinite_generalized_eig(np.eye(2), 1e-12 * np.diag([1.0, -1.0]))
+        assert values.size == 0 and kept.size == 0
 
     def test_positive_definite_metric_gives_the_hermitian_spectrum(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(5, 5))
         m = a + a.T
-        values, rank = indefinite_generalized_eig(m, np.eye(5))
-        assert rank == 5
+        values, kept = indefinite_generalized_eig(m, np.eye(5))
+        assert kept.size == 5
         assert np.allclose(values, np.linalg.eigvalsh(m), atol=1e-10)
         s = a @ a.T + np.eye(5)
         values, _ = indefinite_generalized_eig(2.0 * s, s)

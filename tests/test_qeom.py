@@ -3,11 +3,12 @@
 ``PreparedState.expect_commutators`` is checked against ``expect`` of the
 built commutator and against dense ``to_matrix`` commutators (exact), and
 against the nested ``expect(commutator)`` loop value for value (sampled),
-in its plain form and in its observable form <[L, [H, R]]>, whose bad
-observables raise before any vector or draw.  QEOM itself is checked on
-the Hubbard dimer against sector exact diagonalization in the orbital
-basis, must refuse the site-basis state whose metric is ill-conditioned,
-and builds no Pauli sum in exact mode.
+for P, <[L, R]>, alone and with D, <[L, [H, R]]>, whose bad observables
+raise before any vector or draw; P is the same with D as without.  QEOM
+itself is checked on the Hubbard dimer against sector exact
+diagonalization in the orbital basis, must refuse the site-basis state
+whose metric is ill-conditioned, builds no Pauli sum in exact mode and
+eigendecomposes its metric once.
 """
 import math
 from pathlib import Path
@@ -61,7 +62,8 @@ def commutator_cases(draw):
 def test_exact_matches_built_commutators_and_dense_matrices(case):
     n, circuit, lefts, rights = case
     state = _accelerator().prepare(circuit, n)
-    got = state.expect_commutators(lefts, rights)
+    got, responses = state.expect_commutators(lefts, rights)
+    assert responses is None
     assert got.shape == (len(lefts), len(rights))
     psi = backend.statevector(circuit, n)
     for i, left in enumerate(lefts):
@@ -89,7 +91,10 @@ def _entangled(n_qubits):
 
 def test_sampled_values_follow_the_nested_expect_loop():
     lefts, rights = _operators(3, 3, seed=1), _operators(3, 4, seed=2)
-    got = _accelerator(500, seed=11).prepare(_entangled(3), 3).expect_commutators(lefts, rights)
+    got, responses = (
+        _accelerator(500, seed=11).prepare(_entangled(3), 3).expect_commutators(lefts, rights)
+    )
+    assert responses is None
     reference = _accelerator(500, seed=11).prepare(_entangled(3), 3)
     want = [[reference.expect(pauli.commutator(a, b)) for b in rights] for a in lefts]
     assert got.tolist() == want
@@ -113,8 +118,10 @@ def test_observable_form_matches_built_double_commutators(case, compile_first):
     n, circuit, h, lefts, rights = case
     state = _accelerator().prepare(circuit, n)
     observable = backend.CompiledPauli(h, n) if compile_first else h
-    got = state.expect_commutators(lefts, rights, observable)
+    overlaps, got = state.expect_commutators(lefts, rights, observable)
     assert got.shape == (len(lefts), len(rights))
+    # P comes from the same vectors as in the call without H, bit for bit
+    assert np.array_equal(overlaps, state.expect_commutators(lefts, rights)[0])
     psi = backend.statevector(circuit, n)
     dense_h = pauli.to_matrix(h, n)
     for i, left in enumerate(lefts):
@@ -129,15 +136,20 @@ def test_observable_form_matches_built_double_commutators(case, compile_first):
 
 
 def test_sampled_observable_form_follows_the_nested_expect_loop():
-    """[H, R_j] is formed once per right; [L_i, .] is measured over i, then j."""
+    """[H, R_j] is formed once per right; every element of D is measured
+    over i, then j, and then every element of P."""
     lefts, rights = _operators(3, 3, seed=1), _operators(3, 4, seed=2)
     (h,) = _operators(3, 1, seed=3)
     h = h + h.dagger()
-    got = _accelerator(500, seed=11).prepare(_entangled(3), 3).expect_commutators(lefts, rights, h)
+    overlaps, got = (
+        _accelerator(500, seed=11).prepare(_entangled(3), 3).expect_commutators(lefts, rights, h)
+    )
     reference = _accelerator(500, seed=11).prepare(_entangled(3), 3)
     responses = [pauli.commutator(h, b) for b in rights]
     want = [[reference.expect(pauli.commutator(a, b)) for b in responses] for a in lefts]
+    want_overlaps = [[reference.expect(pauli.commutator(a, b)) for b in rights] for a in lefts]
     assert got.tolist() == want
+    assert overlaps.tolist() == want_overlaps
 
 
 @pytest.mark.parametrize("shots", [0, 100])
@@ -339,3 +351,31 @@ def test_a_bad_overlap_threshold_raises_before_any_simulation(value, hubbard_dim
             qcsim.get_algorithm("qeom", options).execute(qcsim.qalloc(4))
     assert simulated.call_count == 0
     assert accelerator._rng.bit_generator.state == before
+
+
+def test_one_run_eigendecomposes_the_metric_once(monkeypatch, hubbard_dimer_mo):
+    """B is eigendecomposed once, in ``linalg.indefinite_generalized_eig``,
+    and QEOM's condition number, dropped count and rank read the kept
+    |lambda| it returns."""
+    pencils, calls = [], []
+    pencil = qeom.eom_pencil
+    monkeypatch.setattr(qeom, "eom_pencil", lambda *args: pencils.append(pencil(*args)) or pencils[-1])
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg,
+            name,
+            lambda m, *args, original=original, name=name, **kwargs: calls.append((name, m))
+            or original(m, *args, **kwargs),
+        )
+    hartree_fock = qcsim.evaluate(qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4)), [0.0] * 3)
+    algorithm, buffer = _qeom(hubbard_dimer_mo, hartree_fock)
+    algorithm.execute(buffer)
+    (_, b), = pencils
+    assert [name for name, _ in calls] == ["eigh"]
+    assert np.array_equal(calls[0][1], b)
+    metric = np.abs(np.linalg.eigvalsh(b))
+    kept = metric[metric > 1e-10]
+    assert buffer["qeom-matrix-rank"] == kept.size
+    assert buffer["qeom-dropped-directions"] == len(b) - kept.size
+    assert buffer["qeom-metric-condition"] == pytest.approx(kept.max() / kept.min(), rel=1e-12)

@@ -57,6 +57,23 @@ class TestHeterogeneousMap:
         with pytest.raises(HetMapTypeError):
             m.get_int_list("xs")
 
+    @pytest.mark.parametrize("empty", [[], ()], ids=["list", "tuple"])
+    def test_an_empty_list_reads_at_every_list_kind(self, empty):
+        m = HeterogeneousMap()
+        m.insert("xs", empty)
+        assert m.get_int_list("xs") == []
+        assert m.get_real_list("xs") == []
+        assert m.get_string_list("xs") == []
+        assert m.get_or("xs", "real-list", [1.0]) == []
+        m.read_declared({"xs": "string-list"}, "owner", HetMapTypeError)
+        for scalar in ("int", "real", "string", "bool"):
+            with pytest.raises(HetMapTypeError):
+                m.get("xs", scalar)
+
+    def test_lists_of_booleans_are_refused(self):
+        with pytest.raises(HetMapTypeError, match="booleans"):
+            HeterogeneousMap({"flags": [True, False]})
+
     def test_missing_key(self):
         with pytest.raises(KeyError):
             HeterogeneousMap().get_int("absent")
