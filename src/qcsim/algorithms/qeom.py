@@ -1,9 +1,10 @@
 """Excitation spectra from the quantum equation-of-motion method.
 
 Over a prepared (approximate) ground state |psi>, the particle-conserving
-single/double excitation operators O_u (the JW images T of every
-``fermion.excitations`` entry, spin flips included) and their adjoints
-span the excitation/de-excitation manifold.  The commutator matrix elements
+single/double excitation operators O_u (an ``ExcitationOperator`` T for
+every ``fermion.excitation_modes`` entry, spin flips included) and their
+adjoints span the excitation/de-excitation manifold.  The commutator
+matrix elements
 
     M_uv = <[O_u†, [H, O_v ]]>      Q_uv = -<[O_u†, [H, O_v†]]>
     V_uv = <[O_u†, O_v ]>           W_uv = -<[O_u†, O_v†]>
@@ -12,10 +13,14 @@ are read in one ``PreparedState.expect_commutators`` call with the
 adjoints O_u† as lefts and, per v, the rights O_v and O_v† interleaved
 (columns 0::2 and 1::2): its D, <[L, [H, R]]>, gives M and Q, and its P
 gives V and W.  H is compiled once per run, for the pencil and the ground
-energy.  Exact mode builds no commutator and applies each O and O† once,
-reading its P and D columns from that one vector.  Sampled mode forms
-[H, R] once per right and measures every element in the order of the
-(u, v) loop, M and Q first.  They are assembled into the response pencil
+energy, and nothing else is compiled.  Exact mode builds no Pauli sum:
+it applies each O and O† on its amplitude pairs, H once to psi and to
+the stacked vectors O psi and O† psi (in stacks of at most 2^12
+amplitudes, or one row), and reads each right's P and D columns from its
+vector, H applied to it and O (H psi).  Sampled mode measures each O as
+its JW image, forms [H, R] once per right and measures every element in
+the order of the (u, v) loop, M and Q first.  They are assembled into
+the response pencil
 
     [[M, Q], [Q*, M*]] x = E [[V, W], [-W*, -V*]] x
 
@@ -33,9 +38,10 @@ If the kept |lambda| span more than ``MAX_METRIC_CONDITION``
 dependent and QEOM raises ``AlgorithmError`` instead of returning roots.
 It raises too when the metric is dead as a whole: when even the largest
 kept |lambda| lies more than ``MAX_METRIC_CONDITION`` below the basis
-operators' scale max_u (sum of |coefficients| of O_u)^2, which bounds
-every |B_uv| up to a factor 2 and is 1 for JW excitations, however evenly
-the kept |lambda| spread.
+scale 1, however evenly the kept |lambda| spread.  The scale is the
+squared sum of |coefficients| of an O's image, which bounds every |B_uv|
+up to a factor 2 and is exactly 1 for every JW excitation (2^k strings,
+each of weight 2^-k), so no image is built for it.
 """
 from __future__ import annotations
 
@@ -43,7 +49,7 @@ import numpy as np
 
 from ..backend import AcceleratorBuffer, CompiledPauli, PreparedState
 from ..errors import AlgorithmError
-from ..fermion import excitations
+from ..fermion import ExcitationOperator, excitation_modes
 from ..linalg import indefinite_generalized_eig
 from ..pauli import PauliOperator
 from .base import STATE_KINDS, Algorithm
@@ -56,10 +62,11 @@ MAX_METRIC_CONDITION = 1e6
 
 def eom_pencil(
     observable: "PauliOperator | CompiledPauli",
-    operators: list[PauliOperator],
+    operators: "list[PauliOperator | ExcitationOperator]",
     state: PreparedState,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the (Hermitized) doubled response pencil (A, B)."""
+    """Assemble the (Hermitized) doubled response pencil (A, B) of the basis
+    ``operators``: excitations, or any Pauli sums, such as their images."""
     daggers = [op.dagger() for op in operators]
     rights = [op for pair in zip(operators, daggers) for op in pair]
     overlaps, responses = state.expect_commutators(daggers, rights, observable)
@@ -97,7 +104,8 @@ class QEOM(Algorithm):
         if n_qubits % 2:
             n_qubits += 1
         basis = [
-            image for _, _, image in excitations(n_electrons, n_qubits, spin_preserving=False)
+            ExcitationOperator(occ, virt)
+            for occ, virt in excitation_modes(n_electrons, n_qubits, spin_preserving=False)
         ]
         if not basis:
             raise AlgorithmError(
@@ -120,12 +128,11 @@ class QEOM(Algorithm):
                 f"(limit {MAX_METRIC_CONDITION:.0e}); the state leaves some "
                 "excitations nearly dependent, so the roots would be noise"
             )
-        scale = max(sum(abs(c) for _, c in op.encoded()) for op in basis) ** 2
-        if kept.max() * MAX_METRIC_CONDITION < scale:
+        if kept.max() * MAX_METRIC_CONDITION < 1.0:
             raise AlgorithmError(
                 f"dead metric: the largest kept |eigenvalue| {kept.max():.3g} is "
-                f"more than {MAX_METRIC_CONDITION:.0e} below the basis scale "
-                f"{scale:.3g}, so the roots would be noise"
+                f"more than {MAX_METRIC_CONDITION:.0e} below the basis scale 1, "
+                "so the roots would be noise"
             )
         energies = [float(e) for e in values if e > _POSITIVE_ROOT_CUTOFF]
 

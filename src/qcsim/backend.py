@@ -39,9 +39,13 @@ Commutators without products, in one pass: exact ``expect_commutators``
 reads P, <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi>, and, given a
 Hermitian H, D, <[L, [H, R]]>, from each distinct operator A's one vector
 A psi (an operator equal to one applied before, or to minus it, reads that
-one's) and [H, A] psi = H (A psi) - A (H psi), with H psi formed once, so
-no commutator is built or compiled.  The lefts' vectors live through the
-call and each right's are dropped once read.
+one's) and [H, A] psi = H (A psi) - A (H psi), with H psi formed once and
+H applied to the kept left vectors as stacks of rows, so no commutator is
+built and nothing but the Pauli sums is compiled.  An operator is a Pauli
+sum or a ``fermion.ExcitationOperator`` T or T†, which is applied on its
+amplitude pairs (``_pairs``, which ``_excite`` reads too) and never as its
+JW image.  The lefts' vectors live through the call; one stack of H on
+them, and each right's vectors, are dropped once read.
 
 One pass per leaf: ``_rotate`` applies a ``PauliRotation`` and
 ``_excite`` an ``ExcitationRotation`` without building its gate lowering,
@@ -53,19 +57,27 @@ and every other leaf is one gate applied in place on views of the state's
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BackendError
-from .ir import CompositeInstruction, ExcitationRotation, PauliRotation, _rotation_matrix, gate_matrix
+from .fermion import ExcitationOperator
+from .ir import (
+    CompositeInstruction, ExcitationRotation, PauliRotation, _rotation_matrix, gate_matrix,
+    _jw_parity,
+)
 from .pauli import PauliOperator, PauliTerm, commutator, encode, expectation_from_counts, multiply
 from .registry import HeterogeneousMap, as_het_map
 
 MAX_QUBITS = 20
 _PROB_CUTOFF = 1e-16
+# the most amplitudes of one stack of kept rows that exact
+# ``expect_commutators`` applies H to at once (at least one row)
+_STACK_AMPLITUDES = 1 << 12
 # constants of the exact tables: every half-register index m below 2^h,
 # h = MAX_QUBITS - MAX_QUBITS // 2, and its sign (-1)^popcount(m)
 _HALF_INDEX = np.arange(1 << (MAX_QUBITS - MAX_QUBITS // 2))
@@ -259,17 +271,22 @@ class PreparedState:
 
     def expect_commutators(
         self,
-        lefts: Sequence[PauliOperator],
-        rights: Sequence[PauliOperator],
+        lefts: "Sequence[PauliOperator | ExcitationOperator]",
+        rights: "Sequence[PauliOperator | ExcitationOperator]",
         observable: "PauliOperator | CompiledPauli | None" = None,
     ) -> tuple[np.ndarray, "np.ndarray | None"]:
         """(P, D): the matrices of <psi|[L_i, R_j]|psi> and, for a Hermitian
         ``observable`` H, plain or compiled for this register, of
-        <psi|[L_i, [H, R_j]]|psi>; D is None without H.
+        <psi|[L_i, [H, R_j]]|psi>; D is None without H.  Each operator is a
+        Pauli sum or a ``fermion.ExcitationOperator``.
 
         Every operator's width and H's Hermiticity are checked before any
-        vector or draw.  Sampled mode forms [H, R_j] once per right and
-        draws all of D, then all of P, each in the order of i, then j.
+        vector or draw.  Exact mode holds the kept left vectors (the
+        distinct L_i psi and L_i^dag psi) and H applied to at most
+        max(2^n, 2^12) amplitudes of them at a time.  Sampled mode
+        measures an excitation as its JW image, forms [H, R_j] once per
+        right and draws all of D, then all of P, each in the order of i,
+        then j.
         """
         n = self.n_qubits
         for op in (*lefts, *rights):
@@ -279,6 +296,10 @@ class PreparedState:
             if not observable.is_hermitian():
                 raise BackendError("commutators with an observable need a Hermitian one")
         if self.accelerator.config.shots:
+            lefts, rights = (
+                [op.image() if isinstance(op, ExcitationOperator) else op for op in side]
+                for side in (lefts, rights)
+            )
             sides = [] if observable is None else [[commutator(observable._op, b) for b in rights]]
             *d, p = (
                 np.array([[self.expect(commutator(a, b)) for b in side] for a in lefts], dtype=complex)
@@ -289,14 +310,17 @@ class PreparedState:
         # <[L, C]> = <L^dag psi|C psi> - <C^dag psi|L psi>, with C = R, or
         # C = [H, R] and C^dag = -[H, R^dag]; every operator equal, up to
         # sign, to one already met reads that one's vector
-        owners: list[PauliOperator] = []
+        owners: list = []
         slots: dict[tuple, tuple[int, float]] = {}
 
-        def signed(ops: Sequence[PauliOperator], adjoint: bool = False) -> tuple[list, np.ndarray]:
+        def signed(ops: Sequence, adjoint: bool = False) -> tuple[list, np.ndarray]:
             """(s, sign) of each op, or its adjoint: that psi is sign * owners[s] psi."""
             found = []
             for op in ops:
-                key, sign = op.up_to_sign(adjoint)
+                if isinstance(op, ExcitationOperator):
+                    key, sign = (op.occ, op.virt, op.adjoint != adjoint), 1.0
+                else:
+                    key, sign = op.up_to_sign(adjoint)
                 s, owner_sign = slots.setdefault(key, (len(owners), sign))
                 if s == len(owners):
                     owners.append(op.dagger() if adjoint else op)
@@ -307,29 +331,47 @@ class PreparedState:
         bra_rows, bra_signs = signed(lefts, adjoint=True)
         psi = self._amplitudes
         # the lefts' vectors, slots 0..len(kept)-1, live through the call, and
-        # so do their compiled forms when H is given: [H, A] applies A again
-        compiled = [op if observable is None else CompiledPauli(op, n) for op in owners]
+        # so do their applications, [H, A] applying A again: an excitation's
+        # holds its amplitude pairs, which a left T and T† share
+        pairs = functools.cache(_pairs)
+        appliers = [_applier(op, n, pairs) for op in owners]
         kept = np.empty((len(owners), psi.size), dtype=complex)
-        for row, op in zip(kept, compiled):
-            row[...] = apply_pauli(op, psi)
+        for row, apply in zip(kept, appliers):
+            row[...] = apply(psi)
         right_rows, right_signs = signed(rights)
         adjoint_rows, adjoint_signs = signed(rights, adjoint=True)
         h_psi = None if observable is None else apply_pauli(observable, psi)
+        # H applied to the kept rows one stack of at most max(2^n, 2^12)
+        # amplitudes at a time, and a stack dropped once its rows are read
+        chunk = max(1, _STACK_AMPLITUDES >> n)
+        stack: dict[int, np.ndarray] = {}
+
+        def h_row(s: int) -> np.ndarray:
+            start = s - s % chunk
+            if start not in stack:
+                stack.clear()
+                stack[start] = observable.apply(kept[start : start + chunk])
+            return stack[start][s - start]
 
         def columns(s: int) -> Iterator[np.ndarray]:
             """<kept row|A psi>, A = owners[s], then, given H, <kept row|[H, A] psi>
-            from H (A psi) - A (H psi); a right's form and vectors are dropped once read."""
-            op = compiled[s] if s < len(kept) else CompiledPauli(owners[s], n)
-            vector = kept[s] if s < len(kept) else apply_pauli(op, psi)
+            from H (A psi) - A (H psi); a right's application and vectors are
+            dropped once read."""
+            if s < len(kept):
+                apply, vector = appliers[s], kept[s]
+            else:
+                apply = _applier(owners[s], n, _pairs)
+                vector = apply(psi)
             yield (kept @ vector.conj()).conj()
             if h_psi is not None:
-                vector = apply_pauli(observable, vector)
-                vector -= apply_pauli(op, h_psi)
+                vector = h_row(s) if s < len(kept) else apply_pauli(observable, vector)
+                vector = vector - apply(h_psi)
                 yield (kept @ vector.conj()).conj()
 
         # column s of P's table, and of D's, for each slot s the rights read
-        tables = np.empty((1 if h_psi is None else 2, len(kept), len(owners)), dtype=complex)
-        for s in dict.fromkeys(right_rows + adjoint_rows):
+        tables = np.empty((1 if observable is None else 2, len(kept), len(owners)), dtype=complex)
+        # the kept slots in ascending order: each stack of H on them is made once
+        for s in sorted(set(right_rows + adjoint_rows)):
             tables[:, :, s] = list(columns(s))
         p, *d = (
             bra_signs[:, None] * right_signs * table[bra_rows][:, right_rows]
@@ -453,35 +495,64 @@ def _rotate(state: np.ndarray, rotation: PauliRotation, theta: float) -> np.ndar
     return out.reshape(state.shape)
 
 
-def _excite(state: np.ndarray, rotation: ExcitationRotation, theta: float) -> np.ndarray:
-    """exp(theta (T - T†))|psi>, in place, as a Givens rotation of each pair
-    (a, b) of amplitudes whose occ modes are full and virt modes empty (a)
-    and the reverse (b): T maps a's determinant to sigma times b's, so
-    a' = c a - s sigma b and b' = c b + s sigma a, with c, s = cos, sin theta
-    and sigma the JW sign; every other amplitude is left as it is."""
-    n = state.ndim
-    flat = state.reshape(-1)
-    sign, parity = rotation.jw_parity()
-    occ = _index_bits(sum(1 << q for q in rotation.occ), n)
-    virt = _index_bits(sum(1 << q for q in rotation.virt), n)
+def _pairs(
+    occ: tuple[int, ...], virt: tuple[int, ...], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, sigma) of the excitation T = a†_virt... a_occ... on n qubits:
+    the index a of every amplitude whose occ modes are full and virt modes
+    empty, the index b of the same determinant with occ empty and virt full,
+    and the JW sign of each pair (``ir._jw_parity``): T|a> = sigma |b>."""
+    sign, parity = _jw_parity(occ, virt)
+    occ_bits = _index_bits(sum(1 << q for q in occ), n)
+    virt_bits = _index_bits(sum(1 << q for q in virt), n)
     # every index with the index modes empty: a 0 is inserted at each of
     # their bits, lowest first, by adding the bits at and above it once more
-    rest = np.arange(1 << (n - len(rotation.occ) - len(rotation.virt)))
-    fixed = occ | virt
+    rest = np.arange(1 << (n - len(occ) - len(virt)))
+    fixed = occ_bits | virt_bits
     while fixed:
         low = fixed & -fixed
         rest += rest & -low
         fixed ^= low
-    a_index = rest | occ
-    b_index = rest | virt
+    a_index = rest | occ_bits
     odd = np.bitwise_count(a_index & _index_bits(parity, n)) & 1
-    # s sigma for each pair
-    s = np.where(odd, -sign, sign) * math.sin(theta)
+    return a_index, rest | virt_bits, np.where(odd, -sign, sign)
+
+
+def _excite(state: np.ndarray, rotation: ExcitationRotation, theta: float) -> np.ndarray:
+    """exp(theta (T - T†))|psi>, in place, as a Givens rotation of each pair
+    (a, b) of ``_pairs``: T maps a's determinant to sigma times b's, so
+    a' = c a - s sigma b and b' = c b + s sigma a, with c, s = cos, sin
+    theta; every other amplitude is left as it is."""
+    flat = state.reshape(-1)
+    a_index, b_index, sigma = _pairs(rotation.occ, rotation.virt, state.ndim)
+    s = sigma * math.sin(theta)
     c = math.cos(theta)
     a, b = flat[a_index], flat[b_index]
     flat[a_index] = c * a - s * b
     flat[b_index] = c * b + s * a
     return flat.reshape(state.shape)
+
+
+def _applier(
+    op: "PauliOperator | ExcitationOperator", n: int, pairs: Callable
+) -> Callable[[np.ndarray], np.ndarray]:
+    """psi -> op|psi> on 2^n flat amplitudes.  A Pauli sum is applied by
+    ``apply_pauli``, which compiles it on each application; an excitation T
+    moves sigma psi[a] to b, and T† sigma psi[b] to a, over the pairs
+    (a, b, sigma) that ``pairs`` (``_pairs`` or a cache of it) gives, and
+    every other amplitude becomes 0."""
+    if not isinstance(op, ExcitationOperator):
+        return functools.partial(apply_pauli, op)
+    source, target, sigma = pairs(op.occ, op.virt, n)
+    if op.adjoint:
+        source, target = target, source
+
+    def apply(psi: np.ndarray) -> np.ndarray:
+        out = np.zeros(psi.size, dtype=complex)
+        out[target] = sigma * psi[source]
+        return out
+
+    return apply
 
 
 # gates that only permute amplitudes: the pairs of ``_blocks`` they swap
@@ -665,9 +736,13 @@ class CompiledPauli:
     Memory on 2^n amplitudes, l = n // 2 and h = n - l: each mode keeps
     k (16 * 2^h + 8 * 2^l) bytes of tables for each X mask of k strings.
     Exact application builds one group's diagonal at a time, so besides
-    the result the index, one diagonal and one gathered vector of 2^n are
-    live; a draw holds conj(psi), the index and one product vector of 2^n
-    at a time.  Nothing of 2^n is kept per string or per X mask.
+    the result the index, one diagonal of 2^n and one gathered term the
+    size of the input (a vector, or a stack of k vectors) are live; a draw
+    holds conj(psi), the index and one product vector of 2^n at a time.
+    Nothing of 2^n is kept per string or per X mask.
+    ``PreparedState.expect_commutators`` applies H to stacks of at most
+    max(2^n, 2^12) amplitudes of its kept left vectors, so besides those
+    rows it holds about two such stacks at a time.
     """
 
     def __init__(self, op: PauliOperator, n: int):
@@ -729,27 +804,31 @@ class CompiledPauli:
         return factors, coefficients
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """op|psi> for 2^n amplitudes; see ``apply_pauli``."""
-        flat = state.reshape(-1)
+        """op|psi> for 2^n amplitudes, or for each row of a (k, 2^n) stack,
+        bit for bit as one row at a time; see ``apply_pauli``."""
+        rows = state.reshape(-1, 1 << self._n)
         factors, _ = self._factors(weighted=True)
-        index = np.arange(flat.size)
-        # the first group's term is the running sum: no zero vector is made
+        index = np.arange(rows.shape[1])
+        # the first group's term is the running sum: no zero stack is made
         out = None
         for source, high, low in factors:
             diagonal = (high @ low).reshape(-1)
             if source:
                 # XOR the index in place and back: no second index is allocated
                 index ^= source
-                diagonal *= flat[index]
+                term = rows[:, index]
                 index ^= source
+                np.multiply(diagonal, term, out=term)
             else:
-                diagonal *= flat
+                term = diagonal * rows
             if out is None:
-                out = diagonal
+                out = term
             else:
-                out += diagonal
+                out += term
+            # freed before the next group's: one term of the state's size at a time
+            del diagonal, term
         if out is None:
-            out = np.zeros(flat.size, dtype=complex)
+            out = np.zeros(rows.shape, dtype=complex)
         return out.reshape(state.shape)
 
     def draw(self, psi: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:

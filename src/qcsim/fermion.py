@@ -6,14 +6,18 @@ modes strictly below the ladder operator's mode.
 
 ``excitation_modes`` is the one enumeration of the singles/doubles
 manifold off the reference determinant, as (occ, virt) indices: UCCSD
-reads it alone.  ``excitations`` adds each entry's JW image, which both
-ADAPT pools and the QEOM basis read.
+and the QEOM basis read it alone.  An ``ExcitationOperator`` is one
+entry's T, or T†, as a value: the simulator applies it on its amplitude
+pairs, and its JW ``image()`` is built, from ``ir._jw_strings``, only when
+asked for.  ``excitations`` adds each entry's image, a product of
+once-built ladder images, which both ADAPT pools read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 
+from .ir import _jw_strings
 from .pauli import PauliOperator
 
 # ladder op: (mode index, is_creation)
@@ -140,6 +144,35 @@ def excitation_modes(
         for virt in combinations(virtual, rank)
         if not spin_preserving or len(beta.intersection(occ)) == len(beta.intersection(virt))
     ]
+
+
+@dataclass(frozen=True)
+class ExcitationOperator:
+    """T = a†_virt... a_occ... (occ in reverse) for one ``excitation_modes``
+    entry (occ, virt), or T† when ``adjoint``.
+
+    T maps each determinant with occ full and virt empty to +-1 times the
+    one with occ empty and virt full, and every other to 0: a map of
+    amplitude pairs, which ``backend.PreparedState.expect_commutators``
+    applies.  Its JW ``image()``, which sampled mode measures, is built
+    on each call.
+    """
+
+    occ: tuple[int, ...]
+    virt: tuple[int, ...]
+    adjoint: bool = False
+
+    def dagger(self) -> "ExcitationOperator":
+        return ExcitationOperator(self.occ, self.virt, not self.adjoint)
+
+    def n_qubits(self) -> int:
+        """The width of its image: one past its highest mode."""
+        return max(self.occ + self.virt) + 1
+
+    def image(self) -> PauliOperator:
+        """The JW image of T, from its strings, or that image's adjoint."""
+        image = PauliOperator.from_terms(dict(_jw_strings(self.occ, self.virt)))
+        return image.dagger() if self.adjoint else image
 
 
 def excitations(

@@ -263,6 +263,46 @@ def _lowering(ops: tuple[tuple[int, str], ...], angle: Parameter) -> Iterator[In
             yield Instruction(gate, (q,))
 
 
+def _jw_parity(occ: tuple[int, ...], virt: tuple[int, ...]) -> tuple[int, int]:
+    """(sign, parity) of T = a†_virt... a_occ...: T|x> = sign *
+    (-1)^|x & parity| |x'> for every occupation x with occ full and virt
+    empty (x' has occ empty, virt full), with bit q of x and of the parity
+    mask for mode q.  The one copy of the JW sign arithmetic: ``_jw_strings``
+    and the simulator's amplitude pairs read it."""
+    index = sum(1 << q for q in occ + virt)
+    occupied = sum(1 << q for q in occ)
+    sign, parity = 1, 0
+    for mode in (*occ, *virt[::-1]):
+        below = (1 << mode) - 1
+        # the ladder operator's JW string, on the index modes it finds occupied
+        sign *= (-1) ** (occupied & below).bit_count()
+        parity ^= below
+        occupied ^= 1 << mode
+    return sign, parity & ~index
+
+
+def _jw_strings(
+    occ: tuple[int, ...], virt: tuple[int, ...]
+) -> list[tuple[tuple[tuple[int, str], ...], complex]]:
+    """(ops, c) of each Pauli string of the JW image of T = a†_virt...
+    a_occ...: sign * Z^parity times one ladder letter per index mode, a† as
+    (X - iY)/2 and a as (X + iY)/2, so X or Y on each index mode, in
+    ``product("XY")`` order over the sorted index modes."""
+    sign, parity = _jw_parity(occ, virt)
+    modes = sorted(occ + virt)
+    between = [(q, "Z") for q in range(modes[-1]) if parity >> q & 1]
+    return [
+        (
+            tuple(sorted([*zip(modes, letters), *between])),
+            sign * math.prod(
+                ((-0.5j if q in virt else 0.5j) if letter == "Y" else 0.5)
+                for q, letter in zip(modes, letters)
+            ),
+        )
+        for letters in product("XY", repeat=len(modes))
+    ]
+
+
 @dataclass(frozen=True)
 class ExcitationRotation(_Leaf):
     """exp(theta (T - T†)) for one fermionic excitation T = a†_virt... a_occ...
@@ -272,8 +312,8 @@ class ExcitationRotation(_Leaf):
     a_occ[1] a_occ[0] for a double), and ``parameters`` is (theta,).
     Under Jordan-Wigner (mode q on qubit q, Z on every mode below a ladder
     operator's), T is sign * Z^parity * (one ladder letter per index
-    mode); ``jw_parity`` derives (sign, parity) from (occ, virt) with
-    integer bit arithmetic.
+    mode); ``_jw_parity`` derives (sign, parity) from (occ, virt) with
+    integer bit arithmetic, and ``_jw_strings`` T's strings from them.
     T - T† is then a sum of 2 (single) or 8 (double) commuting strings,
     X or Y on the index modes with an odd number of Y and Z on the parity
     modes between them, so the node is the product of their rotations.
@@ -292,7 +332,7 @@ class ExcitationRotation(_Leaf):
     @property
     def qubits(self) -> tuple[int, ...]:
         """The support of its strings: the index modes and the parity modes."""
-        support = self.jw_parity()[1] | sum(1 << q for q in self.occ + self.virt)
+        support = _jw_parity(self.occ, self.virt)[1] | sum(1 << q for q in self.occ + self.virt)
         return tuple(q for q in range(support.bit_length()) if support >> q & 1)
 
     @property
@@ -302,38 +342,14 @@ class ExcitationRotation(_Leaf):
     def max_qubit(self) -> int:
         return max(self.occ + self.virt)
 
-    def jw_parity(self) -> tuple[int, int]:
-        """(sign, parity): T|x> = sign * (-1)^|x & parity| |x'> for every
-        occupation x with occ full and virt empty (x' has occ empty, virt
-        full), with bit q of x and of the parity mask for mode q."""
-        index = sum(1 << q for q in self.occ + self.virt)
-        occupied = sum(1 << q for q in self.occ)
-        sign, parity = 1, 0
-        for mode in (*self.occ, *self.virt[::-1]):
-            below = (1 << mode) - 1
-            # the ladder operator's JW string, on the index modes it finds occupied
-            sign *= (-1) ** (occupied & below).bit_count()
-            parity ^= below
-            occupied ^= 1 << mode
-        return sign, parity & ~index
-
     def rotations(self) -> list[tuple[tuple[tuple[int, str], ...], Parameter]]:
         """(ops, angle) of each Pauli rotation in the node, in sorted string order."""
-        sign, parity = self.jw_parity()
-        modes = sorted(self.occ + self.virt)
-        between = [(q, "Z") for q in range(modes[-1]) if parity >> q & 1]
-        out = []
-        for letters in product("XY", repeat=len(modes)):
-            # coefficient of the string in T: a† is (X - iY)/2, a is (X + iY)/2
-            c = sign * math.prod(
-                ((-0.5j if q in self.virt else 0.5j) if letter == "Y" else 0.5)
-                for q, letter in zip(modes, letters)
-            )
-            if c.imag == 0:
-                continue
-            # T - T† holds it as 2i Im(c) P, the rotation R_P(-4 Im(c) theta)
-            ops = tuple(sorted([*zip(modes, letters), *between]))
-            out.append((ops, self.angle.scaled(-4.0 * c.imag)))
+        # T - T† holds a string c P of T as 2i Im(c) P, the rotation R_P(-4 Im(c) theta)
+        out = [
+            (ops, self.angle.scaled(-4.0 * c.imag))
+            for ops, c in _jw_strings(self.occ, self.virt)
+            if c.imag != 0
+        ]
         return sorted(out, key=lambda rotation: rotation[0])
 
     def instructions(self) -> Iterator[Instruction]:

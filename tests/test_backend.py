@@ -9,7 +9,9 @@ within a Hoeffding bound, and sampled ``evolve`` and ``moments`` against
 ``expect`` on the equivalent state and powers.  Exact ``expect_commutators``
 is checked to apply each distinct operator once, up to sign, counted
 through a wrapper around ``backend.apply_pauli``, and its peak memory with
-``tracemalloc``.  Seeded sampled ``expect`` is pinned, bit for bit, to a
+``tracemalloc``; an excitation applied on its amplitude pairs against
+``apply_pauli`` of its JW image, and a stacked ``CompiledPauli.apply``
+against its rows applied one at a time, bit for bit.  Seeded sampled ``expect`` is pinned, bit for bit, to a
 reference loop of one scalar binomial per string, each drawn p against
 (1 + <P>)/2 through a recording generator, and ``estimate``'s standard
 error in law.  ``CompiledPauli``'s memory budget is checked with
@@ -34,10 +36,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qcsim
-from qcsim import backend, pauli
+from qcsim import backend, fermion, pauli
 from qcsim import ir as ir_module
 from qcsim.algorithms import adapt as adapt_module
 from qcsim.errors import BackendError
+from qcsim.fermion import ExcitationOperator
 from qcsim.ir import create_composite, create_instruction, gate_matrix
 
 H2_PATH = Path(__file__).resolve().parents[1] / "data" / "h2.ham"
@@ -354,16 +357,16 @@ class TestCommutatorReuse:
         want = [state.expect(pauli.commutator(hubbard_dimer_mo, g)) for g in generators]
         assert np.abs(got[0] - want).max() <= 1e-12
 
-    def test_qeom_on_the_six_qubit_chain_compiles_29_and_applies_86_operators(
+    def test_qeom_on_the_six_qubit_chain_compiles_h_alone_and_applies_it_three_times(
         self, monkeypatch, hubbard_chain
     ):
         """14 excitations O_u: the lefts O_u^dag and their adjoints are 28
-        distinct operators up to sign, and the rights O_v and O_v^dag are
-        all among them.  The pencil's one call compiles and applies the 28
-        once (28), applies H to psi once and, per operator A, H to A psi
-        and A to H psi (57); the ground energy is the 86th application.  H
-        is compiled once for the run: 29 compiles.  When P and D came from
-        two calls, the 28 were compiled and applied once more (57 and 114)."""
+        distinct excitations, and the rights O_v and O_v^dag are all among
+        them.  The pencil's one call applies each of the 28 on its amplitude
+        pairs to psi and to H psi (56 pair applications), and H to psi and
+        once to the 28 stacked kept vectors; the ground energy applies H a
+        third time.  H is the only operator compiled.  With the JW images
+        as the basis the run compiled 29 operators and applied 86."""
         reference = create_composite("reference")
         for q in (0, 3):
             reference.add(create_instruction("X", [q]))
@@ -377,17 +380,31 @@ class TestCommutatorReuse:
                 "n-electrons": 2,
             },
         )
-        applied = _counted_applications(monkeypatch)
         compiled, compile = [], backend.CompiledPauli.__init__
         monkeypatch.setattr(
             backend.CompiledPauli,
             "__init__",
             lambda self, op, n: compiled.append(op) or compile(self, op, n),
         )
+        rows, apply = [], backend.CompiledPauli.apply
+        monkeypatch.setattr(
+            backend.CompiledPauli,
+            "apply",
+            lambda self, state: rows.append(state.size // 64) or apply(self, state),
+        )
+        paired, applier = [], backend._applier
+
+        def counting(op, n, *pairs):
+            applied = applier(op, n, *pairs)
+            return lambda psi: paired.append(op) or applied(psi)
+
+        monkeypatch.setattr(backend, "_applier", counting)
         algorithm.execute(qcsim.qalloc(6))
-        assert len(applied) == 86
-        assert len(compiled) == 29
-        assert compiled.count(observable) == 1
+        assert compiled == [observable]
+        assert rows == [1, 28, 1]
+        assert len(paired) == 56
+        assert len(set(paired)) == 28
+        assert all(isinstance(op, ExcitationOperator) for op in paired)
 
     def test_values_match_nested_commutator_expectations(self, monkeypatch):
         """Rights equal to a left, its adjoint, minus either, or to each
@@ -413,21 +430,60 @@ class TestCommutatorReuse:
         at most 2 * lefts + 4 vectors of 2^n at once; the call that returns
         D with P adds H psi, H applied to a right's vector and two compiled
         forms of the chain (about one vector each at 12 qubits):
-        2 * lefts + 8."""
+        2 * lefts + 8.  With 8 single excitations as the lefts, and their
+        adjoints and themselves as the rights, the kept rows are 2 * lefts
+        and each excitation holds its 2^(n-2) amplitude pairs of 24 bytes
+        (3/8 of a vector); H is applied to one kept row at a time, 2^12
+        amplitudes, so the same few vectors cover the rest."""
         n = 12
         rng = np.random.default_rng(12)
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = backend.PreparedState(_accelerator(seed=0, shots=0), psi / np.linalg.norm(psi))
-        lefts = [hubbard_chain(6)]
-        rights = [1j * pauli.random_operator(rng, n, 8) for _ in range(60)]
-        for observable, few in [(None, 4), (backend.CompiledPauli(hubbard_chain(6), n), 8)]:
-            tracemalloc.start()
-            try:
-                state.expect_commutators(lefts, rights, observable)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= (2 * len(lefts) + few) * psi.nbytes
+        singles = [ExcitationOperator(occ, virt) for occ, virt in fermion.excitation_modes(2, n)[:8]]
+        cases = [
+            ([hubbard_chain(6)], [1j * pauli.random_operator(rng, n, 8) for _ in range(60)], 0.0),
+            (singles, [op.dagger() for op in singles] + singles, 3 / 8),
+        ]
+        for lefts, rights, pairs in cases:
+            for observable, few in [(None, 4), (backend.CompiledPauli(hubbard_chain(6), n), 8)]:
+                tracemalloc.start()
+                try:
+                    state.expect_commutators(lefts, rights, observable)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= ((2 + pairs) * len(lefts) + few) * psi.nbytes
+
+
+class TestExcitationPairs:
+    """An excitation T or T^dag applied on its amplitude pairs equals
+    ``apply_pauli`` of its JW image: every amplitude the image gives a
+    non-zero value is the same bit for bit, and every other is 0 (the
+    image's products may give -0.0 there)."""
+
+    @pytest.mark.parametrize(
+        "n_electrons, n_qubits", [(1, 4), (2, 4), (3, 4), (2, 6), (3, 6), (2, 8), (4, 8), (5, 8)]
+    )
+    def test_pairs_apply_as_the_image(self, n_electrons, n_qubits):
+        rng = np.random.default_rng(10 * n_qubits + n_electrons)
+        # singles, then doubles, spin flips included
+        for occ, virt in fermion.excitation_modes(n_electrons, n_qubits, spin_preserving=False):
+            for op in (ExcitationOperator(occ, virt), ExcitationOperator(occ, virt, adjoint=True)):
+                psi = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+                got = backend._applier(op, n_qubits, backend._pairs)(psi)
+                want = backend.apply_pauli(op.image(), psi)
+                assert np.array_equal(got, want)
+                assert got[want != 0].tobytes() == want[want != 0].tobytes()
+
+    def test_a_left_t_and_t_dagger_share_their_pairs(self, monkeypatch):
+        """One ``_pairs`` build per excitation of the lefts, not per operator."""
+        built, original = [], backend._pairs
+        monkeypatch.setattr(backend, "_pairs", lambda *args: built.append(args) or original(*args))
+        modes = fermion.excitation_modes(2, 4, spin_preserving=False)
+        lefts = [ExcitationOperator(occ, virt, adjoint=True) for occ, virt in modes]
+        state = _accelerator(seed=0, shots=0).prepare(_perturbed_reference(4, (0, 2)), 4)
+        state.expect_commutators(lefts, [op.dagger() for op in lefts])
+        assert sorted(built) == sorted((occ, virt, 4) for occ, virt in modes)
 
 
 class TestEvolve:
@@ -784,6 +840,14 @@ class TestCompiledPauli:
         assert held <= factors + slack
         assert peak <= factors + 4 * 16 * size + slack
         assert peak < 16 * strings * size
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_a_stack_applies_as_its_rows_one_at_a_time(self, n):
+        rng = np.random.default_rng(n)
+        compiled = backend.CompiledPauli(pauli.random_operator(rng, n, 12, complex_coeffs=True), n)
+        stack = rng.normal(size=(5, 1 << n)) + 1j * rng.normal(size=(5, 1 << n))
+        rows = np.array([compiled.apply(row) for row in stack])
+        assert compiled.apply(stack).tobytes() == rows.tobytes()
 
     def test_applies_as_the_plain_operator(self, hubbard_chain):
         op = hubbard_chain(4)

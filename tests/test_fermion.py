@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcsim.fermion import (
+    ExcitationOperator,
     FermionOperator,
     FermionTerm,
     excitation_modes,
@@ -143,6 +144,24 @@ class TestAntiHermitianExcitation:
         for occ, virt, image in excitations(n_electrons, n_qubits, spin_preserving):
             t = excitation_operator(occ, virt)
             assert image - image.dagger() == jordan_wigner(t - t.dagger(), n_qubits)
+
+
+class TestExcitationOperator:
+    """The value (occ, virt, adjoint): its image, built from its strings, is
+    the ladder product that ``excitations`` and ``jordan_wigner`` build, in
+    the same string order, or that image's adjoint, and its width is the
+    image's."""
+
+    @pytest.mark.parametrize("n_electrons, n_qubits", [(1, 2), (2, 4), (3, 6), (4, 8)])
+    def test_image_dagger_and_width(self, n_electrons, n_qubits):
+        for occ, virt, image in excitations(n_electrons, n_qubits, spin_preserving=False):
+            op = ExcitationOperator(occ, virt)
+            assert op.image() == image == jordan_wigner(excitation_operator(occ, virt), n_qubits)
+            assert list(op.image().encoded()) == list(image.encoded())
+            assert op.dagger() == ExcitationOperator(occ, virt, adjoint=True)
+            assert op.dagger().dagger() == op
+            assert op.dagger().image() == image.dagger()
+            assert op.n_qubits() == op.dagger().n_qubits() == image.n_qubits()
 
 
 class TestEnumeration:

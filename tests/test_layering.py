@@ -18,8 +18,9 @@ product and no commutator.
 A Pauli rotation and an excitation rotation are leaves, not composites,
 and ``ansatz.exp_pauli`` builds no gate: a rotation derives its gates
 when they are read.  Neither ``ansatz.py`` nor an algorithm module calls
-``jordan_wigner``: excitation images come only from
-``fermion.excitations``.  ``ir.py`` does not import ``fermion`` either,
+``jordan_wigner``: excitation images come only from ``fermion``
+(``excitations`` and ``ExcitationOperator.image``).  ``ir.py`` does not
+import ``fermion`` either,
 and ``backend.py`` never calls ``jordan_wigner``: an excitation node's
 strings and signs come from its modes by bit arithmetic.  In ``backend``
 only the compiled form reads an operator's strings: its one table builder
@@ -39,7 +40,7 @@ Each algorithm module reads through ``self.options`` exactly the keys its
 class declares in ``option_kinds``: no key read undeclared, none declared
 and left unread, and ``required_keys`` is a subset of them.
 ``qeom.eom_pencil`` builds no commutator in exact mode, and an exact QEOM
-run compiles its observable once.
+run compiles its observable and nothing else, and multiplies no Pauli sums.
 """
 import ast
 from pathlib import Path
@@ -611,9 +612,12 @@ def test_an_exact_qeom_run_compiles_h_once_and_builds_no_commutator(monkeypatch,
     )
     compiled = _count_compiles(monkeypatch)
     built = _count_calls(monkeypatch, pauli.commutator)
+    multiplied = _count_calls(monkeypatch, pauli.multiply)
     buffer = qcsim.qalloc(6)
     qeom.execute(buffer)
     assert len(buffer["excitation-energies"]) == 14
-    # the pencil and the ground energy share one compiled H
-    assert compiled.count(observable) == 1
+    # the pencil and the ground energy share one compiled H, and the basis is
+    # applied on its amplitude pairs: no JW image is built or compiled
+    assert compiled == [observable]
     assert built == []
+    assert multiplied == []

@@ -8,7 +8,9 @@ raise before any vector or draw; P is the same with D as without.  QEOM
 itself is checked on the Hubbard dimer against sector exact
 diagonalization in the orbital basis, must refuse the site-basis state
 whose metric is ill-conditioned, builds no Pauli sum in exact mode and
-eigendecomposes its metric once.
+eigendecomposes its metric once.  Its basis of excitation values gives
+the pencil of their JW images: on random states in exact mode, and draw
+for draw in sampled mode, which measures the images.
 """
 import math
 from pathlib import Path
@@ -23,7 +25,8 @@ import qcsim
 from qcsim import backend, pauli
 from qcsim.algorithms import qeom
 from qcsim.errors import AlgorithmError, BackendError
-from qcsim.fermion import excitations
+from qcsim.fermion import ExcitationOperator, excitation_modes, excitations
+from qcsim.linalg import indefinite_generalized_eig
 from qcsim.ir import create_composite, create_instruction
 
 DIMER_PATH = Path(__file__).resolve().parents[1] / "data" / "hubbard_dimer.ham"
@@ -180,6 +183,61 @@ def test_a_bad_observable_raises_before_any_vector_or_draw(shots, observable, me
 
 def _basis(n_electrons, n_qubits):
     return [image for _, _, image in excitations(n_electrons, n_qubits, spin_preserving=False)]
+
+
+def _excitations(n_electrons, n_qubits):
+    """QEOM's basis: the excitation values whose images ``_basis`` lists."""
+    return [
+        ExcitationOperator(occ, virt)
+        for occ, virt in excitation_modes(n_electrons, n_qubits, spin_preserving=False)
+    ]
+
+
+def _roots(pencil):
+    values, _ = indefinite_generalized_eig(*pencil, 1e-10)
+    return [float(e) for e in values if e > qeom._POSITIVE_ROOT_CUTOFF]
+
+
+@pytest.mark.parametrize("sites, n_electrons", [(2, 2), (3, 2), (3, 3)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_excitation_pencil_matches_the_pauli_image_pencil(
+    sites, n_electrons, seed, hubbard_chain
+):
+    """On a random state the basis applied on its amplitude pairs gives the
+    pencil of its JW images read through compiled Pauli sums: the same B,
+    A within 1e-15 and roots within 1e-14."""
+    n = 2 * sites
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = backend.PreparedState(_accelerator(), psi / np.linalg.norm(psi))
+    chain = hubbard_chain(sites)
+    got = qeom.eom_pencil(chain, _excitations(n_electrons, n), state)
+    want = qeom.eom_pencil(chain, _basis(n_electrons, n), state)
+    assert np.array_equal(got[1], want[1])
+    assert np.abs(got[0] - want[0]).max() <= 1e-15
+    assert np.abs(np.array(_roots(got)) - np.array(_roots(want))).max() <= 1e-14
+
+
+def test_a_seeded_sampled_run_measures_the_images(hubbard_dimer_mo):
+    """Sampled QEOM measures each excitation as its JW image: a seeded run
+    returns the roots of ``eom_pencil`` over the images, drawn from the same
+    seed."""
+    hartree_fock = qcsim.evaluate(qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4)), [0.0] * 3)
+    algorithm = qcsim.get_algorithm(
+        "qeom",
+        {
+            "observable": hubbard_dimer_mo,
+            "accelerator": _accelerator(4000, seed=9),
+            "ansatz": hartree_fock,
+            "n-electrons": 2,
+        },
+    )
+    buffer = qcsim.qalloc(4)
+    algorithm.execute(buffer)
+    state = _accelerator(4000, seed=9).prepare(hartree_fock, 4)
+    want = _roots(qeom.eom_pencil(hubbard_dimer_mo, _basis(2, 4), state))
+    assert want
+    assert buffer["excitation-energies"] == want
 
 
 def test_sampled_pencil_draws_the_responses_then_the_metric_in_loop_order(hubbard_dimer):
