@@ -14,13 +14,13 @@ adjoints O_u† as lefts and, per v, the rights O_v and O_v† interleaved
 (columns 0::2 and 1::2): its D, <[L, [H, R]]>, gives M and Q, and its P
 gives V and W.  H is compiled once per run, for the pencil and the ground
 energy, and nothing else is compiled.  Exact mode builds no Pauli sum:
-it applies each O and O† on its amplitude pairs, H once to psi and to
-the stacked vectors O psi and O† psi (in stacks of at most 2^12
-amplitudes, or one row), and reads each right's P and D columns from its
-vector, H applied to it and O (H psi).  Sampled mode measures each O as
-its JW image, forms [H, R] once per right and measures every element in
-the order of the (u, v) loop, M and Q first.  They are assembled into
-the response pencil
+it applies each O and O† on its amplitude pairs, H once to psi and once
+to each stack of the vectors O psi and O† psi (at most 2^12 amplitudes,
+or one row), and reads the stack's P block from it and its D block from
+H applied to it minus each O (H psi), in one product each.  Sampled mode
+measures each O as its JW image, forms [H, R] once per right and
+measures every element in the order of the (u, v) loop, M and Q first.
+They are assembled into the response pencil
 
     [[M, Q], [Q*, M*]] x = E [[V, W], [-W*, -V*]] x
 
@@ -30,10 +30,12 @@ does not annihilate (the single-block double-commutator pencil is
 measurably off even at the exact ground state).
 
 B is eigendecomposed once, in ``linalg.indefinite_generalized_eig``,
-which solves the pencil only on eigen-directions with |lambda| above the
-overlap threshold and returns those |lambda|; the rest (excitations that
-annihilate the state both ways) are counted in ``qeom-dropped-directions``.
-If the kept |lambda| span more than ``MAX_METRIC_CONDITION``
+which solves the pencil only on eigen-directions with |lambda| above B's
+rounding floor, 2N eps max|lambda| for the metric of N excitations, and
+returns those |lambda|.  No cut is tuned: the directions at the floor
+(excitations that annihilate the state both ways) are counted in
+``qeom-dropped-directions``, and every other direction is solved or
+refused.  If the kept |lambda| span more than ``MAX_METRIC_CONDITION``
 (``qeom-metric-condition``), the state leaves some excitations nearly
 dependent and QEOM raises ``AlgorithmError`` instead of returning roots.
 It raises too when the metric is dead as a whole: when even the largest
@@ -81,22 +83,18 @@ def eom_pencil(
 
 class QEOM(Algorithm):
     algorithm_name = "qeom"
-    option_kinds = {
-        **STATE_KINDS, "ansatz": "composite", "n-electrons": "int", "overlap-threshold": "real"
-    }
+    option_kinds = {**STATE_KINDS, "ansatz": "composite", "n-electrons": "int"}
     required_keys = ("ansatz", "accelerator", "observable", "n-electrons")
 
     def _validate(self):
         if not self.options.get_composite("ansatz").is_concrete:
             raise AlgorithmError("qeom needs a concrete (prepared) ansatz")
-        self._check_real("overlap-threshold", positive=True)
 
     def _execute(self, buffer: AcceleratorBuffer) -> None:
         observable = self.options.get_observable("observable")
         accelerator = self.options.get_accelerator("accelerator")
         ansatz = self.options.get_composite("ansatz")
         n_electrons = self.options.get_int("n-electrons")
-        threshold = self.options.get_or("overlap-threshold", "real", 1e-10)
         if not observable.is_hermitian():
             raise AlgorithmError("qeom needs a Hermitian observable")
 
@@ -116,7 +114,7 @@ class QEOM(Algorithm):
         state = accelerator.prepare(ansatz, n_qubits)
         compiled = CompiledPauli(observable, n_qubits)
         a, b = eom_pencil(compiled, basis, state)
-        values, kept = indefinite_generalized_eig(a, b, threshold)
+        values, kept = indefinite_generalized_eig(a, b)
         if not kept.size:
             raise AlgorithmError("all-singular overlap matrix; basis is dead")
         condition = float(kept.max() / kept.min())

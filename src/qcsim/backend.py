@@ -35,17 +35,18 @@ call, exact ``moments``) hold the compiled form, and no module-level
 cache exists.  Exact application and a draw each take one matmul and one
 gather per distinct X mask, no numpy call per string.
 
-Commutators without products, in one pass: exact ``expect_commutators``
+Commutators without products, in one loop: exact ``expect_commutators``
 reads P, <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi>, and, given a
 Hermitian H, D, <[L, [H, R]]>, from each distinct operator A's one vector
 A psi (an operator equal to one applied before, or to minus it, reads that
-one's) and [H, A] psi = H (A psi) - A (H psi), with H psi formed once and
-H applied to the kept left vectors as stacks of rows, so no commutator is
-built and nothing but the Pauli sums is compiled.  An operator is a Pauli
-sum or a ``fermion.ExcitationOperator`` T or T†, which is applied on its
-amplitude pairs (``_pairs``, which ``_excite`` reads too) and never as its
-JW image.  The lefts' vectors live through the call; one stack of H on
-them, and each right's vectors, are dropped once read.
+one's) and [H, A] psi = H (A psi) - A (H psi), with H psi formed once, so
+no commutator is built and nothing but the Pauli sums is compiled.  The
+lefts' vectors are kept through the call; the vectors the rights read are
+taken in stacks of rows, each read against the kept ones in one product
+for P and, after H is applied to the whole stack, one for D, and dropped
+before the next stack.  An operator is a Pauli sum or a
+``fermion.ExcitationOperator`` T or T†, which is applied on its amplitude
+pairs (``_pairs``, which ``_excite`` reads too) and never as its JW image.
 
 One pass per leaf: ``_rotate`` applies a ``PauliRotation`` and
 ``_excite`` an ``ExcitationRotation`` without building its gate lowering,
@@ -75,8 +76,8 @@ from .registry import HeterogeneousMap, as_het_map
 
 MAX_QUBITS = 20
 _PROB_CUTOFF = 1e-16
-# the most amplitudes of one stack of kept rows that exact
-# ``expect_commutators`` applies H to at once (at least one row)
+# the most amplitudes of one stack of vectors that exact
+# ``expect_commutators`` reads, and applies H to, at once (at least one row)
 _STACK_AMPLITUDES = 1 << 12
 # constants of the exact tables: every half-register index m below 2^h,
 # h = MAX_QUBITS - MAX_QUBITS // 2, and its sign (-1)^popcount(m)
@@ -282,11 +283,12 @@ class PreparedState:
 
         Every operator's width and H's Hermiticity are checked before any
         vector or draw.  Exact mode holds the kept left vectors (the
-        distinct L_i psi and L_i^dag psi) and H applied to at most
-        max(2^n, 2^12) amplitudes of them at a time.  Sampled mode
-        measures an excitation as its JW image, forms [H, R_j] once per
-        right and draws all of D, then all of P, each in the order of i,
-        then j.
+        distinct L_i psi and L_i^dag psi), the application of each distinct
+        operator (an excitation's amplitude pairs) and one stack of at most
+        max(2^n, 2^12) amplitudes of the vectors the rights read, with H
+        applied to it.  Sampled mode measures an excitation as its JW
+        image, forms [H, R_j] once per right and draws all of D, then all
+        of P, each in the order of i, then j.
         """
         n = self.n_qubits
         for op in (*lefts, *rights):
@@ -309,73 +311,55 @@ class PreparedState:
             return p, (d[0] if d else None)
         # <[L, C]> = <L^dag psi|C psi> - <C^dag psi|L psi>, with C = R, or
         # C = [H, R] and C^dag = -[H, R^dag]; every operator equal, up to
-        # sign, to one already met reads that one's vector
-        owners: list = []
+        # sign, to one already met is read from that one's slot, whose
+        # application (an excitation's pairs, shared by T and T†) is made once
+        pairs = functools.cache(_pairs)
+        appliers: list[Callable[[np.ndarray], np.ndarray]] = []
         slots: dict[tuple, tuple[int, float]] = {}
 
         def signed(ops: Sequence, adjoint: bool = False) -> tuple[list, np.ndarray]:
-            """(s, sign) of each op, or its adjoint: that psi is sign * owners[s] psi."""
+            """(s, sign) of each op, or its adjoint: that psi is sign * appliers[s](psi)."""
             found = []
             for op in ops:
                 if isinstance(op, ExcitationOperator):
                     key, sign = (op.occ, op.virt, op.adjoint != adjoint), 1.0
                 else:
                     key, sign = op.up_to_sign(adjoint)
-                s, owner_sign = slots.setdefault(key, (len(owners), sign))
-                if s == len(owners):
-                    owners.append(op.dagger() if adjoint else op)
+                s, owner_sign = slots.setdefault(key, (len(appliers), sign))
+                if s == len(appliers):
+                    appliers.append(_applier(op.dagger() if adjoint else op, n, pairs))
                 found.append((s, sign * owner_sign))
             return [s for s, _ in found], np.array([sign for _, sign in found])
 
         ket_rows, ket_signs = signed(lefts)
         bra_rows, bra_signs = signed(lefts, adjoint=True)
         psi = self._amplitudes
-        # the lefts' vectors, slots 0..len(kept)-1, live through the call, and
-        # so do their applications, [H, A] applying A again: an excitation's
-        # holds its amplitude pairs, which a left T and T† share
-        pairs = functools.cache(_pairs)
-        appliers = [_applier(op, n, pairs) for op in owners]
-        kept = np.empty((len(owners), psi.size), dtype=complex)
+        # the lefts' vectors, slots 0..len(kept)-1, live through the call
+        kept = np.empty((len(appliers), psi.size), dtype=complex)
         for row, apply in zip(kept, appliers):
             row[...] = apply(psi)
         right_rows, right_signs = signed(rights)
         adjoint_rows, adjoint_signs = signed(rights, adjoint=True)
         h_psi = None if observable is None else apply_pauli(observable, psi)
-        # H applied to the kept rows one stack of at most max(2^n, 2^12)
-        # amplitudes at a time, and a stack dropped once its rows are read
+        # column s: conj(<kept row|A_s psi>) and, given H, that of H (A_s psi) -
+        # A_s (H psi), for the slots the rights read, one stack of their A_s psi
+        # (a kept slot's its row) at a time, each dropped before the next
+        read = sorted(set(right_rows + adjoint_rows))
         chunk = max(1, _STACK_AMPLITUDES >> n)
-        stack: dict[int, np.ndarray] = {}
-
-        def h_row(s: int) -> np.ndarray:
-            start = s - s % chunk
-            if start not in stack:
-                stack.clear()
-                stack[start] = observable.apply(kept[start : start + chunk])
-            return stack[start][s - start]
-
-        def columns(s: int) -> Iterator[np.ndarray]:
-            """<kept row|A psi>, A = owners[s], then, given H, <kept row|[H, A] psi>
-            from H (A psi) - A (H psi); a right's application and vectors are
-            dropped once read."""
-            if s < len(kept):
-                apply, vector = appliers[s], kept[s]
-            else:
-                apply = _applier(owners[s], n, _pairs)
-                vector = apply(psi)
-            yield (kept @ vector.conj()).conj()
+        tables = np.empty((1 if observable is None else 2, len(kept), len(appliers)), dtype=complex)
+        for start in range(0, len(read), chunk):
+            group = read[start : start + chunk]
+            stack = np.array([kept[s] if s < len(kept) else appliers[s](psi) for s in group])
+            tables[0][:, group] = kept @ stack.conj().T
             if h_psi is not None:
-                vector = h_row(s) if s < len(kept) else apply_pauli(observable, vector)
-                vector = vector - apply(h_psi)
-                yield (kept @ vector.conj()).conj()
-
-        # column s of P's table, and of D's, for each slot s the rights read
-        tables = np.empty((1 if observable is None else 2, len(kept), len(owners)), dtype=complex)
-        # the kept slots in ascending order: each stack of H on them is made once
-        for s in sorted(set(right_rows + adjoint_rows)):
-            tables[:, :, s] = list(columns(s))
+                stack = observable.apply(stack)
+                for k, s in enumerate(group):
+                    stack[k] -= appliers[s](h_psi)
+                tables[1][:, group] = kept @ stack.conj().T
+            del stack
         p, *d = (
-            bra_signs[:, None] * right_signs * table[bra_rows][:, right_rows]
-            - flip * ket_signs[:, None] * adjoint_signs * table[ket_rows][:, adjoint_rows].conj()
+            bra_signs[:, None] * right_signs * table[bra_rows][:, right_rows].conj()
+            - flip * ket_signs[:, None] * adjoint_signs * table[ket_rows][:, adjoint_rows]
             for table, flip in zip(tables, (1.0, -1.0))
         )
         return p, (d[0] if d else None)
@@ -740,9 +724,11 @@ class CompiledPauli:
     size of the input (a vector, or a stack of k vectors) are live; a draw
     holds conj(psi), the index and one product vector of 2^n at a time.
     Nothing of 2^n is kept per string or per X mask.
-    ``PreparedState.expect_commutators`` applies H to stacks of at most
-    max(2^n, 2^12) amplitudes of its kept left vectors, so besides those
-    rows it holds about two such stacks at a time.
+    ``PreparedState.expect_commutators`` reads the vectors its rights name
+    in stacks of at most max(2^n, 2^12) amplitudes, a kept left vector
+    copied into its stack, and applies H to each whole stack; besides the
+    kept rows it holds one stack and H applied to it, and drops both
+    before the next stack is made.
     """
 
     def __init__(self, op: PauliOperator, n: int):

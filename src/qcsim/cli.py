@@ -5,7 +5,8 @@ Verbs:
               one column per reported energy level/order
   run         the one-column spectrum: each algorithm's primary energy
               as ``opt-val``
-  bench-uccsd time UCCSD circuit construction over (nq, ne) pairs
+  bench-uccsd time UCCSD circuit construction over (nq, ne) pairs, best
+              of --repeats (at least 1) runs each
   list        print the service registry contents
 
 Config files are INI-style ``key = value`` with ``[section]`` headers;
@@ -14,7 +15,9 @@ seed, version).  ``# seed=`` holds the sampling seed actually used: the
 given one, or a drawn 32-bit seed when a sampled run (shots > 0) names
 none; exact runs without a seed leave it blank.  Rerunning with
 ``--seed`` set to the recorded value reproduces the CSV.  All energies
-are in Hartree.  Each section takes only its declared keys: ``[run]``,
+are in Hartree.  ``[hamiltonian]`` names the sweep by ``files``, a comma
+list, and optionally ``labels``, one per file (each file's stem by
+default).  Each section takes only its declared keys: ``[run]``,
 ``[hamiltonian]`` and ``[ansatz]`` those of ``_SECTION_KEYS``, and the
 algorithm's own section those of its ``option_kinds``, each value parsed
 at its declared kind, and ``optimizer``, an optimizer's name, where an
@@ -23,8 +26,9 @@ symbolic ansatz by VQE first.  Exit codes: 0 success, 1 config error,
 raised before any Hamiltonian is read (the file, its ansatz or kernel
 file, an unknown algorithm or optimizer, an undeclared key in any section,
 a value not of its key's kind or choices, the shot count, or qite from an
-ansatz with free variables), 2 missing Hamiltonian file, 3 algorithm
-error.
+ansatz with free variables; for bench-uccsd, a bad --nq/--ne list or
+--repeats below 1, before any circuit is built), 2 missing Hamiltonian
+file, 3 algorithm error.
 """
 from __future__ import annotations
 
@@ -54,7 +58,7 @@ EXIT_ALGORITHM = 3
 # the keys the CLI reads from each of its own sections
 _SECTION_KEYS = {
     "run": ("algorithm", "shots", "seed", "out"),
-    "hamiltonian": ("files", "file", "labels"),
+    "hamiltonian": ("files", "labels"),
     "ansatz": ("kind", "ne", "nq", "file", "source", "params"),
 }
 # how an algorithm's config value is parsed at its declared kind; a value
@@ -92,7 +96,7 @@ def _hamiltonian_files(config) -> list[tuple[str, str]]:
     if not config.has_section("hamiltonian"):
         raise ConfigError("config needs a [hamiltonian] section")
     section = config["hamiltonian"]
-    files = _split_list(section.get("files", section.get("file", "")))
+    files = _split_list(section.get("files", ""))
     if not files:
         raise ConfigError("[hamiltonian] needs 'files'")
     labels = _split_list(section.get("labels", ""))
@@ -323,6 +327,9 @@ def cmd_bench_uccsd(args) -> int:
     except ValueError as exc:
         print(f"bad --nq/--ne list: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.repeats < 1:
+        print(f"config error: --repeats must be >= 1, got {args.repeats}", file=sys.stderr)
+        return EXIT_CONFIG
     lines = [
         f"# qcsim-version={__version__}",
         "# best construction wall time over repeats; energies not involved",
@@ -342,7 +349,6 @@ def cmd_bench_uccsd(args) -> int:
                 print(f"warning: skipping nq={nq}, ne={ne}: {exc}", file=sys.stderr)
                 continue
             best = float("inf")
-            circuit = None
             for _ in range(args.repeats):
                 start = time.perf_counter()
                 circuit = uccsd_circuit(spec)

@@ -6,11 +6,16 @@ minimum-norm least squares (QCMX), the indefinite generalized
 eigenproblem of a response pencil (QEOM), and polynomial root finding
 (QCMX).
 
-``solve_gram`` takes no tuned constant.  A Gram matrix is positive
-semidefinite in exact arithmetic, so a negative eigenvalue is rounding or
-shot noise, and by Weyl's inequality no eigenvalue at or below
-max(n eps lambda_max, -lambda_min) can be told apart from it: the truncated
-pseudo-inverse (Hansen, BIT 27, 534 (1987)) drops those directions.
+Neither ``solve_gram`` nor ``indefinite_generalized_eig`` takes a tuned
+cut.  By Weyl's inequality ``eigh`` of an n x n matrix moves each
+eigenvalue by up to about n eps times the largest |eigenvalue|, so no
+eigenvalue below that can be told apart from zero, and the truncated
+pseudo-inverse (Hansen, BIT 27, 534 (1987)) drops those directions: the
+metric B of a response pencil loses each |lambda| at or below
+n eps max|lambda|.  A Gram matrix is positive semidefinite in exact
+arithmetic, so a negative eigenvalue is rounding or shot noise as well,
+and ``solve_gram`` drops every eigenvalue at or below
+max(n eps lambda_max, -lambda_min).
 """
 from __future__ import annotations
 
@@ -64,17 +69,15 @@ def solve_min_norm_lsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def indefinite_generalized_eig(
-    a: np.ndarray, b: np.ndarray, threshold: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+def indefinite_generalized_eig(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real eigenvalues of A x = E B x for Hermitian A and *indefinite*
     Hermitian B (response-type pencils with a +/- metric signature).
 
-    B is eigendecomposed, directions with |eigenvalue| <= threshold are
-    projected out, the rest are scaled to a pure sign metric, and the
-    resulting similarity problem is solved densely.  Returns the sorted
-    real parts and the kept |eigenvalues| of B, whose size is B's
-    numerical rank.
+    B is eigendecomposed, directions with |lambda| at or below
+    n eps max|lambda| (B's rounding floor) are projected out, the rest are
+    scaled to a pure sign metric, and the resulting similarity problem is
+    solved densely.  Returns the sorted real parts and the kept |lambda| of
+    B, whose size is B's numerical rank.
     """
     a = _as_matrix(a)
     b = _as_matrix(b)
@@ -83,8 +86,9 @@ def indefinite_generalized_eig(
     _require_hermitian(a, "pencil matrix")
     _require_hermitian(b, "metric matrix")
     b_values, b_vectors = np.linalg.eigh(b)
-    keep = np.abs(b_values) > threshold
-    kept = np.abs(b_values[keep])
+    magnitudes = np.abs(b_values)
+    keep = magnitudes > magnitudes.size * np.finfo(float).eps * magnitudes.max(initial=0.0)
+    kept = magnitudes[keep]
     basis = b_vectors[:, keep] / np.sqrt(kept)
     signs = np.sign(b_values[keep])
     reduced = basis.conj().T @ a @ basis

@@ -7,6 +7,7 @@ reproduce: terms in sorted Pauli-string order, each as basis changes, a
 CNOT ladder onto its highest support qubit, Rz(-2 c t) and the mirror.
 """
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -73,6 +74,17 @@ def test_bench_uccsd_columns(tmp_path, capsys):
         "12,4,225,92,16196",
     ]
     assert "skipping nq=8, ne=4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_bench_uccsd_refuses_repeats_below_one_before_building(tmp_path, capsys, repeats):
+    out = tmp_path / "bench.csv"
+    argv = ["bench-uccsd", "--nq", "8", "--ne", "2", "--repeats", repeats, "--out", str(out)]
+    with mock.patch.object(cli, "uccsd_circuit") as built:
+        assert cli.main(argv) == cli.EXIT_CONFIG
+    assert built.call_count == 0
+    assert not out.exists()
+    assert f"--repeats must be >= 1, got {repeats}" in capsys.readouterr().err
 
 
 class TestSingletAdaptedPool:

@@ -8,8 +8,9 @@ sampled ``expect`` is checked in law against the per-string ``observe`` +
 within a Hoeffding bound, and sampled ``evolve`` and ``moments`` against
 ``expect`` on the equivalent state and powers.  Exact ``expect_commutators``
 is checked to apply each distinct operator once, up to sign, counted
-through a wrapper around ``backend.apply_pauli``, and its peak memory with
-``tracemalloc``; an excitation applied on its amplitude pairs against
+through a wrapper around ``backend.apply_pauli``, its stacked reads against
+the built commutators however the slots fall into stacks, and its peak
+memory with ``tracemalloc``; an excitation applied on its amplitude pairs against
 ``apply_pauli`` of its JW image, and a stacked ``CompiledPauli.apply``
 against its rows applied one at a time, bit for bit.  Seeded sampled ``expect`` is pinned, bit for bit, to a
 reference loop of one scalar binomial per string, each drawn p against
@@ -453,6 +454,79 @@ class TestCommutatorReuse:
                 finally:
                     tracemalloc.stop()
                 assert peak <= ((2 + pairs) * len(lefts) + few) * psi.nbytes
+
+
+class TestStackedReads:
+    """Exact ``expect_commutators`` reads the slots the rights name in
+    stacks of at most ``_STACK_AMPLITUDES`` amplitudes: P is one product of
+    each stack with the kept rows, and D one of H applied to the stack minus
+    each slot's A (H psi).  However the slots fall into stacks, mixed
+    excitation and Pauli operators give ``expect`` of the built commutators."""
+
+    @staticmethod
+    def _case(n):
+        """A random state on n qubits, 2 excitations and 2 Pauli sums as the
+        lefts, and rights naming 8 kept slots and 6 fresh ones, up to sign."""
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = backend.PreparedState(_accelerator(seed=0, shots=0), psi / np.linalg.norm(psi))
+        modes = fermion.excitation_modes(2, n, spin_preserving=False)
+        e0, e1, e2, e3 = (
+            ExcitationOperator(*modes[i], adjoint=bool(rng.integers(2)))
+            for i in rng.choice(len(modes), 4, replace=False)
+        )
+        p0, p1, p2 = (pauli.random_operator(rng, n, 4, complex_coeffs=True) for _ in range(3))
+        lefts = [e0, p0, e1, p1]
+        rights = [e0.dagger(), -p0, e2, p2, e1, p1.dagger(), e3, -p2.dagger()]
+        return state, lefts, rights
+
+    @pytest.mark.parametrize("n", [4, 10, 12])
+    @pytest.mark.parametrize(
+        "rows, stacks", [(None, [14]), (4, [4, 4, 4, 2]), (1, [1] * 14)],
+        ids=["one-stack", "stacks-of-4", "one-row"],
+    )
+    def test_every_stacking_gives_the_built_commutators(
+        self, monkeypatch, hubbard_chain, n, rows, stacks
+    ):
+        state, lefts, rights = self._case(n)
+        monkeypatch.setattr(backend, "_STACK_AMPLITUDES", (rows or 64) << n)
+        h = hubbard_chain(n // 2)
+        observable = backend.CompiledPauli(h, n)
+        applied, apply = [], backend.CompiledPauli.apply
+        monkeypatch.setattr(
+            backend.CompiledPauli,
+            "apply",
+            lambda self, amplitudes: (self is observable and applied.append(amplitudes.size >> n))
+            or apply(self, amplitudes),
+        )
+        alone, none = state.expect_commutators(lefts, rights)
+        overlaps, responses = state.expect_commutators(lefts, rights, observable)
+        assert none is None
+        # H psi, then one application of H per stack
+        assert applied == [1] + stacks
+        images = [[op.image() if isinstance(op, ExcitationOperator) else op for op in side]
+                  for side in (lefts, rights)]
+        want_p = np.array([[state.expect(pauli.commutator(a, b)) for b in images[1]]
+                           for a in images[0]])
+        want_d = np.array([[state.expect(pauli.commutator(a, pauli.commutator(h, b)))
+                            for b in images[1]] for a in images[0]])
+        assert np.abs(alone - want_p).max() <= 1e-12
+        assert np.abs(overlaps - want_p).max() <= 1e-12
+        assert np.abs(responses - want_d).max() <= 1e-12
+
+    @pytest.mark.parametrize("shots", [0, 100])
+    @pytest.mark.parametrize("with_h", [False, True], ids=["alone", "with-h"])
+    def test_no_lefts_or_no_rights_give_empty_tables(self, hubbard_chain, shots, with_h):
+        state = _accelerator(seed=0, shots=shots).prepare(_perturbed_reference(4, (0, 2)), 4)
+        ops = [ExcitationOperator((0,), (1,)), pauli.PauliOperator({0: "X", 1: "Y"}, 0.5j)]
+        observable = hubbard_chain(2) if with_h else None
+        for lefts, rights in (([], ops), (ops, [])):
+            overlaps, responses = state.expect_commutators(lefts, rights, observable)
+            assert overlaps.shape == (len(lefts), len(rights))
+            if with_h:
+                assert responses.shape == overlaps.shape
+            else:
+                assert responses is None
 
 
 class TestExcitationPairs:

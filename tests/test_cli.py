@@ -515,11 +515,13 @@ class TestDeclaredKeys:
     UNDECLARED = {
         "run-shot": ("vqe", "[run]", "shot = 4000"),
         "hamiltonian-label": ("vqe", "[hamiltonian]", "label = h2"),
+        "hamiltonian-file": ("vqe", "[hamiltonian]", "file = x.ham"),
         "ansatz-param": ("vqe", "[ansatz]", "param = 0.1"),
         "vqe-max-iter": ("vqe", "[vqe]", "max-iter = 3"),
         "qite-stpes": ("qite", "[qite]", "stpes = 40"),
         "qite-ridge": ("qite", "[qite]", "ridge = 1e-6"),
         "qeom-overlap_threshold": ("qeom", "[qeom]", "overlap_threshold = 0.5"),
+        "qeom-overlap-threshold": ("qeom", "[qeom]", "overlap-threshold = 1e-10"),
         "adapt-sub-algorithm": ("adapt", "[adapt]", "sub-algorithm = vqe"),
         # an optimizer is read only where the algorithm declares one or the
         # CLI binds a symbolic ansatz by VQE; these ansatzes are bound

@@ -88,15 +88,33 @@ class TestIndefiniteGeneralizedEig:
         assert kept.size == 2 and len(values) == 2
 
     def test_returns_the_kept_magnitudes_of_the_metric(self):
-        """|lambda| of B above the threshold, in the ascending order of lambda."""
-        a = np.diag([3.0, 5.0, 7.0])
-        values, kept = indefinite_generalized_eig(a, np.diag([2.0, -0.5, 1e-11]))
-        assert kept.tolist() == [0.5, 2.0]
-        assert np.allclose(values, [-10.0, 1.5])
+        """|lambda| of B above its rounding floor, 4 eps 2 here, in the
+        ascending order of lambda: 1e-11 is kept and 1e-16 dropped."""
+        a = np.diag([3.0, 5.0, 7.0, 11.0])
+        values, kept = indefinite_generalized_eig(a, np.diag([2.0, -0.5, 1e-11, 1e-16]))
+        assert kept.tolist() == [0.5, 1e-11, 2.0]
+        assert np.allclose(values, [-10.0, 1.5, 7e11])
 
-    def test_a_metric_below_the_threshold_keeps_nothing(self):
-        values, kept = indefinite_generalized_eig(np.eye(2), 1e-12 * np.diag([1.0, -1.0]))
+    def test_a_zero_metric_keeps_nothing(self):
+        values, kept = indefinite_generalized_eig(np.eye(2), np.zeros((2, 2)))
         assert values.size == 0 and kept.size == 0
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_the_cut_follows_the_scale_of_the_metric(self, scale):
+        """c B keeps the directions B keeps, with c |lambda|, and its roots
+        are those of B over c: an exact null is dropped at every c."""
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        q, _ = np.linalg.qr(m)
+        metric = q @ np.diag([2.0, -1.0, 0.5, -0.25, 1e-6, 0.0]) @ q.conj().T
+        metric = 0.5 * (metric + metric.conj().T)
+        a = rng.normal(size=(6, 6))
+        a = a + a.T
+        values, kept = indefinite_generalized_eig(a, metric)
+        scaled_values, scaled_kept = indefinite_generalized_eig(a, scale * metric)
+        assert kept.size == scaled_kept.size == 5
+        assert np.allclose(scaled_kept, scale * kept, rtol=1e-9, atol=0.0)
+        assert np.allclose(scale * scaled_values, values, rtol=1e-9, atol=0.0)
 
     def test_positive_definite_metric_gives_the_hermitian_spectrum(self):
         rng = np.random.default_rng(6)

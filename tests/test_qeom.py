@@ -8,11 +8,12 @@ raise before any vector or draw; P is the same with D as without.  QEOM
 itself is checked on the Hubbard dimer against sector exact
 diagonalization in the orbital basis, must refuse the site-basis state
 whose metric is ill-conditioned, builds no Pauli sum in exact mode and
-eigendecomposes its metric once.  Its basis of excitation values gives
+eigendecomposes its metric once, cut at its rounding floor: an exact null
+is dropped and counted, a small direction above the floor refused, and no
+threshold option is taken.  Its basis of excitation values gives
 the pencil of their JW images: on random states in exact mode, and draw
 for draw in sampled mode, which measures the images.
 """
-import math
 from pathlib import Path
 from unittest import mock
 
@@ -194,7 +195,7 @@ def _excitations(n_electrons, n_qubits):
 
 
 def _roots(pencil):
-    values, _ = indefinite_generalized_eig(*pencil, 1e-10)
+    values, _ = indefinite_generalized_eig(*pencil)
     return [float(e) for e in values if e > qeom._POSITIVE_ROOT_CUTOFF]
 
 
@@ -359,7 +360,7 @@ def test_excitations_that_annihilate_the_state_are_dropped_and_counted(hubbard_d
 
 
 def test_a_metric_dead_as_a_whole_raises(monkeypatch, hubbard_dimer_mo):
-    """Every |lambda| of B is 1e-9: above the 1e-10 cutoff and spanning 1,
+    """Every |lambda| of B is 1e-9: above B's rounding floor and spanning 1,
     but 1e-9 of the basis scale (1 for JW excitations)."""
     size = 2 * len(_basis(2, 4))
     metric = 1e-9 * np.diag([1.0, -1.0] * (size // 2))
@@ -369,6 +370,38 @@ def test_a_metric_dead_as_a_whole_raises(monkeypatch, hubbard_dimer_mo):
     with pytest.raises(AlgorithmError, match="dead metric"):
         algorithm.execute(buffer)
     assert buffer["qeom-metric-condition"] == pytest.approx(1.0)
+    assert "excitation-energies" not in buffer
+
+
+def _crafted_run(monkeypatch, hubbard_dimer_mo, small):
+    """QEOM on the dimer's HF state with the pencil (1, B), B = diag(+/-1)
+    but for one direction of ``small``."""
+    size = 2 * len(_basis(2, 4))
+    metric = np.diag([1.0, -1.0] * (size // 2))
+    metric[-1, -1] = small
+    monkeypatch.setattr(qeom, "eom_pencil", lambda *_: (np.eye(size), metric))
+    hartree_fock = qcsim.evaluate(qcsim.uccsd_circuit(qcsim.UccsdSpec(2, 4)), [0.0] * 3)
+    algorithm, buffer = _qeom(hubbard_dimer_mo, hartree_fock)
+    return algorithm, buffer
+
+
+def test_an_exact_null_of_the_metric_is_dropped_and_counted(monkeypatch, hubbard_dimer_mo):
+    algorithm, buffer = _crafted_run(monkeypatch, hubbard_dimer_mo, 0.0)
+    algorithm.execute(buffer)
+    assert buffer["qeom-dropped-directions"] == 1
+    assert buffer["qeom-matrix-rank"] == 2 * len(_basis(2, 4)) - 1
+    assert buffer["qeom-metric-condition"] == 1.0
+    assert buffer["excitation-energies"] == pytest.approx([1.0] * 5)
+
+
+def test_a_small_metric_direction_above_the_floor_is_refused(monkeypatch, hubbard_dimer_mo):
+    """A 1e-11 direction beside +/-1 is no rounding: it is kept, and the
+    kept |lambda| span 1e11, so the run raises instead of dropping it."""
+    algorithm, buffer = _crafted_run(monkeypatch, hubbard_dimer_mo, 1e-11)
+    with pytest.raises(AlgorithmError, match="ill-conditioned metric"):
+        algorithm.execute(buffer)
+    assert buffer["qeom-dropped-directions"] == 0
+    assert buffer["qeom-metric-condition"] == pytest.approx(1e11)
     assert "excitation-energies" not in buffer
 
 
@@ -393,19 +426,19 @@ def test_exact_pencil_builds_no_product_or_commutator(monkeypatch, hubbard_chain
     assert built == []
 
 
-@pytest.mark.parametrize("value", [0.0, -1e-10, math.nan, math.inf])
-def test_a_bad_overlap_threshold_raises_before_any_simulation(value, hubbard_dimer):
+def test_an_overlap_threshold_is_refused_before_any_simulation(hubbard_dimer):
+    """The metric is cut at its rounding floor, so no threshold is declared."""
     accelerator = _accelerator(shots=100, seed=5)
     options = {
         "observable": hubbard_dimer,
         "accelerator": accelerator,
         "ansatz": _entangled(4),
         "n-electrons": 2,
-        "overlap-threshold": value,
+        "overlap-threshold": 1e-10,
     }
     before = accelerator._rng.bit_generator.state
     with mock.patch.object(backend, "_zero_state") as simulated:
-        with pytest.raises(AlgorithmError, match="overlap-threshold must be finite"):
+        with pytest.raises(AlgorithmError, match="qeom takes no overlap-threshold; it declares"):
             qcsim.get_algorithm("qeom", options).execute(qcsim.qalloc(4))
     assert simulated.call_count == 0
     assert accelerator._rng.bit_generator.state == before
@@ -433,7 +466,7 @@ def test_one_run_eigendecomposes_the_metric_once(monkeypatch, hubbard_dimer_mo):
     assert [name for name, _ in calls] == ["eigh"]
     assert np.array_equal(calls[0][1], b)
     metric = np.abs(np.linalg.eigvalsh(b))
-    kept = metric[metric > 1e-10]
+    kept = metric[metric > metric.size * np.finfo(float).eps * metric.max()]
     assert buffer["qeom-matrix-rank"] == kept.size
     assert buffer["qeom-dropped-directions"] == len(b) - kept.size
     assert buffer["qeom-metric-condition"] == pytest.approx(kept.max() / kept.min(), rel=1e-12)
