@@ -6,7 +6,8 @@ g_i = <psi|[H, A_i]|psi> for every pool operator as the P of one
 ``PreparedState.expect_commutators([H], pool)`` call; the first run, the
 reference, also gives <H>, the energy when no operator is appended;
 if ||g|| clears the threshold, the operator with the largest |g_i| is
-appended (new parameter at zero) and the whole parameter vector is
+appended as its pool block (one ``ExcitationRotation`` for a ``uccsd``
+operator), with a new parameter at zero, and the whole parameter vector is
 re-optimized by a VQE run from the current parameters.  The pool is
 ``pool`` (``uccsd`` when not given); the run stops once ||g|| falls below
 ``grad-threshold`` or ``max-iter`` operators (the pool's size by default)
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ansatz import build_pool, exp_pauli, reference_circuit
+from ..ansatz import build_pool, reference_circuit
 from ..backend import AcceleratorBuffer, CompiledCircuit, qalloc
 from ..errors import AlgorithmError
 from ..ir import Parameter, create_composite
@@ -53,9 +54,9 @@ class AdaptVQE(Algorithm):
             raise AlgorithmError(f"pool '{pool_name}' is empty for this system")
         max_iter = self.options.get_or("max-iter", "int", len(pool))
 
-        generators = [op for _, op in pool.elements]
+        generators = [pool.generator(k) for k in range(len(pool))]
         reference = reference_circuit(n_electrons, n_qubits)
-        # the symbolic ansatz, grown by one exp_pauli block t<k> per chosen operator
+        # the symbolic ansatz, grown by one block t<k> per chosen operator
         ansatz = create_composite("adapt_ansatz").add_all(reference.children)
 
         chosen: list[str] = []
@@ -73,9 +74,8 @@ class AdaptVQE(Algorithm):
                 break
 
             winner = int(np.argmax(np.abs(gradients)))
-            label, generator = pool.elements[winner]
-            chosen.append(label)
-            ansatz.add_all(exp_pauli(generator, Parameter.symbolic(f"t{len(params)}")).children)
+            chosen.append(pool.labels()[winner])
+            ansatz.add_all(pool.block(winner, Parameter.symbolic(f"t{len(params)}")))
             params.append(0.0)
 
             vqe = VQE().initialize(

@@ -12,10 +12,10 @@ each read.  Every other generator emits gates only.  UCCSD and adaptive
 ansatze splice those nodes into one composite, so their instructions,
 and hence their kernel text, round-trip through the kernel serializer.
 
-UCCSD takes its excitations' (occ, virt) modes from
-``fermion.excitation_modes`` alone, and both operator pools each
-excitation's JW image T from ``fermion.excitations`` alone, and
-exponentiate T - T†; no generator here maps a fermion operator itself.
+UCCSD and both operator pools read their excitations' (occ, virt) modes
+from ``fermion.excitation_modes`` alone; a pool builds each generator from
+its ``fermion.ExcitationOperator`` values' JW ``image()`` when read, and
+no generator here maps a fermion operator itself.
 """
 from __future__ import annotations
 
@@ -24,10 +24,11 @@ from math import comb
 from typing import Iterable
 
 from .errors import IRError
-from .fermion import excitation_modes, excitations, occupied_spin_orbitals
+from .fermion import ExcitationOperator, excitation_modes, occupied_spin_orbitals
 from .ir import (
     CompositeInstruction,
     ExcitationRotation,
+    Node,
     Parameter,
     PauliRotation,
     as_parameter,
@@ -57,16 +58,33 @@ class UccsdSpec:
 
 @dataclass
 class OperatorPool:
-    """Labeled anti-Hermitian generators for adaptive ansatz growth."""
+    """Labeled anti-Hermitian generators for adaptive ansatz growth: element
+    k is (label, scale, excitations), scale * sum (T - T†) over its values T."""
 
     name: str
-    elements: list[tuple[str, PauliOperator]]
+    elements: list[tuple[str, float, tuple[ExcitationOperator, ...]]]
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def labels(self) -> list[str]:
-        return [label for label, _ in self.elements]
+        return [label for label, _, _ in self.elements]
+
+    def generator(self, k: int) -> PauliOperator:
+        """Element k's generator as a Pauli sum, from its excitations' images."""
+        _, scale, excitations = self.elements[k]
+        return _anti_hermitian_sum(excitations) * scale
+
+    def block(self, k: int, angle: "Parameter | float | str") -> list[Node]:
+        """The leaves of exp(angle * generator(k)): one ``ExcitationRotation``
+        for a single excitation, else the ``exp_pauli`` rotations of its
+        strings, which need not commute across the excitations of a group."""
+        _, scale, excitations = self.elements[k]
+        angle = as_parameter(angle)
+        if len(excitations) == 1:
+            (excitation,) = excitations
+            return [ExcitationRotation(excitation.occ, excitation.virt, (angle.scaled(scale),))]
+        return exp_pauli(self.generator(k), angle).children
 
 
 def hartree_fock_circuit(ne: int, nq: int) -> CompositeInstruction:
@@ -166,14 +184,15 @@ def build_pool(name: str, ne: int, nq: int) -> OperatorPool:
     """Construct an operator pool for adaptive ansatz growth.
 
     "uccsd": the generator T - T† of every particle-conserving single and
-    double excitation, spin flips included.  "singlet-adapted-uccsd":
-    spin-summed linear combinations of the spin-preserving generators,
-    normalized and deduplicated.
+    double excitation, spin flips included.  "singlet-adapted-uccsd": per
+    spatial signature, the sum of its spin-preserving generators,
+    normalized.  Each excitation's strings carry X or Y on exactly its own
+    modes, so no two groups share a string and no sum is zero or repeated.
     """
     if name == "uccsd":
         elements = [
-            (excitation_label(occ, virt), image - image.dagger())
-            for occ, virt, image in excitations(ne, nq, spin_preserving=False)
+            (excitation_label(occ, virt), 1.0, (ExcitationOperator(occ, virt),))
+            for occ, virt in excitation_modes(ne, nq, spin_preserving=False)
         ]
         return OperatorPool(name, elements)
     if name == "singlet-adapted-uccsd":
@@ -183,32 +202,20 @@ def build_pool(name: str, ne: int, nq: int) -> OperatorPool:
     )
 
 
-def _normalized(op: PauliOperator) -> PauliOperator:
-    norm = sum(abs(t.coefficient) ** 2 for t in op.terms()) ** 0.5
-    return op * (1.0 / norm) if norm > 0 else op
-
-
-def _spatial_signature(indices: Iterable[int], n_spatial: int) -> tuple[int, ...]:
-    return tuple(sorted(i % n_spatial for i in indices))
+def _anti_hermitian_sum(excitations: Iterable[ExcitationOperator]) -> PauliOperator:
+    images = [excitation.image() for excitation in excitations]
+    return sum((image - image.dagger() for image in images), PauliOperator.zero())
 
 
 def _singlet_adapted_pool(ne: int, nq: int) -> OperatorPool:
     n_spatial = nq // 2
-    groups: dict[tuple, PauliOperator] = {}
-    for occ, virt, image in excitations(ne, nq):
-        signature = (
-            _spatial_signature(occ, n_spatial),
-            _spatial_signature(virt, n_spatial),
-        )
-        generator = image - image.dagger()
-        groups[signature] = groups.get(signature, PauliOperator.zero()) + generator
+    groups: dict[tuple, list[ExcitationOperator]] = {}
+    for occ, virt in excitation_modes(ne, nq):
+        signature = tuple(tuple(sorted(q % n_spatial for q in modes)) for modes in (occ, virt))
+        groups.setdefault(signature, []).append(ExcitationOperator(occ, virt))
     elements = []
-    seen: list[PauliOperator] = []
-    for signature in sorted(groups):
-        combined = _normalized(groups[signature])
-        if combined.is_zero() or any(combined.isclose(p) for p in seen):
-            continue
-        seen.append(combined)
-        occ_sig, virt_sig = signature
-        elements.append((f"singlet_{excitation_label(occ_sig, virt_sig)}", combined))
+    for (occ_sig, virt_sig), excitations in sorted(groups.items()):
+        norm = sum(abs(t.coefficient) ** 2 for t in _anti_hermitian_sum(excitations).terms()) ** 0.5
+        label = f"singlet_{excitation_label(occ_sig, virt_sig)}"
+        elements.append((label, 1.0 / norm, tuple(excitations)))
     return OperatorPool("singlet-adapted-uccsd", elements)

@@ -325,7 +325,7 @@ def cmd_bench_uccsd(args) -> int:
         nq_list = [int(v) for v in _split_list(args.nq)]
         ne_list = [int(v) for v in _split_list(args.ne)]
     except ValueError as exc:
-        print(f"bad --nq/--ne list: {exc}", file=sys.stderr)
+        print(f"config error: bad --nq/--ne list: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.repeats < 1:
         print(f"config error: --repeats must be >= 1, got {args.repeats}", file=sys.stderr)

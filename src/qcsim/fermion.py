@@ -5,12 +5,12 @@ spin-orbitals the second half.  The Jordan-Wigner string places Z on all
 modes strictly below the ladder operator's mode.
 
 ``excitation_modes`` is the one enumeration of the singles/doubles
-manifold off the reference determinant, as (occ, virt) indices: UCCSD
-and the QEOM basis read it alone.  An ``ExcitationOperator`` is one
-entry's T, or T†, as a value: the simulator applies it on its amplitude
-pairs, and its JW ``image()`` is built, from ``ir._jw_strings``, only when
-asked for.  ``excitations`` adds each entry's image, a product of
-once-built ladder images, which both ADAPT pools read.
+manifold off the reference determinant, as (occ, virt) indices: UCCSD,
+both ADAPT pools and the QEOM basis read it alone.  An
+``ExcitationOperator`` is one entry's T, or T†, as a value: the simulator
+applies it on its amplitude pairs, and its JW ``image()`` is built, from
+``ir._jw_strings``, only when asked for.  ``jordan_wigner`` maps any other
+``FermionOperator``, as a product of ladder images.
 """
 from __future__ import annotations
 
@@ -174,22 +174,3 @@ class ExcitationOperator:
         image = PauliOperator.from_terms(dict(_jw_strings(self.occ, self.virt)))
         return image.dagger() if self.adjoint else image
 
-
-def excitations(
-    n_electrons: int, n_qubits: int, spin_preserving: bool = True
-) -> list[tuple[tuple[int, ...], tuple[int, ...], PauliOperator]]:
-    """Each ``excitation_modes`` entry (occ, virt) with its image: the
-    Jordan-Wigner image of T = a†_virt... a_occ... (occ in reverse), whose
-    anti-Hermitian generator is ``image - image.dagger()``.  Each mode's
-    ladder image is built once per call.
-    """
-    occupied = occupied_spin_orbitals(n_electrons, n_qubits)
-    # an excitation only annihilates occupied modes and creates virtual ones
-    ladder = {q: _jw_ladder(q, q not in occupied) for q in range(n_qubits)}
-    found = []
-    for occ, virt in excitation_modes(n_electrons, n_qubits, spin_preserving):
-        image = PauliOperator.identity()
-        for q in virt + occ[::-1]:
-            image = image * ladder[q]
-        found.append((occ, virt, image))
-    return found

@@ -53,7 +53,8 @@ def pair_rotation_ansatz(hf_circuit_2q):
     """X(q0) followed by the one-parameter pair-rotation generator."""
     from qcsim import ansatz, fermion
 
-    ((_, _, image),) = fermion.excitations(1, 2, spin_preserving=False)
+    ((occ, virt),) = fermion.excitation_modes(1, 2, spin_preserving=False)
+    image = fermion.ExcitationOperator(occ, virt).image()
     generator = image - image.dagger()
     circuit = qcsim.create_composite("pair")
     circuit.add_all(hf_circuit_2q.children)

@@ -1,7 +1,10 @@
-"""ADAPT-VQE on the Hubbard dimer against sector exact diagonalization.
+"""ADAPT-VQE on the Hubbard dimer against sector exact diagonalization,
+and on the 3-site chain against recorded runs.
 
-ADAPT's ansatz is a product of ``exp_pauli`` rotation nodes, so every
-energy and pool gradient here runs the one-pass rotation path.
+A ``uccsd`` operator is grown as one ``ExcitationRotation`` (one Givens
+rotation of amplitude pairs), a ``singlet-adapted-uccsd`` group of two
+or more excitations as the ``exp_pauli`` rotations of its generator, and
+the pool is screened on its generators' Pauli sums.
 """
 import math
 from pathlib import Path
@@ -54,6 +57,44 @@ def test_site_basis_stops_at_the_singles_product_state():
     buffer = _adapt(pauli.load_hamiltonian(str(DIMER_PATH)))
     assert buffer["opt-val"] == pytest.approx(-0.5, abs=1e-6)
     assert buffer["adapt-ops"] == ["(0)->(1)", "(2)->(3)"]
+
+
+@pytest.mark.parametrize(
+    "pool, chosen, energy",
+    [
+        (
+            "uccsd",
+            ["(0)->(1)", "(3)->(4)", "(0)->(2)", "(3)->(5)", "(0,3)->(2,4)", "(0)->(2)",
+             "(0)->(1)", "(3)->(5)"],
+            -1.99999999999884,
+        ),
+        (
+            "singlet-adapted-uccsd",
+            ["singlet_(0)->(1)", "singlet_(0)->(2)", "singlet_(0,0)->(1,2)",
+             "singlet_(0)->(2)", "singlet_(0)->(1)"],
+            -1.9930963857322492,
+        ),
+    ],
+    ids=["uccsd", "singlet-adapted-uccsd"],
+)
+def test_the_chain_run_matches_the_recorded_one(pool, chosen, energy, hubbard_chain):
+    """Exact ADAPT on the 3-site chain (6 qubits, N = 2) chooses the operators
+    and reaches the energy recorded when each pool element was a stored
+    Pauli sum grown as its ``exp_pauli`` block."""
+    adapt = qcsim.get_algorithm(
+        "adapt",
+        {
+            "optimizer": qcsim.get_optimizer("nelder-mead", {"tolerance": 1e-12}),
+            "observable": hubbard_chain(3),
+            "n-electrons": 2,
+            "pool": pool,
+            "accelerator": qcsim.get_accelerator("statevector", {"shots": 0}),
+        },
+    )
+    buffer = qcsim.qalloc(6)
+    adapt.execute(buffer)
+    assert buffer["adapt-ops"] == chosen
+    assert abs(buffer["opt-val"] - energy) <= 1e-12
 
 
 @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])

@@ -349,7 +349,8 @@ class TestCommutatorReuse:
     def test_adapt_shape_costs_one_application_per_generator(self, monkeypatch, hubbard_dimer_mo):
         """A Hermitian left is applied once and every anti-Hermitian right
         (R^dag = -R) once: 1 + g applications for g generators."""
-        generators = [op for _, op in qcsim.build_pool("uccsd", 2, 4).elements]
+        pool = qcsim.build_pool("uccsd", 2, 4)
+        generators = [pool.generator(k) for k in range(len(pool))]
         state = _accelerator(seed=0, shots=0).prepare(_perturbed_reference(4, (0, 2)), 4)
         applied = _counted_applications(monkeypatch)
         got, responses = state.expect_commutators([hubbard_dimer_mo], generators)

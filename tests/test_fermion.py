@@ -6,7 +6,6 @@ from qcsim.fermion import (
     FermionOperator,
     FermionTerm,
     excitation_modes,
-    excitations,
     jordan_wigner,
     occupied_spin_orbitals,
 )
@@ -104,21 +103,30 @@ def excitation_operator(occ, virt) -> FermionOperator:
 def index_pairs(n_electrons, n_qubits, rank, spin_preserving=True):
     return [
         (occ, virt)
-        for occ, virt, _ in excitations(n_electrons, n_qubits, spin_preserving)
+        for occ, virt in excitation_modes(n_electrons, n_qubits, spin_preserving)
         if len(occ) == rank
+    ]
+
+
+def excitation_images(n_electrons, n_qubits, spin_preserving=True):
+    """(occ, virt, image) of each ``excitation_modes`` entry, with the JW
+    image of its T from ``ExcitationOperator.image``."""
+    return [
+        (occ, virt, ExcitationOperator(occ, virt).image())
+        for occ, virt in excitation_modes(n_electrons, n_qubits, spin_preserving)
     ]
 
 
 class TestAntiHermitianExcitation:
     def test_single_structure(self):
-        ((occ, virt, image),) = excitations(1, 2, spin_preserving=False)
+        ((occ, virt, image),) = excitation_images(1, 2, spin_preserving=False)
         assert (occ, virt) == ((0,), (1,))
         assert image == jordan_wigner(excitation_operator(occ, virt), 2)
         assert len(image - image.dagger()) == 2
 
     def test_single_jw_image(self):
         # matrix oracle fixes the sign: a†1 a0 - a†0 a1 -> (i/2)(Y0 X1 - X0 Y1)
-        ((_, _, image),) = excitations(1, 2, spin_preserving=False)
+        ((_, _, image),) = excitation_images(1, 2, spin_preserving=False)
         gen = image - image.dagger()
         assert gen.coefficient({0: "Y", 1: "X"}) == pytest.approx(0.5j)
         assert gen.coefficient({0: "X", 1: "Y"}) == pytest.approx(-0.5j)
@@ -129,7 +137,7 @@ class TestAntiHermitianExcitation:
 
     def test_anti_hermitian_matrix_image(self):
         for n_electrons, n_qubits in ((1, 2), (2, 4), (3, 6)):
-            for occ, virt, image in excitations(n_electrons, n_qubits, spin_preserving=False):
+            for occ, virt, image in excitation_images(n_electrons, n_qubits, False):
                 matrix = to_matrix(image - image.dagger(), n_qubits)
                 t = excitation_operator(occ, virt)
                 oracle = fermion_matrix(t - t.dagger(), n_qubits)
@@ -141,22 +149,22 @@ class TestAntiHermitianExcitation:
     def test_generator_is_jordan_wigner_of_t_minus_t_dagger(
         self, n_electrons, n_qubits, spin_preserving
     ):
-        for occ, virt, image in excitations(n_electrons, n_qubits, spin_preserving):
+        for occ, virt, image in excitation_images(n_electrons, n_qubits, spin_preserving):
             t = excitation_operator(occ, virt)
             assert image - image.dagger() == jordan_wigner(t - t.dagger(), n_qubits)
 
 
 class TestExcitationOperator:
     """The value (occ, virt, adjoint): its image, built from its strings, is
-    the ladder product that ``excitations`` and ``jordan_wigner`` build, in
-    the same string order, or that image's adjoint, and its width is the
-    image's."""
+    the ladder product that ``jordan_wigner`` builds, or that image's
+    adjoint, and its width is the image's."""
 
     @pytest.mark.parametrize("n_electrons, n_qubits", [(1, 2), (2, 4), (3, 6), (4, 8)])
     def test_image_dagger_and_width(self, n_electrons, n_qubits):
-        for occ, virt, image in excitations(n_electrons, n_qubits, spin_preserving=False):
+        for occ, virt in excitation_modes(n_electrons, n_qubits, spin_preserving=False):
             op = ExcitationOperator(occ, virt)
-            assert op.image() == image == jordan_wigner(excitation_operator(occ, virt), n_qubits)
+            image = jordan_wigner(excitation_operator(occ, virt), n_qubits)
+            assert op.image() == image
             assert list(op.image().encoded()) == list(image.encoded())
             assert op.dagger() == ExcitationOperator(occ, virt, adjoint=True)
             assert op.dagger().dagger() == op
@@ -194,15 +202,22 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n_electrons, n_qubits", [(2, 4), (3, 8), (4, 12)])
     def test_singles_then_doubles_in_index_order(self, n_electrons, n_qubits):
-        every = [(occ, virt) for occ, virt, _ in excitations(n_electrons, n_qubits, False)]
+        every = excitation_modes(n_electrons, n_qubits, False)
         assert every == sorted(every, key=lambda pair: (len(pair[0]), pair))
 
     @pytest.mark.parametrize("spin_preserving", [True, False])
     @pytest.mark.parametrize("n_electrons, n_qubits", [(1, 2), (2, 4), (3, 8), (4, 12)])
     def test_images_are_built_on_the_one_enumeration(self, n_electrons, n_qubits, spin_preserving):
+        """The pool whose generators are built from these images holds the
+        excitations of the enumeration: every one with spin flips for
+        "uccsd", each spin-preserving one in one group for the singlets."""
+        from qcsim.ansatz import build_pool
+
         modes = excitation_modes(n_electrons, n_qubits, spin_preserving)
-        found = excitations(n_electrons, n_qubits, spin_preserving)
-        assert [(occ, virt) for occ, virt, _ in found] == modes
+        name = "singlet-adapted-uccsd" if spin_preserving else "uccsd"
+        pool = build_pool(name, n_electrons, n_qubits)
+        found = [(t.occ, t.virt) for _, _, group in pool.elements for t in group]
+        assert sorted(found) == sorted(modes) and len(found) == len(modes)
 
     def test_uccsd_reads_the_modes_without_building_an_image(self, monkeypatch):
         import qcsim
@@ -217,8 +232,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("n_electrons, n_qubits", [(2, 4), (3, 8), (4, 12)])
     def test_spin_preserving_keeps_the_sz_conserving_subset(self, n_electrons, n_qubits):
         half = n_qubits // 2
-        every = [(occ, virt) for occ, virt, _ in excitations(n_electrons, n_qubits, False)]
-        kept = [(occ, virt) for occ, virt, _ in excitations(n_electrons, n_qubits)]
+        every = excitation_modes(n_electrons, n_qubits, False)
+        kept = excitation_modes(n_electrons, n_qubits)
         assert kept == [
             (occ, virt)
             for occ, virt in every

@@ -18,9 +18,11 @@ product and no commutator.
 A Pauli rotation and an excitation rotation are leaves, not composites,
 and ``ansatz.exp_pauli`` builds no gate: a rotation derives its gates
 when they are read.  Neither ``ansatz.py`` nor an algorithm module calls
-``jordan_wigner``: excitation images come only from ``fermion``
-(``excitations`` and ``ExcitationOperator.image``).  ``ir.py`` does not
-import ``fermion`` either,
+``jordan_wigner``: excitation images come only from
+``ExcitationOperator.image``, and ``fermion`` has no other excitation
+source: its ladder images serve ``jordan_wigner`` alone, and a ``uccsd``
+ADAPT run grows one ``ExcitationRotation`` per chosen operator.  ``ir.py``
+does not import ``fermion`` either,
 and ``backend.py`` never calls ``jordan_wigner``: an excitation node's
 strings and signs come from its modes by bit arithmetic.  In ``backend``
 only the compiled form reads an operator's strings: its one table builder
@@ -305,6 +307,63 @@ def test_excitation_images_come_only_from_fermion_excitations(path):
     assert [node.lineno for node in ast.walk(tree) if _calls_named(node, "jordan_wigner")] == []
 
 
+def test_the_ladder_images_serve_jordan_wigner_alone():
+    from qcsim import fermion
+
+    assert not hasattr(fermion, "excitations")
+    calls = {
+        (path.name, node.lineno)
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _calls_named(node, "_jw_ladder")
+    }
+    tree = ast.parse((PACKAGE / "fermion.py").read_text(encoding="utf-8"))
+    (mapper,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "jordan_wigner"
+    ]
+    assert calls == {
+        ("fermion.py", node.lineno) for node in ast.walk(mapper) if _calls_named(node, "_jw_ladder")
+    }
+    assert calls
+
+
+def test_a_uccsd_adapt_run_grows_one_excitation_leaf_per_chosen_operator(
+    monkeypatch, hubbard_chain
+):
+    import qcsim
+    from qcsim import backend
+    from qcsim.ansatz import excitation_label
+    from qcsim.ir import ExcitationRotation, Instruction
+
+    planned = []
+    plan = backend.CompiledCircuit.__init__
+    monkeypatch.setattr(
+        backend.CompiledCircuit,
+        "__init__",
+        lambda self, circuit, n: planned.append(circuit) or plan(self, circuit, n),
+    )
+    adapt = qcsim.get_algorithm(
+        "adapt",
+        {
+            "optimizer": qcsim.get_optimizer("nelder-mead"),
+            "observable": hubbard_chain(3),
+            "n-electrons": 2,
+            "pool": "uccsd",
+            "max-iter": 3,
+            "accelerator": qcsim.get_accelerator("statevector", {"shots": 0}),
+        },
+    )
+    buffer = qcsim.qalloc(6)
+    adapt.execute(buffer)
+    leaves = list(planned[-1].leaves())
+    chosen = buffer["adapt-ops"]
+    assert len(chosen) == 3
+    # the reference's X gates, then one excitation per chosen operator
+    assert [type(leaf) for leaf in leaves] == [Instruction] * 2 + [ExcitationRotation] * 3
+    assert [excitation_label(leaf.occ, leaf.virt) for leaf in leaves[2:]] == chosen
+
+
 def test_the_simulator_never_maps_a_fermion_operator():
     tree = ast.parse((PACKAGE / "backend.py").read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if _calls_named(node, "jordan_wigner")] == []
@@ -578,10 +637,13 @@ def test_eom_pencil_builds_no_commutator(monkeypatch):
     import qcsim
     from qcsim import pauli
     from qcsim.algorithms import qeom
-    from qcsim.fermion import excitations
+    from qcsim.fermion import ExcitationOperator, excitation_modes
     from qcsim.ir import create_composite, create_instruction
 
-    operators = [image for _, _, image in excitations(2, 4, spin_preserving=False)]
+    operators = [
+        ExcitationOperator(occ, virt).image()
+        for occ, virt in excitation_modes(2, 4, spin_preserving=False)
+    ]
     observable = qcsim.PauliOperator({0: "Z", 1: "Z"}) + qcsim.PauliOperator({1: "X", 2: "X"})
     reference = create_composite("reference")
     for q in (0, 2):

@@ -50,7 +50,8 @@ def _pauli_uccsd(ne, nq):
     """UCCSD of Pauli rotations: one ``exp_pauli`` of T - T† per excitation."""
     circuit = create_composite("uccsd")
     circuit.add_all(hartree_fock_circuit(ne, nq).children)
-    for k, (_, _, image) in enumerate(fermion.excitations(ne, nq)):
+    for k, (occ, virt) in enumerate(fermion.excitation_modes(ne, nq)):
+        image = fermion.ExcitationOperator(occ, virt).image()
         circuit.add_all(exp_pauli(image - image.dagger(), f"t{k}").children)
     return circuit
 
@@ -265,7 +266,8 @@ def test_an_excitation_pass_equals_the_gate_sequence(ne, nq, data):
 @pytest.mark.parametrize("ne, nq", [(1, 2), (2, 4), (3, 8), (4, 8), (4, 12)])
 @pytest.mark.parametrize("spin_preserving", [True, False])
 def test_an_excitation_holds_the_strings_exp_pauli_gives_its_generator(ne, nq, spin_preserving):
-    for occ, virt, image in fermion.excitations(ne, nq, spin_preserving):
+    for occ, virt in fermion.excitation_modes(ne, nq, spin_preserving):
+        image = fermion.ExcitationOperator(occ, virt).image()
         node = ExcitationRotation(occ, virt, (Parameter.symbolic("t"),))
         pauli_rotations = exp_pauli(image - image.dagger(), "t").children
         assert node.rotations() == [(r.ops, r.angle) for r in pauli_rotations]
@@ -292,9 +294,7 @@ def test_uccsd_is_one_node_per_excitation():
     leaves = list(circuit.leaves())
     assert len(leaves) == 96
     assert [type(node) for node in leaves] == [Instruction] * 4 + [ExcitationRotation] * 92
-    assert [(node.occ, node.virt) for node in leaves[4:]] == [
-        (occ, virt) for occ, virt, _ in fermion.excitations(4, 12)
-    ]
+    assert [(node.occ, node.virt) for node in leaves[4:]] == fermion.excitation_modes(4, 12)
 
 
 def test_evaluate_keeps_the_excitation_nodes():

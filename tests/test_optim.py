@@ -21,7 +21,7 @@ from qcsim import backend, optim, pauli
 from qcsim.ansatz import exp_pauli
 from qcsim.backend import expectation
 from qcsim.errors import OptimizationError
-from qcsim.fermion import excitation_modes, excitations
+from qcsim.fermion import ExcitationOperator, excitation_modes
 from qcsim.ir import (
     ExcitationRotation,
     Parameter,
@@ -252,7 +252,8 @@ def _exp_pauli_ansatz():
     """|1010> and one exp_pauli block per excitation of (2, 4), its Pauli
     rotations at +-t_k or +-t_k/4."""
     circuit = qcsim.hartree_fock_circuit(2, 4)
-    for k, (_, _, image) in enumerate(excitations(2, 4)):
+    for k, (occ, virt) in enumerate(excitation_modes(2, 4)):
+        image = ExcitationOperator(occ, virt).image()
         circuit.add_all(exp_pauli(image - image.dagger(), f"t{k}").children)
     return circuit
 

@@ -26,7 +26,7 @@ import qcsim
 from qcsim import backend, pauli
 from qcsim.algorithms import qeom
 from qcsim.errors import AlgorithmError, BackendError
-from qcsim.fermion import ExcitationOperator, excitation_modes, excitations
+from qcsim.fermion import ExcitationOperator, excitation_modes
 from qcsim.linalg import indefinite_generalized_eig
 from qcsim.ir import create_composite, create_instruction
 
@@ -182,16 +182,17 @@ def test_a_bad_observable_raises_before_any_vector_or_draw(shots, observable, me
     assert accelerator._rng.bit_generator.state == before
 
 
-def _basis(n_electrons, n_qubits):
-    return [image for _, _, image in excitations(n_electrons, n_qubits, spin_preserving=False)]
-
-
 def _excitations(n_electrons, n_qubits):
-    """QEOM's basis: the excitation values whose images ``_basis`` lists."""
+    """QEOM's basis: one excitation value per ``excitation_modes`` entry."""
     return [
         ExcitationOperator(occ, virt)
         for occ, virt in excitation_modes(n_electrons, n_qubits, spin_preserving=False)
     ]
+
+
+def _basis(n_electrons, n_qubits):
+    """The JW images of ``_excitations``."""
+    return [op.image() for op in _excitations(n_electrons, n_qubits)]
 
 
 def _roots(pencil):
