@@ -11,7 +11,10 @@ operator), with a new parameter at zero, and the whole parameter vector is
 re-optimized by a VQE run from the current parameters.  The pool is
 ``pool`` (``uccsd`` when not given); the run stops once ||g|| falls below
 ``grad-threshold`` or ``max-iter`` operators (the pool's size by default)
-have been appended.
+have been appended.  Each VQE run's ``stop-reason`` and evaluation count
+are reported, in order, as ``adapt-stop-reasons`` and
+``adapt-evaluations``; sampled, its Nelder-Mead stops at the shot-noise
+floor (``optim.NelderMead``).
 """
 from __future__ import annotations
 
@@ -62,6 +65,8 @@ class AdaptVQE(Algorithm):
         chosen: list[str] = []
         params: list[float] = []
         gradient_norms: list[float] = []
+        stop_reasons: list[str] = []
+        evaluations: list[int] = []
 
         while True:
             state = accelerator.prepare(CompiledCircuit(ansatz, n_qubits), n_qubits, params)
@@ -91,8 +96,12 @@ class AdaptVQE(Algorithm):
             vqe.execute(scratch)
             params = scratch.metadata.get_real_list("opt-params")
             energy = scratch.metadata.get_real("opt-val")
+            stop_reasons.append(scratch.metadata.get_string("stop-reason"))
+            evaluations.append(len(scratch.metadata.get_real_list("energy-history")))
 
         buffer.metadata.insert("opt-val", energy)
         buffer.metadata.insert("opt-params", list(params))
         buffer.metadata.insert("adapt-ops", chosen)
         buffer.metadata.insert("adapt-gradient-norms", gradient_norms)
+        buffer.metadata.insert("adapt-stop-reasons", stop_reasons)
+        buffer.metadata.insert("adapt-evaluations", evaluations)

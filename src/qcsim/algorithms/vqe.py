@@ -7,16 +7,21 @@ optimizer's keys (``optim.OPTIMIZER_KINDS``) may be set on the run too,
 and override the optimizer's own options.  The observable is
 compiled once per run (``backend.compile_observable``) and the ansatz is
 planned once per run (``backend.CompiledCircuit``): every evaluation runs
-that plan with the optimizer's x and reads that observable, and builds no
-bound circuit.  ``opt-val`` is measured afresh at ``opt-params``, from the
-same plan, and ``opt-val-stderr`` is its standard error from the same
-draws (0.0 in exact mode).
+that plan with the optimizer's x and reads that observable's
+``PreparedState.estimate``, the energy and its standard error from the
+same draws (0.0 in exact mode), and builds no bound circuit; the error
+lets Nelder-Mead stop at the shot-noise floor.  ``opt-val`` is measured
+afresh at ``opt-params``, from the same plan, and ``opt-val-stderr`` is
+its standard error.  ``stop-reason`` names why the optimizer stopped
+(``optim.OptimizerResult``); ``converged`` is false only at
+``max-iterations``.  ``energy-history`` holds every objective value, one
+per evaluation.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..backend import AcceleratorBuffer, CompiledCircuit, compile_observable, expectation
+from ..backend import AcceleratorBuffer, CompiledCircuit, compile_observable
 from ..errors import AlgorithmError
 from ..optim import GRADIENT_STRATEGIES, OPTIMIZER_KINDS, ObjectiveFunction, evaluate_gradient
 from .base import STATE_KINDS, Algorithm
@@ -42,18 +47,20 @@ class VQE(Algorithm):
         strategy = self.options.get_or("gradient-strategy", "string", None)
         # one compiled observable and one planned ansatz for every evaluation
         compiled = compile_observable(observable, ansatz)
+        if not compiled.is_hermitian():
+            raise AlgorithmError("vqe needs a Hermitian observable")
         circuit = CompiledCircuit(ansatz, compiled.n_qubits())
 
         energy_history: list[float] = []
 
-        def objective(x: np.ndarray, grad_out: np.ndarray) -> float:
-            energy = expectation(compiled, circuit, accelerator, x)
-            energy_history.append(energy)
+        def objective(x: np.ndarray, grad_out: np.ndarray) -> tuple[float, float]:
+            energy, stderr = accelerator.prepare(circuit, circuit.n_qubits(), x).estimate(compiled)
+            energy_history.append(energy.real)
             if strategy is not None and grad_out.size:
                 grad_out[:] = evaluate_gradient(
                     strategy, ansatz, x, observable, accelerator
                 )
-            return energy
+            return energy.real, stderr
 
         f = ObjectiveFunction(
             objective, len(ansatz.variables), provides_gradient=strategy is not None
@@ -73,3 +80,4 @@ class VQE(Algorithm):
         buffer.metadata.insert("opt-params", result.opt_params)
         buffer.metadata.insert("energy-history", energy_history)
         buffer.metadata.insert("converged", result.converged)
+        buffer.metadata.insert("stop-reason", result.stop_reason)

@@ -343,13 +343,18 @@ class PreparedState:
         h_psi = None if observable is None else apply_pauli(observable, psi)
         # column s: conj(<kept row|A_s psi>) and, given H, that of H (A_s psi) -
         # A_s (H psi), for the slots the rights read, one stack of their A_s psi
-        # (a kept slot's its row) at a time, each dropped before the next
+        # (a kept slot's its row) at a time, each dropped before the next; a
+        # run of kept slots is read in place, never written through, since
+        # H's application makes a new stack
         read = sorted(set(right_rows + adjoint_rows))
         chunk = max(1, _STACK_AMPLITUDES >> n)
         tables = np.empty((1 if observable is None else 2, len(kept), len(appliers)), dtype=complex)
         for start in range(0, len(read), chunk):
             group = read[start : start + chunk]
-            stack = np.array([kept[s] if s < len(kept) else appliers[s](psi) for s in group])
+            if group[-1] < len(kept) and group[-1] - group[0] == len(group) - 1:
+                stack = kept[group[0] : group[-1] + 1]
+            else:
+                stack = np.array([kept[s] if s < len(kept) else appliers[s](psi) for s in group])
             tables[0][:, group] = kept @ stack.conj().T
             if h_psi is not None:
                 stack = observable.apply(stack)

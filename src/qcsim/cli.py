@@ -160,8 +160,9 @@ def _algorithm_options(config, algorithm: str, kinds: dict, ansatz) -> dict:
     return options
 
 
-def _prepare_ground_state(circuit, observable, accelerator, optimizer):
-    """Bind a symbolic ansatz to its VQE-optimal parameters."""
+def _prepare_ground_state(circuit, observable, accelerator, optimizer, verbose):
+    """Bind a symbolic ansatz to its VQE-optimal parameters; verbose, print
+    that VQE run's stop reason and evaluation count to stderr."""
     vqe = get_algorithm(
         "vqe",
         {
@@ -173,6 +174,10 @@ def _prepare_ground_state(circuit, observable, accelerator, optimizer):
     )
     scratch = qalloc(max(circuit.max_qubit() + 1, observable.n_qubits(), 1))
     vqe.execute(scratch)
+    if verbose:
+        evaluations = len(scratch.metadata.get_real_list("energy-history"))
+        reason = scratch.metadata.get_string("stop-reason")
+        print(f"bound ansatz by vqe: {reason} after {evaluations} evaluations", file=sys.stderr)
     return evaluate(circuit, scratch.metadata.get_real_list("opt-params"))
 
 
@@ -183,7 +188,9 @@ def _execute_point(kinds, algorithm, options, observable, accelerator, ansatz, v
     n_qubits = observable.n_qubits()
     options = dict(options)
     if "optimizer" not in kinds and "optimizer" in options:
-        ansatz = _prepare_ground_state(ansatz, observable, accelerator, options.pop("optimizer"))
+        ansatz = _prepare_ground_state(
+            ansatz, observable, accelerator, options.pop("optimizer"), verbose
+        )
     if ansatz is not None:
         options["ansatz"] = ansatz
         n_qubits = max(n_qubits, ansatz.max_qubit() + 1)

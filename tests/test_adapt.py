@@ -158,3 +158,25 @@ def test_a_run_that_appends_nothing_returns_the_reference_energy(shots, stop, hu
     assert buffer.metadata.get_string_list("adapt-ops") == []
     assert buffer.metadata.get_real_list("opt-params") == []
     assert len(buffer.metadata.get_real_list("adapt-gradient-norms")) == 1
+
+
+@pytest.mark.parametrize("shots, reason", [(0, "tolerance"), (4000, "noise-floor")])
+def test_each_sub_vqe_reports_its_stop_and_evaluations(hubbard_dimer_mo, shots, reason):
+    """One stop reason and one evaluation count per appended operator;
+    sampled sub-VQEs stop at the noise floor."""
+    options = {"shots": shots, "seed": 3} if shots else {"shots": 0}
+    adapt = qcsim.get_algorithm(
+        "adapt",
+        {
+            "optimizer": qcsim.get_optimizer("nelder-mead"),
+            "observable": hubbard_dimer_mo,
+            "n-electrons": 2,
+            "accelerator": qcsim.get_accelerator("statevector", options),
+        },
+    )
+    buffer = qcsim.qalloc(4)
+    adapt.execute(buffer)
+    assert len(buffer["adapt-stop-reasons"]) == len(buffer["adapt-ops"]) >= 1
+    assert set(buffer["adapt-stop-reasons"]) == {reason}
+    assert len(buffer["adapt-evaluations"]) == len(buffer["adapt-ops"])
+    assert all(2 <= count <= 500 for count in buffer["adapt-evaluations"])

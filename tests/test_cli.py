@@ -640,3 +640,15 @@ def test_adapt_that_appends_nothing_reports_the_reference_energy(tmp_path):
     reference[0b1100] = 1.0
     matrix = pauli.to_matrix(pauli.load_hamiltonian(str(path)), 4).real
     assert float(rows[0]["opt-val"]) == pytest.approx(reference @ matrix @ reference, abs=1e-11)
+
+
+@pytest.mark.parametrize("shots, reason", [("0", "tolerance"), ("4000", "noise-floor")])
+def test_verbose_spectrum_reports_the_binding_vqe_stop(tmp_path, capsys, shots, reason):
+    """The VQE that binds a symbolic ansatz prints why it stopped and after
+    how many evaluations; sampled, it stops at the noise floor."""
+    config = _write_config(tmp_path, "qcmx")
+    flags = ("--shots", shots, "--seed", "7", "--verbose")
+    assert _main("spectrum", config, tmp_path / "out.csv", *flags) == cli.EXIT_OK
+    (line,) = [line for line in capsys.readouterr().err.splitlines() if "vqe" in line]
+    assert line.startswith(f"bound ansatz by vqe: {reason} after ")
+    assert line.endswith(" evaluations")

@@ -5,7 +5,8 @@ parameter-shift rule exactly (to the finite-difference truncation error)
 and one-sided differences to O(step).  Parameter-shift on the compiled
 plan is bit for bit the rule that binds x and splices shifted leaves into
 the bound tree, exact and seeded sampled alike.  Optimizers are checked on
-a quadratic with a known minimum.
+a quadratic with a known minimum, and Nelder-Mead's noise-floor stop on
+noisy and noise-free objectives.
 """
 from dataclasses import replace
 from pathlib import Path
@@ -342,3 +343,91 @@ class TestOptimizers:
         )
         with pytest.raises(OptimizationError, match="NaN"):
             opt.optimize(f)
+
+
+def _noisy_quadratic(minimum, stderr, seed):
+    """The quadratic plus normal noise of sd ``stderr``, reported with it."""
+    rng = np.random.default_rng(seed)
+    plain = _quadratic(minimum)
+
+    def function(x, grad_out):
+        return plain.value(x) + stderr * rng.normal(), stderr
+
+    return optim.ObjectiveFunction(function, len(minimum))
+
+
+class TestNoiseFloor:
+    def test_an_error_free_objective_takes_the_tolerance_path(self):
+        """A plain-float objective and one reporting stderr 0.0 take the
+        same steps to the same answer and never stop at the noise floor."""
+        plain = _quadratic([0.7, -0.4])
+        paired = optim.ObjectiveFunction(lambda x, grad_out: (plain.value(x), 0.0), 2)
+        for options in ({}, {"tolerance": 1e-14}, {"max-iterations": 3}):
+            reference = optim.NelderMead().optimize(plain, options)
+            result = optim.NelderMead().optimize(paired, options)
+            assert result == reference
+            expected = "max-iterations" if options.get("max-iterations") else "tolerance"
+            assert result.stop_reason == expected
+            assert result.converged == (expected == "tolerance")
+
+    def test_noisy_objective_stops_at_the_noise_floor(self):
+        """With stderr 0.01 on the quadratic no spread falls below 1e-8, yet
+        every seed stops at the noise floor, near the minimum and long before
+        the iteration limit."""
+        for seed in range(20):
+            calls = []
+            noisy = _noisy_quadratic([0.7, -0.4], 0.01, seed)
+            counted = optim.ObjectiveFunction(
+                lambda x, grad_out: calls.append(1) or noisy.estimate(x), 2
+            )
+            result = optim.NelderMead().optimize(counted)
+            assert result.stop_reason == "noise-floor"
+            assert result.converged
+            assert len(calls) < 200
+            np.testing.assert_allclose(result.opt_params, [0.7, -0.4], atol=0.5)
+
+    def test_estimate_defaults_the_error_to_zero(self):
+        f = optim.ObjectiveFunction(lambda x, grad_out: float(np.sum(x)), 2)
+        assert f.estimate(np.array([1.0, 2.0])) == (3.0, 0.0)
+        assert f.value(np.array([1.0, 2.0])) == 3.0
+        noisy = optim.ObjectiveFunction(lambda x, grad_out: (float(np.sum(x)), 0.25), 2)
+        assert noisy.estimate(np.array([1.0, 2.0])) == (3.0, 0.25)
+        assert noisy(np.array([1.0, 2.0]), np.empty(0)) == 3.0
+
+    def test_exact_vqe_never_stops_at_the_noise_floor(self):
+        ansatz = create_composite("h2")
+        ansatz.add(create_instruction("Ry", [0], [Parameter.symbolic("t")]))
+        ansatz.add(create_instruction("X", [1]))
+        ansatz.add(create_instruction("CNOT", [0, 1]))
+        for options in (None, {"tolerance": 1e-14, "max-iterations": 2000}, {"max-iterations": 4}):
+            vqe = qcsim.get_algorithm(
+                "vqe",
+                {
+                    "ansatz": ansatz,
+                    "observable": pauli.load_hamiltonian(str(H2_PATH)),
+                    "accelerator": qcsim.get_accelerator("statevector", {"shots": 0}),
+                    "optimizer": qcsim.get_optimizer("nelder-mead", options),
+                },
+            )
+            buffer = qcsim.qalloc(2)
+            vqe.execute(buffer)
+            assert buffer["stop-reason"] in ("tolerance", "max-iterations")
+            assert buffer["converged"] == (buffer["stop-reason"] == "tolerance")
+
+    def test_a_rounded_initial_simplex_is_not_contracted(self):
+        """From x0 = pi/4 each initial offset rounds to 0.09999999999999998,
+        below simplex_step; a spread within the noise there still moves
+        the simplex before it stops."""
+        x0 = [np.pi / 4, np.pi / 4]
+        assert (x0[0] + optim.NelderMead.simplex_step) - x0[0] < optim.NelderMead.simplex_step
+        calls = []
+
+        def function(x, grad_out):
+            calls.append(1)
+            return 1e-4 * float(np.sum((x - np.pi / 4) ** 2)), 1.0
+
+        result = optim.NelderMead().optimize(
+            optim.ObjectiveFunction(function, 2), {"initial-point": x0}
+        )
+        assert result.stop_reason == "noise-floor"
+        assert len(calls) > 3
