@@ -35,25 +35,22 @@ call, exact ``moments``) hold the compiled form, and no module-level
 cache exists.  Exact application and a draw each take one matmul and one
 gather per distinct X mask, no numpy call per string.
 
-Commutators without products, in one loop: exact ``expect_commutators``
-reads P, <[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi>, and, given a
-Hermitian H, D, <[L, [H, R]]>, from each distinct operator A's one vector
-A psi (an operator equal to one applied before, or to minus it, reads that
-one's) and [H, A] psi = H (A psi) - A (H psi), with H psi formed once, so
-no commutator is built and nothing but the Pauli sums is compiled.  The
-lefts' vectors are kept through the call; the vectors the rights read are
-taken in stacks of rows, each read against the kept ones in one product
-for P and, after H is applied to the whole stack, one for D, and dropped
-before the next stack.  An operator is a Pauli sum or a
-``fermion.ExcitationOperator`` T or T†, which is applied on its amplitude
-pairs (``_pairs``, which ``_excite`` reads too) and never as its JW image.
+Commutators without products: exact ``expect_commutators`` reads
+<[L, R]> = <L^dag psi|R psi> - <R^dag psi|L psi> and, given a Hermitian H,
+<[L, [H, R]]> from each distinct operator A's one vector A psi and
+[H, A] psi = H (A psi) - A (H psi), with H psi formed once, so no
+commutator is built and nothing but the Pauli sums is compiled.  An
+operator is a Pauli sum or a ``fermion.ExcitationOperator`` T or T†,
+applied on its amplitude pairs (``_pairs``), never as its JW image.
 
 One pass per leaf: ``_rotate`` applies a ``PauliRotation`` and
 ``_excite`` an ``ExcitationRotation`` without building its gate lowering,
 and every other leaf is one gate applied in place on views of the state's
 2 or 4 blocks (``_apply_gate``; Suzuki et al., Qulacs, Quantum 5, 559
-(2021)).  Every qubit mask becomes an amplitude-index mask through
-``_index_bits``.
+(2021)).  After the X gates that start a plan from |0...0>, excitations
+keep the electron number N, and ``_excite`` rotates only N-electron pairs
+(Rubin et al., Quantum 5, 568 (2021)).  Every qubit mask becomes an
+amplitude-index mask through ``_index_bits``.
 """
 from __future__ import annotations
 
@@ -183,10 +180,11 @@ class StatevectorAccelerator:
         self, buffer: AcceleratorBuffer, circuit: CompositeInstruction
     ) -> ExecutionResult:
         n = buffer.size
-        steps, measured = _plan(circuit, n, measure=True)
+        steps, measured = _plan(circuit, n, measure=True, from_zero=True)
         state = _run(_zero_state(n), steps)
         measured = tuple(sorted(measured or range(n)))
-        flat = _marginal_probabilities(state, measured).reshape(-1)
+        unmeasured = tuple(q for q in range(n) if q not in measured)
+        flat = (np.abs(state) ** 2).sum(axis=unmeasured).reshape(-1)
         result = ExecutionResult(circuit.name, measured_qubits=measured)
         if self.config.shots == 0:
             result.probabilities = {
@@ -402,6 +400,7 @@ def _plan(
     n: int,
     variables: Sequence[str] = (),
     measure: bool = False,
+    from_zero: bool = False,
 ) -> tuple[list, list[int]]:
     """The steps of a circuit checked whole on an n-qubit register, and its
     Measure targets in first-seen order.
@@ -414,6 +413,12 @@ def _plan(
     constant (None for a fixed gate), or scale * x[i] for source (i, scale).
     A gate's data is (name, qubits, entries), the entries of a fixed gate
     other than X, CNOT and Swap its non-zero matrix entries, made here once.
+
+    An excitation's data is (leaf, pairs), pairs None to build all as it runs.
+    From |0...0> (``from_zero``), X gates make N >= 1 electrons, which the
+    excitations that follow keep until any other leaf (Measure aside).  Their
+    pairs, held while they number at most 2^n (else the indices to build them
+    on), serve only N-electron states: an adjoint sweep's H psi if H keeps N.
     """
     _check_register(n)
     index = {var: i for i, var in enumerate(variables)}
@@ -422,6 +427,7 @@ def _plan(
         raise BackendError(f"circuit '{circuit.name}' has free variables {free}")
     steps: list = []
     measured: list[int] = []
+    ones, sector, holds = 0, [], from_zero
     for leaf in circuit.leaves():
         if leaf.max_qubit() >= n:
             raise BackendError(
@@ -436,8 +442,14 @@ def _plan(
             continue
         if measured and any(q in measured for q in leaf.qubits):
             raise BackendError(f"gate {leaf.name} on {leaf.qubits} after Measure")
+        if holds and leaf.name == "X" and not sector:
+            ones ^= 1 << leaf.qubits[0]
+        elif holds and isinstance(leaf, ExcitationRotation) and len(leaf.occ) == len(leaf.virt):
+            sector.append(len(steps))
+        else:
+            holds = False
         if isinstance(leaf, ExcitationRotation):
-            kernel, data = _excite, leaf
+            kernel, data = _excite, (leaf, None)
         elif isinstance(leaf, PauliRotation):
             kernel, data = _rotate, leaf
         else:
@@ -449,6 +461,15 @@ def _plan(
             (angle,) = leaf.parameters
             source = (index[angle.var], angle.scale) if angle.is_symbolic else angle.value
         steps.append((kernel, data, source))
+    if sector and ones:
+        leaves = [steps[k][1][0] for k in sector]
+        # for each rank r, the indices of the other n - 2r modes with N - r ones
+        rests = {r: np.arange(1 << n - 2 * r) for r in {len(leaf.occ) for leaf in leaves}}
+        rests = {r: x[np.bitwise_count(x) == ones.bit_count() - r] for r, x in rests.items()}
+        count = sum(len(rests[len(leaf.occ)]) for leaf in leaves)
+        held = _sector_pairs(leaves, n, rests) if count <= 1 << n else [rests] * len(leaves)
+        for k, leaf, pairs in zip(sector, leaves, held):
+            steps[k] = (_excite, (leaf, pairs), steps[k][2])
     return steps, measured
 
 
@@ -507,13 +528,38 @@ def _pairs(
     return a_index, rest | virt_bits, np.where(odd, -sign, sign)
 
 
-def _excite(state: np.ndarray, rotation: ExcitationRotation, theta: float) -> np.ndarray:
+def _sector_pairs(leaves: Sequence[ExcitationRotation], n: int, rests: dict) -> list:
+    """``_pairs`` of each leaf by its bit insertion, one pass per rank r,
+    on the indices ``rests[r]`` of the other modes instead of all of them."""
+    out: dict[int, tuple] = {}
+    for r in {len(leaf.occ) for leaf in leaves}:
+        ks = [k for k, leaf in enumerate(leaves) if len(leaf.occ) == r]
+        rows = []
+        for occ, virt in ((leaves[k].occ, leaves[k].virt) for k in ks):
+            sign, parity = _jw_parity(occ, virt)
+            rows.append([1 << n - 1 - q for q in occ + virt] + [_index_bits(parity, n), sign])
+        *_, parity, sign = table = np.array(rows).T[:, :, None]
+        rest = rests[r][None].repeat(len(ks), 0)
+        for low in np.sort(table[:-2], axis=0):
+            rest += rest & -low
+        a, b = rest | table[:r].sum(0), rest | table[r:-2].sum(0)
+        sigma = np.where(np.bitwise_count(a & parity) & 1, -sign, sign)
+        out.update(zip(ks, zip(a, b, sigma)))
+    return [out[k] for k in range(len(leaves))]
+
+
+def _excite(state: np.ndarray, step: tuple, theta: float) -> np.ndarray:
     """exp(theta (T - T†))|psi>, in place, as a Givens rotation of each pair
     (a, b) of ``_pairs``: T maps a's determinant to sigma times b's, so
     a' = c a - s sigma b and b' = c b + s sigma a, with c, s = cos, sin
-    theta; every other amplitude is left as it is."""
+    theta; every other amplitude is left as it is.  ``step``: see ``_plan``."""
     flat = state.reshape(-1)
-    a_index, b_index, sigma = _pairs(rotation.occ, rotation.virt, state.ndim)
+    rotation, pairs = step
+    if pairs is None:
+        pairs = _pairs(rotation.occ, rotation.virt, state.ndim)
+    elif not isinstance(pairs, tuple):
+        (pairs,) = _sector_pairs([rotation], state.ndim, pairs)
+    a_index, b_index, sigma = pairs
     s = sigma * math.sin(theta)
     c = math.cos(theta)
     a, b = flat[a_index], flat[b_index]
@@ -596,14 +642,6 @@ def _blocks(state: np.ndarray, qubits: Sequence[int]) -> list[np.ndarray]:
     return [view[:, b, :, a] for a in (0, 1) for b in (0, 1)]
 
 
-def _marginal_probabilities(state: np.ndarray, measured: tuple[int, ...]) -> np.ndarray:
-    probs = np.abs(state) ** 2
-    unmeasured = tuple(q for q in range(state.ndim) if q not in measured)
-    if unmeasured:
-        probs = probs.sum(axis=unmeasured)
-    return probs
-
-
 def _bitstring(index: int, measured: tuple[int, ...], n: int) -> str:
     """The n-qubit bitstring of an index of the measured qubits' marginal,
     with 0 on every other qubit."""
@@ -615,7 +653,7 @@ def _bitstring(index: int, measured: tuple[int, ...], n: int) -> str:
 
 def statevector(circuit: CompositeInstruction, n: int) -> np.ndarray:
     """Amplitudes of circuit|0...0>; index bit order puts qubit 0 first."""
-    steps, _ = _plan(circuit, n)
+    steps, _ = _plan(circuit, n, from_zero=True)
     return _run(_zero_state(n), steps).reshape(-1)
 
 
@@ -628,13 +666,17 @@ class CompiledCircuit:
     operation of ``Parameter.evaluate``, so its amplitudes are those of
     ``statevector(evaluate(circuit, x), n)`` bit for bit, and builds no
     ``Parameter``, tree or fixed gate's matrix.
+
+    Memory: the excitation steps of an N-electron sector (``_plan``) hold
+    24 bytes per amplitude pair (two int64 indices and an int64 sign), or,
+    past 2^n pairs, share C(n - 2r, N - r) 8-byte indices per rank r.
     """
 
     def __init__(self, circuit: CompositeInstruction, n: int):
         self.name = circuit.name
         self.variables = tuple(circuit.variables)
         self._n = n
-        self._steps, _ = _plan(circuit, n, self.variables)
+        self._steps, _ = _plan(circuit, n, self.variables, from_zero=True)
 
     def n_qubits(self) -> int:
         """The register width it was planned for."""
@@ -659,21 +701,23 @@ class CompiledCircuit:
         its commuting rotations R_{P_k}(s_k theta) (``rotations()``), so its
         step stays and one R_{P_k} step at the constant delta follows it for
         each k, at scale s_k (as everywhere, the step's source is its angle).
+        R_{P_k} breaks N, so the excitation steps after it build all pairs.
         """
+        dense = [(f, (d[0], None), a) if f is _excite else (f, d, a) for f, d, a in self._steps]
         for k, (kernel, data, source) in enumerate(self._steps):
             if not isinstance(source, tuple):
                 continue
             i, scale = source
-            if isinstance(data, ExcitationRotation):
-                for ops, angle in data.rotations():
+            if kernel is _excite:
+                for ops, angle in data[0].rotations():
                     fixed = (_rotate, PauliRotation(ops, (angle,)), delta)
-                    yield i, angle.scale, self._spliced(k, [self._steps[k], fixed])
+                    yield i, angle.scale, self._spliced(k, [self._steps[k], fixed], dense)
             else:
                 yield i, scale, self._spliced(k, [(kernel, data, scale * float(x[i]) + delta)])
 
-    def _spliced(self, k: int, steps: list) -> "CompiledCircuit":
+    def _spliced(self, k: int, steps: list, later: "list | None" = None) -> "CompiledCircuit":
         plan = copy.copy(self)
-        plan._steps = self._steps[:k] + steps + self._steps[k + 1 :]
+        plan._steps = self._steps[:k] + steps + (later or self._steps)[k + 1 :]
         return plan
 
 
@@ -729,11 +773,6 @@ class CompiledPauli:
     size of the input (a vector, or a stack of k vectors) are live; a draw
     holds conj(psi), the index and one product vector of 2^n at a time.
     Nothing of 2^n is kept per string or per X mask.
-    ``PreparedState.expect_commutators`` reads the vectors its rights name
-    in stacks of at most max(2^n, 2^12) amplitudes, a kept left vector
-    copied into its stack, and applies H to each whole stack; besides the
-    kept rows it holds one stack and H applied to it, and drops both
-    before the next stack is made.
     """
 
     def __init__(self, op: PauliOperator, n: int):

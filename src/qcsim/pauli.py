@@ -319,18 +319,24 @@ def pauli_from_string(s: str) -> PauliOperator:
 def parse_hamiltonian(text: str) -> PauliOperator:
     """Sum the one-term-per-line Hamiltonian file format.
 
-    ``#`` starts a comment; blank lines are ignored.
+    ``#`` starts a comment; blank lines are ignored.  The terms are summed
+    into one dict in file order, each parsed term and each updated string
+    pruned as ``+`` prunes them, so the sum equals that of repeated ``+``.
     """
-    total = PauliOperator.zero()
+    terms: dict[Masks, complex] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            total = total + pauli_from_string(line)
+            term = pauli_from_string(line)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return total
+        for key, c in term._terms.items():
+            terms[key] = terms.get(key, 0.0) + c
+            if abs(terms[key]) < PRUNE_THRESHOLD:
+                del terms[key]
+    return _from_masks(terms, prune=False)
 
 
 def load_hamiltonian(path: str) -> PauliOperator:

@@ -38,6 +38,8 @@ once, whatever the strategy, and none of them nor an ADAPT run binds a
 tree with ``ir.evaluate``; ``optim.py`` imports nothing that binds or
 splices one.
 Gates are applied in place, without ``tensordot`` or ``moveaxis``.
+The N-electron sector is found by the planner alone, ``_excite`` is the
+one excitation kernel, and ``backend`` keeps no module-level cache.
 Each algorithm module reads through ``self.options`` exactly the keys its
 class declares in ``option_kinds``: no key read undeclared, none declared
 and left unread, and ``required_keys`` is a subset of them.
@@ -439,6 +441,80 @@ def test_gates_are_applied_in_place():
         for node in ast.walk(kernel)
         if (getattr(node, "attr", None) or getattr(node, "id", None)) in ("tensordot", "moveaxis")
     ] == []
+
+
+def test_the_electron_sector_is_planned_in_one_place():
+    backend = PACKAGE / "backend.py"
+    tree = ast.parse(backend.read_text(encoding="utf-8"))
+    # the N-electron determinants are filtered by popcount in the planner alone
+    filters = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, ast.Eq) for op in node.ops)
+        and any(
+            isinstance(side, ast.Call) and getattr(side.func, "attr", None) == "bitwise_count"
+            for side in (node.left, *node.comparators)
+        )
+    ]
+    assert filters == ["_plan"]
+    # one kernel per leaf kind, (state, data, angle): no second excitation kernel
+    kernels = sorted(
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and len(node.args.args) == 3
+        and node.args.args[0].arg == "state"
+        and node.args.args[2].arg in ("theta", "angle")
+    )
+    assert kernels == ["_apply_gate", "_excite", "_rotate"]
+    # sector pairs are built by the planner and applied by the excitation kernel
+    assert _functions_reading(backend, "_sector_pairs") == ["_excite", "_plan"]
+    assert _functions_reading(backend, "_pairs") == ["_excite", "expect_commutators"]
+
+
+def test_backend_keeps_no_module_level_cache():
+    tree = ast.parse((PACKAGE / "backend.py").read_text(encoding="utf-8"))
+    module_names = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    mutators = {"append", "add", "update", "setdefault", "extend", "insert", "pop", "clear"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append(f"line {node.lineno}: global {node.names}")
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = getattr(target, "attr", None) or getattr(target, "id", None)
+                if name in ("cache", "lru_cache"):
+                    found.append(f"line {node.lineno}: @{name} on {node.name}")
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module_names
+        ) or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in mutators
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in module_names
+        ):
+            found.append(f"line {node.lineno}: writes a module-level name")
+    # a cache made at import time, rather than inside one call
+    for node in tree.body:
+        for call in ast.walk(node) if isinstance(node, (ast.Assign, ast.Expr)) else ():
+            name = getattr(getattr(call, "func", None), "attr", None)
+            if isinstance(call, ast.Call) and name in ("cache", "lru_cache"):
+                found.append(f"line {call.lineno}: module-level {name}")
+    assert found == []
 
 
 def _count_compiles(monkeypatch):

@@ -13,6 +13,7 @@ digest for UCCSD(4,12); an excitation node's strings and angles are those
 """
 import dataclasses
 import hashlib
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 import qcsim
 from qcsim import backend, fermion, optim, pauli
-from qcsim.ansatz import UccsdSpec, exp_pauli, hartree_fock_circuit, uccsd_circuit
+from qcsim.ansatz import UccsdSpec, build_pool, exp_pauli, hartree_fock_circuit, uccsd_circuit
 from qcsim.ir import (
     ExcitationRotation,
     Instruction,
@@ -351,3 +352,93 @@ def test_parameter_shift_through_excitations_is_exact(ne, nq, hubbard_chain, exa
         )
         assert np.abs(shift - central).max() <= 1e-7
         assert np.abs(shift - lowered).max() <= 1e-12
+
+
+# Electron-number sectors: after the X gates of a plan from |0...0>, every
+# excitation keeps N, so its step holds only its pairs of N-electron
+# determinants.  The reference is the same leaves through ``evolve``,
+# which never plans a sector.
+
+SECTOR_SPECS = [(2, 4), (2, 8), (4, 8), (4, 12), (4, 16)]
+
+
+def _excitation_pairs(circuit, n):
+    """The pairs data of each excitation step of the circuit's plan."""
+    steps = backend.CompiledCircuit(circuit, n)._steps
+    return [data[1] for kernel, data, _ in steps if kernel is backend._excite]
+
+
+def _evolved(leaves, n, split):
+    """leaves[:split] prepared, then leaves[split:] evolved: dense pairs throughout."""
+    accelerator = qcsim.get_accelerator("statevector", {"shots": 0})
+    state = accelerator.prepare(create_composite("head").add_all(leaves[:split]), n)
+    return state.evolve(create_composite("tail").add_all(leaves[split:]))._amplitudes
+
+
+@pytest.mark.parametrize("ne, nq", SECTOR_SPECS)
+def test_a_sector_plan_equals_the_dense_one_bit_for_bit(ne, nq):
+    circuit = uccsd_circuit(UccsdSpec(ne, nq))
+    x = np.random.default_rng(nq + ne).uniform(-np.pi, np.pi, len(circuit.variables))
+    bound = evaluate(circuit, x)
+    dense = _evolved(list(bound.leaves()), nq, ne)
+    assert all(pairs is not None for pairs in _excitation_pairs(bound, nq))
+    assert np.array_equal(backend.statevector(bound, nq), dense)
+    assert np.array_equal(backend.CompiledCircuit(circuit, nq).run(x), dense)
+    (result,) = qcsim.get_accelerator("statevector", {"shots": 0}).execute(qcsim.qalloc(nq), bound)
+    weights = np.abs(dense) ** 2
+    assert result.probabilities == {
+        format(i, f"0{nq}b"): float(weights[i]) for i in np.flatnonzero(weights > 1e-16)
+    }
+
+
+@pytest.mark.parametrize("ne, nq", SECTOR_SPECS + [(4, 20)])
+def test_a_plan_holds_at_most_2_to_the_n_pairs(ne, nq):
+    """Its pairs, C(n - 2r, N - r) for each excitation of rank r, are held
+    while they number at most 2^n; otherwise each step holds, for each rank
+    r, the C(n - 2r, N - r) indices of the other modes, and builds its pairs
+    on them when it runs."""
+    circuit = uccsd_circuit(UccsdSpec(ne, nq))
+    held = _excitation_pairs(circuit, nq)
+    ranks = [len(occ) for occ, _ in fermion.excitation_modes(ne, nq)]
+    count = sum(math.comb(nq - 2 * r, ne - r) for r in ranks)
+    if count <= 1 << nq:
+        assert [len(a) for a, _, _ in held] == [math.comb(nq - 2 * r, ne - r) for r in ranks]
+    else:
+        assert {r: len(rest) for r, rest in held[0].items()} == {
+            r: math.comb(nq - 2 * r, ne - r) for r in ranks
+        }
+    assert all(isinstance(pairs, tuple) for pairs in held) == (count <= 1 << nq)
+
+
+def _fallback_cases():
+    """(leaves, dense steps) of each case: UCCSD(2,6) at random x with one
+    leaf that may change N, and the excitation steps that must build all
+    of their pairs."""
+    ne, nq = 2, 6
+    circuit = uccsd_circuit(UccsdSpec(ne, nq))
+    x = np.random.default_rng(3).uniform(-np.pi, np.pi, len(circuit.variables))
+    leaves = list(evaluate(circuit, x).leaves())
+    reference, excitations = leaves[:ne], leaves[ne:]
+    singlet = build_pool("singlet-adapted-uccsd", ne, nq)
+    k = next(k for k, (_, _, group) in enumerate(singlet.elements) if len(group) > 1)
+    every, later = range(len(excitations)), range(2, len(excitations))
+    return {
+        "gate-before": (reference + [create_instruction("H", [1])] + excitations, every),
+        "x-after": (
+            reference + excitations[:2] + [create_instruction("X", [nq - 1])] + excitations[2:],
+            later,
+        ),
+        "singlet-block": (
+            reference + excitations[:2] + singlet.block(k, 0.4) + excitations[2:], later
+        ),
+        "no-electrons": (excitations, every),
+    }
+
+
+@pytest.mark.parametrize("case", ["gate-before", "x-after", "singlet-block", "no-electrons"])
+def test_a_leaf_that_may_change_n_ends_the_sector(case):
+    leaves, dense_steps = _fallback_cases()[case]
+    circuit = create_composite(case).add_all(leaves)
+    pairs = _excitation_pairs(circuit, 6)
+    assert [k for k, held in enumerate(pairs) if held is None] == list(dense_steps)
+    assert np.array_equal(backend.statevector(circuit, 6), _evolved(leaves, 6, 0))

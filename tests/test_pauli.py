@@ -400,3 +400,30 @@ class TestHamiltonianFiles:
         with pytest.raises(ValueError) as err:
             parse_hamiltonian("0.5 Z0\n1.0 W3\n")
         assert "line 2" in str(err.value)
+
+    def test_partial_sums_that_cancel_mid_file_are_pruned_as_by_repeated_plus(self):
+        """A string whose running sum falls below ``PRUNE_THRESHOLD`` leaves
+        the sum, and comes back last if a later line names it again; a term
+        below the threshold never enters.  Keys, order and values all equal
+        those of summing the lines with ``+``."""
+        lines = [
+            "0.5 Z0",
+            "1.0 X1",
+            "0.125 Z0 Z1",
+            "-0.5 Z0",
+            "(0.0,1e-15) Y2",
+            "0.25 Z0",
+            "-0.5 X1",
+            "(1e-15,0.0) X1",
+            "0.3",
+            "-0.125 Z0 Z1",
+            "-0.3",
+            "0.75 Z0 Z1",
+        ]
+        op = parse_hamiltonian("\n".join(lines) + "\n")
+        summed = PauliOperator.zero()
+        for line in lines:
+            summed = summed + pauli_from_string(line)
+        assert list(op._terms.items()) == list(summed._terms.items())
+        assert list(op._terms) == [encode({1: "X"}), encode({0: "Z"}), encode({0: "Z", 1: "Z"})]
+        assert list(op._terms.values()) == [0.5, 0.25, 0.75]
