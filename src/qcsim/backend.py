@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -77,10 +78,12 @@ _PROB_CUTOFF = 1e-16
 # ``expect_commutators`` reads, and applies H to, at once (at least one row)
 _STACK_AMPLITUDES = 1 << 12
 # constants of the exact tables: every half-register index m below 2^h,
-# h = MAX_QUBITS - MAX_QUBITS // 2, and its sign (-1)^popcount(m)
+# h = MAX_QUBITS - MAX_QUBITS // 2, and its sign (-1)^popcount(m); and
+# (-1)^k for every bit count k of an index
 _HALF_INDEX = np.arange(1 << (MAX_QUBITS - MAX_QUBITS // 2))
 _PARITY_SIGNS = (-1.0) ** np.bitwise_count(_HALF_INDEX)
-_HALF_INDEX.flags.writeable = _PARITY_SIGNS.flags.writeable = False
+_COUNT_SIGNS = (-1.0) ** np.arange(MAX_QUBITS + 1)
+_HALF_INDEX.flags.writeable = _PARITY_SIGNS.flags.writeable = _COUNT_SIGNS.flags.writeable = False
 
 
 @dataclass
@@ -414,11 +417,13 @@ def _plan(
     A gate's data is (name, qubits, entries), the entries of a fixed gate
     other than X, CNOT and Swap its non-zero matrix entries, made here once.
 
-    An excitation's data is (leaf, pairs), pairs None to build all as it runs.
-    From |0...0> (``from_zero``), X gates make N >= 1 electrons, which the
-    excitations that follow keep until any other leaf (Measure aside).  Their
-    pairs, held while they number at most 2^n (else the indices to build them
-    on), serve only N-electron states: an adjoint sweep's H psi if H keeps N.
+    An excitation's data is (leaf, pairs), pairs None to build all as it runs
+    (``_pairs``).  From |0...0> (``from_zero``), X gates make N >= 1
+    electrons, which the excitations that follow keep until any other leaf
+    (Measure aside).  Their pairs, the N-electron ones, are built for all of
+    them in one pass (``_sector_pairs``) and held while they number at most
+    2^n, else each step holds the indices to build its own on as it runs;
+    they serve only N-electron states: an adjoint sweep's H psi if H keeps N.
     """
     _check_register(n)
     index = {var: i for i, var in enumerate(variables)}
@@ -505,13 +510,13 @@ def _rotate(state: np.ndarray, rotation: PauliRotation, theta: float) -> np.ndar
     return out.reshape(state.shape)
 
 
-def _pairs(
-    occ: tuple[int, ...], virt: tuple[int, ...], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, sigma) of the excitation T = a†_virt... a_occ... on n qubits:
-    the index a of every amplitude whose occ modes are full and virt modes
-    empty, the index b of the same determinant with occ empty and virt full,
-    and the JW sign of each pair (``ir._jw_parity``): T|a> = sigma |b>."""
+def _pairs(occ: tuple[int, ...], virt: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ab, sigma) of the excitation T = a†_virt... a_occ... on n qubits:
+    ab[:m] holds the index a of each of the m amplitudes whose occ modes are
+    full and virt modes empty, ab[m:] the index b of the same determinant
+    with occ empty and virt full, and the float64 sigma the JW sign of each pair
+    (``ir._jw_parity``): T|a> = sigma |b>.  Every reader of an excitation's
+    pairs, these or ``_sector_pairs``', reads this form."""
     sign, parity = _jw_parity(occ, virt)
     occ_bits = _index_bits(sum(1 << q for q in occ), n)
     virt_bits = _index_bits(sum(1 << q for q in virt), n)
@@ -523,49 +528,77 @@ def _pairs(
         low = fixed & -fixed
         rest += rest & -low
         fixed ^= low
-    a_index = rest | occ_bits
-    odd = np.bitwise_count(a_index & _index_bits(parity, n)) & 1
-    return a_index, rest | virt_bits, np.where(odd, -sign, sign)
+    sigma = _COUNT_SIGNS[np.bitwise_count(rest & _index_bits(parity, n))] * sign
+    return np.concatenate((rest | occ_bits, rest | virt_bits)), sigma
 
 
 def _sector_pairs(leaves: Sequence[ExcitationRotation], n: int, rests: dict) -> list:
-    """``_pairs`` of each leaf by its bit insertion, one pass per rank r,
-    on the indices ``rests[r]`` of the other modes instead of all of them."""
-    out: dict[int, tuple] = {}
-    for r in {len(leaf.occ) for leaf in leaves}:
-        ks = [k for k, leaf in enumerate(leaves) if len(leaf.occ) == r]
-        rows = []
-        for occ, virt in ((leaves[k].occ, leaves[k].virt) for k in ks):
-            sign, parity = _jw_parity(occ, virt)
-            rows.append([1 << n - 1 - q for q in occ + virt] + [_index_bits(parity, n), sign])
-        *_, parity, sign = table = np.array(rows).T[:, :, None]
-        rest = rests[r][None].repeat(len(ks), 0)
-        for low in np.sort(table[:-2], axis=0):
-            rest += rest & -low
-        a, b = rest | table[:r].sum(0), rest | table[r:-2].sum(0)
-        sigma = np.where(np.bitwise_count(a & parity) & 1, -sign, sign)
-        out.update(zip(ks, zip(a, b, sigma)))
-    return [out[k] for k in range(len(leaves))]
+    """``_pairs`` of each leaf restricted to the determinants whose other
+    modes are one of ``rests[r]``, r the leaf's rank (modes per side).
+
+    One pass reads the tables of all leaves, taken in order of rank: one
+    ``_jw_parity`` call on the mirrored modes n-1-q, which are index bit
+    positions, each leaf's occ and virt padded to the top rank with mode -1
+    (bit n).  Mirroring keeps the sign, since r modes with i inversions get
+    C(r, 2) - i, and turns the parity into an index mask, since the XOR of
+    2r below-masks changes by the index bits alone; a pad in occ and one in
+    virt add no inversion and cancel in the XOR.  Then one 2-D pass per rank,
+    over its leaves and rests, inserts the index bits and reads the signs.
+    """
+    order = sorted(range(len(leaves)), key=lambda k: len(leaves[k].occ))
+    ranks = [len(leaves[k].occ) for k in order]
+    top = ranks[-1]
+    fills = [(-1,) * (top - r) for r in range(top + 1)]
+    modes = (n - 1) - np.array(
+        [leaves[k].occ + fills[r] + leaves[k].virt + fills[r] for k, r in zip(order, ranks)]
+    ).T
+    sign, parity = _jw_parity(modes[:top], modes[top:])
+    # each leaf's sign and parity mask as a column (the sign is a scalar
+    # when every leaf has one mode per side)
+    sign, parity = np.full(parity.shape, sign)[:, None], parity[:, None]
+    # column k: its index bits, a pad's cut to 0, negated, lowest first
+    # (pads first); row k: its occ bits and its virt bits
+    bits = (1 << modes) & ((1 << n) - 1)
+    lows = -np.sort(bits, axis=0)[:, :, None]
+    adds = bits.reshape(2, top, -1).sum(1).T[:, :, None]
+    built: list = []
+    for r, group in itertools.groupby(ranks):
+        ks = slice(len(built), len(built) + len(list(group)))
+        # as in ``_pairs``: a 0 inserted at each index bit, lowest first
+        low, *higher = lows[2 * (top - r) :, ks]
+        rest = rests[r] + (rests[r] & low)
+        for low in higher:
+            rest += rest & low
+        sigma = _COUNT_SIGNS[np.bitwise_count(rest & parity[ks])] * sign[ks]
+        built.extend(zip((rest[:, None] | adds[ks]).reshape(len(sigma), -1), sigma))
+    held = [None] * len(leaves)
+    for k, pairs in zip(order, built):
+        held[k] = pairs
+    return held
 
 
 def _excite(state: np.ndarray, step: tuple, theta: float) -> np.ndarray:
     """exp(theta (T - T†))|psi>, in place, as a Givens rotation of each pair
     (a, b) of ``_pairs``: T maps a's determinant to sigma times b's, so
     a' = c a - s sigma b and b' = c b + s sigma a, with c, s = cos, sin
-    theta; every other amplitude is left as it is.  ``step``: see ``_plan``."""
+    theta; every other amplitude is left as it is.  One gather reads the
+    pairs' amplitudes and one scatter writes them back.  ``step``: see
+    ``_plan``."""
     flat = state.reshape(-1)
     rotation, pairs = step
     if pairs is None:
         pairs = _pairs(rotation.occ, rotation.virt, state.ndim)
     elif not isinstance(pairs, tuple):
         (pairs,) = _sector_pairs([rotation], state.ndim, pairs)
-    a_index, b_index, sigma = pairs
+    ab, sigma = pairs
     s = sigma * math.sin(theta)
-    c = math.cos(theta)
-    a, b = flat[a_index], flat[b_index]
-    flat[a_index] = c * a - s * b
-    flat[b_index] = c * b + s * a
-    return flat.reshape(state.shape)
+    old = flat[ab]
+    new = math.cos(theta) * old
+    m = sigma.size
+    new[:m] -= s * old[m:]
+    new[m:] += s * old[:m]
+    flat[ab] = new
+    return state
 
 
 def _applier(
@@ -574,11 +607,12 @@ def _applier(
     """psi -> op|psi> on 2^n flat amplitudes.  A Pauli sum is applied by
     ``apply_pauli``, which compiles it on each application; an excitation T
     moves sigma psi[a] to b, and T† sigma psi[b] to a, over the pairs
-    (a, b, sigma) that ``pairs`` (``_pairs`` or a cache of it) gives, and
+    (ab, sigma) that ``pairs`` (``_pairs`` or a cache of it) gives, and
     every other amplitude becomes 0."""
     if not isinstance(op, ExcitationOperator):
         return functools.partial(apply_pauli, op)
-    source, target, sigma = pairs(op.occ, op.virt, n)
+    ab, sigma = pairs(op.occ, op.virt, n)
+    source, target = ab[: sigma.size], ab[sigma.size :]
     if op.adjoint:
         source, target = target, source
 
@@ -668,8 +702,9 @@ class CompiledCircuit:
     ``Parameter``, tree or fixed gate's matrix.
 
     Memory: the excitation steps of an N-electron sector (``_plan``) hold
-    24 bytes per amplitude pair (two int64 indices and an int64 sign), or,
-    past 2^n pairs, share C(n - 2r, N - r) 8-byte indices per rank r.
+    24 bytes per amplitude pair (two int64 indices in its index row ab and
+    one float64 sign), or, past 2^n pairs, share C(n - 2r, N - r) 8-byte
+    indices per rank r.
     """
 
     def __init__(self, circuit: CompositeInstruction, n: int):
@@ -846,7 +881,7 @@ class CompiledPauli:
             if source:
                 # XOR the index in place and back: no second index is allocated
                 index ^= source
-                term = rows[:, index]
+                term = rows.take(index, axis=1)
                 index ^= source
                 np.multiply(diagonal, term, out=term)
             else:

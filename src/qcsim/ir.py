@@ -16,8 +16,8 @@ Rotation convention: R_P(theta) = exp(-i * theta * P / 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -263,22 +263,36 @@ def _lowering(ops: tuple[tuple[int, str], ...], angle: Parameter) -> Iterator[In
             yield Instruction(gate, (q,))
 
 
-def _jw_parity(occ: tuple[int, ...], virt: tuple[int, ...]) -> tuple[int, int]:
+def _jw_parity(occ: "tuple[int, ...] | np.ndarray", virt: "tuple[int, ...] | np.ndarray") -> tuple:
     """(sign, parity) of T = a†_virt... a_occ...: T|x> = sign *
     (-1)^|x & parity| |x'> for every occupation x with occ full and virt
     empty (x' has occ empty, virt full), with bit q of x and of the parity
-    mask for mode q.  The one copy of the JW sign arithmetic: ``_jw_strings``
-    and the simulator's amplitude pairs read it."""
-    index = sum(1 << q for q in occ + virt)
-    occupied = sum(1 << q for q in occ)
-    sign, parity = 1, 0
-    for mode in (*occ, *virt[::-1]):
-        below = (1 << mode) - 1
-        # the ladder operator's JW string, on the index modes it finds occupied
-        sign *= (-1) ** (occupied & below).bit_count()
-        parity ^= below
-        occupied ^= 1 << mode
-    return sign, parity & ~index
+    mask for mode q.
+
+    Closed form: a_occ[i] acts while occ[i+1:] are full and a†_virt[i]
+    while virt[i+1:] are, so the index modes below them in their JW
+    strings give sign = (-1)^(inversions of occ + inversions of virt), and
+    the other modes give parity, the XOR of the index modes' below-masks
+    without the index modes.  -1 << q is the complement of q's below-mask,
+    so the XOR of the m complements is that XOR, complemented for odd m.
+    Bit k of the XOR is the parity of the number of index modes above k,
+    which flips at each index mode, so a set bit is an index mode exactly
+    when the bit below it is unset (below bit 0 stands the parity of all
+    of them); clearing those drops the index modes.  ``occ`` and ``virt``
+    are tuples of modes, or mode arrays whose row i holds mode i of many
+    excitations, and sign and parity are then arrays.  The one copy of the
+    JW sign arithmetic: ``_jw_strings``, ``ExcitationRotation.qubits`` and
+    the simulator's amplitude pairs read it.
+    """
+    odd, below, m = False, 0, len(occ) + len(virt)
+    for modes in (occ, virt):
+        for mode in modes:
+            below ^= -1 << mode
+        for earlier, later in combinations(modes, 2):
+            odd ^= later < earlier
+    if m & 1:
+        below = ~below
+    return (-1) ** odd, below & (below << 1 | m & 1)
 
 
 def _jw_strings(
@@ -384,10 +398,12 @@ def _bind(node: Node, binding: dict[str, float]) -> Node:
         return out
     if node.is_concrete:
         return node
-    return replace(
-        node,
-        parameters=tuple(Parameter.concrete(p.evaluate(binding)) for p in node.parameters),
-    )
+    parameters = tuple(Parameter.concrete(p.evaluate(binding)) for p in node.parameters)
+    if isinstance(node, ExcitationRotation):
+        return ExcitationRotation(node.occ, node.virt, parameters)
+    if isinstance(node, PauliRotation):
+        return PauliRotation(node.ops, parameters)
+    return Instruction(node.name, node.qubits, parameters)
 
 
 def depth(circuit: CompositeInstruction) -> int:

@@ -9,6 +9,7 @@ from qcsim.fermion import (
     jordan_wigner,
     occupied_spin_orbitals,
 )
+from qcsim.ir import _jw_strings
 from qcsim.pauli import PauliOperator, to_matrix
 
 
@@ -170,6 +171,18 @@ class TestExcitationOperator:
             assert op.dagger().dagger() == op
             assert op.dagger().image() == image.dagger()
             assert op.n_qubits() == op.dagger().n_qubits() == image.n_qubits()
+
+    def test_strings_of_any_ladder_product_are_its_jordan_wigner_image(self):
+        """The closed-form sign and parity hold for any modes in any order,
+        occ and virt of unequal lengths (an odd number of modes) included."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            modes = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+            k = int(rng.integers(0, len(modes) + 1))
+            occ, virt = tuple(modes[:k]), tuple(modes[k:])
+            strings = PauliOperator.from_terms(dict(_jw_strings(occ, virt)))
+            assert strings == jordan_wigner(excitation_operator(occ, virt), n), (occ, virt)
 
 
 class TestEnumeration:

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qcsim.errors import IRError
 from qcsim.ir import (
     GATE_TABLE,
+    ExcitationRotation,
     Parameter,
+    PauliRotation,
     count_gates,
     create_composite,
     create_instruction,
@@ -113,6 +117,38 @@ class TestEvaluate:
         c.add(create_instruction("Rz", [0], ["t0"]))
         evaluate(c, [1.0])
         assert c.variables == ["t0"]
+
+    def test_binds_each_leaf_as_dataclasses_replace_would(self):
+        """A bound leaf is the one ``dataclasses.replace`` makes: same type,
+        fields, equality and hash, and frozen; a concrete leaf is shared."""
+        leaves = [
+            create_instruction("Rz", [0], [Parameter.symbolic("t0", -2.0)]),
+            create_instruction("H", [1]),
+            PauliRotation(((0, "X"), (2, "Y")), (Parameter.symbolic("t1", 0.5),)),
+            PauliRotation(((1, "Z"),), (Parameter.concrete(0.3),)),
+            ExcitationRotation((0, 2), (1, 3), (Parameter.symbolic("t0"),)),
+            ExcitationRotation((1,), (3,), (Parameter.concrete(-0.2),)),
+        ]
+        nested = create_composite("inner").add_all(leaves[2:])
+        c = create_composite("c").add_all(leaves[:2]).add(nested)
+        binding = {"t0": 0.7, "t1": -1.3}
+        bound = list(evaluate(c, [binding[var] for var in c.variables]).leaves())
+        assert len(bound) == len(leaves)
+        for leaf, got in zip(leaves, bound):
+            if leaf.is_concrete:
+                assert got is leaf
+                continue
+            want = dataclasses.replace(
+                leaf,
+                parameters=tuple(Parameter.concrete(p.evaluate(binding)) for p in leaf.parameters),
+            )
+            assert type(got) is type(want)
+            assert [getattr(got, f.name) for f in dataclasses.fields(got)] == [
+                getattr(want, f.name) for f in dataclasses.fields(want)
+            ]
+            assert got == want and hash(got) == hash(want)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.parameters = ()
 
 
 class TestDepth:

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcsim
-from qcsim import backend, fermion, optim, pauli
+from qcsim import backend, fermion, ir, optim, pauli
 from qcsim.ansatz import UccsdSpec, build_pool, exp_pauli, hartree_fock_circuit, uccsd_circuit
 from qcsim.ir import (
     ExcitationRotation,
@@ -402,12 +402,84 @@ def test_a_plan_holds_at_most_2_to_the_n_pairs(ne, nq):
     ranks = [len(occ) for occ, _ in fermion.excitation_modes(ne, nq)]
     count = sum(math.comb(nq - 2 * r, ne - r) for r in ranks)
     if count <= 1 << nq:
-        assert [len(a) for a, _, _ in held] == [math.comb(nq - 2 * r, ne - r) for r in ranks]
+        assert [(len(ab), len(sigma)) for ab, sigma in held] == [
+            (2 * math.comb(nq - 2 * r, ne - r), math.comb(nq - 2 * r, ne - r)) for r in ranks
+        ]
     else:
         assert {r: len(rest) for r, rest in held[0].items()} == {
             r: math.comb(nq - 2 * r, ne - r) for r in ranks
         }
     assert all(isinstance(pairs, tuple) for pairs in held) == (count <= 1 << nq)
+
+
+def _random_excitations(rng, n, count):
+    """``count`` excitations of rank 1 to 3 (at most n // 2) on random
+    modes, with occ and virt each in a random order."""
+    leaves = []
+    for _ in range(count):
+        r = int(rng.integers(1, min(3, n // 2) + 1))
+        modes = [int(q) for q in rng.permutation(n)[: 2 * r]]
+        leaves.append(ExcitationRotation(tuple(modes[:r]), tuple(modes[r:]), (Parameter.concrete(0.3),)))
+    return leaves
+
+
+def _rests(n, ne, ranks):
+    """For each rank r, every index of n - 2r bits with N - r ones, ascending."""
+    return {
+        r: np.array([x for x in range(1 << n - 2 * r) if x.bit_count() == ne - r], dtype=np.int64)
+        for r in ranks
+    }
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_sector_pairs_are_the_dense_pairs_of_n_electron_determinants(n):
+    """``_sector_pairs``' one-pass tables are ``_pairs`` restricted to the
+    determinants with N electrons: a, b and sigma, in their order, for every
+    N from 1 to n - 1, ranks 1 to 3 mixed, occ and virt unsorted, and ranks
+    whose sector is empty (N < r, or N - r > n - 2r).  One leaf alone (a
+    step past 2^n pairs) gets the same pairs, and so does a planned step."""
+    rng = np.random.default_rng(n)
+    for ne in range(1, n):
+        leaves = _random_excitations(rng, n, 8)
+        rests = _rests(n, ne, {len(leaf.occ) for leaf in leaves})
+        built = backend._sector_pairs(leaves, n, rests)
+        ones = [create_instruction("X", [int(q)]) for q in rng.permutation(n)[:ne]]
+        planned = _excitation_pairs(create_composite("sector").add_all(ones + leaves), n)
+        for leaf, (ab, sigma), held in zip(leaves, built, planned):
+            dense, signs = backend._pairs(leaf.occ, leaf.virt, n)
+            m = signs.size
+            keep = np.bitwise_count(dense[:m]) == ne
+            assert np.array_equal(ab, np.concatenate((dense[:m][keep], dense[m:][keep])))
+            assert np.array_equal(sigma, signs[keep]) and sigma.dtype == np.float64
+            ((alone, alone_sigma),) = backend._sector_pairs([leaf], n, rests)
+            assert np.array_equal(alone, ab) and np.array_equal(alone_sigma, sigma)
+            if not isinstance(held, tuple):
+                (held,) = backend._sector_pairs([leaf], n, held)
+            assert np.array_equal(held[0], ab) and np.array_equal(held[1], sigma)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_jw_parity_on_mode_arrays_is_that_of_each_excitation(rank):
+    rng = np.random.default_rng(rank)
+    modes = np.array([rng.permutation(10)[: 2 * rank] for _ in range(25)]).T
+    sign, parity = ir._jw_parity(modes[:rank], modes[rank:])
+    each = [ir._jw_parity(tuple(m[:rank].tolist()), tuple(m[rank:].tolist())) for m in modes.T]
+    assert np.broadcast_to(sign, (25,)).tolist() == [s for s, _ in each]
+    assert parity.tolist() == [p for _, p in each]
+
+
+def test_a_uccsd_plan_reads_its_jw_signs_in_one_call(monkeypatch):
+    """Planning UCCSD(4,12) from Hartree-Fock reads the (sign, parity) of
+    its 92 excitations, of two ranks, in one ``_jw_parity`` call."""
+    circuit = uccsd_circuit(UccsdSpec(4, 12))
+    bound = evaluate(circuit, np.linspace(-1.0, 1.0, len(circuit.variables)))
+    calls, original = [], ir._jw_parity
+    counted = lambda occ, virt: calls.append(len(occ)) or original(occ, virt)
+    monkeypatch.setattr(ir, "_jw_parity", counted)
+    monkeypatch.setattr(backend, "_jw_parity", counted)
+    backend.statevector(bound, 12)
+    assert len([leaf for leaf in bound.leaves() if isinstance(leaf, ExcitationRotation)]) == 92
+    assert calls == [2]
 
 
 def _fallback_cases():
